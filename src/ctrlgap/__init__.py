@@ -1,16 +1,16 @@
 """Gap solutions and critical feasibility bounds for box-constrained
 linear optimal control under forward-Euler transcription."""
 
-from .analyze import (BangBangReport, SwitchingProfile, adjoint_range_residual,
-                      check_bang_bang, extract_switchings, reconstruct_uA)
+from .analyze import (BangBangReport, SwitchingProfile, check_bang_bang,
+                      extract_switchings, reconstruct_uA)
 from .controllability import (CtrbReport, discrete_gramian, gramian_report,
                               kalman_rank, ltv_rank)
 from .critical import (CriticalOptions, CriticalResult, DICriticalSolution,
                        critical_bound, di_critical_analytic)
 from .discretize import (AffineData, ControlTrajectory, StateTrajectory,
                          build_affine, l2_norm, simulate, weighted_norm)
-from .errors import (AnalyticCaseError, BracketError, ConfigError, CtrlGapError,
-                     InfeasibleIntersectionError, OracleSizeError,
+from .errors import (AnalyticCaseError, BracketError, ConfigError, ConsistencyError,
+                     CtrlGapError, InfeasibleIntersectionError, OracleSizeError,
                      SimulationOverflowError, UncontrollableGridError)
 from .gapsolve import (GapResult, SolveOptions, solve_gap, solve_gap_dr,
                        solve_gap_fast, solve_gap_map)
@@ -26,17 +26,17 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineData", "AnalyticCaseError", "ActiveSetSolution", "BangBangReport",
     "BoundarySpec", "Bounds", "BracketError", "BUILTIN_NAMES", "ConfigError",
-    "ControlTrajectory", "CriticalOptions", "CriticalResult", "CtrbReport",
-    "CtrlGapError", "DICriticalSolution", "GapResult", "Grid",
+    "ConsistencyError", "ControlTrajectory", "CriticalOptions", "CriticalResult",
+    "CtrbReport", "CtrlGapError", "DICriticalSolution", "GapResult", "Grid",
     "InfeasibleIntersectionError", "LinearSystem", "OracleSizeError",
     "ProblemInstance", "ProjectionStats", "SimulationOverflowError",
     "SolveOptions", "StateTrajectory", "SwitchingProfile",
-    "UncontrollableGridError", "adjoint_range_residual", "brute_force_active_set",
-    "brute_force_gap", "build_affine", "builtin_instance", "check_bang_bang",
-    "critical_bound", "di_critical_analytic", "di_unconstrained_energy",
-    "discrete_gramian", "dykstra_min_energy", "extract_switchings",
-    "gramian_report", "instance_from_config", "kalman_rank", "l2_norm",
-    "ltv_rank", "make_lti_system", "make_ltv_system", "project_affine",
-    "project_box", "reconstruct_uA", "simulate", "solve_gap", "solve_gap_dr",
-    "solve_gap_fast", "solve_gap_map", "weighted_norm",
+    "UncontrollableGridError", "brute_force_active_set", "brute_force_gap",
+    "build_affine", "builtin_instance", "check_bang_bang", "critical_bound",
+    "di_critical_analytic", "di_unconstrained_energy", "discrete_gramian",
+    "dykstra_min_energy", "extract_switchings", "gramian_report",
+    "instance_from_config", "kalman_rank", "l2_norm", "ltv_rank",
+    "make_lti_system", "make_ltv_system", "project_affine", "project_box",
+    "reconstruct_uA", "simulate", "solve_gap", "solve_gap_dr", "solve_gap_fast",
+    "solve_gap_map", "weighted_norm",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import AffineData, ControlTrajectory
+from .discretize import ControlTrajectory
 from .model import Bounds, Grid
 
 
@@ -162,15 +162,3 @@ def reconstruct_uA(uB: ControlTrajectory, v: ControlTrajectory,
     values = np.where(v.values >= 0.0, hi + v.values, lo + v.values)
     return ControlTrajectory(values=values, grid=uB.grid)
 
-
-def adjoint_range_residual(v: ControlTrajectory, aff: AffineData) -> float:
-    """Relative distance of the gap vector from range(G^T).
-
-    Computes mu = (G G^T)^{-1} G v and returns |v - G^T mu| / (1 + |v|);
-    values at or below 1e-6 certify the adjoint form of the gap vector.
-    """
-    if v.grid != aff.grid or v.m != aff.m:
-        raise ValueError("gap vector does not match the affine data's grid")
-    flat = v.flat
-    mu = aff.Wfact.solve(aff.G @ flat)
-    return float(np.linalg.norm(flat - aff.G.T @ mu) / (1.0 + np.linalg.norm(flat)))

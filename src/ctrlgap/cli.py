@@ -27,7 +27,7 @@ from .controllability import gramian_report, kalman_rank
 from .critical import CriticalOptions, critical_bound
 from .discretize import ControlTrajectory, build_affine, l2_norm, simulate
 from .errors import ConfigError, CtrlGapError
-from .gapsolve import SolveOptions, solve_gap
+from .gapsolve import SOLVERS, SolveOptions, solve_gap
 from .model import (BUILTIN_NAMES, Bounds, Grid, ProblemInstance,
                     builtin_instance, instance_from_config)
 from .oracle import MAX_COORDS, brute_force_gap
@@ -120,7 +120,7 @@ def _build_parser() -> _Parser:
 
     p_gap = sub.add_parser("gap", help="best-approximation pair and gap vector")
     add_instance_flags(p_gap)
-    p_gap.add_argument("--solver", choices=("map", "dr", "fast"), default="map")
+    p_gap.add_argument("--solver", choices=SOLVERS, default="map")
     p_gap.add_argument("--tol", type=float, default=1e-8,
                        help="stop when the gap vector changes by less (default 1e-8)")
     p_gap.add_argument("--max-iter", type=int, default=2_000_000)
@@ -130,7 +130,7 @@ def _build_parser() -> _Parser:
 
     p_crit = sub.add_parser("critical", help="critical bound by bisection on the gap")
     add_instance_flags(p_crit, with_bound=False)
-    p_crit.add_argument("--solver", choices=("map", "dr", "fast"), default="fast")
+    p_crit.add_argument("--solver", choices=SOLVERS, default="fast")
     p_crit.add_argument("--tol", type=float, default=1e-9,
                         help="gap-solver tolerance for each probe (default 1e-9)")
     p_crit.add_argument("--tol-a", type=float, default=1e-4,
@@ -261,8 +261,7 @@ def _cmd_gap(cfg: RunConfig) -> int:
     wall = time.perf_counter() - t_start
     profile = extract_switchings(result.uB, grid, reference="control")
     states = simulate(instance.system, grid, instance.boundary.x0, result.uA)
-    extras = {"kkt_residual": result.kkt_residual,
-              "solver": result.solver,
+    extras = {"solver": result.solver,
               "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
     if result.drift_norm is not None:
         extras["drift_norm"] = result.drift_norm

@@ -18,7 +18,8 @@ import numpy as np
 from . import analyze
 from .controllability import kalman_rank
 from .discretize import AffineData, ControlTrajectory, build_affine
-from .errors import AnalyticCaseError, BracketError, UncontrollableGridError
+from .errors import (AnalyticCaseError, BracketError, ConsistencyError,
+                     UncontrollableGridError)
 from .gapsolve import GapResult, SolveOptions, solve_gap
 from .model import BoundarySpec, Bounds, Grid, LinearSystem
 
@@ -162,7 +163,7 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
     by_a = sorted(probes, key=lambda p: p.a)
     for smaller, larger in zip(by_a, by_a[1:]):
         if larger.gap > smaller.gap + 0.5 * feas_tol:
-            raise RuntimeError(
+            raise ConsistencyError(
                 f"gap failed to decrease with the bound: gap({larger.a})="
                 f"{larger.gap:g} > gap({smaller.a})={smaller.gap:g}")
 

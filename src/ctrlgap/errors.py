@@ -37,3 +37,9 @@ class OracleSizeError(CtrlGapError):
 class AnalyticCaseError(CtrlGapError):
     """The analytic critical solution's case dispatch failed to produce a
     verifiable switching time."""
+
+
+class ConsistencyError(CtrlGapError):
+    """A computed result violates a property that holds in exact
+    arithmetic (the gap is nonincreasing in the bound; some activity
+    pattern of a gap problem is stationary), so it cannot be trusted."""

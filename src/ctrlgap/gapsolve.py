@@ -1,24 +1,36 @@
 """Best-approximation (gap) solvers for the infeasible box/affine pair.
 
 Three methods compute the pair (uA, uB) minimizing the step-weighted
-distance between the boundary-value affine set and the box:
+distance between the boundary-value affine set and the box.  They share
+one driver, ``solve_gap``, and differ only in the step rule it iterates:
 
-``map``   alternating projections; simplest and monotone in the gap.
+``map``   alternating projections uB <- clip(P_affine(uB)); monotone in the
+          gap.
+``fast``  the same projection step with momentum: restarted accelerated
+          projected gradient (Beck and Teboulle, SIAM J. Imaging Sci. 2,
+          2009) on q(u) = |P_affine(u) - u|^2 / 2 over the box, restarted
+          whenever the gap grows (O'Donoghue and Candes, Found. Comput.
+          Math. 15, 2015).  ``map`` is this rule with zero momentum.
 ``dr``    Douglas-Rachford splitting; its shadow sequence reaches the same
           pair even though the governing iterate drifts without bound on
           infeasible problems.
-``fast``  momentum-accelerated projected gradient on the squared distance
-          to the affine set; with zero momentum it reproduces the
-          alternating-projection iteration step for step.
 
-All three stop on the successive change of the gap vector v = uA - uB,
-which is the quantity with a uniqueness guarantee; uB itself may be
-non-unique wherever v vanishes.  That change bounds the step between two
-iterates, not the distance to the optimum, so a stop on ``tol`` is
-followed by one verified primal-dual active-set step (Hintermueller, Ito
-and Kunisch, SIAM J. Optim. 13, 2003): the nodes where uB lies strictly
-inside the box are solved for exactly with the others held at their
-bounds, and the result is kept only if it passes the optimality checks.
+The projection step carries uA = P_affine(u).  P_affine is affine, so the
+extrapolated point projects to uA + beta (uA - uA_prev) and each step is
+one product with G and one with G^T: u = clip(uA + beta (uA - uA_prev)),
+w = W^{-1}(G u - xi), v = -G^T w, uA = u + v.
+
+Every step yields the box iterate uB it would return and its gap vector
+v = uA - uB (for ``dr`` the shadow pair, whose gap is the drift of the
+governing iterate).  The driver stops on ``gap_below`` once that gap is
+small enough, or on the successive change of v, which is the quantity
+with a uniqueness guarantee; uB itself may be non-unique wherever v
+vanishes.  That change bounds the step between two iterates, not the
+distance to the optimum, so a stop on ``tol`` is followed by one verified
+primal-dual active-set step (Hintermueller, Ito and Kunisch, SIAM J.
+Optim. 13, 2003): the nodes where uB lies strictly inside the box are
+solved for exactly with the others held at their bounds, and the result
+is kept only if it passes the optimality checks.
 ``diagnostics["finish"]`` records the outcome; only when it reads
 ``"exact"`` is the returned pair the exact discrete optimum, up to
 rounding.
@@ -28,12 +40,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .discretize import AffineData, ControlTrajectory, weighted_norm
 from .model import Bounds
+
+SOLVERS = ("map", "dr", "fast")
 
 
 @dataclass(frozen=True)
@@ -44,22 +59,17 @@ class SolveOptions:
     a change between iterates and not the error of the last one; a stop
     on it is followed by the verified active-set finish described in the
     module docstring.
-    ``gap_below``/``gap_above`` allow early exit once the gap is certified
-    on one side of a threshold (used by the critical-bound bisection):
-    the current iterate gives an upper bound, a dual functional built from
-    the multiplier estimate gives a lower bound.  ``momentum_weight`` fixes
-    the acceleration weight of the fast solver (None selects the standard
-    schedule; 0 reduces it to alternating projections).
+    ``gap_below`` allows early exit once the gap of the current pair, an
+    upper bound on the true gap, is at most the threshold (used by the
+    critical-bound bisection).
     """
 
     tol: float = 1e-9
     max_iter: int = 2_000_000
     solver: str = "map"
     warm_start: Optional[ControlTrajectory] = None
-    momentum_weight: Optional[float] = None
     record_history: bool = False
     gap_below: Optional[float] = None
-    gap_above: Optional[float] = None
     progress_every: int = 0
 
     def __post_init__(self):
@@ -67,7 +77,7 @@ class SolveOptions:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.solver not in ("map", "dr", "fast"):
+        if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
 
 
@@ -75,7 +85,8 @@ class SolveOptions:
 class GapResult:
     """Best-approximation pair, gap vector and solve diagnostics.
 
-    ``v`` equals ``uA - uB`` entrywise; ``uB`` is inside the box exactly;
+    ``v`` equals ``uA - uB`` entrywise and is formed as -G^T w, so it lies
+    in the range of G^T by construction; ``uB`` is inside the box exactly;
     ``uA`` satisfies the affine constraint to projection accuracy.  The
     pair is the exact discrete best approximation, up to rounding, when
     ``diagnostics["finish"] == "exact"``; otherwise it is the solver's last
@@ -84,9 +95,7 @@ class GapResult:
     active-set finish was rejected: ``"rejected_size"``,
     ``"rejected_singular"``, ``"rejected_box"`` or ``"rejected_sign"``).
     ``gap_lower`` is a certified dual lower bound on the true gap (0 when
-    the bound is vacuous), and ``kkt_residual`` measures how far v is from
-    the range of G^T, the discrete form of the adjoint representation of
-    the gap vector.
+    the bound is vacuous).
     """
 
     uA: ControlTrajectory
@@ -96,14 +105,13 @@ class GapResult:
     iterations: int
     converged: bool
     solver: str
-    kkt_residual: float
     gap_lower: float = 0.0
     drift_norm: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
 
 
 class _Workspace:
-    """Flattened views shared by the solver loops."""
+    """Flattened views shared by the step rules."""
 
     def __init__(self, aff: AffineData, bounds: Bounds):
         self.aff = aff
@@ -124,9 +132,6 @@ class _Workspace:
         else:
             u0 = np.zeros(self.G.shape[1])
         return np.clip(u0, self.lo, self.hi)
-
-    def project_affine(self, u: np.ndarray) -> np.ndarray:
-        return u - self.G.T @ self.solve(self.G @ u - self.xi)
 
     def clip(self, u: np.ndarray) -> np.ndarray:
         return np.clip(u, self.lo, self.hi)
@@ -198,8 +203,7 @@ def _active_set_finish(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, str]:
 
 
 def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int, converged: bool,
-            solver: str, gap_lower: float, drift_norm: Optional[float],
-            diagnostics: dict) -> GapResult:
+            solver: str, drift_norm: Optional[float], diagnostics: dict) -> GapResult:
     grid, m = ws.aff.grid, ws.aff.m
     if diagnostics["stop"] == "tol":
         uB_flat, diagnostics["finish"] = _active_set_finish(ws, uB_flat)
@@ -209,191 +213,122 @@ def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int, converged: boo
     uA_flat = uB_flat - ws.G.T @ w
     # subtract so the reported identity v == uA - uB holds bitwise
     v_flat = uA_flat - uB_flat
-    gap = weighted_norm(v_flat, ws.h)
-    # v is in range(G^T) by construction; report the residual anyway as the
-    # optimality certificate carried by the result.
-    mu = ws.solve(ws.G @ v_flat)
-    denom = 1.0 + float(np.linalg.norm(v_flat))
-    kkt = float(np.linalg.norm(v_flat - ws.G.T @ mu)) / denom
-    gap_lower = max(gap_lower, ws.gap_lower_bound(w))
     return GapResult(
         uA=ControlTrajectory.from_flat(uA_flat, grid, m),
         uB=ControlTrajectory.from_flat(uB_flat, grid, m),
         v=ControlTrajectory.from_flat(v_flat, grid, m),
-        gap_norm=gap,
+        gap_norm=weighted_norm(v_flat, ws.h),
         iterations=iterations,
         converged=converged,
         solver=solver,
-        kkt_residual=kkt,
-        gap_lower=gap_lower,
+        gap_lower=ws.gap_lower_bound(w),
         drift_norm=drift_norm,
         diagnostics=diagnostics)
 
 
-def _progress(opts: SolveOptions, solver: str, it: int, gap: float) -> None:
-    if opts.progress_every and it % opts.progress_every == 0:
-        print(f"[{solver}] iter={it} gap={gap:.6e}", file=sys.stderr, flush=True)
+_Steps = Iterator[tuple[np.ndarray, np.ndarray, float]]
 
 
-def solve_gap_map(aff: AffineData, bounds: Bounds,
-                  opts: SolveOptions | None = None) -> GapResult:
-    """Alternating projections: uB <- clip(P_affine(uB)).
+def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
+                      diagnostics: dict) -> _Steps:
+    """Projected gradient steps clip(P_affine(y)) on q(u) = |P_affine(u) - u|^2 / 2.
 
-    The per-iteration gap is monotone nonincreasing.  The returned pair
-    re-projects the final uB onto the affine set, so uB is box-feasible
-    exactly and uA satisfies the affine constraint to solver precision.
+    q has the orthogonal projector onto range(G^T) as its Hessian, so the
+    unit step from y is one alternating projection sweep.  Without
+    momentum y is the last box iterate; with it y is extrapolated along
+    the last step and the momentum is restarted whenever the gap grows,
+    which is the test q > q_prev because q = |v|^2 / 2 when W = G G^T.
+    Yields (u, v, gap) with v = P_affine(u) - u.
     """
-    opts = opts or SolveOptions()
-    ws = _Workspace(aff, bounds)
-    u = ws.start(opts)
-    history = [] if opts.record_history else None
-    v_prev = None
-    converged = False
-    stop = "max_iter"
-    gap_lb = 0.0
-    it = 0
-    while it < opts.max_iter:
-        it += 1
-        w = ws.multiplier(u)
-        uA = u - ws.G.T @ w
-        u_next = ws.clip(uA)
-        v = uA - u_next
+    uA = u + ws.G.T @ -ws.multiplier(u)
+    uA_prev = uA
+    t, beta, gap_prev = 1.0, 0.0, np.inf
+    if momentum:
+        diagnostics["restarts"] = 0
+    while True:
+        u = ws.clip(uA + beta * (uA - uA_prev) if beta else uA)
+        v = ws.G.T @ -ws.multiplier(u)
+        uA_prev, uA = uA, u + v
         gap = weighted_norm(v, ws.h)
-        if history is not None:
-            history.append(gap)
-        _progress(opts, "map", it, gap)
-        u = u_next
-        if opts.gap_below is not None and gap <= opts.gap_below:
-            converged, stop = True, "gap_below"
-            break
-        if opts.gap_above is not None:
-            gap_lb = max(gap_lb, ws.gap_lower_bound(w))
-            if gap_lb > opts.gap_above:
-                converged, stop = True, "gap_above"
-                break
-        if v_prev is not None and weighted_norm(v - v_prev, ws.h) <= opts.tol:
-            converged, stop = True, "tol"
-            break
-        v_prev = v
-    diagnostics = {"stop": stop}
-    if history is not None:
-        diagnostics["gap_history"] = history
-    return _finish(ws, u, it, converged, "map", gap_lb, None, diagnostics)
+        yield u, v, gap
+        if not momentum:
+            continue
+        if gap > gap_prev:
+            t, beta = 1.0, 0.0
+            diagnostics["restarts"] += 1
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            t = t_next
+        gap_prev = gap
 
 
-def solve_gap_dr(aff: AffineData, bounds: Bounds,
-                 opts: SolveOptions | None = None) -> GapResult:
+def _dr_steps(ws: _Workspace, z: np.ndarray) -> _Steps:
     """Douglas-Rachford iteration z <- z + P_affine(2 P_box(z) - z) - P_box(z).
 
-    The shadows uB = P_box(z) and uA = P_affine(2 P_box(z) - z) converge to
-    the best-approximation pair.  On infeasible problems the governing
-    iterate drifts by the gap vector each step; the drift magnitude is
-    reported and approaches the gap norm.
+    The shadows uB = P_box(z) and uA = P_affine(2 uB - z) converge to the
+    best-approximation pair.  On infeasible problems z drifts by the gap
+    vector v = uA - uB each step, so the yielded gap |v| is the drift.
     """
-    opts = opts or SolveOptions()
-    ws = _Workspace(aff, bounds)
-    z = ws.start(opts)
-    history = [] if opts.record_history else None
-    v_prev = None
-    converged = False
-    stop = "max_iter"
-    drift = None
-    uB = ws.clip(z)
-    it = 0
-    while it < opts.max_iter:
-        it += 1
+    while True:
         uB = ws.clip(z)
         reflected = 2.0 * uB - z
-        uA = ws.project_affine(reflected)
+        uA = reflected - ws.G.T @ ws.multiplier(reflected)
         v = uA - uB
         z = z + v
-        drift = weighted_norm(v, ws.h)  # |z_next - z| equals |v| by construction
-        if history is not None:
-            history.append(drift)
-        _progress(opts, "dr", it, drift)
-        if v_prev is not None and weighted_norm(v - v_prev, ws.h) <= opts.tol:
-            converged, stop = True, "tol"
-            break
-        v_prev = v
-    diagnostics = {"stop": stop}
-    if history is not None:
-        diagnostics["drift_history"] = history
-    return _finish(ws, uB, it, converged, "dr", 0.0, drift, diagnostics)
-
-
-def solve_gap_fast(aff: AffineData, bounds: Bounds,
-                   opts: SolveOptions | None = None) -> GapResult:
-    """Accelerated projected gradient on the squared distance to the
-    affine set over the box.
-
-    The objective q(u) = (Gu - xi)^T (GG^T)^{-1} (Gu - xi) / 2 has as its
-    Hessian the orthogonal projector onto range(G^T), so the unit-step
-    projected gradient update clip(P_affine(y)) is exactly one alternating
-    projection sweep; the momentum sequence accelerates it and is restarted
-    whenever q increases.
-    """
-    opts = opts or SolveOptions()
-    ws = _Workspace(aff, bounds)
-    u = ws.start(opts)
-    y = u.copy()
-    t_momentum = 1.0
-    q_prev = np.inf
-    v_prev = None
-    history = [] if opts.record_history else None
-    converged = False
-    stop = "max_iter"
-    gap_lb = 0.0
-    restarts = 0
-    it = 0
-    while it < opts.max_iter:
-        it += 1
-        u_next = ws.clip(ws.project_affine(y))
-        w = ws.multiplier(u_next)
-        v = -(ws.G.T @ w)
-        q = 0.5 * float((ws.G @ u_next - ws.xi) @ w)
-        gap = weighted_norm(v, ws.h)
-        if history is not None:
-            history.append(gap)
-        _progress(opts, "fast", it, gap)
-        if opts.gap_below is not None and gap <= opts.gap_below:
-            u = u_next
-            converged, stop = True, "gap_below"
-            break
-        if opts.gap_above is not None:
-            gap_lb = max(gap_lb, ws.gap_lower_bound(w))
-            if gap_lb > opts.gap_above:
-                u = u_next
-                converged, stop = True, "gap_above"
-                break
-        if v_prev is not None and weighted_norm(v - v_prev, ws.h) <= opts.tol:
-            u = u_next
-            converged, stop = True, "tol"
-            break
-        if opts.momentum_weight is not None:
-            beta = opts.momentum_weight
-        elif q > q_prev:
-            t_momentum = 1.0
-            beta = 0.0
-            restarts += 1
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            beta = (t_momentum - 1.0) / t_next
-            t_momentum = t_next
-        y = u_next + beta * (u_next - u)
-        q_prev = q
-        v_prev = v
-        u = u_next
-    diagnostics = {"stop": stop, "restarts": restarts}
-    if history is not None:
-        diagnostics["gap_history"] = history
-    return _finish(ws, u, it, converged, "fast", gap_lb, None, diagnostics)
-
-
-_SOLVERS = {"map": solve_gap_map, "dr": solve_gap_dr, "fast": solve_gap_fast}
+        yield uB, v, weighted_norm(v, ws.h)
 
 
 def solve_gap(aff: AffineData, bounds: Bounds,
               opts: SolveOptions | None = None) -> GapResult:
-    """Dispatch on ``opts.solver``."""
+    """Iterate the step rule of ``opts.solver`` until a stop fires.
+
+    The returned pair re-projects the last box iterate uB onto the affine
+    set, so uB is box-feasible exactly and uA satisfies the affine
+    constraint to solver precision.
+    """
     opts = opts or SolveOptions()
-    return _SOLVERS[opts.solver](aff, bounds, opts)
+    ws = _Workspace(aff, bounds)
+    diagnostics = {"stop": "max_iter"}
+    dr = opts.solver == "dr"
+    if dr:
+        steps = _dr_steps(ws, ws.start(opts))
+    else:
+        steps = _projection_steps(ws, ws.start(opts), opts.solver == "fast", diagnostics)
+    history = [] if opts.record_history else None
+    v_prev = None
+    it = 0
+    for it, (uB, v, gap) in enumerate(islice(steps, opts.max_iter), start=1):
+        if history is not None:
+            history.append(gap)
+        if opts.progress_every and it % opts.progress_every == 0:
+            print(f"[{opts.solver}] iter={it} gap={gap:.6e}", file=sys.stderr, flush=True)
+        if opts.gap_below is not None and gap <= opts.gap_below:
+            diagnostics["stop"] = "gap_below"
+            break
+        if v_prev is not None and weighted_norm(v - v_prev, ws.h) <= opts.tol:
+            diagnostics["stop"] = "tol"
+            break
+        v_prev = v
+    if history is not None:
+        diagnostics["drift_history" if dr else "gap_history"] = history
+    return _finish(ws, uB, it, diagnostics["stop"] != "max_iter", opts.solver,
+                   gap if dr else None, diagnostics)
+
+
+def solve_gap_map(aff: AffineData, bounds: Bounds,
+                  opts: SolveOptions | None = None) -> GapResult:
+    """``solve_gap`` with alternating projections."""
+    return solve_gap(aff, bounds, replace(opts or SolveOptions(), solver="map"))
+
+
+def solve_gap_dr(aff: AffineData, bounds: Bounds,
+                 opts: SolveOptions | None = None) -> GapResult:
+    """``solve_gap`` with Douglas-Rachford; reports the drift norm."""
+    return solve_gap(aff, bounds, replace(opts or SolveOptions(), solver="dr"))
+
+
+def solve_gap_fast(aff: AffineData, bounds: Bounds,
+                   opts: SolveOptions | None = None) -> GapResult:
+    """``solve_gap`` with restarted accelerated projected gradient."""
+    return solve_gap(aff, bounds, replace(opts or SolveOptions(), solver="fast"))

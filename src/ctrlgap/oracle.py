@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import AffineData, ControlTrajectory, weighted_norm
-from .errors import OracleSizeError
+from .errors import ConsistencyError, OracleSizeError
 from .gapsolve import GapResult
 from .model import Bounds
 
@@ -86,8 +86,8 @@ def brute_force_active_set(aff: AffineData, bounds: Bounds) -> ActiveSetSolution
         if best is None or objective < best[0] - 1e-15:
             best = (objective, pattern, u, v)
     if best is None:
-        raise RuntimeError("no stationary activity pattern found; "
-                           "the Gram data is inconsistent")
+        raise ConsistencyError("no stationary activity pattern found; "
+                               "the Gram data is inconsistent")
     objective, pattern, u, v = best
     grid, m = aff.grid, aff.m
     uB = ControlTrajectory.from_flat(u, grid, m)
@@ -104,7 +104,6 @@ def brute_force_gap(aff: AffineData, bounds: Bounds) -> GapResult:
     gap = weighted_norm(sol.v.values, aff.grid.h)
     return GapResult(uA=sol.uA, uB=sol.uB, v=sol.v, gap_norm=gap,
                      iterations=0, converged=True, solver="oracle",
-                     kkt_residual=0.0,
                      diagnostics={"pattern": sol.pattern,
                                   "objective": sol.objective})
 

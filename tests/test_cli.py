@@ -1,0 +1,55 @@
+import json
+from types import SimpleNamespace
+
+from ctrlgap import cli
+
+GAP = ["gap", "--system", "double_integrator", "--nodes", "200", "--bound", "1"]
+
+GAP_SUMMARY_KEYS = {"N", "a", "command", "converged", "gap_norm", "iterations",
+                    "label", "solver", "switch_times", "terminal_error",
+                    "wall_time_seconds"}
+
+
+def test_gap_converges_and_writes_summary(tmp_path):
+    assert cli.run(GAP + ["--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary) == GAP_SUMMARY_KEYS
+    assert summary["converged"] is True
+    assert (tmp_path / "trajectory.csv").is_file()
+    assert (tmp_path / "states.csv").is_file()
+
+
+def test_gap_out_of_iterations_exits_2(tmp_path):
+    assert cli.run(GAP + ["--max-iter", "3", "--out", str(tmp_path)]) == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["iterations"] == 3
+
+
+def test_infeasible_min_energy_exits_1(tmp_path, capsys):
+    argv = ["min-energy", "--system", "double_integrator", "--nodes", "200",
+            "--bound", "1", "--out", str(tmp_path)]
+    assert cli.run(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_missing_instance_source_exits_1(tmp_path, capsys):
+    assert cli.run(["gap", "--nodes", "200", "--bound", "1", "--out", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_nonmonotone_gap_in_critical_search_exits_1(tmp_path, capsys, monkeypatch):
+    # infeasible below a=1 with a gap that grows with a, which no true
+    # gap function does
+    def fake_solve_gap(aff, bounds, opts):
+        a = float(bounds.upper)
+        return SimpleNamespace(gap_norm=a if a < 1.0 else 0.0, uB=None, iterations=1)
+
+    monkeypatch.setattr("ctrlgap.critical.solve_gap", fake_solve_gap)
+    argv = ["critical", "--system", "double_integrator", "--nodes", "200",
+            "--out", str(tmp_path)]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
