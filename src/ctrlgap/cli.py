@@ -144,10 +144,11 @@ def _build_parser() -> _Parser:
     add_instance_flags(p_ctrb, with_bound=False)
 
     p_min = sub.add_parser("min-energy", help="minimum-norm feasible control "
-                                              "(projection of zero onto both sets)")
+                                              "(semismooth Newton on the dual)")
     add_instance_flags(p_min)
-    p_min.add_argument("--tol", type=float, default=1e-10)
-    p_min.add_argument("--max-iter", type=int, default=200_000)
+    p_min.add_argument("--tol", type=float, default=1e-10,
+                       help="bound on the row-scaled affine residual (default 1e-10)")
+    p_min.add_argument("--max-iter", type=int, default=200, help="Newton iterations")
 
     p_an = sub.add_parser("analyze", help="switching structure of a saved trajectory")
     p_an.add_argument("--traj", required=True, help="trajectory.csv from a previous run")
@@ -182,6 +183,12 @@ def _resolve_bounds(cfg: RunConfig, instance: ProblemInstance) -> Bounds:
         return instance.bounds
     raise ConfigError("no bounds given: pass --bound or put bound/bounds "
                       "in the config file")
+
+
+def _symmetric_bound(bounds: Bounds) -> Optional[float]:
+    """a when the box is |u| <= a with a scalar a, else None."""
+    lo, hi = bounds.lower, bounds.upper
+    return float(hi) if np.isscalar(lo) and np.isscalar(hi) and lo == -hi else None
 
 
 def _write_trajectory(path: Path, grid: Grid, uA, uB, v) -> None:
@@ -272,7 +279,7 @@ def _cmd_gap(cfg: RunConfig) -> int:
             reference.diagnostics["objective"] - 0.5 * result.gap_norm ** 2)
     record = SummaryRecord(
         command="gap", label=instance.label, N=cfg.nodes,
-        a=cfg.bound, gap_norm=result.gap_norm,
+        a=_symmetric_bound(bounds), gap_norm=result.gap_norm,
         switch_times=profile.switch_times, iterations=result.iterations,
         converged=result.converged, wall_time_seconds=wall, extras=extras)
     _emit(Path(cfg.out), record, grid,
@@ -356,7 +363,7 @@ def _cmd_min_energy(cfg: RunConfig) -> int:
     states = simulate(instance.system, grid, instance.boundary.x0, u)
     zeros = np.zeros_like(u.values)
     record = SummaryRecord(
-        command="min-energy", label=instance.label, N=cfg.nodes, a=cfg.bound,
+        command="min-energy", label=instance.label, N=cfg.nodes, a=_symmetric_bound(bounds),
         gap_norm=0.0, iterations=stats.iterations, converged=stats.converged,
         wall_time_seconds=wall,
         extras={"norm": l2_norm(u), "energy": 0.5 * l2_norm(u) ** 2,

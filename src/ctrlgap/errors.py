@@ -21,8 +21,8 @@ class SimulationOverflowError(CtrlGapError):
 
 
 class InfeasibleIntersectionError(CtrlGapError):
-    """Divergence of Dykstra's correction term: the two constraint sets
-    most likely do not intersect."""
+    """A dual multiplier separates the box from the boundary-value set,
+    which proves that the two constraint sets do not intersect."""
 
 
 class BracketError(CtrlGapError):

@@ -47,6 +47,7 @@ import numpy as np
 
 from .discretize import AffineData, ControlTrajectory, weighted_norm
 from .model import Bounds
+from .project import gap_lower_bound
 
 SOLVERS = ("map", "dr", "fast")
 
@@ -94,8 +95,8 @@ class GapResult:
     (``"skipped"`` after a stop other than ``"tol"``, or the reason the
     active-set finish was rejected: ``"rejected_size"``,
     ``"rejected_singular"``, ``"rejected_box"`` or ``"rejected_sign"``).
-    ``gap_lower`` is a certified dual lower bound on the true gap (0 when
-    the bound is vacuous).
+    ``gap_lower`` is the certified dual lower bound ``gap_lower_bound`` on
+    the true gap (0 when the bound is vacuous or within rounding).
     """
 
     uA: ControlTrajectory
@@ -138,18 +139,6 @@ class _Workspace:
 
     def multiplier(self, u: np.ndarray) -> np.ndarray:
         return self.solve(self.G @ u - self.xi)
-
-    def gap_lower_bound(self, w: np.ndarray) -> float:
-        """Dual bound: every functional vanishing on the affine set gives
-        sqrt(h) (w.xi - sup_box) / |G^T w| as a floor under the gap."""
-        g = self.G.T @ w
-        nrm = float(np.linalg.norm(g))
-        if nrm == 0.0:
-            return 0.0
-        sup_pos = float(np.sum(np.maximum(g * self.lo, g * self.hi)))
-        sup_neg = float(np.sum(np.maximum(-g * self.lo, -g * self.hi)))
-        num = max(0.0, float(w @ self.xi) - sup_pos, -float(w @ self.xi) - sup_neg)
-        return float(np.sqrt(self.h)) * num / nrm
 
 
 # Sign-check slack relative to the largest |v|.  The entries of v that an
@@ -221,7 +210,7 @@ def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int, converged: boo
         iterations=iterations,
         converged=converged,
         solver=solver,
-        gap_lower=ws.gap_lower_bound(w),
+        gap_lower=gap_lower_bound(ws.aff, ws.lo, ws.hi, w),
         drift_norm=drift_norm,
         diagnostics=diagnostics)
 

@@ -4,6 +4,12 @@ import pytest
 from ctrlgap import (BoundarySpec, Bounds, builtin_instance, build_affine,
                      make_lti_system)
 
+# Exact discrete a_c at N=1000 from a bounded-variable LP (HiGHS), each
+# matched by its dual bound to 1e-15 relative.
+LP_A_C_1000 = {"double_integrator": 2.415921159642151,
+               "damped_oscillator": 0.5419200555639977,
+               "machine_tool": 1774.813234324145}
+
 
 @pytest.fixture(scope="session")
 def di_instance():

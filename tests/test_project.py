@@ -5,9 +5,10 @@ from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory,
                      InfeasibleIntersectionError, SolveOptions,
                      UncontrollableGridError, build_affine, builtin_instance,
                      dykstra_min_energy, l2_norm, make_lti_system,
-                     project_affine, project_box, solve_gap_map, weighted_norm)
+                     project_affine, project_box, solve_gap_fast, solve_gap_map,
+                     weighted_norm)
 
-from conftest import scalar_integrator
+from conftest import LP_A_C_1000, scalar_integrator
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +187,61 @@ class TestDykstra:
         u, stats = dykstra_min_energy(aff, Bounds.symmetric(2.5), tol=1e-14,
                                       max_iter=3)
         assert not stats.converged and stats.iterations == 3
+
+
+@pytest.fixture(scope="module")
+def affine_1000():
+    out = {}
+    for name in LP_A_C_1000:
+        inst = builtin_instance(name)
+        grid = inst.system.grid(1000)
+        out[name] = build_affine(inst.system, grid, inst.boundary)
+    return out
+
+
+class TestMinEnergyNearCritical:
+    def test_feasible_machine_tool_converges_in_the_box(self, affine_1000):
+        aff = affine_1000["machine_tool"]
+        bounds = Bounds.symmetric(1.001 * LP_A_C_1000["machine_tool"])
+        u, stats = dykstra_min_energy(aff, bounds)
+        lo, hi = bounds.sample(aff.grid, aff.m)
+        assert stats.converged
+        assert np.all(u.values >= lo) and np.all(u.values <= hi)
+        residual = np.linalg.norm(aff.G @ u.flat - aff.xi)
+        assert residual <= 1e-9 * (1 + np.linalg.norm(aff.xi))
+        assert stats.residual == pytest.approx(residual, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["double_integrator", "damped_oscillator"])
+    def test_just_above_critical_converges(self, affine_1000, name):
+        aff = affine_1000[name]
+        _, stats = dykstra_min_energy(aff, Bounds.symmetric((1 + 1e-5) * LP_A_C_1000[name]))
+        assert stats.converged
+        assert stats.residual <= 1e-9 * (1 + np.linalg.norm(aff.xi))
+
+    @pytest.mark.parametrize("name", ["double_integrator", "damped_oscillator"])
+    def test_just_below_critical_certified_infeasible(self, affine_1000, name):
+        aff = affine_1000[name]
+        with pytest.raises(InfeasibleIntersectionError, match="separates"):
+            dykstra_min_energy(aff, Bounds.symmetric((1 - 1e-5) * LP_A_C_1000[name]))
+
+    def test_inside_rounding_of_critical_never_claims_convergence(self, affine_1000):
+        # 1e-8 below a_c the gap is too small to certify and the control
+        # cannot meet the residual tolerance: the solve must say so quickly
+        aff = affine_1000["double_integrator"]
+        bounds = Bounds.symmetric((1 - 1e-8) * LP_A_C_1000["double_integrator"])
+        try:
+            _, stats = dykstra_min_energy(aff, bounds, max_iter=10_000)
+        except InfeasibleIntersectionError:
+            return
+        assert not stats.converged
+        assert stats.iterations <= 100
+
+    def test_separating_multiplier_bounds_the_gap(self, affine_1000):
+        # the floor in the error message lies under the gap a tight solve finds
+        aff = affine_1000["damped_oscillator"]
+        bounds = Bounds.symmetric(0.9 * LP_A_C_1000["damped_oscillator"])
+        with pytest.raises(InfeasibleIntersectionError) as err:
+            dykstra_min_energy(aff, bounds)
+        floor = float(str(err.value).split("at least ")[1].split()[0])
+        gap = solve_gap_fast(aff, bounds, SolveOptions(tol=1e-11)).gap_norm
+        assert 0.0 < floor <= gap * (1 + 1e-9)
