@@ -3,8 +3,9 @@ reports, feasible minimum-energy solves, trajectory analysis.
 
 Every run writes ``trajectory.csv`` (control curves at left node times),
 ``states.csv`` (simulated states on all nodes), a ``summary.json`` record,
-and optionally ``figure.svg``.  Exit codes: 0 converged, 2 unconverged,
-1 usage or configuration error.
+and optionally ``figure.svg``.  Exit codes: 0 converged, 2 unconverged
+(for ``critical`` also when the certified bracket did not reach
+``--tol-a``), 1 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class RunConfig:
     solver: str = "map"
     tol: float = 1e-8
     tol_a: float = 1e-4
-    feas_tol: Optional[float] = None
-    a_init: float = 1.0
     max_iter: int = 2_000_000
     out: str = "out"
     svg: bool = False
@@ -128,16 +127,13 @@ def _build_parser() -> _Parser:
                        help=f"cross-check with exhaustive enumeration "
                             f"(at most {MAX_COORDS} control coordinates)")
 
-    p_crit = sub.add_parser("critical", help="critical bound by bisection on the gap")
+    p_crit = sub.add_parser("critical", help="critical bound as a certified bracket")
     add_instance_flags(p_crit, with_bound=False)
     p_crit.add_argument("--solver", choices=SOLVERS, default="fast")
     p_crit.add_argument("--tol", type=float, default=1e-9,
                         help="gap-solver tolerance for each probe (default 1e-9)")
     p_crit.add_argument("--tol-a", type=float, default=1e-4,
                         help="relative bracket width (default 1e-4)")
-    p_crit.add_argument("--feas-tol", type=float,
-                        help="absolute gap below which a probe counts as feasible")
-    p_crit.add_argument("--a-init", type=float, default=1.0)
     p_crit.add_argument("--max-iter", type=int, default=2_000_000)
 
     p_ctrb = sub.add_parser("ctrb", help="controllability report")
@@ -296,29 +292,28 @@ def _cmd_critical(cfg: RunConfig) -> int:
     grid = instance.system.grid(cfg.nodes)
     t_start = time.perf_counter()
     result = critical_bound(instance.system, grid, instance.boundary, CriticalOptions(
-        tol_a=cfg.tol_a, feas_tol=cfg.feas_tol, a_init=cfg.a_init,
-        solver=cfg.solver, gap_tol=cfg.tol, max_iter=cfg.max_iter))
+        tol_a=cfg.tol_a, solver=cfg.solver, gap_tol=cfg.tol, max_iter=cfg.max_iter))
     wall = time.perf_counter() - t_start
     uA = result.final.uA
     v = result.final.v.values
     states = simulate(instance.system, grid, instance.boundary.x0, uA)
+    converged = result.converged and result.final.converged
     record = SummaryRecord(
         command="critical", label=instance.label, N=cfg.nodes,
-        a_c=result.a_c, gap_norm=result.gap_at_hi,
+        a_c=result.a_c, gap_norm=result.final.gap_norm,
         switch_times=result.switch_times,
         iterations=sum(p.iterations for p in result.probes),
-        converged=result.final.converged, wall_time_seconds=wall,
+        converged=converged, wall_time_seconds=wall,
         extras={"bracket_lo": result.bracket[0], "bracket_hi": result.bracket[1],
-                "evaluations": result.evaluations, "feas_tol": result.feas_tol,
-                "gap_at_lo": result.gap_at_lo})
+                "evaluations": len(result.probes)})
     _emit(Path(cfg.out), record, grid,
           {"uA": uA.values, "uB": result.u_c.values, "v": v},
           states.values, cfg.svg,
           title=f"{instance.label}: critical bound, N={cfg.nodes}")
     print(f"a_c={result.a_c:.9g} bracket=({result.bracket[0]:.9g}, "
-          f"{result.bracket[1]:.9g}) evaluations={result.evaluations} "
-          f"switch_times={result.switch_times}")
-    return 0 if result.final.converged else 2
+          f"{result.bracket[1]:.9g}) evaluations={len(result.probes)} "
+          f"converged={converged} switch_times={result.switch_times}")
+    return 0 if converged else 2
 
 
 def _cmd_ctrb(cfg: RunConfig) -> int:

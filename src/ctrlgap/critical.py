@@ -1,16 +1,22 @@
-"""Critical feasibility: the smallest symmetric bound for which the
-boundary-value set meets the box, found by bisection on the gap, plus the
-closed-form double-integrator solution used as an oracle.
+"""Critical feasibility: the smallest symmetric bound a_c for which the
+boundary-value set meets the box, reported as a certified bracket, plus
+the closed-form double-integrator solution used as an oracle.
 
-The gap is nonincreasing in the bound, which makes bisection robust; each
-probe is a warm-started gap solve that may exit early once the gap is
-certified on the decisive side of the feasibility tolerance.
+a_c is the minimum-effort value min |u|_inf subject to G u = xi.  Every
+control u certifies both ends of a bracket around it (Neustadt, "Minimum
+effort control systems", J. SIAM Control 1, 1962): with the multiplier
+w = W^{-1}(G u - xi), weak duality gives a_c >= |xi.w| / |G^T w|_1, and
+the affine projection u - G^T w of u is a feasible control, so a_c is at
+most its largest entry.  The search bisects on that bracket; each probe
+is a warm-started gap solve whose box iterate tightens the ends, so no
+probe is classified feasible or infeasible and the bracket does not rest
+on the gap solver being accurate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,85 +24,83 @@ import numpy as np
 from . import analyze
 from .controllability import kalman_rank
 from .discretize import AffineData, ControlTrajectory, build_affine
-from .errors import (AnalyticCaseError, BracketError, ConsistencyError,
-                     UncontrollableGridError)
+from .errors import AnalyticCaseError, BracketError, UncontrollableGridError
 from .gapsolve import GapResult, SolveOptions, solve_gap
 from .model import BoundarySpec, Bounds, Grid, LinearSystem
+from .project import ROUNDING
 
 
 @dataclass(frozen=True)
 class CriticalOptions:
-    """Bisection controls.
+    """Search controls.
 
-    ``tol_a`` is relative on the bracket width; ``feas_tol`` classifies a
-    probe as feasible (None selects 1e-6 * (1 + |xi|)); ``a_init`` seeds
-    the doubling/halving bracket search.
+    ``tol_a`` is relative on the bracket width; ``solver``, ``gap_tol``
+    and ``max_iter`` configure each gap solve.
     """
 
     tol_a: float = 1e-4
-    feas_tol: Optional[float] = None
-    a_init: float = 1.0
     solver: str = "fast"
     gap_tol: float = 1e-9
     max_iter: int = 2_000_000
 
     def __post_init__(self):
-        if self.a_init <= 0:
-            raise ValueError(f"a_init must be positive, got {self.a_init}")
         if self.tol_a <= 0:
             raise ValueError(f"tol_a must be positive, got {self.tol_a}")
 
 
 @dataclass(frozen=True)
 class Probe:
-    """One gap evaluation of the bracket search."""
+    """One gap solve of the search at bound ``a`` and the ends
+    lower <= a_c <= upper that its box iterate certifies."""
 
     a: float
-    gap: float
-    feasible: bool
+    lower: float
+    upper: float
     iterations: int
 
 
 @dataclass(frozen=True)
 class CriticalResult:
-    """Critical bound, the control attaining it, and the search record."""
+    """Certified bracket on the critical bound, the control of the final
+    gap solve at its upper end, and the search record.  ``converged`` says
+    whether the bracket reached the relative width ``tol_a``."""
 
     a_c: float
     u_c: ControlTrajectory
     switch_times: list[float]
     bracket: tuple[float, float]
-    evaluations: int
-    feas_tol: float
-    gap_at_hi: float
-    gap_at_lo: float
+    converged: bool
     probes: tuple[Probe, ...]
     final: GapResult
 
 
-def _probe(aff: AffineData, a: float, warm: Optional[ControlTrajectory],
-           opts: CriticalOptions, feas_tol: float) -> GapResult:
-    solve_opts = SolveOptions(
-        tol=opts.gap_tol,
-        max_iter=opts.max_iter,
-        solver=opts.solver,
-        warm_start=warm,
-        gap_below=0.5 * feas_tol)
-    return solve_gap(aff, Bounds.symmetric(a), solve_opts)
+def _certified_ends(aff: AffineData, u: np.ndarray) -> tuple[float, float]:
+    """Ends lower <= a_c <= upper certified by the control ``u`` (flat),
+    each widened by ``ROUNDING``: without it a lower end computed from a
+    nearly optimal multiplier can land a few ulps above a_c."""
+    w = aff.Wfact.solve(aff.G @ u - aff.xi)
+    g = aff.G.T @ w
+    l1 = float(np.abs(g).sum())
+    lower = abs(float(aff.xi @ w)) / l1 if l1 > 0.0 else 0.0
+    upper = float(np.abs(u - g).max())
+    return lower * (1.0 - ROUNDING) / (1.0 + ROUNDING), upper * (1.0 + ROUNDING)
 
 
 def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
                    opts: CriticalOptions | None = None) -> CriticalResult:
-    """Bisection on the gap for the critical symmetric bound.
+    """Certified bracket [lo, hi] on the critical symmetric bound.
 
-    Doubles ``a_init`` until the gap drops to the feasibility tolerance,
-    halves until it rises above, then bisects until the bracket is
-    narrower than ``tol_a * (1 + a_hi)``.  Returns a_c = a_hi together
-    with the near-critical control from a final accurate gap solve at
-    a_hi.  That final solve starts cold: near criticality the feasible set
-    has many points whose distance is below the feasibility tolerance, and
-    a cold start selects the reproducible representative anchored at the
-    zero control instead of inheriting microstructure from the infeasible
-    probes.
+    The first bracket comes from the zero control, that is from the
+    minimum-norm control G^T W^{-1} xi.  Each probe then solves the gap
+    problem at the midpoint, warm-started from the previous probe, and
+    sets lo = max(lo, lower) and hi = min(hi, upper) from the ends its box
+    iterate certifies.  The search stops converged once hi - lo <=
+    ``tol_a`` (1 + hi), or unconverged once a probe improves neither end.
+    Returns a_c = hi together with the near-critical control from a final
+    accurate gap solve at hi.  That final solve starts cold: near
+    criticality the feasible set has many points at almost zero distance,
+    and a cold start selects the reproducible representative anchored at
+    the zero control instead of inheriting microstructure from the probes.
     """
     opts = opts or CriticalOptions()
     aff = build_affine(system, grid, boundary)
@@ -108,81 +112,38 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
         raise UncontrollableGridError(
             "cannot search for a critical bound: the system fails the "
             "constant-matrix rank test")
-    feas_tol = opts.feas_tol
-    if feas_tol is None:
-        feas_tol = 1e-6 * (1.0 + float(np.linalg.norm(aff.xi)))
+    if not np.any(aff.xi):
+        raise BracketError("the zero control reaches xf, so a_c = 0 and no "
+                           "box with interior is critical")
 
+    lo, hi = _certified_ends(aff, np.zeros(aff.G.shape[1]))
     probes: list[Probe] = []
     warm: Optional[ControlTrajectory] = None
-
-    def evaluate(a: float) -> bool:
-        nonlocal warm
-        res = _probe(aff, a, warm, opts, feas_tol)
+    converged = hi - lo <= opts.tol_a * (1.0 + hi)
+    while not converged:
+        a = 0.5 * (lo + hi)
+        res = solve_gap(aff, Bounds.symmetric(a), SolveOptions(
+            tol=opts.gap_tol, max_iter=opts.max_iter, solver=opts.solver,
+            warm_start=warm))
         warm = res.uB
-        feasible = res.gap_norm <= feas_tol
-        probes.append(Probe(a=a, gap=res.gap_norm, feasible=feasible,
-                            iterations=res.iterations))
-        return feasible
+        lower, upper = _certified_ends(aff, res.uB.flat)
+        probes.append(Probe(a=a, lower=lower, upper=upper, iterations=res.iterations))
+        if lower <= lo and upper >= hi:
+            break
+        lo, hi = max(lo, lower), min(hi, upper)
+        converged = hi - lo <= opts.tol_a * (1.0 + hi)
 
-    cap = 1e6 * opts.a_init
-    a = opts.a_init
-    if evaluate(a):
-        a_hi = a
-        while True:
-            a *= 0.5
-            if a < 1e-6 * opts.a_init:
-                raise BracketError(
-                    f"still feasible at a={a:g}; the endpoint data appears "
-                    f"reachable with an arbitrarily small bound")
-            if not evaluate(a):
-                a_lo = a
-                break
-            a_hi = a
-    else:
-        a_lo = a
-        while True:
-            a *= 2.0
-            if a > cap:
-                raise BracketError(
-                    f"no feasible bound found up to a={cap:g}; the endpoint "
-                    f"data may be unreachable on this grid")
-            if evaluate(a):
-                a_hi = a
-                break
-            a_lo = a
-
-    while a_hi - a_lo > opts.tol_a * (1.0 + a_hi):
-        mid = 0.5 * (a_lo + a_hi)
-        if evaluate(mid):
-            a_hi = mid
-        else:
-            a_lo = mid
-
-    # gap(a) is nonincreasing in a; verify on the probe record (feasible
-    # probes sit at the tolerance floor, hence the feas_tol slack).
-    by_a = sorted(probes, key=lambda p: p.a)
-    for smaller, larger in zip(by_a, by_a[1:]):
-        if larger.gap > smaller.gap + 0.5 * feas_tol:
-            raise ConsistencyError(
-                f"gap failed to decrease with the bound: gap({larger.a})="
-                f"{larger.gap:g} > gap({smaller.a})={smaller.gap:g}")
-
-    final = solve_gap(aff, Bounds.symmetric(a_hi), SolveOptions(
+    final = solve_gap(aff, Bounds.symmetric(hi), SolveOptions(
         tol=min(opts.gap_tol, 1e-10),
         max_iter=opts.max_iter,
         solver=opts.solver))
     profile = analyze.extract_switchings(final.uB, grid, reference="control")
-    gap_lo = max((p.gap for p in probes if not p.feasible and p.a == a_lo),
-                 default=max((p.gap for p in probes if not p.feasible), default=0.0))
     return CriticalResult(
-        a_c=a_hi,
+        a_c=hi,
         u_c=final.uB,
         switch_times=profile.switch_times,
-        bracket=(a_lo, a_hi),
-        evaluations=len(probes),
-        feas_tol=feas_tol,
-        gap_at_hi=final.gap_norm,
-        gap_at_lo=gap_lo,
+        bracket=(lo, hi),
+        converged=converged,
         probes=tuple(probes),
         final=final)
 

@@ -26,8 +26,8 @@ class InfeasibleIntersectionError(CtrlGapError):
 
 
 class BracketError(CtrlGapError):
-    """No feasible bound was found below the search cap while bracketing
-    the critical bound."""
+    """The critical bound has no bracket: the zero control already reaches
+    the endpoint, so a_c = 0 and no box with interior is critical."""
 
 
 class OracleSizeError(CtrlGapError):
@@ -41,5 +41,5 @@ class AnalyticCaseError(CtrlGapError):
 
 class ConsistencyError(CtrlGapError):
     """A computed result violates a property that holds in exact
-    arithmetic (the gap is nonincreasing in the bound; some activity
-    pattern of a gap problem is stationary), so it cannot be trusted."""
+    arithmetic (some activity pattern of a gap problem is stationary), so
+    it cannot be trusted."""

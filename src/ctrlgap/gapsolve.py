@@ -22,18 +22,18 @@ w = W^{-1}(G u - xi), v = -G^T w, uA = u + v.
 
 Every step yields the box iterate uB it would return and its gap vector
 v = uA - uB (for ``dr`` the shadow pair, whose gap is the drift of the
-governing iterate).  The driver stops on ``gap_below`` once that gap is
-small enough, or on the successive change of v, which is the quantity
-with a uniqueness guarantee; uB itself may be non-unique wherever v
-vanishes.  That change bounds the step between two iterates, not the
-distance to the optimum, so a stop on ``tol`` is followed by one verified
-primal-dual active-set step (Hintermueller, Ito and Kunisch, SIAM J.
-Optim. 13, 2003): the nodes where uB lies strictly inside the box are
-solved for exactly with the others held at their bounds, and the result
-is kept only if it passes the optimality checks.
-``diagnostics["finish"]`` records the outcome; only when it reads
-``"exact"`` is the returned pair the exact discrete optimum, up to
-rounding.
+governing iterate).  The driver stops at ``max_iter`` or on the
+successive change of v, which is the quantity with a uniqueness
+guarantee; uB itself may be non-unique wherever v vanishes.  That change
+bounds the step between two iterates, not the distance to the optimum,
+so a stop on ``tol`` is followed by one verified primal-dual active-set
+step (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2003): the nodes
+where uB lies strictly inside the box are solved for exactly with the
+others held at their bounds, and the result is kept only if it passes
+the optimality checks.  ``diagnostics["finish"]`` records the outcome;
+only when it reads ``"exact"`` is the returned pair the exact discrete
+optimum, up to rounding.  The critical-bound search needs no such
+guarantee: it certifies its bracket from whatever uB a solve returns.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ class SolveOptions:
     a change between iterates and not the error of the last one; a stop
     on it is followed by the verified active-set finish described in the
     module docstring.
-    ``gap_below`` allows early exit once the gap of the current pair, an
-    upper bound on the true gap, is at most the threshold (used by the
-    critical-bound bisection).
     """
 
     tol: float = 1e-9
@@ -70,7 +67,6 @@ class SolveOptions:
     solver: str = "map"
     warm_start: Optional[ControlTrajectory] = None
     record_history: bool = False
-    gap_below: Optional[float] = None
     progress_every: int = 0
 
     def __post_init__(self):
@@ -292,9 +288,6 @@ def solve_gap(aff: AffineData, bounds: Bounds,
             history.append(gap)
         if opts.progress_every and it % opts.progress_every == 0:
             print(f"[{opts.solver}] iter={it} gap={gap:.6e}", file=sys.stderr, flush=True)
-        if opts.gap_below is not None and gap <= opts.gap_below:
-            diagnostics["stop"] = "gap_below"
-            break
         if v_prev is not None and weighted_norm(v - v_prev, ws.h) <= opts.tol:
             diagnostics["stop"] = "tol"
             break

@@ -16,6 +16,10 @@ from .discretize import AffineData, ControlTrajectory
 from .errors import InfeasibleIntersectionError
 from .model import Bounds
 
+# Relative allowance for rounding in a certificate: a margin or a bound
+# within this share of the size of its terms is not trusted.
+ROUNDING = 1e-9
+
 
 @dataclass(frozen=True)
 class ProjectionStats:
@@ -52,12 +56,12 @@ def gap_lower_bound(aff: AffineData, lo: np.ndarray, hi: np.ndarray, y: np.ndarr
     {u : G u = xi}.  Every box point has y.G u <= sigma_box(G^T y) =
     sum_k max(g_k lo_k, g_k hi_k), so a margin xi.y - sigma_box(G^T y) > 0
     (or the same for -y) separates the sets by sqrt(h) margin / |G^T y|.
-    A margin within 1e-9 of the size of its terms is rounding: floor 0."""
+    A margin within ``ROUNDING`` of the size of its terms is rounding: floor 0."""
     g = aff.G.T @ y
     xy = float(y @ aff.xi)
     margin = max(xy - float(np.sum(np.maximum(g * lo, g * hi))),
                  float(np.sum(np.minimum(g * lo, g * hi))) - xy)
-    rounding = 1e-9 * (abs(xy) + float(np.abs(g) @ np.maximum(np.abs(lo), np.abs(hi))))
+    rounding = ROUNDING * (abs(xy) + float(np.abs(g) @ np.maximum(np.abs(lo), np.abs(hi))))
     if margin <= rounding:
         return 0.0
     return float(np.sqrt(aff.h)) * margin / float(np.linalg.norm(g))

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ctrlgap import builtin_instance, cli
+from ctrlgap import ControlTrajectory, builtin_instance, cli
 
 GAP = ["gap", "--system", "double_integrator", "--nodes", "200", "--bound", "1"]
 
@@ -71,18 +71,27 @@ def test_missing_instance_source_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_nonmonotone_gap_in_critical_search_exits_1(tmp_path, capsys, monkeypatch):
-    # infeasible below a=1 with a gap that grows with a, which no true
-    # gap function does
-    def fake_solve_gap(aff, bounds, opts):
-        a = float(bounds.upper)
-        return SimpleNamespace(gap_norm=a if a < 1.0 else 0.0, uB=None, iterations=1)
+def test_critical_stops_when_a_probe_improves_neither_end(tmp_path, capsys, monkeypatch):
+    # every gap solve returns its starting point, the zero control, whose
+    # certified ends are the first bracket itself
+    def stuck_solve_gap(aff, bounds, opts):
+        zero = ControlTrajectory.zeros(aff.grid, aff.m)
+        return SimpleNamespace(uA=zero, uB=zero, v=zero, gap_norm=1.0,
+                               iterations=0, converged=True)
 
-    monkeypatch.setattr("ctrlgap.critical.solve_gap", fake_solve_gap)
+    monkeypatch.setattr("ctrlgap.critical.solve_gap", stuck_solve_gap)
     argv = ["critical", "--system", "double_integrator", "--nodes", "200",
             "--out", str(tmp_path)]
-    assert cli.run(argv) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err
-    assert "Traceback" not in err
+    assert cli.run(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["evaluations"] == 1
 
+
+def test_critical_with_zero_control_reaching_the_endpoint_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "double_integrator", "x0": [0, 0], "xf": [0, 0]}))
+    argv = ["critical", "--config", str(cfg), "--nodes", "200", "--out", str(tmp_path)]
+    assert cli.run(argv) == 1
+    assert "error:" in capsys.readouterr().err

@@ -18,6 +18,15 @@ def test_bracket_contains_exact_critical_bound(name):
     lo, hi = res.bracket
     assert lo <= LP_A_C_1000[name] <= hi
     assert res.a_c == hi
+    assert all(p.lower <= LP_A_C_1000[name] <= p.upper for p in res.probes)
+
+
+def test_tight_bracket_contains_exact_critical_bound():
+    # a search that counts a probe as feasible once its gap is below a
+    # tolerance ends this bracket 9.0e-7 below the exact bound
+    res = _critical("double_integrator", 1000, CriticalOptions(tol_a=1e-6))
+    lo, hi = res.bracket
+    assert lo <= LP_A_C_1000["double_integrator"] <= hi
 
 
 def test_first_order_convergence_to_analytic_bound():

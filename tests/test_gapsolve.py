@@ -160,14 +160,6 @@ class TestFast:
         assert res.gap_lower <= res.gap_norm + 1e-12
         assert res.gap_lower >= res.gap_norm * (1 - 1e-6) - 1e-9
 
-    @pytest.mark.parametrize("solver", ["map", "dr", "fast"])
-    def test_gap_below_early_stop(self, di, solver):
-        _, aff = di
-        res = solve_gap(aff, Bounds.symmetric(3.0),
-                        SolveOptions(gap_below=1e-7, solver=solver))
-        assert res.diagnostics["stop"] == "gap_below"
-        assert res.gap_norm <= 1e-7
-
 
 class TestCrossSolver:
     @pytest.mark.parametrize("name,a,tol", [
