@@ -2,7 +2,7 @@
 linear optimal control under forward-Euler transcription."""
 
 from .analyze import (BangBangReport, SwitchingProfile, check_bang_bang,
-                      extract_switchings, reconstruct_uA)
+                      extract_switchings)
 from .controllability import (CtrbReport, discrete_gramian, gramian_report,
                               kalman_rank, ltv_rank)
 from .critical import (CriticalOptions, CriticalResult, DICriticalSolution,
@@ -17,8 +17,7 @@ from .gapsolve import (GapResult, SolveOptions, solve_gap, solve_gap_dr,
 from .model import (BUILTIN_NAMES, BoundarySpec, Bounds, Grid, LinearSystem,
                     ProblemInstance, builtin_instance, instance_from_config,
                     make_lti_system, make_ltv_system)
-from .oracle import (ActiveSetSolution, brute_force_active_set, brute_force_gap,
-                     di_unconstrained_energy)
+from .oracle import ActiveSetSolution, brute_force_active_set, brute_force_gap
 from .project import ProjectionStats, dykstra_min_energy, project_affine, project_box
 
 __version__ = "0.1.0"
@@ -33,10 +32,10 @@ __all__ = [
     "SolveOptions", "StateTrajectory", "SwitchingProfile",
     "UncontrollableGridError", "brute_force_active_set", "brute_force_gap",
     "build_affine", "builtin_instance", "check_bang_bang", "critical_bound",
-    "di_critical_analytic", "di_unconstrained_energy", "discrete_gramian",
+    "di_critical_analytic", "discrete_gramian",
     "dykstra_min_energy", "extract_switchings", "gramian_report",
     "instance_from_config", "kalman_rank", "l2_norm", "ltv_rank",
     "make_lti_system", "make_ltv_system", "project_affine", "project_box",
-    "reconstruct_uA", "simulate", "solve_gap", "solve_gap_dr", "solve_gap_fast",
+    "simulate", "solve_gap", "solve_gap_dr", "solve_gap_fast",
     "solve_gap_map", "weighted_norm",
 ]

@@ -151,14 +151,3 @@ def check_bang_bang(uB: ControlTrajectory, v: ControlTrajectory, bounds: Bounds,
     agreement = 1.0 if tested == 0 else 1.0 - violations / tested
     return BangBangReport(agreement=agreement, tested=tested, violations=violations)
 
-
-def reconstruct_uA(uB: ControlTrajectory, v: ControlTrajectory,
-                   bounds: Bounds) -> ControlTrajectory:
-    """Rebuild the affine-side control from the gap vector alone:
-    upper + v where v >= 0, lower + v where v < 0."""
-    if uB.values.shape != v.values.shape:
-        raise ValueError("uB and v must have matching shapes")
-    lo, hi = bounds.sample(uB.grid, uB.m)
-    values = np.where(v.values >= 0.0, hi + v.values, lo + v.values)
-    return ControlTrajectory(values=values, grid=uB.grid)
-

@@ -11,11 +11,11 @@ and optionally ``figure.svg``.  Exit codes: 0 converged, 2 unconverged
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -35,6 +35,9 @@ from .oracle import MAX_COORDS, brute_force_gap
 from .project import dykstra_min_energy
 
 FLOAT_FMT = "%.17g"
+# Rows formatted per write when saving a CSV file: as fast as larger blocks,
+# without holding the whole file's text in memory.
+CSV_BLOCK_ROWS = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,48 +184,74 @@ def _resolve_bounds(cfg: RunConfig, instance: ProblemInstance) -> Bounds:
                       "in the config file")
 
 
+class _Stages:
+    """Calls a function and records its wall time under a stage name."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+
+    def __call__(self, stage: str, fn, *args, **kwargs):
+        t_start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        self.seconds[stage] = time.perf_counter() - t_start
+        return result
+
+
 def _symmetric_bound(bounds: Bounds) -> Optional[float]:
     """a when the box is |u| <= a with a scalar a, else None."""
     lo, hi = bounds.lower, bounds.upper
     return float(hi) if np.isscalar(lo) and np.isscalar(hi) and lo == -hi else None
 
 
+def _write_csv(path: Path, header: list[str], columns: Sequence[np.ndarray]) -> None:
+    """Write the columns under ``header``, each value as ``%.17g``;
+    rows are formatted and written ``CSV_BLOCK_ROWS`` at a time."""
+    data = np.column_stack(columns)
+    row = ",".join([FLOAT_FMT] * data.shape[1]) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, data.shape[0], CSV_BLOCK_ROWS):
+            block = data[start:start + CSV_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def _write_trajectory(path: Path, grid: Grid, uA, uB, v) -> None:
     m = uA.shape[1]
     header = (["t"] + [f"uA_{i + 1}" for i in range(m)]
               + [f"uB_{i + 1}" for i in range(m)] + [f"v_{i + 1}" for i in range(m)])
-    times = grid.left_nodes
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for k in range(grid.N):
-            row = [FLOAT_FMT % times[k]]
-            row += [FLOAT_FMT % x for x in uA[k]]
-            row += [FLOAT_FMT % x for x in uB[k]]
-            row += [FLOAT_FMT % x for x in v[k]]
-            writer.writerow(row)
+    _write_csv(path, header, (grid.left_nodes, uA, uB, v))
 
 
 def _write_states(path: Path, grid: Grid, states) -> None:
     n = states.shape[1]
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"x_{i + 1}" for i in range(n)])
-        times = grid.nodes
-        for k in range(grid.N + 1):
-            writer.writerow([FLOAT_FMT % times[k]] + [FLOAT_FMT % x for x in states[k]])
+    _write_csv(path, ["t"] + [f"x_{i + 1}" for i in range(n)], (grid.nodes, states))
 
 
 def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
-    """Read a trajectory.csv back into a grid and named column blocks."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "t":
-        raise ConfigError(f"{path} is not a trajectory CSV (missing header)")
-    header = rows[0]
-    data = np.array([[float(x) for x in row] for row in rows[1:]])
+    """Read a trajectory.csv back into a grid and named column blocks.
+
+    The header line names the columns; ``np.loadtxt`` parses the numeric
+    rows.  A missing file or header, fewer than two rows, a row that does not
+    parse or does not match the header, or no uA/uB/v column raise
+    ``ConfigError``.
+    """
+    if not Path(path).is_file():
+        raise ConfigError(f"trajectory file not found: {path}")
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header[0] != "t":
+            raise ConfigError(f"{path} is not a trajectory CSV (missing header)")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     if data.shape[0] < 2:
         raise ConfigError(f"{path} holds fewer than two control rows")
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{path} has {data.shape[1]} values per row "
+                          f"but {len(header)} header columns")
     t = data[:, 0]
     h = t[1] - t[0]
     N = data.shape[0]
@@ -239,31 +268,38 @@ def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
 
 def _emit(out_dir: Path, record: SummaryRecord, grid: Grid = None,
           curves: dict = None, states=None, svg: bool = False,
-          title: str = "") -> None:
+          title: str = "", stages: dict = None) -> None:
+    """Write the run's files.  ``stages``, when given, gains the time
+    spent writing the CSV and SVG files and goes into summary.json as
+    ``stage_seconds``."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    t_start = time.perf_counter()
     if curves is not None:
         _write_trajectory(out_dir / "trajectory.csv", grid,
                           curves["uA"], curves["uB"], curves["v"])
     if states is not None:
         _write_states(out_dir / "states.csv", grid, states)
-    (out_dir / "summary.json").write_text(
-        json.dumps(record.to_json(), indent=2, sort_keys=True) + "\n")
     if svg and curves is not None:
         figures.write_svg(out_dir / "figure.svg", grid.left_nodes, curves, title)
+    if stages is not None:
+        stages["write"] = time.perf_counter() - t_start
+        record.extras = {**(record.extras or {}), "stage_seconds": stages}
+    (out_dir / "summary.json").write_text(
+        json.dumps(record.to_json(), indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_gap(cfg: RunConfig) -> int:
     instance = _load_instance(cfg)
     bounds = _resolve_bounds(cfg, instance)
     grid = instance.system.grid(cfg.nodes)
-    aff = build_affine(instance.system, grid, instance.boundary)
-    t_start = time.perf_counter()
-    result = solve_gap(aff, bounds, SolveOptions(
+    clock = _Stages()
+    aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
+    result = clock("solve", solve_gap, aff, bounds, SolveOptions(
         tol=cfg.tol, max_iter=cfg.max_iter, solver=cfg.solver,
         progress_every=200_000))
-    wall = time.perf_counter() - t_start
     profile = extract_switchings(result.uB, grid, reference="control")
-    states = simulate(instance.system, grid, instance.boundary.x0, result.uA)
+    states = clock("simulate", simulate, instance.system, grid,
+                   instance.boundary.x0, result.uA)
     extras = {"solver": result.solver,
               "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
     if result.drift_norm is not None:
@@ -277,11 +313,12 @@ def _cmd_gap(cfg: RunConfig) -> int:
         command="gap", label=instance.label, N=cfg.nodes,
         a=_symmetric_bound(bounds), gap_norm=result.gap_norm,
         switch_times=profile.switch_times, iterations=result.iterations,
-        converged=result.converged, wall_time_seconds=wall, extras=extras)
+        converged=result.converged, wall_time_seconds=clock.seconds["solve"],
+        extras=extras)
     _emit(Path(cfg.out), record, grid,
           {"uA": result.uA.values, "uB": result.uB.values, "v": result.v.values},
           states.values, cfg.svg,
-          title=f"{instance.label}: gap solve, N={cfg.nodes}")
+          title=f"{instance.label}: gap solve, N={cfg.nodes}", stages=clock.seconds)
     print(f"gap_norm={result.gap_norm:.9g} iterations={result.iterations} "
           f"converged={result.converged} switch_times={profile.switch_times}")
     return 0 if result.converged else 2
@@ -290,26 +327,27 @@ def _cmd_gap(cfg: RunConfig) -> int:
 def _cmd_critical(cfg: RunConfig) -> int:
     instance = _load_instance(cfg)
     grid = instance.system.grid(cfg.nodes)
-    t_start = time.perf_counter()
-    result = critical_bound(instance.system, grid, instance.boundary, CriticalOptions(
-        tol_a=cfg.tol_a, solver=cfg.solver, gap_tol=cfg.tol, max_iter=cfg.max_iter))
-    wall = time.perf_counter() - t_start
+    clock = _Stages()
+    aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
+    result = clock("solve", critical_bound, instance.system, grid, instance.boundary,
+                   CriticalOptions(tol_a=cfg.tol_a, solver=cfg.solver,
+                                   gap_tol=cfg.tol, max_iter=cfg.max_iter), aff=aff)
     uA = result.final.uA
     v = result.final.v.values
-    states = simulate(instance.system, grid, instance.boundary.x0, uA)
+    states = clock("simulate", simulate, instance.system, grid, instance.boundary.x0, uA)
     converged = result.converged and result.final.converged
     record = SummaryRecord(
         command="critical", label=instance.label, N=cfg.nodes,
         a_c=result.a_c, gap_norm=result.final.gap_norm,
         switch_times=result.switch_times,
         iterations=sum(p.iterations for p in result.probes),
-        converged=converged, wall_time_seconds=wall,
+        converged=converged, wall_time_seconds=clock.seconds["solve"],
         extras={"bracket_lo": result.bracket[0], "bracket_hi": result.bracket[1],
                 "evaluations": len(result.probes)})
     _emit(Path(cfg.out), record, grid,
           {"uA": uA.values, "uB": result.u_c.values, "v": v},
           states.values, cfg.svg,
-          title=f"{instance.label}: critical bound, N={cfg.nodes}")
+          title=f"{instance.label}: critical bound, N={cfg.nodes}", stages=clock.seconds)
     print(f"a_c={result.a_c:.9g} bracket=({result.bracket[0]:.9g}, "
           f"{result.bracket[1]:.9g}) evaluations={len(result.probes)} "
           f"converged={converged} switch_times={result.switch_times}")
@@ -351,22 +389,23 @@ def _cmd_min_energy(cfg: RunConfig) -> int:
     instance = _load_instance(cfg)
     bounds = _resolve_bounds(cfg, instance)
     grid = instance.system.grid(cfg.nodes)
-    aff = build_affine(instance.system, grid, instance.boundary)
-    t_start = time.perf_counter()
-    u, stats = dykstra_min_energy(aff, bounds, tol=cfg.tol, max_iter=cfg.max_iter)
-    wall = time.perf_counter() - t_start
-    states = simulate(instance.system, grid, instance.boundary.x0, u)
+    clock = _Stages()
+    aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
+    u, stats = clock("solve", dykstra_min_energy, aff, bounds, tol=cfg.tol,
+                     max_iter=cfg.max_iter)
+    states = clock("simulate", simulate, instance.system, grid, instance.boundary.x0, u)
     zeros = np.zeros_like(u.values)
     record = SummaryRecord(
         command="min-energy", label=instance.label, N=cfg.nodes, a=_symmetric_bound(bounds),
         gap_norm=0.0, iterations=stats.iterations, converged=stats.converged,
-        wall_time_seconds=wall,
+        wall_time_seconds=clock.seconds["solve"],
         extras={"norm": l2_norm(u), "energy": 0.5 * l2_norm(u) ** 2,
                 "affine_residual": stats.residual,
                 "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))})
     _emit(Path(cfg.out), record, grid,
           {"uA": u.values, "uB": u.values, "v": zeros}, states.values, cfg.svg,
-          title=f"{instance.label}: minimum-energy control, N={cfg.nodes}")
+          title=f"{instance.label}: minimum-energy control, N={cfg.nodes}",
+          stages=clock.seconds)
     print(f"norm={l2_norm(u):.9g} iterations={stats.iterations} "
           f"converged={stats.converged}")
     return 0 if stats.converged else 2

@@ -87,7 +87,8 @@ def _certified_ends(aff: AffineData, u: np.ndarray) -> tuple[float, float]:
 
 
 def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
-                   opts: CriticalOptions | None = None) -> CriticalResult:
+                   opts: CriticalOptions | None = None,
+                   aff: AffineData | None = None) -> CriticalResult:
     """Certified bracket [lo, hi] on the critical symmetric bound.
 
     The first bracket comes from the zero control, that is from the
@@ -101,9 +102,12 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
     criticality the feasible set has many points at almost zero distance,
     and a cold start selects the reproducible representative anchored at
     the zero control instead of inheriting microstructure from the probes.
+    ``aff``, when given, is the transcription of (system, grid, boundary)
+    and is used instead of building it again.
     """
     opts = opts or CriticalOptions()
-    aff = build_affine(system, grid, boundary)
+    if aff is None:
+        aff = build_affine(system, grid, boundary)
     if not aff.controllable:
         raise UncontrollableGridError(
             "cannot search for a critical bound: the discrete system is "

@@ -6,6 +6,15 @@ constant control values.  The map G, the step-matrix product Phi and the
 Gram matrix W = G G^T are assembled once per (system, grid, boundary) and
 reused by every projection.
 
+With constant matrices every Euler step is the same affine map
+x -> M x + hB u, M = I + hA, so nothing needs a per-step Python loop: G
+is built by doubling its column blocks (the last L blocks times M^L give
+the L before them), Phi = M^N by binary powering, and ``simulate`` is a
+Hillis-Steele prefix scan over the step maps.  Time-varying systems keep
+the per-step loop, and so does any constant-matrix result with a
+non-finite entry: the loop then decides whether the rollout overflows
+and at which step.
+
 Norms on control space carry the step weight h so that they approximate
 the L2 norm of the step-function interpolant; the scalar weight cancels
 inside the affine projection formula.
@@ -163,16 +172,9 @@ def _sample_steps(system: LinearSystem, grid: Grid):
             yield system.a_at(t), system.b_at(t)
 
 
-def simulate(system: LinearSystem, grid: Grid, x0: np.ndarray,
-             u: ControlTrajectory) -> StateTrajectory:
-    """Forward-Euler rollout x_{k+1} = x_k + h (A_k x_k + B_k u_k)."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != system.n:
-        raise ValueError(f"x0 must have length {system.n}, got {x0.size}")
-    if u.grid != grid:
-        raise ValueError("control trajectory lives on a different grid")
-    if u.m != system.m:
-        raise ValueError(f"control has {u.m} channels, system expects {system.m}")
+def _simulate_loop(system: LinearSystem, grid: Grid, x0: np.ndarray,
+                   u: ControlTrajectory) -> np.ndarray:
+    """Per-step rollout; raises at the first step with a non-finite state."""
     h = grid.h
     out = np.empty((grid.N + 1, system.n))
     out[0] = x0
@@ -185,20 +187,53 @@ def simulate(system: LinearSystem, grid: Grid, x0: np.ndarray,
                     f"state overflowed at step {k + 1} of {grid.N}; the Euler "
                     f"step h={h:g} is unstable for this system")
             out[k + 1] = x
+    return out
+
+
+def _simulate_scan(system: LinearSystem, grid: Grid, x0: np.ndarray,
+                   u: ControlTrajectory) -> np.ndarray:
+    """Hillis-Steele inclusive scan of the affine steps x -> M x + hB u_k:
+    with b[0] = x0 and b[k+1] = hB u_k, the pass with stride s adds
+    M^s b[k-s] to b[k], so after ceil(log2(N+1)) passes b[k] = x_k."""
+    b = np.empty((grid.N + 1, system.n))
+    b[0] = x0
+    b[1:] = u.values @ (grid.h * system.B).T
+    P, s = np.eye(system.n) + grid.h * system.A, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < b.shape[0]:
+            b[s:] += b[:-s] @ P.T
+            s *= 2
+            if s < b.shape[0]:
+                P = P @ P
+    return b
+
+
+def simulate(system: LinearSystem, grid: Grid, x0: np.ndarray,
+             u: ControlTrajectory) -> StateTrajectory:
+    """Forward-Euler rollout x_{k+1} = x_k + h (A_k x_k + B_k u_k).
+
+    Constant-matrix systems run as a log-depth scan over the affine step
+    maps; time-varying systems run the per-step loop.  The loop also
+    decides every scan with a non-finite entry, since an overflowing power
+    M^s can turn a finite rollout into NaN (0 * inf): it returns the
+    states, or raises ``SimulationOverflowError`` naming the first step
+    whose state is not finite.
+    """
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.size != system.n:
+        raise ValueError(f"x0 must have length {system.n}, got {x0.size}")
+    if u.grid != grid:
+        raise ValueError("control trajectory lives on a different grid")
+    if u.m != system.m:
+        raise ValueError(f"control has {u.m} channels, system expects {system.m}")
+    out = _simulate_scan(system, grid, x0, u) if system.is_lti else None
+    if out is None or not np.isfinite(out).all():
+        out = _simulate_loop(system, grid, x0, u)
     return StateTrajectory(values=out, grid=grid)
 
 
-def build_affine(system: LinearSystem, grid: Grid,
-                 boundary: BoundarySpec) -> AffineData:
-    """Assemble the reachability map for fixed-endpoint data.
-
-    Column block k of G is (prod_{j=N-1..k+1} (I + h A_j)) h B_k, so that
-    the Euler terminal state equals Phi x0 + G u for stacked controls u.
-    A singular Gram matrix is flagged on the result rather than raised;
-    projections will refuse to run until the grid (or system) changes.
-    """
-    if boundary.n != system.n:
-        raise ValueError(f"boundary dimension {boundary.n} != state dimension {system.n}")
+def _affine_loop(system: LinearSystem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(G, Phi) by accumulating the step matrices from the last step back."""
     n, m, h = system.n, system.m, grid.h
     G = np.empty((n, grid.N * m))
     steps = list(_sample_steps(system, grid))
@@ -208,12 +243,55 @@ def build_affine(system: LinearSystem, grid: Grid,
         A, B = steps[k]
         G[:, k * m:(k + 1) * m] = P @ (h * B)
         P = P @ (eye + h * A)
+    return G, P
+
+
+def _affine_doubling(system: LinearSystem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(G, Phi) of a constant-matrix system: column block k of G is
+    M^(N-1-k) hB, so the last L blocks times M^L give the L blocks before
+    them.  Doubling the n-by-m blocks, not a stack of n-by-n powers, keeps
+    the work and memory at the size of G."""
+    N, m = grid.N, system.m
+    M = np.eye(system.n) + grid.h * system.A
+    G = np.empty((system.n, N * m))
+    G[:, (N - 1) * m:] = grid.h * system.B
+    P, L = M, 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while L < N:
+            k = min(L, N - L)
+            G[:, (N - L - k) * m:(N - L) * m] = P @ G[:, (N - k) * m:]
+            L += k
+            if L < N:
+                P = P @ P
+        Phi = np.linalg.matrix_power(M, N)
+    return G, Phi
+
+
+def build_affine(system: LinearSystem, grid: Grid,
+                 boundary: BoundarySpec) -> AffineData:
+    """Assemble the reachability map for fixed-endpoint data.
+
+    Column block k of G is (prod_{j=N-1..k+1} (I + h A_j)) h B_k, so that
+    the Euler terminal state equals Phi x0 + G u for stacked controls u.
+    Constant-matrix systems build G by doubling and Phi = M^N by binary
+    powering; time-varying systems, and constant ones whose doubled G or
+    Phi has a non-finite entry, accumulate the step matrices one by one.
+    A singular Gram matrix is flagged on the result rather than raised;
+    projections will refuse to run until the grid (or system) changes.
+    """
+    if boundary.n != system.n:
+        raise ValueError(f"boundary dimension {boundary.n} != state dimension {system.n}")
+    G = P = None
+    if system.is_lti:
+        G, P = _affine_doubling(system, grid)
+    if G is None or not (np.isfinite(G).all() and np.isfinite(P).all()):
+        G, P = _affine_loop(system, grid)
     xi = boundary.xf - P @ boundary.x0
     W = G @ G.T
     for arr in (G, xi, P, W):
         arr.flags.writeable = False
     return AffineData(G=G, xi=xi, Phi=P, W=W, Wfact=WFactorization(W),
-                      grid=grid, m=m)
+                      grid=grid, m=system.m)
 
 
 def weighted_norm(values: np.ndarray, h: float) -> float:

@@ -107,18 +107,3 @@ def brute_force_gap(aff: AffineData, bounds: Bounds) -> GapResult:
                      diagnostics={"pattern": sol.pattern,
                                   "objective": sol.objective})
 
-
-def di_unconstrained_energy(s0: float, sf: float, v0: float, vf: float) -> tuple[float, float]:
-    """Coefficients (c0, c1) of the unconstrained minimum-energy control
-    u(t) = c0 + c1 t of the double integrator on [0, 1].
-
-    Solves the two moment equations: the control integrates to the velocity
-    increment, and the resulting velocity integrates to the position
-    increment:
-
-        c0 + c1/2 = vf - v0
-        c0/2 + c1/6 = sf - s0 - v0
-    """
-    c1 = 6.0 * (v0 + vf) - 12.0 * (sf - s0)
-    c0 = (vf - v0) - 0.5 * c1
-    return c0, c1

@@ -3,14 +3,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctrlgap import (BoundarySpec, ControlTrajectory, SimulationOverflowError,
-                     StateTrajectory, build_affine, l2_norm, make_lti_system,
-                     simulate, weighted_norm)
+                     StateTrajectory, build_affine, builtin_instance, l2_norm,
+                     make_lti_system, make_ltv_system, simulate, weighted_norm)
 
 from conftest import scalar_integrator
 
 
 def di_system():
     return make_lti_system([[0, 1], [0, 0]], [[0], [1]], 0, 1)
+
+
+def per_step_twin(sys_):
+    """The same constant matrices behind callables, so that build_affine and
+    simulate take the per-step loop."""
+    A, B = np.asarray(sys_.A), np.asarray(sys_.B)
+    return make_ltv_system(lambda t: A, lambda t: B, sys_.n, sys_.m, sys_.t0, sys_.tf)
+
+
+def rel_diff(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
 
 
 def sampled_linear_control(grid, coeffs=(-4.0, 6.0)):
@@ -57,6 +68,22 @@ class TestSimulate:
         u = ControlTrajectory(values=np.ones((200, 1)), grid=grid)
         with pytest.raises(SimulationOverflowError, match="unstable"):
             simulate(sys_, grid, [1.0], u)
+
+    def test_overflow_step_is_the_per_step_loops(self):
+        # the scan's powers overflow earlier than the states do; the loop
+        # names the first non-finite step
+        sys_ = make_lti_system([[1e8]], [[1.0]], 0, 1)
+        grid = sys_.grid(200)
+        u = ControlTrajectory(values=np.ones((200, 1)), grid=grid)
+        with pytest.raises(SimulationOverflowError, match="step 54 of 200"):
+            simulate(sys_, grid, [1.0], u)
+
+    def test_zero_state_with_overflowing_powers_stays_finite(self):
+        # M^64 overflows, and 0 * inf = NaN would be a false overflow
+        sys_ = make_lti_system([[1e8]], [[1.0]], 0, 1)
+        grid = sys_.grid(200)
+        x = simulate(sys_, grid, [0.0], ControlTrajectory.zeros(grid, 1))
+        np.testing.assert_array_equal(x.values, np.zeros((201, 1)))
 
     def test_refinement_first_order(self):
         # |x_N(N) - x_N(2N)| shrinks linearly in h for a smooth control
@@ -120,6 +147,62 @@ class TestBuildAffine:
         end = simulate(sys_, grid, x0, u).last
         predicted = aff.Phi @ x0 + aff.G @ u.flat
         assert np.linalg.norm(end - predicted) <= 1e-12 * (1 + np.linalg.norm(end))
+
+    def test_double_integrator_matches_closed_form(self):
+        # column block k of G is [(N-1-k) h^2, h]
+        inst = builtin_instance("double_integrator")
+        N = 50_000
+        grid = inst.system.grid(N)
+        aff = build_affine(inst.system, grid, inst.boundary)
+        h = grid.h
+        k = np.arange(N)
+        closed = np.vstack([(N - 1 - k) * h * h, np.full(N, h)])
+        assert rel_diff(aff.G, closed) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["machine_tool", "damped_oscillator"])
+    def test_constant_matrices_match_per_step_loop(self, name):
+        inst = builtin_instance(name)
+        grid = inst.system.grid(10_000)
+        twin = per_step_twin(inst.system)
+        fast = build_affine(inst.system, grid, inst.boundary)
+        loop = build_affine(twin, grid, inst.boundary)
+        assert rel_diff(fast.G, loop.G) <= 1e-11
+        assert rel_diff(fast.Phi, loop.Phi) <= 1e-11
+        u = ControlTrajectory(values=np.random.default_rng(3).normal(0, 1, (grid.N, 1)),
+                              grid=grid)
+        # start from xf: machine_tool's x0 is zero
+        x = simulate(inst.system, grid, inst.boundary.xf, u).values
+        assert rel_diff(x, simulate(twin, grid, inst.boundary.xf, u).values) <= 1e-11
+
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 10_000), N=st.integers(1, 70))
+    def test_constant_matrices_match_per_step_loop_on_random_systems(self, seed, N):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 3))
+        sys_ = make_lti_system(rng.normal(0, 3, (n, n)), rng.normal(0, 1, (n, m)),
+                               0.0, 1.0)
+        twin = per_step_twin(sys_)
+        grid = sys_.grid(N)
+        boundary = BoundarySpec(x0=rng.normal(0, 1, n), xf=rng.normal(0, 1, n))
+        fast = build_affine(sys_, grid, boundary)
+        loop = build_affine(twin, grid, boundary)
+        assert rel_diff(fast.G, loop.G) <= 1e-11
+        assert rel_diff(fast.Phi, loop.Phi) <= 1e-11
+        u = ControlTrajectory(values=rng.normal(0, 1, (N, m)), grid=grid)
+        x = simulate(sys_, grid, boundary.x0, u).values
+        assert rel_diff(x, simulate(twin, grid, boundary.x0, u).values) <= 1e-11
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_transcription_is_the_per_step_loops(self):
+        sys_ = make_lti_system([[1e8]], [[1.0]], 0, 1)
+        grid = sys_.grid(200)
+        boundary = BoundarySpec(x0=[0.0], xf=[0.0])
+        fast = build_affine(sys_, grid, boundary)
+        loop = build_affine(per_step_twin(sys_), grid, boundary)
+        assert not np.isfinite(fast.G).all()
+        np.testing.assert_array_equal(fast.G, loop.G)
+        np.testing.assert_array_equal(fast.Phi, loop.Phi)
 
     def test_projection_residual_contract(self, di_aff_2000):
         grid, aff = di_aff_2000
