@@ -25,7 +25,7 @@ import numpy as np
 from . import figures
 from .analyze import extract_switchings
 from .controllability import gramian_report, kalman_rank
-from .critical import CriticalOptions, critical_bound
+from .critical import TOL_A_FLOOR, CriticalOptions, critical_bound
 from .discretize import ControlTrajectory, build_affine, l2_norm, simulate
 from .errors import ConfigError, CtrlGapError
 from .gapsolve import SOLVERS, SolveOptions, solve_gap
@@ -57,7 +57,7 @@ class RunConfig:
     config: Optional[str] = None
     nodes: int = 2000
     bound: Optional[float] = None
-    solver: str = "map"
+    solver: str = "newton"
     tol: float = 1e-8
     tol_a: float = 1e-4
     max_iter: int = 2_000_000
@@ -122,9 +122,13 @@ def _build_parser() -> _Parser:
 
     p_gap = sub.add_parser("gap", help="best-approximation pair and gap vector")
     add_instance_flags(p_gap)
-    p_gap.add_argument("--solver", choices=SOLVERS, default="map")
+    p_gap.add_argument("--solver", choices=SOLVERS, default="newton",
+                       help="newton (default, stops on a certificate), or map, dr, "
+                            "fast (stop on the iterate change)")
     p_gap.add_argument("--tol", type=float, default=1e-8,
-                       help="stop when the gap vector changes by less (default 1e-8)")
+                       help="newton: bound on the certified relative duality gap "
+                            "(gap - gap_lower) / gap; map, dr, fast: stop when the "
+                            "gap vector changes by less (default 1e-8)")
     p_gap.add_argument("--max-iter", type=int, default=2_000_000)
     p_gap.add_argument("--oracle", action="store_true",
                        help=f"cross-check with exhaustive enumeration "
@@ -136,7 +140,8 @@ def _build_parser() -> _Parser:
     p_crit.add_argument("--tol", type=float, default=1e-9,
                         help="gap-solver tolerance for each probe (default 1e-9)")
     p_crit.add_argument("--tol-a", type=float, default=1e-4,
-                        help="relative bracket width (default 1e-4)")
+                        help=f"relative bracket width (default 1e-4, at least "
+                             f"{TOL_A_FLOOR:g})")
     p_crit.add_argument("--max-iter", type=int, default=2_000_000)
 
     p_ctrb = sub.add_parser("ctrb", help="controllability report")
@@ -295,12 +300,12 @@ def _cmd_gap(cfg: RunConfig) -> int:
     clock = _Stages()
     aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
     result = clock("solve", solve_gap, aff, bounds, SolveOptions(
-        tol=cfg.tol, max_iter=cfg.max_iter, solver=cfg.solver,
-        progress_every=200_000))
+        tol=cfg.tol, max_iter=cfg.max_iter, solver=cfg.solver))
     profile = extract_switchings(result.uB, grid, reference="control")
     states = clock("simulate", simulate, instance.system, grid,
                    instance.boundary.x0, result.uA)
-    extras = {"solver": result.solver,
+    extras = {"solver": result.solver, "gap_lower": result.gap_lower,
+              "finish": result.diagnostics["finish"],
               "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
     if result.drift_norm is not None:
         extras["drift_norm"] = result.drift_norm
@@ -319,8 +324,9 @@ def _cmd_gap(cfg: RunConfig) -> int:
           {"uA": result.uA.values, "uB": result.uB.values, "v": result.v.values},
           states.values, cfg.svg,
           title=f"{instance.label}: gap solve, N={cfg.nodes}", stages=clock.seconds)
-    print(f"gap_norm={result.gap_norm:.9g} iterations={result.iterations} "
-          f"converged={result.converged} switch_times={profile.switch_times}")
+    print(f"gap_norm={result.gap_norm:.9g} gap_lower={result.gap_lower:.9g} "
+          f"iterations={result.iterations} converged={result.converged} "
+          f"switch_times={profile.switch_times}")
     return 0 if result.converged else 2
 
 

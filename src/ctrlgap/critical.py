@@ -30,12 +30,19 @@ from .model import BoundarySpec, Bounds, Grid, LinearSystem
 from .project import ROUNDING
 
 
+# Narrowest relative bracket width the search can reach: ``_certified_ends``
+# widens the ends so that hi / lo >= (1 + ROUNDING)^2 / (1 - ROUNDING), more
+# than 1 + 3 ROUNDING, whatever the probes find.
+TOL_A_FLOOR = 3 * ROUNDING
+
+
 @dataclass(frozen=True)
 class CriticalOptions:
     """Search controls.
 
-    ``tol_a`` is relative on the bracket width; ``solver``, ``gap_tol``
-    and ``max_iter`` configure each gap solve.
+    ``tol_a`` is relative on the bracket width and at least
+    ``TOL_A_FLOOR``; ``solver``, ``gap_tol`` and ``max_iter`` configure
+    each gap solve.
     """
 
     tol_a: float = 1e-4
@@ -44,8 +51,9 @@ class CriticalOptions:
     max_iter: int = 2_000_000
 
     def __post_init__(self):
-        if self.tol_a <= 0:
-            raise ValueError(f"tol_a must be positive, got {self.tol_a}")
+        if not self.tol_a >= TOL_A_FLOOR:
+            raise ValueError(f"tol_a must be at least {TOL_A_FLOOR:g}, the narrowest "
+                             f"bracket the rounding allowance leaves, got {self.tol_a}")
 
 
 @dataclass(frozen=True)

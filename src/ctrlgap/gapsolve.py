@@ -1,9 +1,14 @@
 """Best-approximation (gap) solvers for the infeasible box/affine pair.
 
-Three methods compute the pair (uA, uB) minimizing the step-weighted
+Four methods compute the pair (uA, uB) minimizing the step-weighted
 distance between the boundary-value affine set and the box.  They share
 one driver, ``solve_gap``, and differ only in the step rule it iterates:
 
+``newton`` (the default) proximal point steps on phi(u) = r.W^{-1} r / 2,
+          r = G u - xi, over the box (Rockafellar, SIAM J. Control Optim.
+          14, 1976), each solved by semismooth Newton on its n-dimensional
+          dual (Li, Sun and Toh, SIAM J. Optim. 28, 2018).  phi(u) is
+          |P_affine(u) - u|^2 / 2, so its minimizer over the box is uB.
 ``map``   alternating projections uB <- clip(P_affine(uB)); monotone in the
           gap.
 ``fast``  the same projection step with momentum: restarted accelerated
@@ -22,7 +27,14 @@ w = W^{-1}(G u - xi), v = -G^T w, uA = u + v.
 
 Every step yields the box iterate uB it would return and its gap vector
 v = uA - uB (for ``dr`` the shadow pair, whose gap is the drift of the
-governing iterate).  The driver stops at ``max_iter`` or on the
+governing iterate).  Any box point certifies an interval for the true
+gap: its own gap |v| is an upper end, and ``project.gap_lower_bound`` of
+its multiplier w = W^{-1}(G uB - xi) a lower end, ``gap_lower``.
+
+``newton`` stops on that certificate: converged once gap - gap_lower <=
+tol gap, or once the gap itself is at most tol sqrt(h) (1 + |D^{-1} xi|)
+with D = sqrt(diag W), the floor that lets a feasible box, whose lower
+end is 0, end too.  The other three stop at ``max_iter`` or on the
 successive change of v, which is the quantity with a uniqueness
 guarantee; uB itself may be non-unique wherever v vanishes.  That change
 bounds the step between two iterates, not the distance to the optimum,
@@ -30,15 +42,15 @@ so a stop on ``tol`` is followed by one verified primal-dual active-set
 step (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2003): the nodes
 where uB lies strictly inside the box are solved for exactly with the
 others held at their bounds, and the result is kept only if it passes
-the optimality checks.  ``diagnostics["finish"]`` records the outcome;
-only when it reads ``"exact"`` is the returned pair the exact discrete
+the optimality checks.  ``newton`` tries the same step on every proximal
+iterate.  ``diagnostics["finish"]`` records the outcome for the returned
+pair; only when it reads ``"exact"`` is that pair the exact discrete
 optimum, up to rounding.  The critical-bound search needs no such
 guarantee: it certifies its bracket from whatever uB a solve returns.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterator, Optional
@@ -49,25 +61,27 @@ from .discretize import AffineData, ControlTrajectory, weighted_norm
 from .model import Bounds
 from .project import gap_lower_bound
 
-SOLVERS = ("map", "dr", "fast")
+SOLVERS = ("newton", "map", "dr", "fast")
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """Knobs shared by the gap solvers.
 
-    ``tol`` bounds the step-weighted successive change of the gap vector,
-    a change between iterates and not the error of the last one; a stop
-    on it is followed by the verified active-set finish described in the
-    module docstring.
+    For ``newton``, ``tol`` bounds the certified relative duality gap
+    (gap - gap_lower) / gap of the answer, with the absolute floor for
+    feasible boxes given in the module docstring.  For ``map``, ``fast``
+    and ``dr`` it bounds the step-weighted successive change of the gap
+    vector, a change between iterates and not the error of the last one;
+    a stop on it is followed by the verified active-set finish.
+    ``max_iter`` caps Newton steps for ``newton`` and steps otherwise.
     """
 
     tol: float = 1e-9
     max_iter: int = 2_000_000
-    solver: str = "map"
+    solver: str = "newton"
     warm_start: Optional[ControlTrajectory] = None
     record_history: bool = False
-    progress_every: int = 0
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -86,13 +100,17 @@ class GapResult:
     in the range of G^T by construction; ``uB`` is inside the box exactly;
     ``uA`` satisfies the affine constraint to projection accuracy.  The
     pair is the exact discrete best approximation, up to rounding, when
-    ``diagnostics["finish"] == "exact"``; otherwise it is the solver's last
-    iterate, accurate only as far as the stopping rule implies
-    (``"skipped"`` after a stop other than ``"tol"``, or the reason the
-    active-set finish was rejected: ``"rejected_size"``,
-    ``"rejected_singular"``, ``"rejected_box"`` or ``"rejected_sign"``).
-    ``gap_lower`` is the certified dual lower bound ``gap_lower_bound`` on
-    the true gap (0 when the bound is vacuous or within rounding).
+    ``diagnostics["finish"] == "exact"``; otherwise it is the solver's
+    answer, accurate only as far as the stop implies (``"skipped"`` when
+    no finish was tried, or the reason the active-set finish was rejected:
+    ``"rejected_size"``, ``"rejected_singular"``, ``"rejected_box"`` or
+    ``"rejected_sign"``).  ``gap_lower`` is the certified dual lower bound
+    ``gap_lower_bound`` on the true gap (0 when the bound is vacuous or
+    within rounding), so the true gap lies in [gap_lower, gap_norm].
+    ``diagnostics["stop"]`` is ``"certified"`` or ``"stalled"`` for
+    ``newton``, ``"tol"`` for the others, or ``"max_iter"``.  ``converged``
+    is true after a ``"certified"`` or ``"tol"`` stop: for ``newton`` the
+    certificate holds, for the others only the iterate change was small.
     """
 
     uA: ControlTrajectory
@@ -187,26 +205,34 @@ def _active_set_finish(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, str]:
     return u_new, "exact"
 
 
+def _certify(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The pair through the box point ``u``: uA = P_affine(u), v = uA - u,
+    the gap |v| (an upper bound on the true gap) and the dual floor
+    ``gap_lower_bound`` of the multiplier W^{-1}(G u - xi) (a lower one)."""
+    w = ws.multiplier(u)
+    uA = u - ws.G.T @ w
+    # subtract so the reported identity v == uA - uB holds bitwise
+    v = uA - u
+    return uA, v, weighted_norm(v, ws.h), gap_lower_bound(ws.aff, ws.lo, ws.hi, w)
+
+
 def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int, converged: bool,
             solver: str, drift_norm: Optional[float], diagnostics: dict) -> GapResult:
     grid, m = ws.aff.grid, ws.aff.m
     if diagnostics["stop"] == "tol":
         uB_flat, diagnostics["finish"] = _active_set_finish(ws, uB_flat)
     else:
-        diagnostics["finish"] = "skipped"
-    w = ws.multiplier(uB_flat)
-    uA_flat = uB_flat - ws.G.T @ w
-    # subtract so the reported identity v == uA - uB holds bitwise
-    v_flat = uA_flat - uB_flat
+        diagnostics.setdefault("finish", "skipped")
+    uA_flat, v_flat, gap, gap_lower = _certify(ws, uB_flat)
     return GapResult(
         uA=ControlTrajectory.from_flat(uA_flat, grid, m),
         uB=ControlTrajectory.from_flat(uB_flat, grid, m),
         v=ControlTrajectory.from_flat(v_flat, grid, m),
-        gap_norm=weighted_norm(v_flat, ws.h),
+        gap_norm=gap,
         iterations=iterations,
         converged=converged,
         solver=solver,
-        gap_lower=gap_lower_bound(ws.aff, ws.lo, ws.hi, w),
+        gap_lower=gap_lower,
         drift_norm=drift_norm,
         diagnostics=diagnostics)
 
@@ -264,19 +290,120 @@ def _dr_steps(ws: _Workspace, z: np.ndarray) -> _Steps:
         yield uB, v, weighted_norm(v, ws.h)
 
 
+# Newton steps allowed in one proximal step, and proximal steps in a row that
+# may end without halving the best certified excess gap - gap_lower before
+# the ``newton`` rule stops as stalled.
+_INNER_STEPS = 50
+_STALL_STEPS = 5
+# Share of the summed magnitudes of the dual's terms that its computed value
+# may be off by; a step that lowers the value by less still counts as ascent.
+_DUAL_SLACK = 1e-12
+
+
+def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) -> _Steps:
+    """Proximal point steps u <- argmin over the box of phi + |. - u|^2 / (2 eps),
+    phi(u) = r.W^{-1} r / 2 with r = G u - xi, each by semismooth Newton.
+
+    Rows of G and xi are scaled by D = sqrt(diag W), which leaves phi
+    unchanged and gives W unit diagonal.  The dual of a proximal step is
+    concave, smooth and n-dimensional: y gives u(y) = clip(u - eps G^T y),
+    the gradient is G u(y) - xi - W y and the Newton matrix W + eps G_F
+    G_F^T, with F the nodes u(y) leaves free, is positive definite.  Each
+    Newton step backtracks until the dual increases; a proximal step ends
+    once a full step keeps the clip pattern of u(y), which is then exact
+    on this piecewise-quadratic dual, once no step increases the dual, or
+    after ``_INNER_STEPS``.  eps starts at 1, the scale of phi's Hessian
+    (the projector onto range(G^T)), and grows tenfold after a proximal
+    step whose iterate has a new interior set; after one that repeats the
+    last interior set it is held, since a larger eps then only makes the
+    Newton matrix worse conditioned.
+
+    Every proximal iterate goes through ``_active_set_finish`` and is
+    certified by ``_certify``.  The iterate with the smallest certified
+    excess gap - gap_lower so far is yielded after every Newton step, so
+    ``max_iter`` caps Newton steps and a cut returns that iterate.  The
+    rule returns with ``diagnostics["stop"]`` set to ``"certified"`` once
+    that iterate meets the stop in the module docstring, or ``"stalled"``
+    after ``_STALL_STEPS`` proximal steps in a row that do not halve the
+    best excess.
+    """
+    _, v, gap, lower = _certify(ws, u)  # raises on a singular W before d divides
+    best = (gap - lower, u, v, gap)
+    d = np.sqrt(np.diag(ws.aff.W))
+    G, xi, W = ws.G / d[:, None], ws.xi / d, ws.aff.W / np.outer(d, d)
+    floor = tol * np.sqrt(ws.h) * (1.0 + float(np.linalg.norm(xi)))
+
+    def pattern(u_y):
+        return (u_y >= ws.hi).view(np.int8) - (u_y <= ws.lo).view(np.int8)
+
+    def dual(y, center, eps):
+        """The dual's value at y, the rounding allowance of that value, u(y)
+        and G u(y), for the proximal step from ``center``."""
+        u_y = ws.clip(center - eps * (G.T @ y))
+        Gu = G @ u_y
+        shift = u_y - center
+        terms = np.array([y @ Gu, -(y @ xi), -0.5 * (y @ W @ y), shift @ shift / (2.0 * eps)])
+        return float(terms.sum()), _DUAL_SLACK * float(np.abs(terms).sum()), u_y, Gu
+
+    y = np.zeros_like(xi)
+    eps, interior, inner, stale = 1.0, None, 0, 0
+    value, slack, u_y, Gu = dual(y, u, eps)
+    while True:
+        grad = Gu - xi - W @ y
+        GF = G[:, (u_y > ws.lo) & (u_y < ws.hi)]
+        step = np.linalg.solve(W + eps * (GF @ GF.T), grad)
+        slope = float(grad @ step)
+        t, trial = 1.0, None
+        while t >= 1e-12:
+            trial = dual(y + t * step, u, eps)
+            if trial[0] >= value + 1e-4 * t * slope - slack:
+                break
+            t, trial = 0.5 * t, None
+        inner += 1
+        exact = False
+        if trial is not None:
+            exact = t == 1.0 and np.array_equal(pattern(trial[2]), pattern(u_y))
+            y = y + t * step
+            value, slack, u_y, Gu = trial
+        if trial is None or exact or inner == _INNER_STEPS:
+            Z = np.flatnonzero((u_y > ws.lo) & (u_y < ws.hi))
+            u, finish = _active_set_finish(ws, u_y)
+            _, v, gap, lower = _certify(ws, u)
+            stale = 0 if gap - lower <= 0.5 * best[0] else stale + 1
+            if gap - lower < best[0]:
+                best = (gap - lower, u, v, gap)
+                diagnostics["finish"] = finish
+            if interior is None or not np.array_equal(Z, interior):
+                eps *= 10.0
+            interior, inner = Z, 0
+            value, slack, u_y, Gu = dual(y, u, eps)
+        excess, u_best, v_best, gap_best = best
+        # set before the yield: the driver may take no further step
+        stop = ("certified" if excess <= tol * gap_best or gap_best <= floor
+                else "stalled" if stale >= _STALL_STEPS else None)
+        if stop:
+            diagnostics["stop"] = stop
+        yield u_best, v_best, gap_best
+        if stop:
+            return
+
+
 def solve_gap(aff: AffineData, bounds: Bounds,
               opts: SolveOptions | None = None) -> GapResult:
     """Iterate the step rule of ``opts.solver`` until a stop fires.
 
-    The returned pair re-projects the last box iterate uB onto the affine
-    set, so uB is box-feasible exactly and uA satisfies the affine
-    constraint to solver precision.
+    The returned pair re-projects the box iterate uB onto the affine set
+    (the last one, or for ``newton`` the best certified one), so uB is
+    box-feasible exactly and uA satisfies the affine constraint to solver
+    precision.
     """
     opts = opts or SolveOptions()
     ws = _Workspace(aff, bounds)
     diagnostics = {"stop": "max_iter"}
-    dr = opts.solver == "dr"
-    if dr:
+    dr, newton = opts.solver == "dr", opts.solver == "newton"
+    if newton:
+        steps = _newton_steps(ws, ws.start(opts), opts.tol, diagnostics)
+    elif dr:
         steps = _dr_steps(ws, ws.start(opts))
     else:
         steps = _projection_steps(ws, ws.start(opts), opts.solver == "fast", diagnostics)
@@ -286,15 +413,13 @@ def solve_gap(aff: AffineData, bounds: Bounds,
     for it, (uB, v, gap) in enumerate(islice(steps, opts.max_iter), start=1):
         if history is not None:
             history.append(gap)
-        if opts.progress_every and it % opts.progress_every == 0:
-            print(f"[{opts.solver}] iter={it} gap={gap:.6e}", file=sys.stderr, flush=True)
-        if v_prev is not None and weighted_norm(v - v_prev, ws.h) <= opts.tol:
+        if not newton and v_prev is not None and weighted_norm(v - v_prev, ws.h) <= opts.tol:
             diagnostics["stop"] = "tol"
             break
         v_prev = v
     if history is not None:
         diagnostics["drift_history" if dr else "gap_history"] = history
-    return _finish(ws, uB, it, diagnostics["stop"] != "max_iter", opts.solver,
+    return _finish(ws, uB, it, diagnostics["stop"] in ("tol", "certified"), opts.solver,
                    gap if dr else None, diagnostics)
 
 

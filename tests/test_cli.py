@@ -10,9 +10,9 @@ from ctrlgap import ControlTrajectory, Grid, builtin_instance, cli
 
 GAP = ["gap", "--system", "double_integrator", "--nodes", "200", "--bound", "1"]
 
-GAP_SUMMARY_KEYS = {"N", "a", "command", "converged", "gap_norm", "iterations",
-                    "label", "solver", "stage_seconds", "switch_times",
-                    "terminal_error", "wall_time_seconds"}
+GAP_SUMMARY_KEYS = {"N", "a", "command", "converged", "finish", "gap_lower",
+                    "gap_norm", "iterations", "label", "solver", "stage_seconds",
+                    "switch_times", "terminal_error", "wall_time_seconds"}
 
 MIN_ENERGY_SUMMARY_KEYS = {"N", "a", "affine_residual", "command", "converged",
                            "energy", "gap_norm", "iterations", "label", "norm",
@@ -60,6 +60,34 @@ def test_gap_out_of_iterations_exits_2(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["converged"] is False
     assert summary["iterations"] == 3
+
+
+def test_default_gap_on_machine_tool_is_certified(tmp_path):
+    argv = ["gap", "--system", "machine_tool", "--nodes", "2000", "--bound", "1770",
+            "--out", str(tmp_path)]
+    assert cli.run(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["solver"] == "newton"
+    assert summary["gap_norm"] - summary["gap_lower"] <= 1e-8 * summary["gap_norm"]
+    # certified reference (perfbench/references.json)
+    assert summary["gap_norm"] == pytest.approx(0.8187751293169336, rel=1e-10)
+
+
+@pytest.mark.parametrize("solver", ["map", "dr", "fast"])
+def test_gap_summary_reports_the_certificate_for_every_solver(tmp_path, solver):
+    assert cli.run(GAP + ["--solver", solver, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert GAP_SUMMARY_KEYS <= set(summary)
+    assert 0.0 < summary["gap_lower"] <= summary["gap_norm"] * (1 + 1e-12)
+
+
+def test_critical_tol_a_below_the_rounding_floor_exits_1(tmp_path, capsys):
+    argv = ["critical", "--system", "double_integrator", "--nodes", "1000",
+            "--tol-a", "1e-10", "--out", str(tmp_path)]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tol_a" in err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_infeasible_min_energy_exits_1(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -172,17 +175,24 @@ class TestCrossSolver:
         grid = inst.system.grid(2000)
         aff = build_affine(inst.system, grid, inst.boundary)
         bounds = Bounds.symmetric(a)
-        gaps = {s: solve_gap(aff, bounds, SolveOptions(tol=tol, solver=s)).gap_norm
-                for s in ("map", "dr", "fast")}
+        results = {s: solve_gap(aff, bounds, SolveOptions(tol=tol, solver=s))
+                   for s in ("newton", "map", "dr", "fast")}
+        gaps = {s: res.gap_norm for s, res in results.items()}
         for s1 in gaps:
             for s2 in gaps:
                 assert abs(gaps[s1] - gaps[s2]) <= 1e-6 * (1 + gaps[s1])
+        # each answer certifies [gap_lower, gap_norm] around the one true gap
+        lower = max(res.gap_lower for res in results.values())
+        assert lower <= min(gaps.values()) * (1 + 1e-12)
+        newton = results["newton"]
+        assert newton.converged
+        assert newton.gap_norm - newton.gap_lower <= tol * newton.gap_norm
 
 
 class TestActiveSetFinish:
     @pytest.mark.parametrize("name,a,solvers", [
-        ("double_integrator", 1.0, ("map", "dr", "fast")),
-        ("damped_oscillator", 0.3, ("map", "fast")),
+        ("double_integrator", 1.0, ("newton", "map", "dr", "fast")),
+        ("damped_oscillator", 0.3, ("newton", "map", "fast")),
     ])
     def test_solvers_agree_on_switch_times(self, name, a, solvers):
         inst = builtin_instance(name)
@@ -233,7 +243,11 @@ class TestActiveSetFinish:
             grid, aff, bounds = problem
             ref = brute_force_gap(aff, bounds)
             lo, hi = bounds.sample(grid, aff.m)
-            for solver in ("map", "dr", "fast"):
+            newton = solve_gap(aff, bounds, SolveOptions(tol=1e-9))
+            assert newton.converged
+            assert newton.gap_lower * (1 - 1e-12) <= ref.gap_norm
+            assert ref.gap_norm <= newton.gap_norm * (1 + 1e-12) + 1e-14
+            for solver in ("newton", "map", "dr", "fast"):
                 res = solve_gap(aff, bounds, SolveOptions(tol=1e-9, solver=solver))
                 if res.diagnostics["finish"] != "exact":
                     continue
@@ -241,6 +255,76 @@ class TestActiveSetFinish:
                 uB = res.uB.values
                 with_interior += bool(np.any((uB > lo) & (uB < hi)))
         assert with_interior > 0
+
+
+REFERENCES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "references.json").read_text())
+
+
+def _feasible_floor(aff, tol):
+    """The absolute gap below which ``newton`` ends on a feasible box."""
+    d = np.sqrt(np.diag(aff.W))
+    return tol * np.sqrt(aff.h) * (1 + np.linalg.norm(aff.xi / d))
+
+
+class TestNewton:
+    @pytest.mark.parametrize("key", sorted(k for k in REFERENCES if k.startswith("gap:")))
+    def test_matches_certified_references(self, key):
+        _, name, nodes, bound = key.split(":")
+        inst = builtin_instance(name)
+        grid = inst.system.grid(int(nodes))
+        aff = build_affine(inst.system, grid, inst.boundary)
+        # at tol=1e-10 the certificate alone guarantees the match
+        res = solve_gap(aff, Bounds.symmetric(float(bound)), SolveOptions(tol=1e-10))
+        assert res.solver == "newton"
+        assert res.converged
+        expected = REFERENCES[key]["gap_norm"]
+        assert abs(res.gap_norm - expected) <= 1e-10 * expected
+
+    def test_feasible_box_ends_on_the_floor(self, di):
+        _, aff = di
+        tol = 1e-9
+        res = solve_gap(aff, Bounds.symmetric(3.0), SolveOptions(tol=tol))
+        assert res.converged
+        assert res.diagnostics["stop"] == "certified"
+        assert res.gap_lower == 0.0
+        assert res.gap_norm <= _feasible_floor(aff, tol)
+
+    def test_unreachable_tol_stops_within_a_bounded_number_of_steps(self):
+        inst = builtin_instance("machine_tool")
+        grid = inst.system.grid(1000)
+        aff = build_affine(inst.system, grid, inst.boundary)
+        bounds = Bounds.symmetric(1770.0)
+        for tol in (1e-12, 1e-16):
+            res = solve_gap(aff, bounds, SolveOptions(tol=tol))
+            assert res.iterations <= 200
+            excess = res.gap_norm - res.gap_lower
+            if res.converged:
+                assert excess <= tol * res.gap_norm
+            else:
+                assert res.diagnostics["stop"] == "stalled"
+            # certified or not, the answer is the reference to its certificate
+            expected = REFERENCES["gap:machine_tool:1000:1770"]["gap_norm"]
+            assert abs(res.gap_norm - expected) <= max(excess, 1e-12 * expected)
+
+    def test_max_iter_caps_newton_steps_and_keeps_the_best_iterate(self, di):
+        _, aff = di
+        bounds = Bounds.symmetric(1.0)
+        res = solve_gap(aff, bounds, SolveOptions(max_iter=4, record_history=True))
+        assert not res.converged
+        assert res.iterations == 4
+        assert res.diagnostics["stop"] == "max_iter"
+        history = res.diagnostics["gap_history"]
+        assert len(history) == 4
+        assert res.gap_norm == pytest.approx(min(history), rel=1e-12)
+        lo, hi = bounds.sample(aff.grid, 1)
+        assert np.all(res.uB.values >= lo) and np.all(res.uB.values <= hi)
+        # a cap that falls on the certifying step still reports it
+        full = solve_gap(aff, bounds)
+        assert full.converged
+        capped = solve_gap(aff, bounds, SolveOptions(max_iter=full.iterations))
+        assert capped.converged
+        assert capped.gap_norm == full.gap_norm
 
 
 class TestHomogeneity:
