@@ -27,7 +27,7 @@ from .discretize import AffineData, ControlTrajectory, build_affine
 from .errors import AnalyticCaseError, BracketError, UncontrollableGridError
 from .gapsolve import GapResult, SolveOptions, solve_gap
 from .model import BoundarySpec, Bounds, Grid, LinearSystem
-from .project import ROUNDING
+from .project import ROUNDING, refined_multiplier
 
 
 # Narrowest relative bracket width the search can reach: ``_certified_ends``
@@ -85,8 +85,10 @@ class CriticalResult:
 def _certified_ends(aff: AffineData, u: np.ndarray) -> tuple[float, float]:
     """Ends lower <= a_c <= upper certified by the control ``u`` (flat),
     each widened by ``ROUNDING``: without it a lower end computed from a
-    nearly optimal multiplier can land a few ulps above a_c."""
-    w = aff.Wfact.solve(aff.G @ u - aff.xi)
+    nearly optimal multiplier can land a few ulps above a_c.  The multiplier
+    is refined against G, so that the projection u - G^T w is feasible to
+    the accuracy of G."""
+    w = refined_multiplier(aff, u)
     g = aff.G.T @ w
     l1 = float(np.abs(g).sum())
     lower = abs(float(aff.xi @ w)) / l1 if l1 > 0.0 else 0.0

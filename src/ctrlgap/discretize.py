@@ -121,12 +121,17 @@ class WFactorization:
             except np.linalg.LinAlgError:
                 self.singular = True
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
+    @property
+    def scale(self) -> np.ndarray:
+        """D = sqrt(diag W), the row scaling of G that gives W unit diagonal."""
         if self.singular:
             raise UncontrollableGridError(
                 "Gram matrix of the reachability map is singular to working "
                 "precision; the discrete system is uncontrollable on this grid")
-        d, inv, W = self._d, self._inv, self.W
+        return self._d
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        d, inv, W = self.scale, self._inv, self.W
         y = (inv @ (r / d)) / d
         y += (inv @ ((r - W @ y) / d)) / d
         return y

@@ -6,9 +6,11 @@ one driver, ``solve_gap``, and differ only in the step rule it iterates:
 
 ``newton`` (the default) proximal point steps on phi(u) = r.W^{-1} r / 2,
           r = G u - xi, over the box (Rockafellar, SIAM J. Control Optim.
-          14, 1976), each solved by semismooth Newton on its n-dimensional
-          dual (Li, Sun and Toh, SIAM J. Optim. 28, 2018).  phi(u) is
-          |P_affine(u) - u|^2 / 2, so its minimizer over the box is uB.
+          14, 1976), each solved on its n-dimensional dual (Li, Sun and
+          Toh, SIAM J. Optim. 28, 2018) by ``project.dual_newton``, the
+          semismooth Newton kernel whose other caller is the minimum-energy
+          control.  phi(u) is |P_affine(u) - u|^2 / 2, so its minimizer
+          over the box is uB.
 ``map``   alternating projections uB <- clip(P_affine(uB)); monotone in the
           gap.
 ``fast``  the same projection step with momentum: restarted accelerated
@@ -59,7 +61,7 @@ import numpy as np
 
 from .discretize import AffineData, ControlTrajectory, weighted_norm
 from .model import Bounds
-from .project import gap_lower_bound
+from .project import dual_newton, gap_lower_bound, refined_multiplier
 
 SOLVERS = ("newton", "map", "dr", "fast")
 
@@ -208,8 +210,10 @@ def _active_set_finish(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, str]:
 def _certify(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The pair through the box point ``u``: uA = P_affine(u), v = uA - u,
     the gap |v| (an upper bound on the true gap) and the dual floor
-    ``gap_lower_bound`` of the multiplier W^{-1}(G u - xi) (a lower one)."""
-    w = ws.multiplier(u)
+    ``gap_lower_bound`` of the multiplier W^{-1}(G u - xi) (a lower one).
+    The multiplier is refined against G, so that both ends carry the
+    accuracy of G even where W is badly conditioned."""
+    w = refined_multiplier(ws.aff, u)
     uA = u - ws.G.T @ w
     # subtract so the reported identity v == uA - uB holds bitwise
     v = uA - u
@@ -295,28 +299,21 @@ def _dr_steps(ws: _Workspace, z: np.ndarray) -> _Steps:
 # the ``newton`` rule stops as stalled.
 _INNER_STEPS = 50
 _STALL_STEPS = 5
-# Share of the summed magnitudes of the dual's terms that its computed value
-# may be off by; a step that lowers the value by less still counts as ascent.
-_DUAL_SLACK = 1e-12
 
 
 def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) -> _Steps:
     """Proximal point steps u <- argmin over the box of phi + |. - u|^2 / (2 eps),
-    phi(u) = r.W^{-1} r / 2 with r = G u - xi, each by semismooth Newton.
+    phi(u) = r.W^{-1} r / 2 with r = G u - xi, each by ``project.dual_newton``.
 
-    Rows of G and xi are scaled by D = sqrt(diag W), which leaves phi
-    unchanged and gives W unit diagonal.  The dual of a proximal step is
-    concave, smooth and n-dimensional: y gives u(y) = clip(u - eps G^T y),
-    the gradient is G u(y) - xi - W y and the Newton matrix W + eps G_F
-    G_F^T, with F the nodes u(y) leaves free, is positive definite.  Each
-    Newton step backtracks until the dual increases; a proximal step ends
-    once a full step keeps the clip pattern of u(y), which is then exact
-    on this piecewise-quadratic dual, once no step increases the dual, or
-    after ``_INNER_STEPS``.  eps starts at 1, the scale of phi's Hessian
-    (the projector onto range(G^T)), and grows tenfold after a proximal
-    step whose iterate has a new interior set; after one that repeats the
-    last interior set it is held, since a larger eps then only makes the
-    Newton matrix worse conditioned.
+    phi is r.What^{-1} r / 2 in the kernel's scaled residual, with What =
+    D^{-1} W D^{-1} positive definite, so each dual is smooth and strictly
+    concave.  A proximal step ends when the kernel ends or after
+    ``_INNER_STEPS`` Newton steps; the next one starts from its multiplier.
+    eps starts at 1, the scale of phi's Hessian (the projector onto
+    range(G^T)), and grows tenfold after a proximal step whose iterate has
+    a new interior set; after one that repeats the last interior set it is
+    held, since a larger eps then only makes the Newton matrix worse
+    conditioned.
 
     Every proximal iterate goes through ``_active_set_finish`` and is
     certified by ``_certify``.  The iterate with the smallest certified
@@ -327,45 +324,25 @@ def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) 
     after ``_STALL_STEPS`` proximal steps in a row that do not halve the
     best excess.
     """
-    _, v, gap, lower = _certify(ws, u)  # raises on a singular W before d divides
+    _, v, gap, lower = _certify(ws, u)
     best = (gap - lower, u, v, gap)
-    d = np.sqrt(np.diag(ws.aff.W))
-    G, xi, W = ws.G / d[:, None], ws.xi / d, ws.aff.W / np.outer(d, d)
-    floor = tol * np.sqrt(ws.h) * (1.0 + float(np.linalg.norm(xi)))
+    d = ws.aff.Wfact.scale
+    W_hat = ws.aff.W / np.outer(d, d)
+    floor = tol * np.sqrt(ws.h) * (1.0 + float(np.linalg.norm(ws.xi / d)))
 
-    def pattern(u_y):
-        return (u_y >= ws.hi).view(np.int8) - (u_y <= ws.lo).view(np.int8)
+    def proximal_step(center, eps, y):
+        steps = dual_newton(ws.aff, ws.lo, ws.hi, center, eps, W_hat, y)
+        return steps, next(steps)[1]
 
-    def dual(y, center, eps):
-        """The dual's value at y, the rounding allowance of that value, u(y)
-        and G u(y), for the proximal step from ``center``."""
-        u_y = ws.clip(center - eps * (G.T @ y))
-        Gu = G @ u_y
-        shift = u_y - center
-        terms = np.array([y @ Gu, -(y @ xi), -0.5 * (y @ W @ y), shift @ shift / (2.0 * eps)])
-        return float(terms.sum()), _DUAL_SLACK * float(np.abs(terms).sum()), u_y, Gu
-
-    y = np.zeros_like(xi)
+    y = np.zeros_like(d)
     eps, interior, inner, stale = 1.0, None, 0, 0
-    value, slack, u_y, Gu = dual(y, u, eps)
+    steps, u_y = proximal_step(u, eps, y)
     while True:
-        grad = Gu - xi - W @ y
-        GF = G[:, (u_y > ws.lo) & (u_y < ws.hi)]
-        step = np.linalg.solve(W + eps * (GF @ GF.T), grad)
-        slope = float(grad @ step)
-        t, trial = 1.0, None
-        while t >= 1e-12:
-            trial = dual(y + t * step, u, eps)
-            if trial[0] >= value + 1e-4 * t * slope - slack:
-                break
-            t, trial = 0.5 * t, None
+        step = next(steps, None)
         inner += 1
-        exact = False
-        if trial is not None:
-            exact = t == 1.0 and np.array_equal(pattern(trial[2]), pattern(u_y))
-            y = y + t * step
-            value, slack, u_y, Gu = trial
-        if trial is None or exact or inner == _INNER_STEPS:
+        if step is not None:
+            y, u_y, _, exact = step
+        if step is None or exact or inner == _INNER_STEPS:
             Z = np.flatnonzero((u_y > ws.lo) & (u_y < ws.hi))
             u, finish = _active_set_finish(ws, u_y)
             _, v, gap, lower = _certify(ws, u)
@@ -376,7 +353,7 @@ def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) 
             if interior is None or not np.array_equal(Z, interior):
                 eps *= 10.0
             interior, inner = Z, 0
-            value, slack, u_y, Gu = dual(y, u, eps)
+            steps, u_y = proximal_step(u, eps, y)
         excess, u_best, v_best, gap_best = best
         # set before the yield: the driver may take no further step
         stop = ("certified" if excess <= tol * gap_best or gap_best <= floor

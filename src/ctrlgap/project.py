@@ -1,14 +1,17 @@
 """Projections onto the box and the boundary-value affine set, the
-multiplier that certifies them disjoint, and the minimum-energy control.
-
-The affine projection and the minimum-energy solve both reduce to n-by-n
-linear systems instead of factoring the N*m-column map: n is at most 7 in
-every benchmark while N*m can reach 2e5.
+multiplier that certifies them disjoint, and ``dual_newton``, the one
+semismooth Newton kernel (Hintermueller, Ito and Kunisch, SIAM J. Optim.
+13, 2003) on the n-dimensional dual of min over the box of |u - c|^2 /
+(2 eps) + r.What^{-1} r / 2, r = D^{-1}(G u - xi), D = sqrt(diag W).  It
+serves ``dykstra_min_energy`` and the ``newton`` gap solver's proximal
+steps.  n is at most 7 in every benchmark while N*m can reach 2e5, so
+all of these solve n-by-n systems instead of factoring the map G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -51,6 +54,14 @@ def project_affine(u: ControlTrajectory, aff: AffineData) -> ControlTrajectory:
     return ControlTrajectory.from_flat(flat - aff.G.T @ y, u.grid, u.m)
 
 
+def refined_multiplier(aff: AffineData, u: np.ndarray) -> np.ndarray:
+    """w = W^{-1}(G u - xi) for the flat control ``u``, refined once against
+    G itself, so that u - G^T w lies on the affine set to the accuracy of
+    G and not of the rounded product W = G G^T."""
+    w = aff.Wfact.solve(aff.G @ u - aff.xi)
+    return w + aff.Wfact.solve(aff.G @ (u - aff.G.T @ w) - aff.xi)
+
+
 def gap_lower_bound(aff: AffineData, lo: np.ndarray, hi: np.ndarray, y: np.ndarray) -> float:
     """Certified floor under the distance between the box [lo, hi] and
     {u : G u = xi}.  Every box point has y.G u <= sigma_box(G^T y) =
@@ -67,53 +78,75 @@ def gap_lower_bound(aff: AffineData, lo: np.ndarray, hi: np.ndarray, y: np.ndarr
     return float(np.sqrt(aff.h)) * margin / float(np.linalg.norm(g))
 
 
-def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
-                       max_iter: int = 200) -> tuple[ControlTrajectory, ProjectionStats]:
-    """Minimum-norm control in the box and the affine set, by semismooth
-    Newton on the n-dimensional dual (Hintermueller, Ito and Kunisch, SIAM
-    J. Optim. 13, 2003); the name predates the method.
+# Share of the summed magnitudes of the dual's terms that its computed value
+# may be off by; a step that lowers the value by less still counts as ascent.
+_DUAL_SLACK = 1e-12
 
-    The dual max_y xi.y - sum_k psi(g_k), g = G^T y, psi(g) = c g - c^2/2
-    with c = clip(g, lo, hi), is concave with gradient xi - G c; its
-    maximizer gives u = clip(G^T y), in the box exactly.  Rows of G and xi
-    are scaled by D = sqrt(diag W).  Each step solves on the free set
-    {lo < g < hi} by least squares and backtracks until the dual strictly
-    increases.  Ends converged once |D^-1 (G u - xi)| <= ``tol`` (1 +
-    |D^-1 xi|); raises ``InfeasibleIntersectionError`` once
-    ``gap_lower_bound`` certifies the multiplier; returns ``converged=False``
-    once no step of size >= 1e-12 increases the dual, or after ``max_iter``.
-    """
-    lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))
-    G, d = aff.G, np.sqrt(np.diag(aff.W))
-    y = d * aff.Wfact.solve(aff.xi)  # raises on a singular W before d divides
-    xi_s = aff.xi / d
+
+def dual_newton(aff: AffineData, lo: np.ndarray, hi: np.ndarray, center: np.ndarray | float,
+                eps: float, W_hat: np.ndarray, y: np.ndarray) -> Iterator[tuple]:
+    """Yield (y, u(y), gradient, exact) for the start ``y`` and after every
+    Newton step on the dual in the module docstring.  u(y) = clip(c - eps
+    G^T D^{-1} y), the gradient is D^{-1}(G u(y) - xi) - What y and the
+    Newton matrix What + eps D^{-1} G_F G_F^T D^{-1}, F the free nodes of
+    u(y), is solved by least squares as it is singular when What = 0.  A
+    step backtracks until the Armijo rule holds up to ``_DUAL_SLACK``.
+    Ends after an ``exact`` step, a full one that keeps the clip pattern
+    and so maximizes the dual on that piece, or when no step >= 1e-12
+    ascends."""
+    d = aff.Wfact.scale
+    G, xi = aff.G / d[:, None], aff.xi / d
 
     def dual(y):
-        g = G.T @ (y / d)
-        c = np.clip(g, lo, hi)
-        return float(xi_s @ y - c @ g + 0.5 * (c @ c)), g, c
+        u = np.clip(center - eps * (G.T @ y), lo, hi)
+        Gu = G @ u
+        shift = u - center
+        terms = np.array([y @ Gu, -(y @ xi), -0.5 * (y @ W_hat @ y), shift @ shift / (2.0 * eps)])
+        return y, u, Gu - xi - W_hat @ y, terms
 
-    value, g, c = dual(y)
+    (y, u, grad, terms), exact = dual(y), False
+    while True:
+        yield y, u, grad, exact
+        if exact:
+            return
+        GF = G[:, (lo < u) & (u < hi)]
+        step = np.linalg.lstsq(W_hat + eps * (GF @ GF.T), grad, rcond=None)[0]
+        value, slack = terms.sum(), _DUAL_SLACK * np.abs(terms).sum()
+        slope, t = float(grad @ step), 1.0
+        while (trial := dual(y + t * step))[3].sum() < value + 1e-4 * t * slope - slack:
+            t *= 0.5
+            if t < 1e-12:
+                return
+        exact = (t == 1.0 and np.array_equal(trial[1] >= hi, u >= hi)
+                 and np.array_equal(trial[1] <= lo, u <= lo))
+        y, u, grad, terms = trial
+
+
+def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
+                       max_iter: int = 200) -> tuple[ControlTrajectory, ProjectionStats]:
+    """Minimum-norm control in the box and the affine set: ``dual_newton``
+    with c = 0, eps = 1, What = 0 from y = -D W^{-1} xi, whose u(y) clips
+    the minimum-norm control G^T W^{-1} xi; the name predates the method.
+    Each iterate, the start included, counts toward ``max_iter``.  Ends
+    converged once |D^{-1}(G u - xi)| <= ``tol`` (1 + |D^{-1} xi|); raises
+    ``InfeasibleIntersectionError`` once ``gap_lower_bound`` certifies the
+    multiplier; returns ``converged=False`` once the kernel ends, or after
+    ``max_iter``."""
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))
+    d, n = aff.Wfact.scale, aff.n
+    steps = dual_newton(aff, lo, hi, 0.0, 1.0, np.zeros((n, n)), -d * aff.Wfact.solve(aff.xi))
     converged, iterations = False, 0
-    for iterations in range(1, max_iter + 1):
-        grad = xi_s - (G @ c) / d
-        if np.linalg.norm(grad) <= tol * (1.0 + float(np.linalg.norm(xi_s))):
+    for iterations, (y, u, grad, _) in zip(range(1, max_iter + 1), steps):
+        if np.linalg.norm(grad) <= tol * (1.0 + float(np.linalg.norm(aff.xi / d))):
             converged = True
             break
         if (floor := gap_lower_bound(aff, lo, hi, y / d)) > 0.0:
             raise InfeasibleIntersectionError(
                 f"a dual multiplier separates the box from the boundary-value "
                 f"set: their distance is at least {floor:.3e} (bound too small)")
-        GF = G[:, (lo < g) & (g < hi)]
-        step = np.linalg.lstsq((GF @ GF.T) / np.outer(d, d), grad, rcond=None)[0]
-        t = 1.0
-        while t >= 1e-12:
-            trial = dual(y + t * step)
-            if trial[0] > value + 1e-4 * t * max(float(grad @ step), 0.0):
-                break
-            t *= 0.5
-        else:
-            break  # stalled: no step strictly increases the dual
-        y, (value, g, c) = y + t * step, trial
-    return (ControlTrajectory.from_flat(c, aff.grid, aff.m),
-            ProjectionStats(float(np.linalg.norm(G @ c - aff.xi)), iterations, converged))
+    return (ControlTrajectory.from_flat(u, aff.grid, aff.m),
+            ProjectionStats(float(np.linalg.norm(aff.G @ u - aff.xi)), iterations, converged))

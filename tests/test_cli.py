@@ -55,6 +55,19 @@ def test_feasible_min_energy_near_critical(tmp_path):
     assert summary["terminal_error"] <= 1e-6 * (1 + np.linalg.norm(xf))
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--max-iter", "0", "max_iter must be at least 1"),
+    ("--tol", "0", "tol must be positive"),
+    ("--tol", "-1", "tol must be positive")], ids=["max_iter_0", "tol_0", "tol_negative"])
+def test_min_energy_rejects_a_nonpositive_tol_or_max_iter(tmp_path, capsys, flag, value,
+                                                          message):
+    argv = ["min-energy", "--system", "machine_tool", "--nodes", "1000",
+            "--bound", "1800", flag, value, "--out", str(tmp_path)]
+    assert cli.run(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_gap_out_of_iterations_exits_2(tmp_path):
     assert cli.run(GAP + ["--max-iter", "3", "--out", str(tmp_path)]) == 2
     summary = json.loads((tmp_path / "summary.json").read_text())

@@ -326,6 +326,25 @@ class TestNewton:
         assert capped.converged
         assert capped.gap_norm == full.gap_norm
 
+    def test_certificate_ends_never_cross_on_ill_conditioned_gramians(self):
+        # random 4-state systems whose scaled W reaches cond 3e10: a
+        # projection through the rounded W alone lost up to 7e-6 of the gap
+        # and reported gaps below their own certified lower ends
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            for _ in range(60):
+                A, B = rng.normal(0, 2, (4, 4)), rng.normal(0, 1, (4, 1))
+                N = int(rng.integers(20, 300))
+                x0, xf = rng.normal(0, 1, 4), rng.normal(0, 1, 4)
+                system = make_lti_system(A, B, 0.0, 1.0)
+                aff = build_affine(system, system.grid(N), BoundarySpec(x0=x0, xf=xf))
+                if not aff.controllable:
+                    continue
+                a = 0.3 * np.max(np.abs(aff.G.T @ aff.Wfact.solve(aff.xi)))
+                res = solve_gap(aff, Bounds.symmetric(a), SolveOptions(tol=1e-8))
+                assert res.converged
+                assert res.gap_lower <= res.gap_norm * (1 + 1e-12), (seed, N)
+
 
 class TestHomogeneity:
     def test_joint_scaling(self, rng):

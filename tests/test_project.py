@@ -224,11 +224,12 @@ class TestMinEnergyNearCritical:
         with pytest.raises(InfeasibleIntersectionError, match="separates"):
             dykstra_min_energy(aff, Bounds.symmetric((1 - 1e-5) * LP_A_C_1000[name]))
 
-    def test_inside_rounding_of_critical_never_claims_convergence(self, affine_1000):
+    @pytest.mark.parametrize("name", sorted(LP_A_C_1000))
+    def test_inside_rounding_of_critical_never_claims_convergence(self, affine_1000, name):
         # 1e-8 below a_c the gap is too small to certify and the control
         # cannot meet the residual tolerance: the solve must say so quickly
-        aff = affine_1000["double_integrator"]
-        bounds = Bounds.symmetric((1 - 1e-8) * LP_A_C_1000["double_integrator"])
+        aff = affine_1000[name]
+        bounds = Bounds.symmetric((1 - 1e-8) * LP_A_C_1000[name])
         try:
             _, stats = dykstra_min_energy(aff, bounds, max_iter=10_000)
         except InfeasibleIntersectionError:
