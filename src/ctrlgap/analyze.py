@@ -123,6 +123,8 @@ def extract_switchings(sig: ControlTrajectory, grid: Grid, tau: float | None = N
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if min_len is None:
         min_len = 20.0 * grid.h
+    if min_len < 0:
+        raise ValueError(f"min_len must be nonnegative, got {min_len}")
     times = grid.left_nodes
     channels = tuple(
         _extract_channel(values[:, i], times, grid.h, tau, min_len)

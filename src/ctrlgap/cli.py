@@ -38,6 +38,9 @@ FLOAT_FMT = "%.17g"
 # Rows formatted per write when saving a CSV file: as fast as larger blocks,
 # without holding the whole file's text in memory.
 CSV_BLOCK_ROWS = 256
+# Share of a step that a time read back may be off the uniform grid rebuilt
+# from the first two times, more than rounding leaves in a written file.
+GRID_SLACK = 1e-3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,13 +139,9 @@ def _build_parser() -> _Parser:
 
     p_crit = sub.add_parser("critical", help="critical bound as a certified bracket")
     add_instance_flags(p_crit, with_bound=False)
-    p_crit.add_argument("--solver", choices=SOLVERS, default="fast")
-    p_crit.add_argument("--tol", type=float, default=1e-9,
-                        help="gap-solver tolerance for each probe (default 1e-9)")
     p_crit.add_argument("--tol-a", type=float, default=1e-4,
                         help=f"relative bracket width (default 1e-4, at least "
                              f"{TOL_A_FLOOR:g})")
-    p_crit.add_argument("--max-iter", type=int, default=2_000_000)
 
     p_ctrb = sub.add_parser("ctrb", help="controllability report")
     add_instance_flags(p_ctrb, with_bound=False)
@@ -236,9 +235,10 @@ def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
     """Read a trajectory.csv back into a grid and named column blocks.
 
     The header line names the columns; ``np.loadtxt`` parses the numeric
-    rows.  A missing file or header, fewer than two rows, a row that does not
-    parse or does not match the header, or no uA/uB/v column raise
-    ``ConfigError``.
+    rows.  The grid is rebuilt from the first two times.  A missing file or
+    header, fewer than two rows, a row that does not parse or does not match
+    the header, times off that grid by more than ``GRID_SLACK`` of a step,
+    or no uA/uB/v column raise ``ConfigError``.
     """
     if not Path(path).is_file():
         raise ConfigError(f"trajectory file not found: {path}")
@@ -261,6 +261,9 @@ def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
     h = t[1] - t[0]
     N = data.shape[0]
     grid = Grid(N=N, t0=float(t[0]), tf=float(t[0] + N * h))
+    if np.any(np.abs(t - (t[0] + h * np.arange(N))) > GRID_SLACK * h):
+        raise ConfigError(f"{path} has unevenly spaced times; the controls "
+                          f"must sit on a uniform grid")
     blocks: dict[str, np.ndarray] = {}
     for name in ("uA", "uB", "v"):
         cols = [j for j, col in enumerate(header) if col.startswith(name + "_")]
@@ -336,22 +339,21 @@ def _cmd_critical(cfg: RunConfig) -> int:
     clock = _Stages()
     aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
     result = clock("solve", critical_bound, instance.system, grid, instance.boundary,
-                   CriticalOptions(tol_a=cfg.tol_a, solver=cfg.solver,
-                                   gap_tol=cfg.tol, max_iter=cfg.max_iter), aff=aff)
-    uA = result.final.uA
-    v = result.final.v.values
-    states = clock("simulate", simulate, instance.system, grid, instance.boundary.x0, uA)
-    converged = result.converged and result.final.converged
+                   CriticalOptions(tol_a=cfg.tol_a), aff=aff)
+    u = result.u_c
+    states = clock("simulate", simulate, instance.system, grid, instance.boundary.x0, u)
+    converged = result.converged and result.stats.converged
     record = SummaryRecord(
         command="critical", label=instance.label, N=cfg.nodes,
-        a_c=result.a_c, gap_norm=result.final.gap_norm,
-        switch_times=result.switch_times,
+        a_c=result.a_c, switch_times=result.switch_times,
         iterations=sum(p.iterations for p in result.probes),
         converged=converged, wall_time_seconds=clock.seconds["solve"],
         extras={"bracket_lo": result.bracket[0], "bracket_hi": result.bracket[1],
-                "evaluations": len(result.probes)})
+                "evaluations": len(result.probes),
+                "affine_residual": result.stats.residual,
+                "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))})
     _emit(Path(cfg.out), record, grid,
-          {"uA": uA.values, "uB": result.u_c.values, "v": v},
+          {"uA": u.values, "uB": u.values, "v": np.zeros_like(u.values)},
           states.values, cfg.svg,
           title=f"{instance.label}: critical bound, N={cfg.nodes}", stages=clock.seconds)
     print(f"a_c={result.a_c:.9g} bracket=({result.bracket[0]:.9g}, "

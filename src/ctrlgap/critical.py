@@ -10,7 +10,8 @@ the affine projection u - G^T w of u is a feasible control, so a_c is at
 most its largest entry.  The search bisects on that bracket; each probe
 is a warm-started gap solve whose box iterate tightens the ends, so no
 probe is classified feasible or infeasible and the bracket does not rest
-on the gap solver being accurate.
+on the gap solver being accurate.  The critical control u_c is the
+minimum-energy control in the box at the upper end, which is unique.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from . import analyze
 from .controllability import kalman_rank
 from .discretize import AffineData, ControlTrajectory, build_affine
 from .errors import AnalyticCaseError, BracketError, UncontrollableGridError
-from .gapsolve import GapResult, SolveOptions, solve_gap
+from .gapsolve import SolveOptions, solve_gap
 from .model import BoundarySpec, Bounds, Grid, LinearSystem
-from .project import ROUNDING, refined_multiplier
+from .project import ROUNDING, ProjectionStats, dykstra_min_energy, refined_multiplier
 
 
 # Narrowest relative bracket width the search can reach: ``_certified_ends``
@@ -38,17 +39,10 @@ TOL_A_FLOOR = 3 * ROUNDING
 
 @dataclass(frozen=True)
 class CriticalOptions:
-    """Search controls.
-
-    ``tol_a`` is relative on the bracket width and at least
-    ``TOL_A_FLOOR``; ``solver``, ``gap_tol`` and ``max_iter`` configure
-    each gap solve.
-    """
+    """Search controls: ``tol_a`` is relative on the bracket width and at
+    least ``TOL_A_FLOOR``."""
 
     tol_a: float = 1e-4
-    solver: str = "fast"
-    gap_tol: float = 1e-9
-    max_iter: int = 2_000_000
 
     def __post_init__(self):
         if not self.tol_a >= TOL_A_FLOOR:
@@ -69,9 +63,10 @@ class Probe:
 
 @dataclass(frozen=True)
 class CriticalResult:
-    """Certified bracket on the critical bound, the control of the final
-    gap solve at its upper end, and the search record.  ``converged`` says
-    whether the bracket reached the relative width ``tol_a``."""
+    """Certified bracket on the critical bound, the minimum-energy control
+    at its upper end with the stats of that solve, and the search record.
+    ``converged`` says whether the bracket reached the relative width
+    ``tol_a``."""
 
     a_c: float
     u_c: ControlTrajectory
@@ -79,7 +74,7 @@ class CriticalResult:
     bracket: tuple[float, float]
     converged: bool
     probes: tuple[Probe, ...]
-    final: GapResult
+    stats: ProjectionStats
 
 
 def _certified_ends(aff: AffineData, u: np.ndarray) -> tuple[float, float]:
@@ -107,13 +102,10 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
     sets lo = max(lo, lower) and hi = min(hi, upper) from the ends its box
     iterate certifies.  The search stops converged once hi - lo <=
     ``tol_a`` (1 + hi), or unconverged once a probe improves neither end.
-    Returns a_c = hi together with the near-critical control from a final
-    accurate gap solve at hi.  That final solve starts cold: near
-    criticality the feasible set has many points at almost zero distance,
-    and a cold start selects the reproducible representative anchored at
-    the zero control instead of inheriting microstructure from the probes.
-    ``aff``, when given, is the transcription of (system, grid, boundary)
-    and is used instead of building it again.
+    Returns a_c = hi together with u_c, the minimum-energy control in the
+    box |u| <= hi (``dykstra_min_energy``), which is unique.  ``aff``, when
+    given, is the transcription of (system, grid, boundary) and is used
+    instead of building it again.
     """
     opts = opts or CriticalOptions()
     if aff is None:
@@ -136,9 +128,7 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
     converged = hi - lo <= opts.tol_a * (1.0 + hi)
     while not converged:
         a = 0.5 * (lo + hi)
-        res = solve_gap(aff, Bounds.symmetric(a), SolveOptions(
-            tol=opts.gap_tol, max_iter=opts.max_iter, solver=opts.solver,
-            warm_start=warm))
+        res = solve_gap(aff, Bounds.symmetric(a), SolveOptions(solver="fast", warm_start=warm))
         warm = res.uB
         lower, upper = _certified_ends(aff, res.uB.flat)
         probes.append(Probe(a=a, lower=lower, upper=upper, iterations=res.iterations))
@@ -147,19 +137,16 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
         lo, hi = max(lo, lower), min(hi, upper)
         converged = hi - lo <= opts.tol_a * (1.0 + hi)
 
-    final = solve_gap(aff, Bounds.symmetric(hi), SolveOptions(
-        tol=min(opts.gap_tol, 1e-10),
-        max_iter=opts.max_iter,
-        solver=opts.solver))
-    profile = analyze.extract_switchings(final.uB, grid, reference="control")
+    u_c, stats = dykstra_min_energy(aff, Bounds.symmetric(hi))
+    profile = analyze.extract_switchings(u_c, grid, reference="control")
     return CriticalResult(
         a_c=hi,
-        u_c=final.uB,
+        u_c=u_c,
         switch_times=profile.switch_times,
         bracket=(lo, hi),
         converged=converged,
         probes=tuple(probes),
-        final=final)
+        stats=stats)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,11 @@ MIN_ENERGY_SUMMARY_KEYS = {"N", "a", "affine_residual", "command", "converged",
                            "energy", "gap_norm", "iterations", "label", "norm",
                            "stage_seconds", "terminal_error", "wall_time_seconds"}
 
+CRITICAL_SUMMARY_KEYS = {"N", "a_c", "affine_residual", "bracket_hi", "bracket_lo",
+                         "command", "converged", "evaluations", "iterations", "label",
+                         "stage_seconds", "switch_times", "terminal_error",
+                         "wall_time_seconds"}
+
 
 def test_gap_converges_and_writes_summary(tmp_path):
     assert cli.run(GAP + ["--out", str(tmp_path)]) == 0
@@ -92,6 +97,22 @@ def test_gap_summary_reports_the_certificate_for_every_solver(tmp_path, solver):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert GAP_SUMMARY_KEYS <= set(summary)
     assert 0.0 < summary["gap_lower"] <= summary["gap_norm"] * (1 + 1e-12)
+
+
+def test_critical_writes_the_minimum_energy_control_at_the_upper_end(tmp_path):
+    argv = ["critical", "--system", "double_integrator", "--nodes", "200",
+            "--out", str(tmp_path)]
+    assert cli.run(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary) == CRITICAL_SUMMARY_KEYS
+    assert summary["converged"] is True
+    assert summary["a_c"] == summary["bracket_hi"]
+    xf = builtin_instance("double_integrator").boundary.xf
+    assert summary["terminal_error"] <= 1e-6 * (1 + np.linalg.norm(xf))
+    _, blocks = cli.read_trajectory(tmp_path / "trajectory.csv")
+    np.testing.assert_array_equal(blocks["uA"], blocks["uB"])
+    assert not np.any(blocks["v"])
+    assert np.max(np.abs(blocks["uB"])) <= summary["a_c"]
 
 
 def test_critical_tol_a_below_the_rounding_floor_exits_1(tmp_path, capsys):
@@ -189,6 +210,7 @@ def test_csv_text_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path):
     "t,x_1\n0,1\n0.5,1\n",  # no uA/uB/v columns
     "t,uA_1,uB_1,v_1\n0,1,1,0\n0.5,1,oops,0\n",  # malformed number
     "t,uA_1,uB_1,v_1\n0,1,1,0\n0.5,1,1\n",  # short row
+    "t,uA_1,uB_1,v_1\n0,1,1,1\n0.5,1,1,1\n0.6,-1,-1,-1\n0.61,-1,-1,-1\n",  # uneven times
 ])
 def test_bad_trajectory_file_exits_1(tmp_path, capsys, text):
     traj = tmp_path / "trajectory.csv"
@@ -198,6 +220,18 @@ def test_bad_trajectory_file_exits_1(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--tau", "tau must be nonnegative"),
+    ("--min-len", "min_len must be nonnegative")])
+def test_analyze_rejects_a_negative_tau_or_min_len(tmp_path, capsys, flag, message):
+    assert cli.run(GAP + ["--out", str(tmp_path)]) == 0
+    argv = ["analyze", "--traj", str(tmp_path / "trajectory.csv"), flag, "-1",
+            "--out", str(tmp_path / "analyze")]
+    assert cli.run(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "analyze" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from ctrlgap import CriticalOptions, builtin_instance, critical_bound, di_critical_analytic
+from ctrlgap import (CriticalOptions, build_affine, builtin_instance, critical_bound,
+                     di_critical_analytic)
 
 from conftest import LP_A_C_1000
 
@@ -14,11 +16,20 @@ def _critical(name, nodes, opts=None):
 
 @pytest.mark.parametrize("name", sorted(LP_A_C_1000))
 def test_bracket_contains_exact_critical_bound(name):
-    res = _critical(name, 1000)
+    inst = builtin_instance(name)
+    grid = inst.system.grid(1000)
+    aff = build_affine(inst.system, grid, inst.boundary)
+    res = critical_bound(inst.system, grid, inst.boundary, aff=aff)
     lo, hi = res.bracket
     assert lo <= LP_A_C_1000[name] <= hi
     assert res.a_c == hi
     assert all(p.lower <= LP_A_C_1000[name] <= p.upper for p in res.probes)
+    # u_c is the minimum-energy control in the box at the upper end
+    d = aff.Wfact.scale
+    assert res.stats.converged
+    assert np.max(np.abs(res.u_c.values)) <= res.a_c
+    residual = np.linalg.norm((aff.G @ res.u_c.flat - aff.xi) / d)
+    assert residual <= 1e-9 * (1.0 + np.linalg.norm(aff.xi / d))
 
 
 def test_tight_bracket_contains_exact_critical_bound():
@@ -30,13 +41,20 @@ def test_tight_bracket_contains_exact_critical_bound():
 
 
 def test_first_order_convergence_to_analytic_bound():
-    exact = di_critical_analytic(0.0, 0.0, 1.0, 0.0).a_c
+    analytic = di_critical_analytic(0.0, 0.0, 1.0, 0.0)
+    exact = analytic.a_c
     assert exact == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-14)
-    errors = [_critical("double_integrator", N, CriticalOptions(tol_a=1e-6)).a_c - exact
-              for N in (250, 500, 1000)]
+    assert analytic.t_c == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
+    nodes = (250, 500, 1000)
+    results = [_critical("double_integrator", N, CriticalOptions(tol_a=1e-6)) for N in nodes]
+    errors = [res.a_c - exact for res in results]
     assert all(e > 0 for e in errors)
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine == pytest.approx(2.0, rel=0.02)
+    # the switch of u_c converges to the analytic switching time as well
+    for N, res in zip(nodes, results):
+        assert len(res.switch_times) == 1
+        assert abs(res.switch_times[0] - analytic.t_c) <= 1.0 / N
 
 
 def test_analytic_symmetric_switch():
