@@ -25,13 +25,20 @@ one driver, ``solve_gap``, and differ only in the step rule it iterates:
 The projection step carries uA = P_affine(u).  P_affine is affine, so the
 extrapolated point projects to uA + beta (uA - uA_prev) and each step is
 one product with G and one with G^T: u = clip(uA + beta (uA - uA_prev)),
-w = W^{-1}(G u - xi), v = -G^T w, uA = u + v.
+v = G^T W^{-1}(xi - G u), uA = u + v.  The sign is folded into the
+residual: v is bitwise -G^T W^{-1}(G u - xi), with no separate negation.
+A step allocates no array of length N*m: u, uA, uA_prev, v, v_prev and
+one scratch array are made once per solve and written with ``out=``, the
+momentum point in place (uA - uA_prev, times beta, plus uA) and the clip
+as a maximum with the lower bound then a minimum with the upper.
 
-Every step yields the box iterate uB it would return and its gap vector
-v = uA - uB (for ``dr`` the shadow pair, whose gap is the drift of the
-governing iterate).  Any box point certifies an interval for the true
-gap: its own gap |v| is an upper end, and ``project.gap_lower_bound`` of
-its multiplier w = W^{-1}(G uB - xi) a lower end, ``gap_lower``.
+Every step yields the box iterate uB it would return, its gap |v|, v =
+uA - uB (for ``dr`` the shadow pair, whose gap is the drift of the
+governing iterate), and the change |v - v_prev|, which each rule computes
+itself (inf at the first step; ``newton`` yields None).  Any box point
+certifies an interval for the true gap: its own gap |v| is an upper end,
+and ``project.gap_lower_bound`` of its multiplier w = W^{-1}(G uB - xi) a
+lower end, ``gap_lower``.
 
 ``newton`` stops on that certificate: converged once gap - gap_lower <=
 tol gap, or once the gap itself is at most tol sqrt(h) (1 + |D^{-1} xi|)
@@ -53,6 +60,7 @@ guarantee: it certifies its bracket from whatever uB a solve returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterator, Optional
@@ -148,10 +156,12 @@ class _Workspace:
             u0 = w.flat
         else:
             u0 = np.zeros(self.G.shape[1])
-        return np.clip(u0, self.lo, self.hi)
+        return self.clip(u0)
 
     def clip(self, u: np.ndarray) -> np.ndarray:
-        return np.clip(u, self.lo, self.hi)
+        # maximum then minimum: np.clip with array bounds costs about 2.5x
+        out = np.maximum(u, self.lo)
+        return np.minimum(out, self.hi, out=out)
 
     def multiplier(self, u: np.ndarray) -> np.ndarray:
         return self.solve(self.G @ u - self.xi)
@@ -241,7 +251,7 @@ def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int, converged: boo
         diagnostics=diagnostics)
 
 
-_Steps = Iterator[tuple[np.ndarray, np.ndarray, float]]
+_Steps = Iterator[tuple[np.ndarray, float, Optional[float]]]
 
 
 def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
@@ -253,26 +263,42 @@ def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
     momentum y is the last box iterate; with it y is extrapolated along
     the last step and the momentum is restarted whenever the gap grows,
     which is the test q > q_prev because q = |v|^2 / 2 when W = G G^T.
-    Yields (u, v, gap) with v = P_affine(u) - u.
+    Yields (u, gap, change) for v = P_affine(u) - u, with change the
+    step-weighted norm of v - v_prev (inf at the first step).  ``u`` is
+    the start array and is overwritten step by step, like the other
+    buffers: a yielded u holds its values until the next step.
     """
-    uA = u + ws.G.T @ -ws.multiplier(u)
-    uA_prev = uA
-    t, beta, gap_prev = 1.0, 0.0, np.inf
+    G, GT, xi, solve, lo, hi, h = ws.G, ws.G.T, ws.xi, ws.solve, ws.lo, ws.hi, ws.h
+    uA, uA_prev, v, v_prev, scratch = (np.empty_like(u) for _ in range(5))
+    np.matmul(GT, solve(xi - G @ u), out=v)
+    np.add(u, v, out=uA)
+    uA_prev[:] = uA
+    t, beta, gap_prev, change = 1.0, 0.0, math.inf, math.inf
     if momentum:
         diagnostics["restarts"] = 0
     while True:
-        u = ws.clip(uA + beta * (uA - uA_prev) if beta else uA)
-        v = ws.G.T @ -ws.multiplier(u)
-        uA_prev, uA = uA, u + v
-        gap = weighted_norm(v, ws.h)
-        yield u, v, gap
-        if not momentum:
-            continue
-        if gap > gap_prev:
+        if beta:
+            np.subtract(uA, uA_prev, out=u)
+            u *= beta
+            u += uA
+            np.maximum(u, lo, out=u)
+        else:
+            np.maximum(uA, lo, out=u)
+        np.minimum(u, hi, out=u)
+        v, v_prev = v_prev, v
+        np.matmul(GT, solve(xi - G @ u), out=v)
+        uA, uA_prev = uA_prev, uA
+        np.add(u, v, out=uA)
+        gap = math.sqrt(h * float(np.dot(v, v)))
+        if gap_prev < math.inf:  # v_prev is a step's gap vector, not the start's
+            np.subtract(v, v_prev, out=scratch)
+            change = math.sqrt(h * float(np.dot(scratch, scratch)))
+        yield u, gap, change
+        if momentum and gap > gap_prev:
             t, beta = 1.0, 0.0
             diagnostics["restarts"] += 1
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        elif momentum:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
             t = t_next
         gap_prev = gap
@@ -283,15 +309,20 @@ def _dr_steps(ws: _Workspace, z: np.ndarray) -> _Steps:
 
     The shadows uB = P_box(z) and uA = P_affine(2 uB - z) converge to the
     best-approximation pair.  On infeasible problems z drifts by the gap
-    vector v = uA - uB each step, so the yielded gap |v| is the drift.
+    vector v = uA - uB each step, so the yielded gap |v| is the drift;
+    the yielded change is the norm of v - v_prev (inf at the first step).
     """
+    v_prev, change = None, math.inf
     while True:
         uB = ws.clip(z)
         reflected = 2.0 * uB - z
         uA = reflected - ws.G.T @ ws.multiplier(reflected)
         v = uA - uB
         z = z + v
-        yield uB, v, weighted_norm(v, ws.h)
+        if v_prev is not None:
+            change = weighted_norm(v - v_prev, ws.h)
+        yield uB, weighted_norm(v, ws.h), change
+        v_prev = v
 
 
 # Newton steps allowed in one proximal step, and proximal steps in a row that
@@ -324,8 +355,8 @@ def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) 
     after ``_STALL_STEPS`` proximal steps in a row that do not halve the
     best excess.
     """
-    _, v, gap, lower = _certify(ws, u)
-    best = (gap - lower, u, v, gap)
+    _, _, gap, lower = _certify(ws, u)
+    best = (gap - lower, u, gap)
     d = ws.aff.Wfact.scale
     W_hat = ws.aff.W / np.outer(d, d)
     floor = tol * np.sqrt(ws.h) * (1.0 + float(np.linalg.norm(ws.xi / d)))
@@ -345,22 +376,22 @@ def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) 
         if step is None or exact or inner == _INNER_STEPS:
             Z = np.flatnonzero((u_y > ws.lo) & (u_y < ws.hi))
             u, finish = _active_set_finish(ws, u_y)
-            _, v, gap, lower = _certify(ws, u)
+            _, _, gap, lower = _certify(ws, u)
             stale = 0 if gap - lower <= 0.5 * best[0] else stale + 1
             if gap - lower < best[0]:
-                best = (gap - lower, u, v, gap)
+                best = (gap - lower, u, gap)
                 diagnostics["finish"] = finish
             if interior is None or not np.array_equal(Z, interior):
                 eps *= 10.0
             interior, inner = Z, 0
             steps, u_y = proximal_step(u, eps, y)
-        excess, u_best, v_best, gap_best = best
+        excess, u_best, gap_best = best
         # set before the yield: the driver may take no further step
         stop = ("certified" if excess <= tol * gap_best or gap_best <= floor
                 else "stalled" if stale >= _STALL_STEPS else None)
         if stop:
             diagnostics["stop"] = stop
-        yield u_best, v_best, gap_best
+        yield u_best, gap_best, None
         if stop:
             return
 
@@ -377,23 +408,21 @@ def solve_gap(aff: AffineData, bounds: Bounds,
     opts = opts or SolveOptions()
     ws = _Workspace(aff, bounds)
     diagnostics = {"stop": "max_iter"}
-    dr, newton = opts.solver == "dr", opts.solver == "newton"
-    if newton:
+    dr = opts.solver == "dr"
+    if opts.solver == "newton":
         steps = _newton_steps(ws, ws.start(opts), opts.tol, diagnostics)
     elif dr:
         steps = _dr_steps(ws, ws.start(opts))
     else:
         steps = _projection_steps(ws, ws.start(opts), opts.solver == "fast", diagnostics)
     history = [] if opts.record_history else None
-    v_prev = None
     it = 0
-    for it, (uB, v, gap) in enumerate(islice(steps, opts.max_iter), start=1):
+    for it, (uB, gap, change) in enumerate(islice(steps, opts.max_iter), start=1):
         if history is not None:
             history.append(gap)
-        if not newton and v_prev is not None and weighted_norm(v - v_prev, ws.h) <= opts.tol:
+        if change is not None and change <= opts.tol:
             diagnostics["stop"] = "tol"
             break
-        v_prev = v
     if history is not None:
         diagnostics["drift_history" if dr else "gap_history"] = history
     return _finish(ws, uB, it, diagnostics["stop"] in ("tol", "certified"), opts.solver,

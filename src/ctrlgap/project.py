@@ -98,7 +98,8 @@ def dual_newton(aff: AffineData, lo: np.ndarray, hi: np.ndarray, center: np.ndar
     G, xi = aff.G / d[:, None], aff.xi / d
 
     def dual(y):
-        u = np.clip(center - eps * (G.T @ y), lo, hi)
+        u = np.maximum(center - eps * (G.T @ y), lo)
+        np.minimum(u, hi, out=u)
         Gu = G @ u
         shift = u - center
         terms = np.array([y @ Gu, -(y @ xi), -0.5 * (y @ W_hat @ y), shift @ shift / (2.0 * eps)])

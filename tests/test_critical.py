@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ctrlgap import (CriticalOptions, build_affine, builtin_instance, critical_bound,
-                     di_critical_analytic)
+from ctrlgap import (Bounds, ControlTrajectory, CriticalOptions, SolveOptions, build_affine,
+                     builtin_instance, critical_bound, di_critical_analytic, solve_gap)
+from ctrlgap.critical import _certified_ends
 
 from conftest import LP_A_C_1000
 
@@ -30,6 +31,25 @@ def test_bracket_contains_exact_critical_bound(name):
     assert np.max(np.abs(res.u_c.values)) <= res.a_c
     residual = np.linalg.norm((aff.G @ res.u_c.flat - aff.xi) / d)
     assert residual <= 1e-9 * (1.0 + np.linalg.norm(aff.xi / d))
+
+
+def test_warm_started_probes_match_cold_copies():
+    # each probe's solve reuses its own buffers; replaying the search with a
+    # fresh copy of every warm start must give the same ends, bit for bit
+    inst = builtin_instance("machine_tool")
+    grid = inst.system.grid(1000)
+    aff = build_affine(inst.system, grid, inst.boundary)
+    res = critical_bound(inst.system, grid, inst.boundary, aff=aff)
+    assert len(res.probes) > 1
+    warm = None
+    for probe in res.probes:
+        if warm is not None:
+            warm = ControlTrajectory(values=np.array(warm.values), grid=grid)
+        replay = solve_gap(aff, Bounds.symmetric(probe.a),
+                           SolveOptions(solver="fast", warm_start=warm))
+        assert replay.iterations == probe.iterations
+        assert _certified_ends(aff, replay.uB.flat) == (probe.lower, probe.upper)
+        warm = replay.uB
 
 
 def test_tight_bracket_contains_exact_critical_bound():

@@ -214,6 +214,57 @@ class TestBuildAffine:
         assert res <= 1e-10 * (1 + np.linalg.norm(aff.xi))
 
 
+def longdouble_solve(W, r):
+    """W y = r by Gaussian elimination with partial pivoting in long double."""
+    A = np.array(W, dtype=np.longdouble)
+    b = np.array(r, dtype=np.longdouble)
+    n = b.size
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        A[[k, p]], b[[k, p]] = A[[p, k]], b[[p, k]]
+        f = A[k + 1:, k] / A[k, k]
+        A[k + 1:, k:] -= np.outer(f, A[k, k:])
+        b[k + 1:] -= f * b[k]
+    y = np.zeros(n, dtype=np.longdouble)
+    for k in range(n - 1, -1, -1):
+        y[k] = (b[k] - A[k, k + 1:] @ y[k + 1:]) / A[k, k]
+    return y
+
+
+def gram_test_cases():
+    """The random 4-state systems of the ill-conditioned certificate test
+    (scaled cond(W) up to 3e10) and the three builtins at N=1e4."""
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            A, B = rng.normal(0, 2, (4, 4)), rng.normal(0, 1, (4, 1))
+            N = int(rng.integers(20, 300))
+            x0, xf = rng.normal(0, 1, 4), rng.normal(0, 1, 4)
+            system = make_lti_system(A, B, 0.0, 1.0)
+            aff = build_affine(system, system.grid(N), BoundarySpec(x0=x0, xf=xf))
+            if aff.controllable:
+                yield aff
+    for name in ("double_integrator", "damped_oscillator", "machine_tool"):
+        inst = builtin_instance(name)
+        yield build_affine(inst.system, inst.system.grid(10_000), inst.boundary)
+
+
+class TestGramSolve:
+    def test_refined_solve_matches_long_double_elimination(self):
+        rng = np.random.default_rng(0)
+        worst, cases = 0.0, 0
+        for aff in gram_test_cases():
+            d = aff.Wfact.scale
+            for r in (aff.xi, aff.G @ rng.normal(0, 1, aff.G.shape[1]) - aff.xi):
+                y = aff.Wfact.solve(r)
+                ref = longdouble_solve(aff.W, r)
+                err = np.linalg.norm(d * (y - ref)) / np.linalg.norm(d * ref)
+                worst = max(worst, float(err))
+            cases += 1
+        assert cases > 150
+        assert worst <= 1e-6
+
+
 class TestNorms:
     def test_zero(self):
         grid = di_system().grid(8)

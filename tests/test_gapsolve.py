@@ -20,6 +20,13 @@ def di():
     return grid, build_affine(inst.system, grid, inst.boundary)
 
 
+@pytest.fixture(scope="module")
+def mt200():
+    inst = builtin_instance("machine_tool")
+    grid = inst.system.grid(200)
+    return grid, build_affine(inst.system, grid, inst.boundary), Bounds.symmetric(1770.0)
+
+
 class TestMap:
     def test_feasible_instance_gap_vanishes(self, di):
         _, aff = di
@@ -118,6 +125,20 @@ class TestDouglasRachford:
         # the drift magnitude settles to the gap from any start
         assert abs(drift_hist[-1] - res.gap_norm) <= 1e-6 * (1 + res.gap_norm)
 
+    def test_dr_reproduces_douglas_rachford_steps(self, mt200):
+        grid, aff, bounds = mt200
+        lo, hi = (b.reshape(-1) for b in bounds.sample(grid, 1))
+
+        def project(x):
+            return x - aff.G.T @ aff.Wfact.solve(aff.G @ x - aff.xi)
+
+        z = np.zeros(aff.G.shape[1])
+        for _ in range(37):
+            uB = np.clip(z, lo, hi)
+            z = z + (project(2.0 * uB - z) - uB)
+        res = solve_gap_dr(aff, bounds, SolveOptions(tol=1e-30, max_iter=37))
+        np.testing.assert_array_equal(res.uB.flat, uB)
+
 
 class TestFast:
     def test_map_reproduces_alternating_projections(self, di):
@@ -129,6 +150,34 @@ class TestFast:
             u = np.clip(u - aff.G.T @ aff.Wfact.solve(aff.G @ u - aff.xi), lo, hi)
         res = solve_gap_map(aff, Bounds.symmetric(1.0),
                             SolveOptions(tol=1e-30, max_iter=37))
+        np.testing.assert_array_equal(res.uB.flat, u)
+
+    def test_fast_reproduces_restarted_momentum_steps(self, mt200):
+        grid, aff, bounds = mt200
+        lo, hi = (b.reshape(-1) for b in bounds.sample(grid, 1))
+
+        def project(u):
+            """P_affine(u) and the gap |P_affine(u) - u|."""
+            step = aff.G.T @ aff.Wfact.solve(aff.G @ u - aff.xi)
+            return u - step, weighted_norm(step, grid.h)
+
+        steps = 400
+        uA, _ = project(np.zeros(aff.G.shape[1]))
+        uA_prev = uA
+        t, beta, gap_prev, restarts = 1.0, 0.0, np.inf, 0
+        for _ in range(steps):
+            u = np.clip(uA + beta * (uA - uA_prev), lo, hi)
+            uA_prev, (uA, gap) = uA, project(u)
+            if gap > gap_prev:
+                t, beta = 1.0, 0.0
+                restarts += 1
+            else:
+                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+                t, beta = t_next, (t - 1.0) / t_next
+            gap_prev = gap
+        res = solve_gap_fast(aff, bounds, SolveOptions(tol=1e-30, max_iter=steps))
+        assert restarts >= 1
+        assert res.diagnostics["restarts"] == restarts
         np.testing.assert_array_equal(res.uB.flat, u)
 
     def test_machine_tool_agreement_and_speed(self):
@@ -162,6 +211,28 @@ class TestFast:
         # at optimality the dual bound is tight
         assert res.gap_lower <= res.gap_norm + 1e-12
         assert res.gap_lower >= res.gap_norm * (1 - 1e-6) - 1e-9
+
+
+class TestBuffers:
+    @pytest.mark.parametrize("solver", ["newton", "map", "dr", "fast"])
+    def test_warm_start_is_left_unchanged(self, mt200, solver):
+        grid, aff, bounds = mt200
+        rng = np.random.default_rng(4)
+        warm = ControlTrajectory(values=rng.uniform(-2000.0, 2000.0, (grid.N, 1)), grid=grid)
+        before = warm.values.copy()
+        solve_gap(aff, bounds, SolveOptions(solver=solver, warm_start=warm, max_iter=50))
+        np.testing.assert_array_equal(warm.values, before)
+
+    @pytest.mark.parametrize("solver", ["newton", "map", "dr", "fast"])
+    def test_results_share_no_memory(self, mt200, solver):
+        _, aff, bounds = mt200
+        opts = SolveOptions(solver=solver, max_iter=50)
+        first, second = solve_gap(aff, bounds, opts), solve_gap(aff, bounds, opts)
+        arrays = [t.values for res in (first, second) for t in (res.uA, res.uB, res.v)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(first.uB.values, second.uB.values)
 
 
 class TestCrossSolver:
