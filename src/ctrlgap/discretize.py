@@ -4,7 +4,8 @@ The continuous set of admissible controls (those steering x0 to xf) is
 replaced by the affine set { u : G u = xi } acting on stacked piecewise-
 constant control values.  The map G, the step-matrix product Phi and the
 Gram matrix W = G G^T are assembled once per (system, grid, boundary) and
-reused by every projection.
+reused by every solve; the orthonormal basis of range(G^T) that the
+projection steps use is built from G on first use.
 
 With constant matrices every Euler step is the same affine map
 x -> M x + hB u, M = I + hA, so nothing needs a per-step Python loop: G
@@ -22,8 +23,8 @@ inside the affine projection formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -146,8 +147,9 @@ class WFactorization:
 @dataclass(frozen=True)
 class AffineData:
     """Discrete reachability data: { u : G u = xi } equals the transcribed
-    boundary-value set, with Phi the ordered product of step matrices and
-    W = G G^T factored once for reuse by all projections."""
+    boundary-value set, with Phi the ordered product of step matrices,
+    W = G G^T factored once for the multipliers and certificates, and
+    ``basis`` the same set in orthonormal coordinates for the projections."""
 
     G: np.ndarray
     xi: np.ndarray
@@ -169,6 +171,27 @@ class AffineData:
     @property
     def h(self) -> float:
         return self.grid.h
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Qt, c) with { u : Qt u = c } = { u : G u = xi } and the rows of Qt
+        an orthonormal basis of range(G^T), so P_affine(u) = u + Qt^T (c - Qt u).
+
+        From the Householder QR G^T = Q R, G = R^T Qt with Qt = Q^T and c =
+        R^{-T} xi, solved as Rhat^{-T} D^{-1} xi with the unit-column Rhat =
+        R D^{-1}, D = sqrt(diag W).  Unlike the normal equations through W,
+        this keeps the accuracy of G on badly conditioned grids (Bjorck,
+        Numerical Methods for Least Squares Problems, SIAM 1996, ch. 2).  Qt
+        is C-contiguous and read-only.  Built on first access and kept;
+        raises ``UncontrollableGridError`` when W is singular.
+        """
+        d = self.Wfact.scale
+        Q, R = np.linalg.qr(self.G.T)
+        Qt = np.ascontiguousarray(Q.T)
+        c = np.linalg.solve((R / d).T, self.xi / d)
+        for arr in (Qt, c):
+            arr.flags.writeable = False
+        return Qt, c
 
 
 def _sample_steps(system: LinearSystem, grid: Grid):

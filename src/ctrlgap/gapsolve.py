@@ -23,14 +23,19 @@ one driver, ``solve_gap``, and differ only in the step rule it iterates:
           infeasible problems.
 
 The projection step carries uA = P_affine(u).  P_affine is affine, so the
-extrapolated point projects to uA + beta (uA - uA_prev) and each step is
-one product with G and one with G^T: u = clip(uA + beta (uA - uA_prev)),
-v = G^T W^{-1}(xi - G u), uA = u + v.  The sign is folded into the
-residual: v is bitwise -G^T W^{-1}(G u - xi), with no separate negation.
-A step allocates no array of length N*m: u, uA, uA_prev, v, v_prev and
-one scratch array are made once per solve and written with ``out=``, the
-momentum point in place (uA - uA_prev, times beta, plus uA) and the clip
-as a maximum with the lower bound then a minimum with the upper.
+extrapolated point projects to uA + beta (uA - uA_prev).  ``map``,
+``fast`` and ``dr`` project in the orthonormal basis ``AffineData.basis``
+= (Qt, c) of range(G^T): P_affine(u) = u + Qt^T s with s = c - Qt u, so
+a step is one product with Qt and one with Qt^T and solves no Gram
+system: u = clip(uA + beta (uA - uA_prev)), s = c - Qt u, uA = u + Qt^T s.
+Qt has orthonormal rows, so the gap |v| = |s| and the change |v - v_prev|
+= |s - s_prev| are norms of n-vectors and v itself is never formed.  A
+``map`` or ``fast`` step allocates no array of length N*m: u, uA and
+uA_prev are made once per solve and written with ``out=``, the momentum
+point in place (uA - uA_prev, times beta, plus uA) and the clip as a
+maximum with the lower bound then a minimum with the upper.  What a solve
+reports is checked against G itself, not against the basis: the
+certificate below, the finish and ``newton`` all work on G and W.
 
 Every step yields the box iterate uB it would return, its gap |v|, v =
 uA - uB (for ``dr`` the shadow pair, whose gap is the drift of the
@@ -163,9 +168,6 @@ class _Workspace:
         out = np.maximum(u, self.lo)
         return np.minimum(out, self.hi, out=out)
 
-    def multiplier(self, u: np.ndarray) -> np.ndarray:
-        return self.solve(self.G @ u - self.xi)
-
 
 # Sign-check slack relative to the largest |v|.  The entries of v that an
 # exact finish makes vanish come out at most 1e-13 of the largest on the
@@ -185,8 +187,9 @@ def _active_set_finish(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, str]:
     solved here by eliminating w through the factored W.  It is
     nonsingular only if G_Z has full column rank, which needs |Z| <= n.
     The solution replaces ``u`` only if u_Z lies in the box and the new
-    gap vector v = -G^T w has the sign of the bound at every fixed node;
-    otherwise ``u`` comes back unchanged with the reason.
+    gap vector v = -G^T w, with w the multiplier of the new u refined
+    against G as in ``_certify``, has the sign of the bound at every fixed
+    node; otherwise ``u`` comes back unchanged with the reason.
     """
     Z = np.flatnonzero((u > ws.lo) & (u < ws.hi))
     if Z.size > ws.G.shape[0]:
@@ -210,7 +213,7 @@ def _active_set_finish(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, str]:
         if np.any(u_Z < ws.lo[Z]) or np.any(u_Z > ws.hi[Z]):
             return u, "rejected_box"
         u_new[Z] = u_Z
-    v = -(ws.G.T @ ws.multiplier(u_new))
+    v = -(ws.G.T @ refined_multiplier(ws.aff, u_new))
     slack = _SIGN_SLACK * float(np.max(np.abs(v), initial=0.0))
     if np.any((u >= ws.hi) & (v < -slack)) or np.any((u <= ws.lo) & (v > slack)):
         return u, "rejected_sign"
@@ -262,16 +265,21 @@ def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
     unit step from y is one alternating projection sweep.  Without
     momentum y is the last box iterate; with it y is extrapolated along
     the last step and the momentum is restarted whenever the gap grows,
-    which is the test q > q_prev because q = |v|^2 / 2 when W = G G^T.
-    Yields (u, gap, change) for v = P_affine(u) - u, with change the
-    step-weighted norm of v - v_prev (inf at the first step).  ``u`` is
-    the start array and is overwritten step by step, like the other
-    buffers: a yielded u holds its values until the next step.
+    which is the test q > q_prev because q = |v|^2 / 2.  Yields (u, gap,
+    change) for v = P_affine(u) - u = Qt^T s, s = c - Qt u, with change
+    the step-weighted norm of v - v_prev (inf at the first step); Qt has
+    orthonormal rows, so both are norms of n-vectors, |s| and |s - s_prev|.
+    ``u`` is the start array and is overwritten step by step, like uA and
+    uA_prev: a yielded u holds its values until the next step.
     """
-    G, GT, xi, solve, lo, hi, h = ws.G, ws.G.T, ws.xi, ws.solve, ws.lo, ws.hi, ws.h
-    uA, uA_prev, v, v_prev, scratch = (np.empty_like(u) for _ in range(5))
-    np.matmul(GT, solve(xi - G @ u), out=v)
-    np.add(u, v, out=uA)
+    (Qt, c), lo, hi, h = ws.aff.basis, ws.lo, ws.hi, ws.h
+    # ndarray.dot makes the same BLAS call as @ with less dispatch per call,
+    # which is a tenth of a step on short vectors
+    QtT = Qt.T
+    uA, uA_prev = np.empty_like(u), np.empty_like(u)
+    s = c - Qt.dot(u)
+    QtT.dot(s, out=uA)
+    uA += u
     uA_prev[:] = uA
     t, beta, gap_prev, change = 1.0, 0.0, math.inf, math.inf
     if momentum:
@@ -285,14 +293,14 @@ def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
         else:
             np.maximum(uA, lo, out=u)
         np.minimum(u, hi, out=u)
-        v, v_prev = v_prev, v
-        np.matmul(GT, solve(xi - G @ u), out=v)
+        s_prev, s = s, c - Qt.dot(u)
         uA, uA_prev = uA_prev, uA
-        np.add(u, v, out=uA)
-        gap = math.sqrt(h * float(np.dot(v, v)))
-        if gap_prev < math.inf:  # v_prev is a step's gap vector, not the start's
-            np.subtract(v, v_prev, out=scratch)
-            change = math.sqrt(h * float(np.dot(scratch, scratch)))
+        QtT.dot(s, out=uA)
+        uA += u
+        gap = math.sqrt(h * float(s.dot(s)))
+        if gap_prev < math.inf:  # s_prev is a step's, not the start's
+            ds = s - s_prev
+            change = math.sqrt(h * float(ds.dot(ds)))
         yield u, gap, change
         if momentum and gap > gap_prev:
             t, beta = 1.0, 0.0
@@ -312,11 +320,12 @@ def _dr_steps(ws: _Workspace, z: np.ndarray) -> _Steps:
     vector v = uA - uB each step, so the yielded gap |v| is the drift;
     the yielded change is the norm of v - v_prev (inf at the first step).
     """
+    Qt, c = ws.aff.basis
     v_prev, change = None, math.inf
     while True:
         uB = ws.clip(z)
         reflected = 2.0 * uB - z
-        uA = reflected - ws.G.T @ ws.multiplier(reflected)
+        uA = reflected + Qt.T @ (c - Qt @ reflected)
         v = uA - uB
         z = z + v
         if v_prev is not None:

@@ -5,7 +5,8 @@ semismooth Newton kernel (Hintermueller, Ito and Kunisch, SIAM J. Optim.
 (2 eps) + r.What^{-1} r / 2, r = D^{-1}(G u - xi), D = sqrt(diag W).  It
 serves ``dykstra_min_energy`` and the ``newton`` gap solver's proximal
 steps.  n is at most 7 in every benchmark while N*m can reach 2e5, so
-all of these solve n-by-n systems instead of factoring the map G.
+all of these solve n-by-n systems; ``project_affine`` uses the thin QR of
+G^T, n columns long, that ``AffineData.basis`` keeps.
 """
 
 from __future__ import annotations
@@ -44,14 +45,18 @@ def project_box(u: ControlTrajectory, bounds: Bounds) -> ControlTrajectory:
 def project_affine(u: ControlTrajectory, aff: AffineData) -> ControlTrajectory:
     """Nearest point of { u : G u = xi } in the step-weighted norm.
 
-    Computes u - G^T (G G^T)^{-1} (G u - xi); the step weight cancels in
-    the formula.  Raises if the Gram matrix is singular on this grid.
+    Computes u + Qt^T (c - Qt u) in the orthonormal basis (Qt, c) =
+    ``aff.basis``, which equals u - G^T (G G^T)^{-1} (G u - xi) but does
+    not solve through the rounded W, so its affine residual keeps the
+    accuracy of G on badly conditioned grids; the step weight cancels in
+    the formula.  Raises ``UncontrollableGridError`` if the Gram matrix is
+    singular on this grid.
     """
     if u.grid != aff.grid or u.m != aff.m:
         raise ValueError("control trajectory does not match the affine data's grid")
+    Qt, c = aff.basis
     flat = u.flat
-    y = aff.Wfact.solve(aff.G @ flat - aff.xi)
-    return ControlTrajectory.from_flat(flat - aff.G.T @ y, u.grid, u.m)
+    return ControlTrajectory.from_flat(flat + Qt.T @ (c - Qt @ flat), u.grid, u.m)
 
 
 def refined_multiplier(aff: AffineData, u: np.ndarray) -> np.ndarray:

@@ -57,3 +57,24 @@ def random_tiny_problem(rng, max_coords=8):
     lo = -np.abs(rng.normal(0.3, 0.3, m)) - 0.05
     hi = np.abs(rng.normal(0.3, 0.3, m)) + 0.05
     return grid, aff, Bounds(lower=lo, upper=hi)
+
+
+def ill_conditioned_affines():
+    """The controllable ones among 180 random 4-state systems (seeds 1-3),
+    whose row-scaled Gram matrices reach cond 3e10."""
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            A, B = rng.normal(0, 2, (4, 4)), rng.normal(0, 1, (4, 1))
+            N = int(rng.integers(20, 300))
+            x0, xf = rng.normal(0, 1, 4), rng.normal(0, 1, 4)
+            system = make_lti_system(A, B, 0.0, 1.0)
+            aff = build_affine(system, system.grid(N), BoundarySpec(x0=x0, xf=xf))
+            if aff.controllable:
+                yield aff
+
+
+def scaled_residual(aff, u):
+    """|D^{-1}(G u - xi)| / (1 + |D^{-1} xi|), D = sqrt(diag W)."""
+    d = aff.Wfact.scale
+    return np.linalg.norm((aff.G @ u - aff.xi) / d) / (1.0 + np.linalg.norm(aff.xi / d))

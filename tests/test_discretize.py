@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctrlgap import (BoundarySpec, ControlTrajectory, SimulationOverflowError,
-                     StateTrajectory, build_affine, builtin_instance, l2_norm,
-                     make_lti_system, make_ltv_system, simulate, weighted_norm)
+from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SimulationOverflowError,
+                     SolveOptions, StateTrajectory, UncontrollableGridError,
+                     build_affine, builtin_instance, dykstra_min_energy, l2_norm,
+                     make_lti_system, make_ltv_system, simulate, solve_gap,
+                     weighted_norm)
 
-from conftest import scalar_integrator
+from conftest import ill_conditioned_affines, scaled_residual, scalar_integrator
 
 
 def di_system():
@@ -234,16 +236,7 @@ def longdouble_solve(W, r):
 def gram_test_cases():
     """The random 4-state systems of the ill-conditioned certificate test
     (scaled cond(W) up to 3e10) and the three builtins at N=1e4."""
-    for seed in (1, 2, 3):
-        rng = np.random.default_rng(seed)
-        for _ in range(60):
-            A, B = rng.normal(0, 2, (4, 4)), rng.normal(0, 1, (4, 1))
-            N = int(rng.integers(20, 300))
-            x0, xf = rng.normal(0, 1, 4), rng.normal(0, 1, 4)
-            system = make_lti_system(A, B, 0.0, 1.0)
-            aff = build_affine(system, system.grid(N), BoundarySpec(x0=x0, xf=xf))
-            if aff.controllable:
-                yield aff
+    yield from ill_conditioned_affines()
     for name in ("double_integrator", "damped_oscillator", "machine_tool"):
         inst = builtin_instance(name)
         yield build_affine(inst.system, inst.system.grid(10_000), inst.boundary)
@@ -263,6 +256,55 @@ class TestGramSolve:
             cases += 1
         assert cases > 150
         assert worst <= 1e-6
+
+
+def longdouble_projection(aff, u):
+    """u - G^T (G G^T)^{-1} (G u - xi) in long double, refined once: without
+    the refinement the reference itself is off by up to 7e-10 of the step
+    on the ill-conditioned systems."""
+    G, xi = aff.G.astype(np.longdouble), aff.xi.astype(np.longdouble)
+    W = G @ G.T
+    p = u.astype(np.longdouble)
+    for _ in range(2):
+        p = p - G.T @ longdouble_solve(W, G @ p - xi)
+    return p
+
+
+class TestAffineBasis:
+    def test_projection_matches_long_double(self):
+        rng = np.random.default_rng(0)
+        cases = 0
+        for aff in gram_test_cases():
+            Qt, c = aff.basis
+            assert Qt.shape == aff.G.shape and Qt.flags.c_contiguous
+            assert np.abs(Qt @ Qt.T - np.eye(aff.n)).max() <= 1e-13
+            u = rng.normal(0, 1, aff.G.shape[1])
+            out = u + Qt.T @ (c - Qt @ u)
+            ref = longdouble_projection(aff, u)
+            dist = np.linalg.norm((out - ref).astype(float))
+            assert dist <= 1e-9 * np.linalg.norm((ref - u).astype(float))
+            assert scaled_residual(aff, out) <= 1e-11
+            cases += 1
+        assert cases > 150
+
+    def test_built_on_first_use_and_kept(self):
+        inst = builtin_instance("machine_tool")
+        grid = inst.system.grid(300)
+        aff = build_affine(inst.system, grid, inst.boundary)
+        solve_gap(aff, Bounds.symmetric(1770.0))
+        dykstra_min_energy(aff, Bounds.symmetric(1800.0))
+        assert "basis" not in vars(aff)
+        solve_gap(aff, Bounds.symmetric(1770.0), SolveOptions(solver="fast", max_iter=5))
+        Qt, c = vars(aff)["basis"]
+        again = aff.basis
+        assert again[0] is Qt and again[1] is c
+        assert not Qt.flags.writeable and not c.flags.writeable
+        with pytest.raises(ValueError):
+            Qt[0, 0] = 0.0
+        inst = builtin_instance("double_integrator")
+        singular = build_affine(inst.system, inst.system.grid(1), inst.boundary)
+        with pytest.raises(UncontrollableGridError):
+            singular.basis
 
 
 class TestNorms:

@@ -13,6 +13,15 @@ from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
 from conftest import random_tiny_problem, scalar_integrator
 
 
+def assert_basis_step_matches_gram_solve(aff, u):
+    """The basis step Qt^T (c - Qt u) of the affine projection equals the
+    normal-equations step -G^T W^{-1}(G u - xi) to 1e-12 of its length."""
+    Qt, c = aff.basis
+    step = Qt.T @ (c - Qt @ u)
+    gram = -(aff.G.T @ aff.Wfact.solve(aff.G @ u - aff.xi))
+    assert np.linalg.norm(step - gram) <= 1e-12 * np.linalg.norm(step)
+
+
 @pytest.fixture(scope="module")
 def di():
     inst = builtin_instance("double_integrator")
@@ -128,16 +137,19 @@ class TestDouglasRachford:
     def test_dr_reproduces_douglas_rachford_steps(self, mt200):
         grid, aff, bounds = mt200
         lo, hi = (b.reshape(-1) for b in bounds.sample(grid, 1))
+        Qt, c = aff.basis
 
         def project(x):
-            return x - aff.G.T @ aff.Wfact.solve(aff.G @ x - aff.xi)
+            return x + Qt.T @ (c - Qt @ x)
 
         z = np.zeros(aff.G.shape[1])
         for _ in range(37):
             uB = np.clip(z, lo, hi)
-            z = z + (project(2.0 * uB - z) - uB)
+            reflected = 2.0 * uB - z
+            z = z + (project(reflected) - uB)
         res = solve_gap_dr(aff, bounds, SolveOptions(tol=1e-30, max_iter=37))
         np.testing.assert_array_equal(res.uB.flat, uB)
+        assert_basis_step_matches_gram_solve(aff, reflected)
 
 
 class TestFast:
@@ -145,21 +157,24 @@ class TestFast:
         grid, aff = di
         lo, hi = Bounds.symmetric(1.0).sample(grid, 1)
         lo, hi = lo.reshape(-1), hi.reshape(-1)
+        Qt, c = aff.basis
         u = np.zeros(aff.G.shape[1])
         for _ in range(37):
-            u = np.clip(u - aff.G.T @ aff.Wfact.solve(aff.G @ u - aff.xi), lo, hi)
+            u = np.clip(u + Qt.T @ (c - Qt @ u), lo, hi)
         res = solve_gap_map(aff, Bounds.symmetric(1.0),
                             SolveOptions(tol=1e-30, max_iter=37))
         np.testing.assert_array_equal(res.uB.flat, u)
+        assert_basis_step_matches_gram_solve(aff, u)
 
     def test_fast_reproduces_restarted_momentum_steps(self, mt200):
         grid, aff, bounds = mt200
         lo, hi = (b.reshape(-1) for b in bounds.sample(grid, 1))
+        Qt, c = aff.basis
 
         def project(u):
-            """P_affine(u) and the gap |P_affine(u) - u|."""
-            step = aff.G.T @ aff.Wfact.solve(aff.G @ u - aff.xi)
-            return u - step, weighted_norm(step, grid.h)
+            """P_affine(u) and the gap |P_affine(u) - u| = sqrt(h) |c - Qt u|."""
+            s = c - Qt @ u
+            return u + Qt.T @ s, np.sqrt(grid.h * (s @ s))
 
         steps = 400
         uA, _ = project(np.zeros(aff.G.shape[1]))
@@ -179,6 +194,7 @@ class TestFast:
         assert restarts >= 1
         assert res.diagnostics["restarts"] == restarts
         np.testing.assert_array_equal(res.uB.flat, u)
+        assert_basis_step_matches_gram_solve(aff, u)
 
     def test_machine_tool_agreement_and_speed(self):
         inst = builtin_instance("machine_tool")

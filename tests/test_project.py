@@ -8,7 +8,8 @@ from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory,
                      project_affine, project_box, solve_gap_fast, solve_gap_map,
                      weighted_norm)
 
-from conftest import LP_A_C_1000, scalar_integrator
+from conftest import (LP_A_C_1000, ill_conditioned_affines, scaled_residual,
+                      scalar_integrator)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,12 @@ class TestProjectAffine:
         aff = build_affine(inst.system, grid, inst.boundary)
         with pytest.raises(UncontrollableGridError):
             project_affine(ControlTrajectory.zeros(grid, 1), aff)
+
+    def test_affine_residual_on_ill_conditioned_gramians(self, rng):
+        # through the rounded W the scaled residual reached 6.7e-9 here
+        for aff in ill_conditioned_affines():
+            u = random_control(aff.grid, rng)
+            assert scaled_residual(aff, project_affine(u, aff).flat) <= 1e-11
 
 
 class TestDykstra:
