@@ -63,43 +63,28 @@ class BangBangReport:
 def _extract_channel(s: np.ndarray, times: np.ndarray, h: float, tau: float,
                      min_len: float) -> ChannelSwitching:
     strong = np.flatnonzero(np.abs(s) > tau)
-    switch_times: list[float] = []
-    signs: list[int] = []
     # Crossings: consecutive strong samples of opposite sign.  A weak run
     # shorter than min_len between them is bridged (solver noise can park a
     # node inside the tau band exactly at a crossing); a longer weak run is
     # a singular arc, and a polarity change across it enters the sign
     # sequence without an interpolated crossing time.
-    prev = None
-    prev_sgn = 0
-    for idx in strong:
-        sgn = 1 if s[idx] > 0 else -1
-        if prev is None:
-            signs.append(sgn)
-        elif sgn != prev_sgn:
-            if (idx - prev - 1) * h < min_len:
-                t_a, t_b = times[prev], times[idx]
-                s_a, s_b = s[prev], s[idx]
-                switch_times.append(float(t_a + (t_b - t_a) * s_a / (s_a - s_b)))
-            signs.append(sgn)
-        prev = idx
-        prev_sgn = sgn
+    sgn = np.where(s[strong] > 0, 1, -1)
+    turn = np.flatnonzero(sgn[1:] != sgn[:-1])
+    signs = np.concatenate((sgn[:1], sgn[turn + 1]))
+    a, b = strong[turn], strong[turn + 1]
+    bridged = (b - a - 1) * h < min_len
+    a, b = a[bridged], b[bridged]
+    t_a, s_a, s_b = times[a], s[a], s[b]
+    crossings = t_a + (times[b] - t_a) * s_a / (s_a - s_b)
     # Singular intervals: maximal weak runs of duration >= min_len.
-    singular: list[tuple[float, float]] = []
-    weak = np.abs(s) <= tau
-    k = 0
-    N = len(s)
-    while k < N:
-        if weak[k]:
-            start = k
-            while k < N and weak[k]:
-                k += 1
-            duration = (k - start) * h
-            if duration >= min_len:
-                singular.append((float(times[start]), float(times[start] + duration)))
-        else:
-            k += 1
-    return ChannelSwitching(switch_times=tuple(switch_times), signs=tuple(signs),
+    edges = np.diff((np.abs(s) <= tau).astype(np.int8), prepend=0, append=0)
+    start, stop = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    duration = (stop - start) * h
+    arc = duration >= min_len
+    t_start = times[start[arc]]
+    singular = zip(t_start.tolist(), (t_start + duration[arc]).tolist())
+    return ChannelSwitching(switch_times=tuple(crossings.tolist()),
+                            signs=tuple(signs.tolist()),
                             singular_intervals=tuple(singular))
 
 

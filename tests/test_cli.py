@@ -246,3 +246,28 @@ def test_stage_seconds_recorded(tmp_path, argv):
     assert set(stages) == {"transcribe", "solve", "simulate", "write"}
     assert all(t >= 0.0 for t in stages.values())
     assert summary["wall_time_seconds"] == stages["solve"]
+
+
+@pytest.mark.parametrize("argv", [
+    GAP + ["--solver", "map"],
+    ["min-energy", "--system", "machine_tool", "--nodes", "300", "--bound", "1900"],
+], ids=["gap_map", "min_energy"])
+def test_nan_tol_exits_1(tmp_path, capsys, argv):
+    assert cli.run(argv + ["--tol", "nan", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: tol must be positive")
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("system,bound", [
+    ("double_integrator", 3.0), ("damped_oscillator", 1.0), ("machine_tool", 1900.0)])
+@pytest.mark.parametrize("command", ["gap", "min-energy", "critical"])
+def test_written_csv_files_are_percent_17g_of_their_values(tmp_path, command, system, bound):
+    argv = [command, "--system", system, "--nodes", "300", "--out", str(tmp_path)]
+    if command != "critical":
+        argv += ["--bound", f"{bound / 2 if command == 'gap' else bound:g}"]
+    assert cli.run(argv) == 0
+    for name in ("trajectory.csv", "states.csv"):
+        text = (tmp_path / name).read_text()
+        header = text.split("\n", 1)[0].split(",")
+        rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+        assert text == reference_csv(header, rows)
