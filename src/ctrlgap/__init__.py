@@ -5,15 +5,14 @@ from .analyze import (BangBangReport, SwitchingProfile, check_bang_bang,
                       extract_switchings)
 from .controllability import (CtrbReport, discrete_gramian, gramian_report,
                               kalman_rank, ltv_rank)
-from .critical import (CriticalOptions, CriticalResult, DICriticalSolution,
-                       critical_bound, di_critical_analytic)
+from .critical import (CriticalResult, DICriticalSolution, critical_bound,
+                       di_critical_analytic)
 from .discretize import (AffineData, ControlTrajectory, StateTrajectory,
                          build_affine, l2_norm, simulate, weighted_norm)
 from .errors import (AnalyticCaseError, BracketError, ConfigError, ConsistencyError,
                      CtrlGapError, InfeasibleIntersectionError, OracleSizeError,
                      SimulationOverflowError, UncontrollableGridError)
-from .gapsolve import (GapResult, SolveOptions, solve_gap, solve_gap_dr,
-                       solve_gap_fast, solve_gap_map)
+from .gapsolve import GapResult, SolveOptions, solve_gap
 from .model import (BUILTIN_NAMES, BoundarySpec, Bounds, Grid, LinearSystem,
                     ProblemInstance, builtin_instance, instance_from_config,
                     make_lti_system, make_ltv_system)
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineData", "AnalyticCaseError", "ActiveSetSolution", "BangBangReport",
     "BoundarySpec", "Bounds", "BracketError", "BUILTIN_NAMES", "ConfigError",
-    "ConsistencyError", "ControlTrajectory", "CriticalOptions", "CriticalResult",
+    "ConsistencyError", "ControlTrajectory", "CriticalResult",
     "CtrbReport", "CtrlGapError", "DICriticalSolution", "GapResult", "Grid",
     "InfeasibleIntersectionError", "LinearSystem", "OracleSizeError",
     "ProblemInstance", "ProjectionStats", "SimulationOverflowError",
@@ -36,6 +35,5 @@ __all__ = [
     "dykstra_min_energy", "extract_switchings", "gramian_report",
     "instance_from_config", "kalman_rank", "l2_norm", "ltv_rank",
     "make_lti_system", "make_ltv_system", "project_affine", "project_box",
-    "simulate", "solve_gap", "solve_gap_dr", "solve_gap_fast",
-    "solve_gap_map", "weighted_norm",
+    "simulate", "solve_gap", "weighted_norm",
 ]

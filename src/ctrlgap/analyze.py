@@ -45,10 +45,6 @@ class SwitchingProfile:
         times = [t for ch in self.channels for t in ch.switch_times]
         return sorted(times)
 
-    @property
-    def switch_count(self) -> int:
-        return sum(len(ch.switch_times) for ch in self.channels)
-
 
 @dataclass(frozen=True)
 class BangBangReport:

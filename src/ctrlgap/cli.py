@@ -1,14 +1,17 @@
 """Command-line interface: gap solves, critical bounds, controllability
 reports, feasible minimum-energy solves, trajectory analysis.
 
-Every run writes ``trajectory.csv`` (control curves at left node times),
-``states.csv`` (simulated states on all nodes), a ``summary.json`` record,
-and optionally ``figure.svg``.  The CSV files hold every value as its
+Every run writes a ``summary.json`` record.  ``gap``, ``critical`` and
+``min-energy`` also write ``trajectory.csv`` (control curves at left node
+times) and ``states.csv`` (simulated states on all nodes), and with
+``--svg`` ``figure.svg``.  The CSV files hold every value as its
 ``%.17g`` text, so ``read_trajectory`` gets the same doubles back; the
 vectorised encoder in ``csvtext`` writes exactly the bytes that Python's
-``%`` formatting gives.  Exit codes: 0 converged, 2 unconverged
-(for ``critical`` also when the certified bracket did not reach
-``--tol-a``), 1 usage or configuration error.
+``%`` formatting gives.  Each command takes the argparse namespace as
+parsed and builds its summary as a plain dict; ``_emit`` leaves out None
+entries and rejects a non-finite number.  Exit codes: 0 converged, 2
+unconverged (for ``critical`` also when the certified bracket did not
+reach ``--tol-a``), 1 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,7 +30,7 @@ import numpy as np
 from . import figures
 from .analyze import extract_switchings
 from .controllability import gramian_report, kalman_rank
-from .critical import TOL_A_FLOOR, CriticalOptions, critical_bound
+from .critical import TOL_A_FLOOR, critical_bound
 from .csvtext import encode_rows
 from .discretize import ControlTrajectory, build_affine, l2_norm, simulate
 from .errors import ConfigError, CtrlGapError
@@ -55,61 +57,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation of one subcommand."""
-
-    command: str
-    system: Optional[str] = None
-    config: Optional[str] = None
-    nodes: int = 2000
-    bound: Optional[float] = None
-    solver: str = "newton"
-    tol: float = 1e-8
-    tol_a: float = 1e-4
-    max_iter: int = 2_000_000
-    out: str = "out"
-    svg: bool = False
-    oracle: bool = False
-    traj: Optional[str] = None
-    signal: str = "v"
-    tau: Optional[float] = None
-    min_len: Optional[float] = None
-
-    def __post_init__(self):
-        if self.command in ("gap", "critical", "ctrb", "min-energy") and self.nodes < 2:
-            raise ConfigError(f"--nodes must be at least 2, got {self.nodes}")
-        sources = sum(x is not None for x in (self.system, self.config))
-        if self.command in ("gap", "critical", "ctrb", "min-energy") and sources != 1:
-            raise ConfigError("give exactly one instance source: "
-                              "--system NAME or --config PATH")
-
-
-@dataclass
-class SummaryRecord:
-    """Flat, JSON-compatible record of one run."""
-
-    command: str
-    label: str
-    N: Optional[int] = None
-    a: Optional[float] = None
-    gap_norm: Optional[float] = None
-    a_c: Optional[float] = None
-    switch_times: Optional[list] = None
-    iterations: Optional[int] = None
-    converged: Optional[bool] = None
-    wall_time_seconds: Optional[float] = None
-    extras: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        doc = {k: v for k, v in self.__dict__.items()
-               if k != "extras" and v is not None}
-        if self.extras:
-            doc.update(self.extras)
-        for key, value in doc.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"summary field {key} is not finite: {value}")
-        return doc
+def _nodes(text: str) -> int:
+    if not text.isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -119,13 +70,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_instance_flags(p, with_bound=True):
-        p.add_argument("--system", choices=BUILTIN_NAMES, help="builtin instance")
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--nodes", type=int, default=2000, help="Euler steps (default 2000)")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--system", choices=BUILTIN_NAMES, help="builtin instance")
+        source.add_argument("--config", help="JSON configuration file")
+        p.add_argument("--nodes", type=_nodes, default=2000,
+                       help="Euler steps, at least 2 (default 2000)")
         if with_bound:
             p.add_argument("--bound", type=float, help="symmetric control bound a")
         p.add_argument("--out", default="out", help="output directory (default ./out)")
-        p.add_argument("--svg", action="store_true", help="also write figure.svg")
 
     p_gap = sub.add_parser("gap", help="best-approximation pair and gap vector")
     add_instance_flags(p_gap)
@@ -156,6 +108,8 @@ def _build_parser() -> _Parser:
     p_min.add_argument("--tol", type=float, default=1e-10,
                        help="bound on the row-scaled affine residual (default 1e-10)")
     p_min.add_argument("--max-iter", type=int, default=200, help="Newton iterations")
+    for p in (p_gap, p_crit, p_min):
+        p.add_argument("--svg", action="store_true", help="also write figure.svg")
 
     p_an = sub.add_parser("analyze", help="switching structure of a saved trajectory")
     p_an.add_argument("--traj", required=True, help="trajectory.csv from a previous run")
@@ -164,16 +118,15 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--min-len", type=float,
                       help="minimum singular-run duration (default 20 h)")
     p_an.add_argument("--out", default="out")
-    p_an.add_argument("--svg", action="store_true")
 
     sub.add_parser("systems", help="list builtin instances")
     return parser
 
 
-def _load_instance(cfg: RunConfig) -> ProblemInstance:
-    if cfg.system is not None:
-        return builtin_instance(cfg.system)
-    path = Path(cfg.config)
+def _load_instance(args: argparse.Namespace) -> ProblemInstance:
+    if args.system is not None:
+        return builtin_instance(args.system)
+    path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -183,9 +136,9 @@ def _load_instance(cfg: RunConfig) -> ProblemInstance:
     return instance_from_config(doc)
 
 
-def _resolve_bounds(cfg: RunConfig, instance: ProblemInstance) -> Bounds:
-    if cfg.bound is not None:
-        return Bounds.symmetric(cfg.bound)
+def _resolve_bounds(args: argparse.Namespace, instance: ProblemInstance) -> Bounds:
+    if args.bound is not None:
+        return Bounds.symmetric(args.bound)
     if instance.bounds is not None:
         return instance.bounds
     raise ConfigError("no bounds given: pass --bound or put bound/bounds "
@@ -277,12 +230,13 @@ def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
     return grid, blocks
 
 
-def _emit(out_dir: Path, record: SummaryRecord, grid: Grid = None,
+def _emit(out_dir: Path, summary: dict, grid: Grid = None,
           curves: dict = None, states=None, svg: bool = False,
           title: str = "", stages: dict = None) -> None:
-    """Write the run's files.  ``stages``, when given, gains the time
-    spent writing the CSV and SVG files and goes into summary.json as
-    ``stage_seconds``."""
+    """Write the run's files and ``summary`` without its None entries;
+    a non-finite number in it raises ``ValueError``.  ``stages``, when
+    given, gains the time spent writing the CSV and SVG files and goes
+    into summary.json as ``stage_seconds``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     if curves is not None:
@@ -294,86 +248,87 @@ def _emit(out_dir: Path, record: SummaryRecord, grid: Grid = None,
         figures.write_svg(out_dir / "figure.svg", grid.left_nodes, curves, title)
     if stages is not None:
         stages["write"] = time.perf_counter() - t_start
-        record.extras = {**(record.extras or {}), "stage_seconds": stages}
-    (out_dir / "summary.json").write_text(
-        json.dumps(record.to_json(), indent=2, sort_keys=True) + "\n")
+        summary["stage_seconds"] = stages
+    doc = {key: value for key, value in summary.items() if value is not None}
+    for key, value in doc.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"summary field {key} is not finite: {value}")
+    (out_dir / "summary.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_gap(cfg: RunConfig) -> int:
-    instance = _load_instance(cfg)
-    bounds = _resolve_bounds(cfg, instance)
-    grid = instance.system.grid(cfg.nodes)
+def _cmd_gap(args: argparse.Namespace) -> int:
+    instance = _load_instance(args)
+    bounds = _resolve_bounds(args, instance)
+    grid = instance.system.grid(args.nodes)
     clock = _Stages()
     aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
     result = clock("solve", solve_gap, aff, bounds, SolveOptions(
-        tol=cfg.tol, max_iter=cfg.max_iter, solver=cfg.solver))
+        tol=args.tol, max_iter=args.max_iter, solver=args.solver))
     profile = extract_switchings(result.uB, grid, reference="control")
     states = clock("simulate", simulate, instance.system, grid,
                    instance.boundary.x0, result.uA)
-    extras = {"solver": result.solver, "gap_lower": result.gap_lower,
-              "finish": result.diagnostics["finish"],
-              "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
-    if result.drift_norm is not None:
-        extras["drift_norm"] = result.drift_norm
-    if cfg.oracle:
+    summary = {
+        "command": "gap", "label": instance.label, "N": args.nodes,
+        "a": _symmetric_bound(bounds), "gap_norm": result.gap_norm,
+        "switch_times": profile.switch_times, "iterations": result.iterations,
+        "converged": result.converged, "wall_time_seconds": clock.seconds["solve"],
+        "solver": result.solver, "gap_lower": result.gap_lower,
+        "finish": result.diagnostics["finish"],
+        "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
+    if args.solver == "dr":
+        summary["drift_norm"] = result.diagnostics["drift_history"][-1]
+    if args.oracle:
         reference = brute_force_gap(aff, bounds)
-        extras["oracle_objective"] = reference.diagnostics["objective"]
-        extras["oracle_objective_diff"] = abs(
+        summary["oracle_objective"] = reference.diagnostics["objective"]
+        summary["oracle_objective_diff"] = abs(
             reference.diagnostics["objective"] - 0.5 * result.gap_norm ** 2)
-    record = SummaryRecord(
-        command="gap", label=instance.label, N=cfg.nodes,
-        a=_symmetric_bound(bounds), gap_norm=result.gap_norm,
-        switch_times=profile.switch_times, iterations=result.iterations,
-        converged=result.converged, wall_time_seconds=clock.seconds["solve"],
-        extras=extras)
-    _emit(Path(cfg.out), record, grid,
+    _emit(Path(args.out), summary, grid,
           {"uA": result.uA.values, "uB": result.uB.values, "v": result.v.values},
-          states.values, cfg.svg,
-          title=f"{instance.label}: gap solve, N={cfg.nodes}", stages=clock.seconds)
+          states.values, args.svg,
+          title=f"{instance.label}: gap solve, N={args.nodes}", stages=clock.seconds)
     print(f"gap_norm={result.gap_norm:.9g} gap_lower={result.gap_lower:.9g} "
           f"iterations={result.iterations} converged={result.converged} "
           f"switch_times={profile.switch_times}")
     return 0 if result.converged else 2
 
 
-def _cmd_critical(cfg: RunConfig) -> int:
-    instance = _load_instance(cfg)
-    grid = instance.system.grid(cfg.nodes)
+def _cmd_critical(args: argparse.Namespace) -> int:
+    instance = _load_instance(args)
+    grid = instance.system.grid(args.nodes)
     clock = _Stages()
     aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
     result = clock("solve", critical_bound, instance.system, grid, instance.boundary,
-                   CriticalOptions(tol_a=cfg.tol_a), aff=aff)
+                   tol_a=args.tol_a, aff=aff)
     u = result.u_c
     states = clock("simulate", simulate, instance.system, grid, instance.boundary.x0, u)
     converged = result.converged and result.stats.converged
-    record = SummaryRecord(
-        command="critical", label=instance.label, N=cfg.nodes,
-        a_c=result.a_c, switch_times=result.switch_times,
-        iterations=sum(p.iterations for p in result.probes),
-        converged=converged, wall_time_seconds=clock.seconds["solve"],
-        extras={"bracket_lo": result.bracket[0], "bracket_hi": result.bracket[1],
-                "evaluations": len(result.probes),
-                "affine_residual": result.stats.residual,
-                "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))})
-    _emit(Path(cfg.out), record, grid,
+    summary = {
+        "command": "critical", "label": instance.label, "N": args.nodes,
+        "a_c": result.a_c, "switch_times": result.switch_times,
+        "iterations": sum(p.iterations for p in result.probes),
+        "converged": converged, "wall_time_seconds": clock.seconds["solve"],
+        "bracket_lo": result.bracket[0], "bracket_hi": result.bracket[1],
+        "evaluations": len(result.probes), "affine_residual": result.stats.residual,
+        "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
+    _emit(Path(args.out), summary, grid,
           {"uA": u.values, "uB": u.values, "v": np.zeros_like(u.values)},
-          states.values, cfg.svg,
-          title=f"{instance.label}: critical bound, N={cfg.nodes}", stages=clock.seconds)
+          states.values, args.svg,
+          title=f"{instance.label}: critical bound, N={args.nodes}", stages=clock.seconds)
     print(f"a_c={result.a_c:.9g} bracket=({result.bracket[0]:.9g}, "
           f"{result.bracket[1]:.9g}) evaluations={len(result.probes)} "
           f"converged={converged} switch_times={result.switch_times}")
     return 0 if converged else 2
 
 
-def _cmd_ctrb(cfg: RunConfig) -> int:
-    instance = _load_instance(cfg)
+def _cmd_ctrb(args: argparse.Namespace) -> int:
+    instance = _load_instance(args)
     system = instance.system
     if not system.is_lti:
         raise ConfigError("the ctrb command handles constant-matrix systems")
     full = kalman_rank(system.A, system.B)
     columns = [kalman_rank(system.A, np.asarray(system.B)[:, i])
                for i in range(system.m)]
-    grid = system.grid(cfg.nodes)
+    grid = system.grid(args.nodes)
     gram = gramian_report(build_affine(system, grid, instance.boundary))
     rows = [("kalman (full B)", full), ("gramian (grid)", gram)]
     rows[1:1] = [(f"kalman (column {i + 1})", rep) for i, rep in enumerate(columns)]
@@ -383,70 +338,64 @@ def _cmd_ctrb(cfg: RunConfig) -> int:
             "inconclusive" if rep.inconclusive else "NOT controllable")
         print(f"{name:<{width}}  rank {rep.rank}/{rep.required}  "
               f"cond {rep.conditioning:.3e}  {verdict}")
-    record = SummaryRecord(
-        command="ctrb", label=instance.label, N=cfg.nodes,
-        converged=True, wall_time_seconds=0.0,
-        extras={"rank": full.rank, "required": full.required,
-                "controllable": full.controllable,
-                "conditioning": full.conditioning,
-                "column_ranks": [rep.rank for rep in columns],
-                "gramian_rank": gram.rank,
-                "gramian_conditioning": gram.conditioning})
-    _emit(Path(cfg.out), record)
+    _emit(Path(args.out), {
+        "command": "ctrb", "label": instance.label, "N": args.nodes,
+        "converged": True, "wall_time_seconds": 0.0,
+        "rank": full.rank, "required": full.required,
+        "controllable": full.controllable, "conditioning": full.conditioning,
+        "column_ranks": [rep.rank for rep in columns],
+        "gramian_rank": gram.rank, "gramian_conditioning": gram.conditioning})
     return 0
 
 
-def _cmd_min_energy(cfg: RunConfig) -> int:
-    instance = _load_instance(cfg)
-    bounds = _resolve_bounds(cfg, instance)
-    grid = instance.system.grid(cfg.nodes)
+def _cmd_min_energy(args: argparse.Namespace) -> int:
+    instance = _load_instance(args)
+    bounds = _resolve_bounds(args, instance)
+    grid = instance.system.grid(args.nodes)
     clock = _Stages()
     aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
-    u, stats = clock("solve", dykstra_min_energy, aff, bounds, tol=cfg.tol,
-                     max_iter=cfg.max_iter)
+    u, stats = clock("solve", dykstra_min_energy, aff, bounds, tol=args.tol,
+                     max_iter=args.max_iter)
     states = clock("simulate", simulate, instance.system, grid, instance.boundary.x0, u)
-    zeros = np.zeros_like(u.values)
-    record = SummaryRecord(
-        command="min-energy", label=instance.label, N=cfg.nodes, a=_symmetric_bound(bounds),
-        gap_norm=0.0, iterations=stats.iterations, converged=stats.converged,
-        wall_time_seconds=clock.seconds["solve"],
-        extras={"norm": l2_norm(u), "energy": 0.5 * l2_norm(u) ** 2,
-                "affine_residual": stats.residual,
-                "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))})
-    _emit(Path(cfg.out), record, grid,
-          {"uA": u.values, "uB": u.values, "v": zeros}, states.values, cfg.svg,
-          title=f"{instance.label}: minimum-energy control, N={cfg.nodes}",
+    summary = {
+        "command": "min-energy", "label": instance.label, "N": args.nodes,
+        "a": _symmetric_bound(bounds), "gap_norm": 0.0, "iterations": stats.iterations,
+        "converged": stats.converged, "wall_time_seconds": clock.seconds["solve"],
+        "norm": l2_norm(u), "energy": 0.5 * l2_norm(u) ** 2,
+        "affine_residual": stats.residual,
+        "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
+    _emit(Path(args.out), summary, grid,
+          {"uA": u.values, "uB": u.values, "v": np.zeros_like(u.values)},
+          states.values, args.svg,
+          title=f"{instance.label}: minimum-energy control, N={args.nodes}",
           stages=clock.seconds)
     print(f"norm={l2_norm(u):.9g} iterations={stats.iterations} "
           f"converged={stats.converged}")
     return 0 if stats.converged else 2
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
-    grid, blocks = read_trajectory(cfg.traj)
-    if cfg.signal not in blocks:
-        raise ConfigError(f"trajectory has no {cfg.signal} columns")
-    sig = ControlTrajectory(values=blocks[cfg.signal], grid=grid)
-    profile = extract_switchings(sig, grid, tau=cfg.tau, min_len=cfg.min_len,
-                                 reference=cfg.signal)
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    grid, blocks = read_trajectory(args.traj)
+    if args.signal not in blocks:
+        raise ConfigError(f"trajectory has no {args.signal} columns")
+    sig = ControlTrajectory(values=blocks[args.signal], grid=grid)
+    profile = extract_switchings(sig, grid, tau=args.tau, min_len=args.min_len,
+                                 reference=args.signal)
     for i, ch in enumerate(profile.channels):
         print(f"channel {i + 1}: {len(ch.switch_times)} switchings "
               f"{[round(t, 6) for t in ch.switch_times]} signs={list(ch.signs)} "
               f"singular={list(ch.singular_intervals)}")
-    record = SummaryRecord(
-        command="analyze", label=str(cfg.traj), N=grid.N,
-        switch_times=profile.switch_times, converged=True,
-        wall_time_seconds=0.0,
-        extras={"signal": cfg.signal, "tau": profile.tau,
-                "min_len": profile.min_len,
-                "singular_intervals": [list(map(float, iv))
-                                       for ch in profile.channels
-                                       for iv in ch.singular_intervals]})
-    _emit(Path(cfg.out), record)
+    _emit(Path(args.out), {
+        "command": "analyze", "label": str(args.traj), "N": grid.N,
+        "switch_times": profile.switch_times, "converged": True,
+        "wall_time_seconds": 0.0, "signal": args.signal, "tau": profile.tau,
+        "min_len": profile.min_len,
+        "singular_intervals": [list(map(float, iv)) for ch in profile.channels
+                               for iv in ch.singular_intervals]})
     return 0
 
 
-def _cmd_systems(_cfg: RunConfig) -> int:
+def _cmd_systems(_args: argparse.Namespace) -> int:
     for name in BUILTIN_NAMES:
         inst = builtin_instance(name)
         sys_ = inst.system
@@ -467,12 +416,9 @@ _COMMANDS = {
 
 def run(argv: Sequence[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        kwargs = {k: v for k, v in vars(ns).items() if v is not None}
-        cfg = RunConfig(**kwargs)
-        return _COMMANDS[cfg.command](cfg)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except (ConfigError, CtrlGapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -38,19 +38,6 @@ TOL_A_FLOOR = 3 * ROUNDING
 
 
 @dataclass(frozen=True)
-class CriticalOptions:
-    """Search controls: ``tol_a`` is relative on the bracket width and at
-    least ``TOL_A_FLOOR``."""
-
-    tol_a: float = 1e-4
-
-    def __post_init__(self):
-        if not self.tol_a >= TOL_A_FLOOR:
-            raise ValueError(f"tol_a must be at least {TOL_A_FLOOR:g}, the narrowest "
-                             f"bracket the rounding allowance leaves, got {self.tol_a}")
-
-
-@dataclass(frozen=True)
 class Probe:
     """One gap solve of the search at bound ``a`` and the ends
     lower <= a_c <= upper that its box iterate certifies."""
@@ -92,8 +79,7 @@ def _certified_ends(aff: AffineData, u: np.ndarray) -> tuple[float, float]:
 
 
 def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
-                   opts: CriticalOptions | None = None,
-                   aff: AffineData | None = None) -> CriticalResult:
+                   tol_a: float = 1e-4, aff: AffineData | None = None) -> CriticalResult:
     """Certified bracket [lo, hi] on the critical symmetric bound.
 
     The first bracket comes from the zero control, that is from the
@@ -101,13 +87,16 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
     problem at the midpoint, warm-started from the previous probe, and
     sets lo = max(lo, lower) and hi = min(hi, upper) from the ends its box
     iterate certifies.  The search stops converged once hi - lo <=
-    ``tol_a`` (1 + hi), or unconverged once a probe improves neither end.
+    ``tol_a`` (1 + hi), or unconverged once a probe improves neither end;
+    ``tol_a`` must be at least ``TOL_A_FLOOR``.
     Returns a_c = hi together with u_c, the minimum-energy control in the
     box |u| <= hi (``dykstra_min_energy``), which is unique.  ``aff``, when
     given, is the transcription of (system, grid, boundary) and is used
     instead of building it again.
     """
-    opts = opts or CriticalOptions()
+    if not tol_a >= TOL_A_FLOOR:
+        raise ValueError(f"tol_a must be at least {TOL_A_FLOOR:g}, the narrowest "
+                         f"bracket the rounding allowance leaves, got {tol_a}")
     if aff is None:
         aff = build_affine(system, grid, boundary)
     if not aff.controllable:
@@ -125,7 +114,7 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
     lo, hi = _certified_ends(aff, np.zeros(aff.G.shape[1]))
     probes: list[Probe] = []
     warm: Optional[ControlTrajectory] = None
-    converged = hi - lo <= opts.tol_a * (1.0 + hi)
+    converged = hi - lo <= tol_a * (1.0 + hi)
     while not converged:
         a = 0.5 * (lo + hi)
         res = solve_gap(aff, Bounds.symmetric(a), SolveOptions(solver="fast", warm_start=warm))
@@ -135,7 +124,7 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
         if lower <= lo and upper >= hi:
             break
         lo, hi = max(lo, lower), min(hi, upper)
-        converged = hi - lo <= opts.tol_a * (1.0 + hi)
+        converged = hi - lo <= tol_a * (1.0 + hi)
 
     u_c, stats = dykstra_min_energy(aff, Bounds.symmetric(hi))
     profile = analyze.extract_switchings(u_c, grid, reference="control")
@@ -167,10 +156,6 @@ class DICriticalSolution:
     u_before: float
     u_after: float
     alternative: Optional[str] = None
-
-    def as_trajectory(self, grid: Grid) -> ControlTrajectory:
-        values = np.where(grid.left_nodes < self.t_c, self.u_before, self.u_after)
-        return ControlTrajectory(values=values.reshape(-1, 1), grid=grid)
 
 
 def _simulated_position_end(s0: float, v0: float, r: float, t_c: float) -> float:

@@ -40,10 +40,13 @@ certificate below, the finish and ``newton`` all work on G and W.
 Every step yields the box iterate uB it would return, its gap |v|, v =
 uA - uB (for ``dr`` the shadow pair, whose gap is the drift of the
 governing iterate), and the change |v - v_prev|, which each rule computes
-itself (inf at the first step; ``newton`` yields None).  Any box point
-certifies an interval for the true gap: its own gap |v| is an upper end,
-and ``project.gap_lower_bound`` of its multiplier w = W^{-1}(G uB - xi) a
-lower end, ``gap_lower``.
+itself (inf at the first step; ``newton`` yields None).  ``solve_gap``
+always records every step's gap in ``diagnostics["gap_history"]``, or for
+``dr`` in ``diagnostics["drift_history"]``, whose last entry is the drift
+of the returned pair; the history is an ``array('d')``, 8 bytes a step.
+Any box point certifies an interval for the true gap: its own gap |v| is
+an upper end, and ``project.gap_lower_bound`` of its multiplier w =
+W^{-1}(G uB - xi) a lower end, ``gap_lower``.
 
 ``newton`` stops on that certificate: converged once gap - gap_lower <=
 tol gap, or once the gap itself is at most tol sqrt(h) (1 + |D^{-1} xi|)
@@ -66,7 +69,8 @@ guarantee: it certifies its bracket from whatever uB a solve returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -89,18 +93,18 @@ class SolveOptions:
     and ``dr`` it bounds the step-weighted successive change of the gap
     vector, a change between iterates and not the error of the last one;
     a stop on it is followed by the verified active-set finish.
-    ``max_iter`` caps Newton steps for ``newton`` and steps otherwise.
+    ``tol`` must be positive and finite.  ``max_iter`` caps Newton steps
+    for ``newton`` and steps otherwise.
     """
 
     tol: float = 1e-9
     max_iter: int = 2_000_000
     solver: str = "newton"
     warm_start: Optional[ControlTrajectory] = None
-    record_history: bool = False
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.solver not in SOLVERS:
@@ -126,6 +130,9 @@ class GapResult:
     ``newton``, ``"tol"`` for the others, or ``"max_iter"``.  ``converged``
     is true after a ``"certified"`` or ``"tol"`` stop: for ``newton`` the
     certificate holds, for the others only the iterate change was small.
+    ``diagnostics["gap_history"]`` holds the gap of every step, or for
+    ``dr`` ``diagnostics["drift_history"]`` the drift, whose last entry is
+    the drift of the returned pair.
     """
 
     uA: ControlTrajectory
@@ -136,7 +143,6 @@ class GapResult:
     converged: bool
     solver: str
     gap_lower: float = 0.0
-    drift_norm: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -234,7 +240,7 @@ def _certify(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, flo
 
 
 def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int, converged: bool,
-            solver: str, drift_norm: Optional[float], diagnostics: dict) -> GapResult:
+            solver: str, diagnostics: dict) -> GapResult:
     grid, m = ws.aff.grid, ws.aff.m
     if diagnostics["stop"] == "tol":
         uB_flat, diagnostics["finish"] = _active_set_finish(ws, uB_flat)
@@ -250,7 +256,6 @@ def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int, converged: boo
         converged=converged,
         solver=solver,
         gap_lower=gap_lower,
-        drift_norm=drift_norm,
         diagnostics=diagnostics)
 
 
@@ -424,33 +429,13 @@ def solve_gap(aff: AffineData, bounds: Bounds,
         steps = _dr_steps(ws, ws.start(opts))
     else:
         steps = _projection_steps(ws, ws.start(opts), opts.solver == "fast", diagnostics)
-    history = [] if opts.record_history else None
+    history = array("d")
+    diagnostics["drift_history" if dr else "gap_history"] = history
     it = 0
     for it, (uB, gap, change) in enumerate(islice(steps, opts.max_iter), start=1):
-        if history is not None:
-            history.append(gap)
+        history.append(gap)
         if change is not None and change <= opts.tol:
             diagnostics["stop"] = "tol"
             break
-    if history is not None:
-        diagnostics["drift_history" if dr else "gap_history"] = history
     return _finish(ws, uB, it, diagnostics["stop"] in ("tol", "certified"), opts.solver,
-                   gap if dr else None, diagnostics)
-
-
-def solve_gap_map(aff: AffineData, bounds: Bounds,
-                  opts: SolveOptions | None = None) -> GapResult:
-    """``solve_gap`` with alternating projections."""
-    return solve_gap(aff, bounds, replace(opts or SolveOptions(), solver="map"))
-
-
-def solve_gap_dr(aff: AffineData, bounds: Bounds,
-                 opts: SolveOptions | None = None) -> GapResult:
-    """``solve_gap`` with Douglas-Rachford; reports the drift norm."""
-    return solve_gap(aff, bounds, replace(opts or SolveOptions(), solver="dr"))
-
-
-def solve_gap_fast(aff: AffineData, bounds: Bounds,
-                   opts: SolveOptions | None = None) -> GapResult:
-    """``solve_gap`` with restarted accelerated projected gradient."""
-    return solve_gap(aff, bounds, replace(opts or SolveOptions(), solver="fast"))
+                   diagnostics)

@@ -138,8 +138,8 @@ def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
     ``InfeasibleIntersectionError`` once ``gap_lower_bound`` certifies the
     multiplier; returns ``converged=False`` once the kernel ends, or after
     ``max_iter``."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))

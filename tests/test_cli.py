@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ctrlgap import ControlTrajectory, Grid, builtin_instance, cli
+from ctrlgap import ControlTrajectory, Grid, builtin_instance, cli, figures
+from ctrlgap.oracle import MAX_COORDS
 
 GAP = ["gap", "--system", "double_integrator", "--nodes", "200", "--bound", "1"]
 
@@ -136,6 +138,19 @@ def test_missing_instance_source_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--system", "double_integrator", "--nodes", "1"],
+    ["--system", "double_integrator", "--nodes", "many"],
+    ["--system", "double_integrator", "--config", "cfg.json", "--nodes", "200"],
+], ids=["one_node", "not_an_integer", "two_sources"])
+@pytest.mark.parametrize("command", ["gap", "critical", "ctrb", "min-energy"])
+def test_bad_instance_flags_exit_1(tmp_path, capsys, command, flags):
+    bound = ["--bound", "1"] if command in ("gap", "min-energy") else []
+    assert cli.run([command, *flags, *bound, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: argument --")
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_critical_stops_when_a_probe_improves_neither_end(tmp_path, capsys, monkeypatch):
     # every gap solve returns its starting point, the zero control, whose
     # certified ends are the first bracket itself
@@ -248,13 +263,74 @@ def test_stage_seconds_recorded(tmp_path, argv):
     assert summary["wall_time_seconds"] == stages["solve"]
 
 
-@pytest.mark.parametrize("argv", [
-    GAP + ["--solver", "map"],
-    ["min-energy", "--system", "machine_tool", "--nodes", "300", "--bound", "1900"],
-], ids=["gap_map", "min_energy"])
-def test_nan_tol_exits_1(tmp_path, capsys, argv):
-    assert cli.run(argv + ["--tol", "nan", "--out", str(tmp_path)]) == 1
+SVG_NS = "http://www.w3.org/2000/svg"
+
+MIN_ENERGY = ["min-energy", "--system", "machine_tool", "--nodes", "300", "--bound", "1900"]
+
+
+@pytest.mark.parametrize("argv,tol", [
+    (GAP + ["--solver", "map"], "nan"),
+    (MIN_ENERGY, "nan"),
+    (GAP, "inf"),
+    (MIN_ENERGY, "inf"),
+], ids=["gap_map", "min_energy", "gap_inf", "min_energy_inf"])
+def test_nan_tol_exits_1(tmp_path, capsys, argv, tol):
+    # an infinite tol would pass any certificate or residual test at once
+    assert cli.run(argv + ["--tol", tol, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: tol must be positive")
+    assert not (tmp_path / "summary.json").exists()
+
+
+TWO_INPUT_CONFIG = {"system": {"A": [[0, 1], [0, 0]], "B": [[1, 0], [0, 1]]},
+                    "t0": 0, "tf": 1, "x0": [0, 1], "xf": [0, 0], "bound": 0.5}
+
+
+@pytest.mark.parametrize("argv,channels", [
+    (["gap", "--system", "machine_tool", "--nodes", "300", "--bound", "1770"], 1),
+    (["critical", "--system", "double_integrator", "--nodes", "300"], 1),
+    (["min-energy", "--system", "damped_oscillator", "--nodes", "300", "--bound", "1"], 1),
+    (["gap", "--config", "two_input.json", "--nodes", "300"], 2),
+], ids=["gap", "critical", "min_energy", "gap_two_inputs"])
+def test_svg_figure_has_one_polyline_per_series_and_channel(tmp_path, argv, channels):
+    (tmp_path / "two_input.json").write_text(json.dumps(TWO_INPUT_CONFIG))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert cli.run(argv + ["--svg", "--out", str(tmp_path)]) == 0
+    root = ET.parse(tmp_path / "figure.svg").getroot()
+    assert root.tag == f"{{{SVG_NS}}}svg"
+    lines = root.findall(f"{{{SVG_NS}}}polyline")
+    # uA, uB and v in every channel's panel, 300 <= MAX_POINTS points each
+    assert [line.get("stroke") for line in lines] == \
+        [color for _, color in figures.SERIES_STYLE] * channels
+    assert all(len(line.get("points").split()) == 300 for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ctrb", "--system", "double_integrator", "--nodes", "200"],
+    ["analyze", "--traj", "trajectory.csv"],
+], ids=["ctrb", "analyze"])
+def test_svg_is_rejected_where_nothing_is_plotted(tmp_path, capsys, argv):
+    assert cli.run(argv + ["--svg", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: --svg")
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_oracle_agrees_with_the_gap_solve(tmp_path):
+    argv = ["gap", "--system", "double_integrator", "--nodes", "6", "--bound", "1",
+            "--oracle", "--out", str(tmp_path)]
+    assert cli.run(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert summary["oracle_objective"] > 0.0
+    assert summary["oracle_objective_diff"] <= 1e-12
+
+
+def test_oracle_beyond_its_size_limit_exits_1(tmp_path, capsys):
+    argv = ["gap", "--system", "double_integrator", "--nodes", "9", "--bound", "1",
+            "--oracle", "--out", str(tmp_path)]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"at most {MAX_COORDS} control coordinates" in err
+    assert MAX_COORDS == 8
     assert not (tmp_path / "summary.json").exists()
 
 

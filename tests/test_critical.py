@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ctrlgap import (Bounds, ControlTrajectory, CriticalOptions, SolveOptions, build_affine,
+from ctrlgap import (Bounds, ControlTrajectory, SolveOptions, build_affine,
                      builtin_instance, critical_bound, di_critical_analytic, solve_gap)
 from ctrlgap.critical import _certified_ends
 
 from conftest import LP_A_C_1000
 
 
-def _critical(name, nodes, opts=None):
+def _critical(name, nodes, **kwargs):
     inst = builtin_instance(name)
-    return critical_bound(inst.system, inst.system.grid(nodes), inst.boundary, opts)
+    return critical_bound(inst.system, inst.system.grid(nodes), inst.boundary, **kwargs)
 
 
 @pytest.mark.parametrize("name", sorted(LP_A_C_1000))
@@ -55,7 +55,7 @@ def test_warm_started_probes_match_cold_copies():
 def test_tight_bracket_contains_exact_critical_bound():
     # a search that counts a probe as feasible once its gap is below a
     # tolerance ends this bracket 9.0e-7 below the exact bound
-    res = _critical("double_integrator", 1000, CriticalOptions(tol_a=1e-6))
+    res = _critical("double_integrator", 1000, tol_a=1e-6)
     lo, hi = res.bracket
     assert lo <= LP_A_C_1000["double_integrator"] <= hi
 
@@ -66,7 +66,7 @@ def test_first_order_convergence_to_analytic_bound():
     assert exact == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-14)
     assert analytic.t_c == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
     nodes = (250, 500, 1000)
-    results = [_critical("double_integrator", N, CriticalOptions(tol_a=1e-6)) for N in nodes]
+    results = [_critical("double_integrator", N, tol_a=1e-6) for N in nodes]
     errors = [res.a_c - exact for res in results]
     assert all(e > 0 for e in errors)
     for coarse, fine in zip(errors, errors[1:]):

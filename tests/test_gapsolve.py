@@ -7,8 +7,7 @@ import pytest
 from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
                      UncontrollableGridError, build_affine, builtin_instance,
                      brute_force_gap, check_bang_bang, extract_switchings,
-                     make_lti_system, solve_gap, solve_gap_dr, solve_gap_fast,
-                     solve_gap_map, weighted_norm)
+                     make_lti_system, solve_gap, weighted_norm)
 
 from conftest import random_tiny_problem, scalar_integrator
 
@@ -39,13 +38,13 @@ def mt200():
 class TestMap:
     def test_feasible_instance_gap_vanishes(self, di):
         _, aff = di
-        res = solve_gap_map(aff, Bounds.symmetric(3.0))
+        res = solve_gap(aff, Bounds.symmetric(3.0), SolveOptions(solver="map"))
         assert res.gap_norm <= 1e-6
         assert res.converged
 
     def test_infeasible_gap_and_linear_gap_vector(self, di):
         grid, aff = di
-        res = solve_gap_map(aff, Bounds.symmetric(1.0))
+        res = solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(solver="map"))
         assert res.gap_norm > 0.5
         # the gap vector is the negated adjoint column, linear in time for
         # the double integrator; check an exact straight-line fit
@@ -57,7 +56,7 @@ class TestMap:
     def test_result_invariants(self, di):
         grid, aff = di
         lo, hi = Bounds.symmetric(1.0).sample(grid, 1)
-        res = solve_gap_map(aff, Bounds.symmetric(1.0))
+        res = solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(solver="map"))
         np.testing.assert_array_equal(res.v.values, res.uA.values - res.uB.values)
         assert np.all(res.uB.values >= lo) and np.all(res.uB.values <= hi)
         feas = np.linalg.norm(aff.G @ res.uA.flat - aff.xi)
@@ -65,16 +64,15 @@ class TestMap:
 
     def test_gap_monotone_per_iteration(self, di):
         _, aff = di
-        res = solve_gap_map(aff, Bounds.symmetric(1.0),
-                            SolveOptions(record_history=True, max_iter=3000,
-                                         tol=1e-30))
+        res = solve_gap(aff, Bounds.symmetric(1.0),
+                        SolveOptions(solver="map", max_iter=3000, tol=1e-30))
         hist = np.array(res.diagnostics["gap_history"])
         assert np.all(np.diff(hist) <= 1e-14)
 
     def test_complementarity_at_optimum(self, di):
         _, aff = di
-        opts = SolveOptions(tol=1e-10)
-        res = solve_gap_map(aff, Bounds.symmetric(1.0), opts)
+        opts = SolveOptions(solver="map", tol=1e-10)
+        res = solve_gap(aff, Bounds.symmetric(1.0), opts)
         rep = check_bang_bang(res.uB, res.v, Bounds.symmetric(1.0),
                               tau=10 * opts.tol)
         assert rep.agreement == 1.0
@@ -82,7 +80,7 @@ class TestMap:
 
     def test_unconverged_result_populated(self, di):
         _, aff = di
-        res = solve_gap_map(aff, Bounds.symmetric(1.0), SolveOptions(max_iter=3))
+        res = solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(solver="map", max_iter=3))
         assert not res.converged
         assert res.iterations == 3
         assert np.isfinite(res.gap_norm)
@@ -93,14 +91,14 @@ class TestMap:
         grid = inst.system.grid(1)
         aff = build_affine(inst.system, grid, inst.boundary)
         with pytest.raises(UncontrollableGridError):
-            solve_gap_map(aff, Bounds.symmetric(1.0))
+            solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(solver="map"))
 
     def test_tiny_instance_matches_enumeration(self):
         sys_ = scalar_integrator()
         grid = sys_.grid(3)
         aff = build_affine(sys_, grid, BoundarySpec(x0=[0.0], xf=[1.0]))
         bounds = Bounds.symmetric(0.1)  # mean control must be 1: infeasible
-        res = solve_gap_map(aff, bounds, SolveOptions(tol=1e-12))
+        res = solve_gap(aff, bounds, SolveOptions(solver="map", tol=1e-12))
         ref = brute_force_gap(aff, bounds)
         assert res.gap_norm == pytest.approx(ref.gap_norm, abs=1e-9)
         obj = 0.5 * res.gap_norm ** 2
@@ -111,26 +109,24 @@ class TestDouglasRachford:
     def test_feasible_agreement(self, di):
         _, aff = di
         bounds = Bounds.symmetric(3.0)
-        gap_dr = solve_gap_dr(aff, bounds).gap_norm
-        gap_map = solve_gap_map(aff, bounds).gap_norm
+        gap_dr = solve_gap(aff, bounds, SolveOptions(solver="dr")).gap_norm
+        gap_map = solve_gap(aff, bounds, SolveOptions(solver="map")).gap_norm
         assert abs(gap_dr - gap_map) <= 1e-6
 
     def test_infeasible_pair_matches_map(self, di):
         grid, aff = di
         bounds = Bounds.symmetric(1.0)
-        opts = SolveOptions(tol=1e-11)
-        res_dr = solve_gap_dr(aff, bounds, opts)
-        res_map = solve_gap_map(aff, bounds, opts)
+        res_dr = solve_gap(aff, bounds, SolveOptions(solver="dr", tol=1e-11))
+        res_map = solve_gap(aff, bounds, SolveOptions(solver="map", tol=1e-11))
         diff = weighted_norm(res_dr.uB.values - res_map.uB.values, grid.h)
         assert diff <= 1e-5
         assert abs(res_dr.gap_norm - res_map.gap_norm) <= 1e-6 * (1 + res_map.gap_norm)
 
     def test_drift_approaches_gap(self, di):
         _, aff = di
-        res = solve_gap_dr(aff, Bounds.symmetric(1.0),
-                           SolveOptions(record_history=True))
-        assert res.drift_norm == pytest.approx(res.gap_norm, rel=1e-6)
+        res = solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(solver="dr"))
         drift_hist = res.diagnostics["drift_history"]
+        assert drift_hist[-1] == pytest.approx(res.gap_norm, rel=1e-6)
         # the drift magnitude settles to the gap from any start
         assert abs(drift_hist[-1] - res.gap_norm) <= 1e-6 * (1 + res.gap_norm)
 
@@ -147,7 +143,7 @@ class TestDouglasRachford:
             uB = np.clip(z, lo, hi)
             reflected = 2.0 * uB - z
             z = z + (project(reflected) - uB)
-        res = solve_gap_dr(aff, bounds, SolveOptions(tol=1e-30, max_iter=37))
+        res = solve_gap(aff, bounds, SolveOptions(solver="dr", tol=1e-30, max_iter=37))
         np.testing.assert_array_equal(res.uB.flat, uB)
         assert_basis_step_matches_gram_solve(aff, reflected)
 
@@ -161,8 +157,8 @@ class TestFast:
         u = np.zeros(aff.G.shape[1])
         for _ in range(37):
             u = np.clip(u + Qt.T @ (c - Qt @ u), lo, hi)
-        res = solve_gap_map(aff, Bounds.symmetric(1.0),
-                            SolveOptions(tol=1e-30, max_iter=37))
+        res = solve_gap(aff, Bounds.symmetric(1.0),
+                        SolveOptions(solver="map", tol=1e-30, max_iter=37))
         np.testing.assert_array_equal(res.uB.flat, u)
         assert_basis_step_matches_gram_solve(aff, u)
 
@@ -190,7 +186,7 @@ class TestFast:
                 t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
                 t, beta = t_next, (t - 1.0) / t_next
             gap_prev = gap
-        res = solve_gap_fast(aff, bounds, SolveOptions(tol=1e-30, max_iter=steps))
+        res = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-30, max_iter=steps))
         assert restarts >= 1
         assert res.diagnostics["restarts"] == restarts
         np.testing.assert_array_equal(res.uB.flat, u)
@@ -201,29 +197,29 @@ class TestFast:
         grid = inst.system.grid(2000)
         aff = build_affine(inst.system, grid, inst.boundary)
         bounds = Bounds.symmetric(1500.0)
-        res_map = solve_gap_map(aff, bounds, SolveOptions(tol=1e-7))
-        res_fast = solve_gap_fast(aff, bounds, SolveOptions(tol=1e-7))
+        res_map = solve_gap(aff, bounds, SolveOptions(solver="map", tol=1e-7))
+        res_fast = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-7))
         assert abs(res_map.gap_norm - res_fast.gap_norm) <= 1e-5 * (1 + res_map.gap_norm)
         assert res_fast.iterations < res_map.iterations
 
     def test_feasible_gap_vanishes(self, di):
         _, aff = di
-        res = solve_gap_fast(aff, Bounds.symmetric(3.0))
+        res = solve_gap(aff, Bounds.symmetric(3.0), SolveOptions(solver="fast"))
         assert res.gap_norm <= 1e-6
 
     def test_warm_start_helps(self, di):
         _, aff = di
         bounds = Bounds.symmetric(1.0)
-        cold = solve_gap_fast(aff, bounds)
-        warm = solve_gap_fast(aff, Bounds.symmetric(1.02),
-                              SolveOptions(warm_start=cold.uB))
+        cold = solve_gap(aff, bounds, SolveOptions(solver="fast"))
+        warm = solve_gap(aff, Bounds.symmetric(1.02),
+                         SolveOptions(solver="fast", warm_start=cold.uB))
         assert warm.converged
         assert warm.iterations <= cold.iterations
 
     def test_certified_bounds_bracket_gap(self, di):
         _, aff = di
         bounds = Bounds.symmetric(1.0)
-        res = solve_gap_fast(aff, bounds, SolveOptions(tol=1e-11))
+        res = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-11))
         # at optimality the dual bound is tight
         assert res.gap_lower <= res.gap_norm + 1e-12
         assert res.gap_lower >= res.gap_norm * (1 - 1e-6) - 1e-9
@@ -301,12 +297,12 @@ class TestActiveSetFinish:
         grid = inst.system.grid(1000)
         aff = build_affine(inst.system, grid, inst.boundary)
         bounds = Bounds.symmetric(1770.0)
-        res = solve_gap_fast(aff, bounds, SolveOptions(tol=1e-8, record_history=True))
+        res = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-8))
         assert res.diagnostics["stop"] == "tol"
         assert res.diagnostics["finish"].startswith("rejected_")
         # the same iterate, reached by a stop that runs no finish
-        loop = solve_gap_fast(aff, bounds, SolveOptions(tol=1e-30,
-                                                        max_iter=res.iterations))
+        loop = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-30,
+                                                   max_iter=res.iterations))
         assert loop.diagnostics["finish"] == "skipped"
         np.testing.assert_array_equal(res.uB.values, loop.uB.values)
         lo, hi = bounds.sample(grid, aff.m)
@@ -317,7 +313,7 @@ class TestActiveSetFinish:
 
     def test_feasible_problem_rejected_on_size(self, di):
         _, aff = di
-        res = solve_gap_fast(aff, Bounds.symmetric(3.0))
+        res = solve_gap(aff, Bounds.symmetric(3.0), SolveOptions(solver="fast"))
         assert res.diagnostics["stop"] == "tol"
         assert res.diagnostics["finish"] == "rejected_size"
 
@@ -397,7 +393,7 @@ class TestNewton:
     def test_max_iter_caps_newton_steps_and_keeps_the_best_iterate(self, di):
         _, aff = di
         bounds = Bounds.symmetric(1.0)
-        res = solve_gap(aff, bounds, SolveOptions(max_iter=4, record_history=True))
+        res = solve_gap(aff, bounds, SolveOptions(max_iter=4))
         assert not res.converged
         assert res.iterations == 4
         assert res.diagnostics["stop"] == "max_iter"
@@ -439,13 +435,14 @@ class TestHomogeneity:
         system = inst.system
         grid = system.grid(400)
         base_aff = build_affine(system, grid, inst.boundary)
-        base = solve_gap_map(base_aff, Bounds.symmetric(1.0), SolveOptions(tol=1e-11))
+        base = solve_gap(base_aff, Bounds.symmetric(1.0),
+                         SolveOptions(solver="map", tol=1e-11))
         tau = 1e-6 * np.max(np.abs(base.v.values))
         for s in rng.uniform(0.2, 5.0, 5):
             boundary = BoundarySpec(x0=s * inst.boundary.x0, xf=s * inst.boundary.xf)
             aff = build_affine(system, grid, boundary)
-            scaled = solve_gap_map(aff, Bounds.symmetric(s * 1.0),
-                                   SolveOptions(tol=1e-11 * s))
+            scaled = solve_gap(aff, Bounds.symmetric(s * 1.0),
+                               SolveOptions(solver="map", tol=1e-11 * s))
             assert scaled.gap_norm == pytest.approx(s * base.gap_norm, rel=1e-6)
             mask = np.abs(base.v.values) > tau
             assert np.array_equal(np.sign(scaled.v.values[mask]),

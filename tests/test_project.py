@@ -5,8 +5,7 @@ from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory,
                      InfeasibleIntersectionError, SolveOptions,
                      UncontrollableGridError, build_affine, builtin_instance,
                      dykstra_min_energy, l2_norm, make_lti_system,
-                     project_affine, project_box, solve_gap_fast, solve_gap_map,
-                     weighted_norm)
+                     project_affine, project_box, solve_gap, weighted_norm)
 
 from conftest import (LP_A_C_1000, ill_conditioned_affines, scaled_residual,
                       scalar_integrator)
@@ -180,7 +179,8 @@ class TestDykstra:
         best = l2_norm(u)
         for _ in range(100):
             start = ControlTrajectory(values=rng.normal(0, 3, (grid.N, 1)), grid=grid)
-            res = solve_gap_map(aff, bounds, SolveOptions(tol=1e-10, warm_start=start))
+            res = solve_gap(aff, bounds,
+                            SolveOptions(solver="map", tol=1e-10, warm_start=start))
             assert res.gap_norm <= 1e-6  # feasible instance
             assert best <= l2_norm(res.uB) + 1e-9
 
@@ -251,5 +251,5 @@ class TestMinEnergyNearCritical:
         with pytest.raises(InfeasibleIntersectionError) as err:
             dykstra_min_energy(aff, bounds)
         floor = float(str(err.value).split("at least ")[1].split()[0])
-        gap = solve_gap_fast(aff, bounds, SolveOptions(tol=1e-11)).gap_norm
+        gap = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-11)).gap_norm
         assert 0.0 < floor <= gap * (1 + 1e-9)
