@@ -92,20 +92,20 @@ def extract_switchings(sig: ControlTrajectory, grid: Grid, tau: float | None = N
     ``tau`` defaults to 1e-7 times the largest magnitude of the signal
     (a switch of a bang-bang control is unambiguous at that scale), and
     ``min_len`` to twenty grid steps, long enough that the single node
-    nearest a crossing is never flagged as a singular arc.
+    nearest a crossing is never flagged as a singular arc.  Both must be
+    nonnegative and finite.
     """
     if sig.grid != grid:
         raise ValueError("signal lives on a different grid")
+    for name, value in (("tau", tau), ("min_len", min_len)):
+        if value is not None and not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
     values = sig.values
     if tau is None:
         peak = float(np.max(np.abs(values))) if values.size else 0.0
         tau = 1e-7 * peak
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
     if min_len is None:
         min_len = 20.0 * grid.h
-    if min_len < 0:
-        raise ValueError(f"min_len must be nonnegative, got {min_len}")
     times = grid.left_nodes
     channels = tuple(
         _extract_channel(values[:, i], times, grid.h, tau, min_len)

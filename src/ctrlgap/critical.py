@@ -4,11 +4,12 @@ the closed-form double-integrator solution used as an oracle.
 
 a_c is the minimum-effort value min |u|_inf subject to G u = xi.  Every
 control u certifies both ends of a bracket around it (Neustadt, "Minimum
-effort control systems", J. SIAM Control 1, 1962): with the multiplier
-w = W^{-1}(G u - xi), weak duality gives a_c >= |xi.w| / |G^T w|_1, and
-the affine projection u - G^T w of u is a feasible control, so a_c is at
-most its largest entry.  The search bisects on that bracket; each probe
-is a warm-started gap solve whose box iterate tightens the ends, so no
+effort control systems", J. SIAM Control 1, 1962): with its multiplier
+s = Qt u - c in the orthonormal form {u : Qt u = c} of the affine set
+(``AffineData.basis``), weak duality gives a_c >= |c.s| / |Qt^T s|_1,
+and the affine projection u - Qt^T s of u is a feasible control, so a_c
+is at most its largest entry.  The search bisects on that bracket; each
+probe is a warm-started gap solve whose box iterate tightens the ends, so no
 probe is classified feasible or infeasible and the bracket does not rest
 on the gap solver being accurate.  The critical control u_c is the
 minimum-energy control in the box at the upper end, which is unique.
@@ -28,7 +29,7 @@ from .discretize import AffineData, ControlTrajectory, build_affine
 from .errors import AnalyticCaseError, BracketError, UncontrollableGridError
 from .gapsolve import SolveOptions, solve_gap
 from .model import BoundarySpec, Bounds, Grid, LinearSystem
-from .project import ROUNDING, ProjectionStats, dykstra_min_energy, refined_multiplier
+from .project import ROUNDING, ProjectionStats, dykstra_min_energy
 
 
 # Narrowest relative bracket width the search can reach: ``_certified_ends``
@@ -67,13 +68,12 @@ class CriticalResult:
 def _certified_ends(aff: AffineData, u: np.ndarray) -> tuple[float, float]:
     """Ends lower <= a_c <= upper certified by the control ``u`` (flat),
     each widened by ``ROUNDING``: without it a lower end computed from a
-    nearly optimal multiplier can land a few ulps above a_c.  The multiplier
-    is refined against G, so that the projection u - G^T w is feasible to
-    the accuracy of G."""
-    w = refined_multiplier(aff, u)
-    g = aff.G.T @ w
+    nearly optimal multiplier can land a few ulps above a_c."""
+    Qt, c, _ = aff.basis
+    s = Qt @ u - c
+    g = Qt.T @ s
     l1 = float(np.abs(g).sum())
-    lower = abs(float(aff.xi @ w)) / l1 if l1 > 0.0 else 0.0
+    lower = abs(float(c @ s)) / l1 if l1 > 0.0 else 0.0
     upper = float(np.abs(u - g).max())
     return lower * (1.0 - ROUNDING) / (1.0 + ROUNDING), upper * (1.0 + ROUNDING)
 
@@ -88,15 +88,15 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
     sets lo = max(lo, lower) and hi = min(hi, upper) from the ends its box
     iterate certifies.  The search stops converged once hi - lo <=
     ``tol_a`` (1 + hi), or unconverged once a probe improves neither end;
-    ``tol_a`` must be at least ``TOL_A_FLOOR``.
+    ``tol_a`` must be finite and at least ``TOL_A_FLOOR``.
     Returns a_c = hi together with u_c, the minimum-energy control in the
     box |u| <= hi (``dykstra_min_energy``), which is unique.  ``aff``, when
     given, is the transcription of (system, grid, boundary) and is used
     instead of building it again.
     """
-    if not tol_a >= TOL_A_FLOOR:
-        raise ValueError(f"tol_a must be at least {TOL_A_FLOOR:g}, the narrowest "
-                         f"bracket the rounding allowance leaves, got {tol_a}")
+    if not TOL_A_FLOOR <= tol_a < math.inf:
+        raise ValueError(f"tol_a must be finite and at least {TOL_A_FLOOR:g}, the "
+                         f"narrowest bracket the rounding allowance leaves, got {tol_a}")
     if aff is None:
         aff = build_affine(system, grid, boundary)
     if not aff.controllable:
@@ -111,7 +111,7 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
         raise BracketError("the zero control reaches xf, so a_c = 0 and no "
                            "box with interior is critical")
 
-    lo, hi = _certified_ends(aff, np.zeros(aff.G.shape[1]))
+    lo, hi = _certified_ends(aff, np.zeros(grid.N * aff.m))
     probes: list[Probe] = []
     warm: Optional[ControlTrajectory] = None
     converged = hi - lo <= tol_a * (1.0 + hi)

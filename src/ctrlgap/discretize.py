@@ -3,9 +3,11 @@
 The continuous set of admissible controls (those steering x0 to xf) is
 replaced by the affine set { u : G u = xi } acting on stacked piecewise-
 constant control values.  The map G, the step-matrix product Phi and the
-Gram matrix W = G G^T are assembled once per (system, grid, boundary) and
-reused by every solve; the orthonormal basis of range(G^T) that the
-projection steps use is built from G on first use.
+Gram matrix W = G G^T are assembled once per (system, grid, boundary).
+Every solver and certificate runs on one representation of that set, the
+orthonormal basis (Qt, c) of range(G^T) in ``AffineData.basis``, built
+from G on first use; W serves the controllability tests and the
+enumeration oracle.
 
 With constant matrices every Euler step is the same affine map
 x -> M x + hB u, M = I + hA, so nothing needs a per-step Python loop: G
@@ -97,65 +99,19 @@ class StateTrajectory:
         return self.values[-1]
 
 
-class WFactorization:
-    """Solver for the n-by-n Gram system W y = r.
-
-    W is diagonally equilibrated before inversion (the benchmarks produce
-    raw condition numbers up to ~1e15 that drop to O(10) after scaling):
-    with D = sqrt(diag W) and What = D^{-1} W D^{-1}, the one matrix kept
-    is M = D^{-1} What^{-1} D^{-1}, so the scaling costs nothing per solve.
-    Every solve applies one step of iterative refinement against W,
-    y = M r, y += M (r - W y).  ``singular`` is set when W fails a
-    Cholesky test after equilibration.
-    """
-
-    def __init__(self, W: np.ndarray):
-        self.W = W
-        diag = np.diag(W).copy()
-        self.singular = bool(np.any(diag <= 0.0))
-        self._d = None
-        self._M = None
-        if not self.singular:
-            d = np.sqrt(diag)
-            Ws = W / np.outer(d, d)
-            try:
-                np.linalg.cholesky(Ws)
-                self._d = d
-                self._M = np.linalg.inv(Ws) / np.outer(d, d)
-            except np.linalg.LinAlgError:
-                self.singular = True
-
-    def _require_regular(self) -> None:
-        if self.singular:
-            raise UncontrollableGridError(
-                "Gram matrix of the reachability map is singular to working "
-                "precision; the discrete system is uncontrollable on this grid")
-
-    @property
-    def scale(self) -> np.ndarray:
-        """D = sqrt(diag W), the row scaling of G that gives W unit diagonal."""
-        self._require_regular()
-        return self._d
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        self._require_regular()
-        y = self._M @ r
-        y += self._M @ (r - self.W @ y)
-        return y
-
-
 @dataclass(frozen=True)
 class AffineData:
     """Discrete reachability data: { u : G u = xi } equals the transcribed
-    boundary-value set, with Phi the ordered product of step matrices,
-    W = G G^T factored once for the multipliers and certificates, and
-    ``basis`` the same set in orthonormal coordinates for the projections."""
+    boundary-value set, with Phi the ordered product of step matrices and
+    W = G G^T.  ``controllable`` says whether W is invertible at working
+    precision; ``basis`` is the orthonormal form of the set that every
+    solver and certificate runs on."""
 
     G: np.ndarray
     xi: np.ndarray
     Phi: np.ndarray
     W: np.ndarray
-    Wfact: WFactorization
+    controllable: bool
     grid: Grid
     m: int
 
@@ -164,34 +120,40 @@ class AffineData:
         return self.G.shape[0]
 
     @property
-    def controllable(self) -> bool:
-        """Whether W is invertible at working precision on this grid."""
-        return not self.Wfact.singular
-
-    @property
     def h(self) -> float:
         return self.grid.h
 
-    @cached_property
-    def basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Qt, c) with { u : Qt u = c } = { u : G u = xi } and the rows of Qt
-        an orthonormal basis of range(G^T), so P_affine(u) = u + Qt^T (c - Qt u).
+    def residual(self, u: np.ndarray) -> float:
+        """|G u - xi| of the flat control ``u``, evaluated on G itself."""
+        return float(np.linalg.norm(self.G @ u - self.xi))
 
-        From the Householder QR G^T = Q R, G = R^T Qt with Qt = Q^T and c =
-        R^{-T} xi, solved as Rhat^{-T} D^{-1} xi with the unit-column Rhat =
-        R D^{-1}, D = sqrt(diag W).  Unlike the normal equations through W,
-        this keeps the accuracy of G on badly conditioned grids (Bjorck,
-        Numerical Methods for Least Squares Problems, SIAM 1996, ch. 2).  Qt
-        is C-contiguous and read-only.  Built on first access and kept;
-        raises ``UncontrollableGridError`` when W is singular.
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Qt, c, Rhat) with { u : Qt u = c } = { u : G u = xi } and the rows
+        of Qt an orthonormal basis of range(G^T), so P_affine(u) = u - Qt^T s
+        with s = Qt u - c, and the unit-column Rhat with D^{-1} G = Rhat^T Qt,
+        D = sqrt(diag W), so the row-scaled residual D^{-1}(G u - xi) is
+        Rhat^T s.
+
+        From the Householder QR G^T = Q R: Qt = Q^T, Rhat = R D^{-1} and c =
+        R^{-T} xi, solved as Rhat^{-T} D^{-1} xi.  Unlike the normal
+        equations through W, this keeps the accuracy of G on badly
+        conditioned grids (Bjorck, Numerical Methods for Least Squares
+        Problems, SIAM 1996, ch. 2).  The arrays are read-only and Qt is
+        C-contiguous.  Built on first access and kept; raises
+        ``UncontrollableGridError`` when W is singular.
         """
-        d = self.Wfact.scale
+        if not self.controllable:
+            raise UncontrollableGridError(
+                "Gram matrix of the reachability map is singular to working "
+                "precision; the discrete system is uncontrollable on this grid")
         Q, R = np.linalg.qr(self.G.T)
-        Qt = np.ascontiguousarray(Q.T)
-        c = np.linalg.solve((R / d).T, self.xi / d)
-        for arr in (Qt, c):
+        d = np.sqrt(np.diag(self.W))
+        Qt, Rhat = np.ascontiguousarray(Q.T), R / d
+        c = np.linalg.solve(Rhat.T, self.xi / d)
+        for arr in (Qt, c, Rhat):
             arr.flags.writeable = False
-        return Qt, c
+        return Qt, c, Rhat
 
 
 def _sample_steps(system: LinearSystem, grid: Grid):
@@ -310,8 +272,10 @@ def build_affine(system: LinearSystem, grid: Grid,
     Constant-matrix systems build G by doubling and Phi = M^N by binary
     powering; time-varying systems, and constant ones whose doubled G or
     Phi has a non-finite entry, accumulate the step matrices one by one.
-    A singular Gram matrix is flagged on the result rather than raised;
-    projections will refuse to run until the grid (or system) changes.
+    W is tested for invertibility by a Cholesky factorization after
+    scaling it to unit diagonal (raw condition numbers reach ~1e15 on the
+    builtins and drop to O(10)); a singular W is flagged on the result
+    rather than raised, and every solve refuses to run on it.
     """
     if boundary.n != system.n:
         raise ValueError(f"boundary dimension {boundary.n} != state dimension {system.n}")
@@ -322,9 +286,16 @@ def build_affine(system: LinearSystem, grid: Grid,
         G, P = _affine_loop(system, grid)
     xi = boundary.xf - P @ boundary.x0
     W = G @ G.T
+    d = np.sqrt(np.diag(W))
+    controllable = bool(np.all(d > 0.0))
+    if controllable:
+        try:
+            np.linalg.cholesky(W / np.outer(d, d))
+        except np.linalg.LinAlgError:
+            controllable = False
     for arr in (G, xi, P, W):
         arr.flags.writeable = False
-    return AffineData(G=G, xi=xi, Phi=P, W=W, Wfact=WFactorization(W),
+    return AffineData(G=G, xi=xi, Phi=P, W=W, controllable=controllable,
                       grid=grid, m=system.m)
 
 

@@ -68,8 +68,11 @@ def write_svg(path, times: np.ndarray, series: dict[str, np.ndarray],
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
+        # the XML escapes of text content; xml.sax.saxutils.escape would
+        # import urllib.request and grow every run by megabytes
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{WIDTH / 2:.0f}" y="20" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{title}</text>')
+                     f'font-family="sans-serif" font-size="14">{text}</text>')
     for ch in range(m):
         top = MARGIN_TOP + ch * panel_h
         bottom = top + panel_h - 8

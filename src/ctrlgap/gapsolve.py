@@ -33,9 +33,9 @@ Qt has orthonormal rows, so the gap |v| = |s| and the change |v - v_prev|
 ``map`` or ``fast`` step allocates no array of length N*m: u, uA and
 uA_prev are made once per solve and written with ``out=``, the momentum
 point in place (uA - uA_prev, times beta, plus uA) and the clip as a
-maximum with the lower bound then a minimum with the upper.  What a solve
-reports is checked against G itself, not against the basis: the
-certificate below, the finish and ``newton`` all work on G and W.
+maximum with the lower bound then a minimum with the upper.  The
+certificate below, the finish and ``newton`` run on the same basis: it
+is the one representation of the set, and no solve here reads G or W.
 
 Every step yields the box iterate uB it would return, its gap |v|, v =
 uA - uB (for ``dr`` the shadow pair, whose gap is the drift of the
@@ -45,8 +45,8 @@ always records every step's gap in ``diagnostics["gap_history"]``, or for
 ``dr`` in ``diagnostics["drift_history"]``, whose last entry is the drift
 of the returned pair; the history is an ``array('d')``, 8 bytes a step.
 Any box point certifies an interval for the true gap: its own gap |v| is
-an upper end, and ``project.gap_lower_bound`` of its multiplier w =
-W^{-1}(G uB - xi) a lower end, ``gap_lower``.
+an upper end, and ``project.gap_lower_bound`` of its multiplier Qt uB - c
+a lower end, ``gap_lower``.
 
 ``newton`` stops on that certificate: converged once gap - gap_lower <=
 tol gap, or once the gap itself is at most tol sqrt(h) (1 + |D^{-1} xi|)
@@ -78,7 +78,7 @@ import numpy as np
 
 from .discretize import AffineData, ControlTrajectory, weighted_norm
 from .model import Bounds
-from .project import dual_newton, gap_lower_bound, refined_multiplier
+from .project import dual_newton, gap_lower_bound
 
 SOLVERS = ("newton", "map", "dr", "fast")
 
@@ -151,10 +151,7 @@ class _Workspace:
 
     def __init__(self, aff: AffineData, bounds: Bounds):
         self.aff = aff
-        self.G = aff.G
-        self.xi = aff.xi
         self.h = aff.grid.h
-        self.solve = aff.Wfact.solve
         lo, hi = bounds.sample(aff.grid, aff.m)
         self.lo = lo.reshape(-1)
         self.hi = hi.reshape(-1)
@@ -166,7 +163,7 @@ class _Workspace:
                 raise ValueError("warm start does not match the affine data's grid")
             u0 = w.flat
         else:
-            u0 = np.zeros(self.G.shape[1])
+            u0 = np.zeros(self.aff.grid.N * self.aff.m)
         return self.clip(u0)
 
     def clip(self, u: np.ndarray) -> np.ndarray:
@@ -186,40 +183,27 @@ def _active_set_finish(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, str]:
 
     The nodes strictly inside the box form the interior set Z; every other
     node stays on the bound it sits on.  The optimality conditions for
-    that pattern are the KKT system
-
-        [[W, -G_Z], [G_Z^T, 0]] [w; u_Z] = [G_F u_F - xi; 0],
-
-    solved here by eliminating w through the factored W.  It is
-    nonsingular only if G_Z has full column rank, which needs |Z| <= n.
-    The solution replaces ``u`` only if u_Z lies in the box and the new
-    gap vector v = -G^T w, with w the multiplier of the new u refined
-    against G as in ``_certify``, has the sign of the bound at every fixed
+    that pattern make v vanish on Z, that is u_Z minimizes |Qt u - c| with
+    the other nodes held, a least-squares problem on the columns Qt_Z.  It
+    has one solution only if Qt_Z has full column rank, which needs |Z| <=
+    n.  The solution replaces ``u`` only if u_Z lies in the box and the new
+    gap vector v = Qt^T (c - Qt u) has the sign of the bound at every fixed
     node; otherwise ``u`` comes back unchanged with the reason.
     """
+    Qt, c, _ = ws.aff.basis
     Z = np.flatnonzero((u > ws.lo) & (u < ws.hi))
-    if Z.size > ws.G.shape[0]:
+    if Z.size > c.size:
         return u, "rejected_size"
     u_new = u.copy()
     u_new[Z] = 0.0
     if Z.size:
-        GZ = ws.G[:, Z]
-        r = ws.G @ u_new - ws.xi
-        # Schur complement S = G_Z^T W^{-1} G_Z, equilibrated to unit diagonal
-        S = GZ.T @ np.column_stack([ws.solve(g) for g in GZ.T])
-        diag = np.diag(S)
-        if np.any(diag <= 0.0):
+        u_Z, _, rank, _ = np.linalg.lstsq(Qt[:, Z], c - Qt @ u_new, rcond=None)
+        if rank < Z.size:
             return u, "rejected_singular"
-        d = np.sqrt(diag)
-        Ss = S / np.outer(d, d)
-        sv = np.linalg.svd(Ss, compute_uv=False)
-        if sv[-1] <= np.finfo(float).eps * sv[0]:
-            return u, "rejected_singular"
-        u_Z = -np.linalg.solve(Ss, (GZ.T @ ws.solve(r)) / d) / d
         if np.any(u_Z < ws.lo[Z]) or np.any(u_Z > ws.hi[Z]):
             return u, "rejected_box"
         u_new[Z] = u_Z
-    v = -(ws.G.T @ refined_multiplier(ws.aff, u_new))
+    v = Qt.T @ (c - Qt @ u_new)
     slack = _SIGN_SLACK * float(np.max(np.abs(v), initial=0.0))
     if np.any((u >= ws.hi) & (v < -slack)) or np.any((u <= ws.lo) & (v > slack)):
         return u, "rejected_sign"
@@ -229,14 +213,13 @@ def _active_set_finish(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, str]:
 def _certify(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The pair through the box point ``u``: uA = P_affine(u), v = uA - u,
     the gap |v| (an upper bound on the true gap) and the dual floor
-    ``gap_lower_bound`` of the multiplier W^{-1}(G u - xi) (a lower one).
-    The multiplier is refined against G, so that both ends carry the
-    accuracy of G even where W is badly conditioned."""
-    w = refined_multiplier(ws.aff, u)
-    uA = u - ws.G.T @ w
+    ``gap_lower_bound`` of the multiplier s = Qt u - c (a lower one)."""
+    Qt, c, _ = ws.aff.basis
+    s = Qt @ u - c
+    uA = u - Qt.T @ s
     # subtract so the reported identity v == uA - uB holds bitwise
     v = uA - u
-    return uA, v, weighted_norm(v, ws.h), gap_lower_bound(ws.aff, ws.lo, ws.hi, w)
+    return uA, v, weighted_norm(v, ws.h), gap_lower_bound(ws.aff, ws.lo, ws.hi, s)
 
 
 def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int, converged: bool,
@@ -277,7 +260,7 @@ def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
     ``u`` is the start array and is overwritten step by step, like uA and
     uA_prev: a yielded u holds its values until the next step.
     """
-    (Qt, c), lo, hi, h = ws.aff.basis, ws.lo, ws.hi, ws.h
+    (Qt, c, _), lo, hi, h = ws.aff.basis, ws.lo, ws.hi, ws.h
     # ndarray.dot makes the same BLAS call as @ with less dispatch per call,
     # which is a tenth of a step on short vectors
     QtT = Qt.T
@@ -325,7 +308,7 @@ def _dr_steps(ws: _Workspace, z: np.ndarray) -> _Steps:
     vector v = uA - uB each step, so the yielded gap |v| is the drift;
     the yielded change is the norm of v - v_prev (inf at the first step).
     """
-    Qt, c = ws.aff.basis
+    Qt, c, _ = ws.aff.basis
     v_prev, change = None, math.inf
     while True:
         uB = ws.clip(z)
@@ -348,12 +331,11 @@ _STALL_STEPS = 5
 
 def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) -> _Steps:
     """Proximal point steps u <- argmin over the box of phi + |. - u|^2 / (2 eps),
-    phi(u) = r.W^{-1} r / 2 with r = G u - xi, each by ``project.dual_newton``.
+    phi(u) = |Qt u - c|^2 / 2, each by ``project.dual_newton`` with weight 1.
 
-    phi is r.What^{-1} r / 2 in the kernel's scaled residual, with What =
-    D^{-1} W D^{-1} positive definite, so each dual is smooth and strictly
-    concave.  A proximal step ends when the kernel ends or after
-    ``_INNER_STEPS`` Newton steps; the next one starts from its multiplier.
+    The weight makes each dual smooth and strictly concave.  A proximal
+    step ends when the kernel ends or after ``_INNER_STEPS`` Newton steps;
+    the next one starts from its multiplier.
     eps starts at 1, the scale of phi's Hessian (the projector onto
     range(G^T)), and grows tenfold after a proximal step whose iterate has
     a new interior set; after one that repeats the last interior set it is
@@ -371,15 +353,14 @@ def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) 
     """
     _, _, gap, lower = _certify(ws, u)
     best = (gap - lower, u, gap)
-    d = ws.aff.Wfact.scale
-    W_hat = ws.aff.W / np.outer(d, d)
-    floor = tol * np.sqrt(ws.h) * (1.0 + float(np.linalg.norm(ws.xi / d)))
+    Qt, c, Rhat = ws.aff.basis
+    floor = tol * np.sqrt(ws.h) * (1.0 + float(np.linalg.norm(Rhat.T @ c)))
 
     def proximal_step(center, eps, y):
-        steps = dual_newton(ws.aff, ws.lo, ws.hi, center, eps, W_hat, y)
+        steps = dual_newton(Qt, c, ws.lo, ws.hi, center, eps, 1.0, y)
         return steps, next(steps)[1]
 
-    y = np.zeros_like(d)
+    y = np.zeros_like(c)
     eps, interior, inner, stale = 1.0, None, 0, 0
     steps, u_y = proximal_step(u, eps, y)
     while True:

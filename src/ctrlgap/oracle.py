@@ -53,8 +53,7 @@ def brute_force_active_set(aff: AffineData, bounds: Bounds) -> ActiveSetSolution
             f"got {size}")
     lo, hi = bounds.sample(aff.grid, aff.m)
     lo_f, hi_f = lo.reshape(-1), hi.reshape(-1)
-    G, xi, h = aff.G, aff.xi, aff.grid.h
-    solve = aff.Wfact.solve
+    G, xi, W, h = aff.G, aff.xi, aff.W, aff.grid.h
 
     scale = 1.0 + float(np.max(np.abs(np.concatenate([lo_f, hi_f]))))
     ftol = 1e-9 * scale
@@ -66,15 +65,14 @@ def brute_force_active_set(aff: AffineData, bounds: Bounds) -> ActiveSetSolution
         u = np.where(at_lower, lo_f, np.where(at_upper, hi_f, 0.0))
         if np.any(free):
             GF = G[:, free]
-            WinvGF = np.column_stack([solve(GF[:, j]) for j in range(GF.shape[1])])
-            C = GF.T @ WinvGF
-            rhs = GF.T @ solve(xi - G[:, ~free] @ u[~free])
+            C = GF.T @ np.linalg.solve(W, GF)
+            rhs = GF.T @ np.linalg.solve(W, xi - G[:, ~free] @ u[~free])
             sol, *_ = np.linalg.lstsq(C, rhs, rcond=None)
             if np.any(sol < lo_f[free] - ftol) or np.any(sol > hi_f[free] + ftol):
                 continue
             u[free] = sol
         u = np.clip(u, lo_f, hi_f)
-        v = -(G.T @ solve(G @ u - xi))
+        v = -(G.T @ np.linalg.solve(W, G @ u - xi))
         # stationarity: v vanishes on free coordinates and is correctly
         # signed on bound ones
         vtol = max(1e-9 * (1.0 + float(np.max(np.abs(v)))), 10.0 * ftol)

@@ -1,12 +1,14 @@
 """Projections onto the box and the boundary-value affine set, the
 multiplier that certifies them disjoint, and ``dual_newton``, the one
 semismooth Newton kernel (Hintermueller, Ito and Kunisch, SIAM J. Optim.
-13, 2003) on the n-dimensional dual of min over the box of |u - c|^2 /
-(2 eps) + r.What^{-1} r / 2, r = D^{-1}(G u - xi), D = sqrt(diag W).  It
-serves ``dykstra_min_energy`` and the ``newton`` gap solver's proximal
-steps.  n is at most 7 in every benchmark while N*m can reach 2e5, so
-all of these solve n-by-n systems; ``project_affine`` uses the thin QR of
-G^T, n columns long, that ``AffineData.basis`` keeps.
+13, 2003) on the n-dimensional dual of min over the box of |u - center|^2
+/ (2 eps) + weight |Qt u - c|^2 / 2.  Weight 0 makes Qt u = c a
+constraint (``dykstra_min_energy``); weight 1 gives the ``newton`` gap
+solver's proximal steps, as |Qt u - c|^2 = r.W^{-1} r with r = G u - xi.
+All of it runs on the orthonormal form {u : Qt u = c} of
+``AffineData.basis``: the multiplier of u is s = Qt u - c, and Qt^T s =
+G^T W^{-1} r with no solve through the rounded W.  n is at most 7 in every
+benchmark while N*m can reach 2e5, so the kernel solves n-by-n systems.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def project_box(u: ControlTrajectory, bounds: Bounds) -> ControlTrajectory:
 def project_affine(u: ControlTrajectory, aff: AffineData) -> ControlTrajectory:
     """Nearest point of { u : G u = xi } in the step-weighted norm.
 
-    Computes u + Qt^T (c - Qt u) in the orthonormal basis (Qt, c) =
+    Computes u + Qt^T (c - Qt u) in the orthonormal basis (Qt, c) of
     ``aff.basis``, which equals u - G^T (G G^T)^{-1} (G u - xi) but does
     not solve through the rounded W, so its affine residual keeps the
     accuracy of G on badly conditioned grids; the step weight cancels in
@@ -54,27 +56,20 @@ def project_affine(u: ControlTrajectory, aff: AffineData) -> ControlTrajectory:
     """
     if u.grid != aff.grid or u.m != aff.m:
         raise ValueError("control trajectory does not match the affine data's grid")
-    Qt, c = aff.basis
+    Qt, c, _ = aff.basis
     flat = u.flat
     return ControlTrajectory.from_flat(flat + Qt.T @ (c - Qt @ flat), u.grid, u.m)
 
 
-def refined_multiplier(aff: AffineData, u: np.ndarray) -> np.ndarray:
-    """w = W^{-1}(G u - xi) for the flat control ``u``, refined once against
-    G itself, so that u - G^T w lies on the affine set to the accuracy of
-    G and not of the rounded product W = G G^T."""
-    w = aff.Wfact.solve(aff.G @ u - aff.xi)
-    return w + aff.Wfact.solve(aff.G @ (u - aff.G.T @ w) - aff.xi)
-
-
 def gap_lower_bound(aff: AffineData, lo: np.ndarray, hi: np.ndarray, y: np.ndarray) -> float:
     """Certified floor under the distance between the box [lo, hi] and
-    {u : G u = xi}.  Every box point has y.G u <= sigma_box(G^T y) =
-    sum_k max(g_k lo_k, g_k hi_k), so a margin xi.y - sigma_box(G^T y) > 0
-    (or the same for -y) separates the sets by sqrt(h) margin / |G^T y|.
+    {u : Qt u = c}.  Every box point has y.Qt u <= sigma_box(Qt^T y) =
+    sum_k max(g_k lo_k, g_k hi_k), so a margin c.y - sigma_box(Qt^T y) > 0
+    (or the same for -y) separates the sets by sqrt(h) margin / |Qt^T y|.
     A margin within ``ROUNDING`` of the size of its terms is rounding: floor 0."""
-    g = aff.G.T @ y
-    xy = float(y @ aff.xi)
+    Qt, c, _ = aff.basis
+    g = Qt.T @ y
+    xy = float(y @ c)
     margin = max(xy - float(np.sum(np.maximum(g * lo, g * hi))),
                  float(np.sum(np.minimum(g * lo, g * hi))) - xy)
     rounding = ROUNDING * (abs(xy) + float(np.abs(g) @ np.maximum(np.abs(lo), np.abs(hi))))
@@ -88,35 +83,33 @@ def gap_lower_bound(aff: AffineData, lo: np.ndarray, hi: np.ndarray, y: np.ndarr
 _DUAL_SLACK = 1e-12
 
 
-def dual_newton(aff: AffineData, lo: np.ndarray, hi: np.ndarray, center: np.ndarray | float,
-                eps: float, W_hat: np.ndarray, y: np.ndarray) -> Iterator[tuple]:
+def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                center: np.ndarray | float, eps: float, weight: float,
+                y: np.ndarray) -> Iterator[tuple]:
     """Yield (y, u(y), gradient, exact) for the start ``y`` and after every
-    Newton step on the dual in the module docstring.  u(y) = clip(c - eps
-    G^T D^{-1} y), the gradient is D^{-1}(G u(y) - xi) - What y and the
-    Newton matrix What + eps D^{-1} G_F G_F^T D^{-1}, F the free nodes of
-    u(y), is solved by least squares as it is singular when What = 0.  A
-    step backtracks until the Armijo rule holds up to ``_DUAL_SLACK``.
-    Ends after an ``exact`` step, a full one that keeps the clip pattern
-    and so maximizes the dual on that piece, or when no step >= 1e-12
-    ascends."""
-    d = aff.Wfact.scale
-    G, xi = aff.G / d[:, None], aff.xi / d
+    Newton step on the dual in the module docstring.  u(y) = clip(center -
+    eps Qt^T y), the gradient is Qt u(y) - c - weight y and the Newton
+    matrix weight I + eps Qt_F Qt_F^T, F the free nodes of u(y), is solved
+    by least squares as it is singular when the weight is 0.  A step
+    backtracks until the Armijo rule holds up to ``_DUAL_SLACK``.  Ends
+    after an ``exact`` step, a full one that keeps the clip pattern and so
+    maximizes the dual on that piece, or when no step >= 1e-12 ascends."""
 
     def dual(y):
-        u = np.maximum(center - eps * (G.T @ y), lo)
+        u = np.maximum(center - eps * (Qt.T @ y), lo)
         np.minimum(u, hi, out=u)
-        Gu = G @ u
+        Qu = Qt @ u
         shift = u - center
-        terms = np.array([y @ Gu, -(y @ xi), -0.5 * (y @ W_hat @ y), shift @ shift / (2.0 * eps)])
-        return y, u, Gu - xi - W_hat @ y, terms
+        terms = np.array([y @ Qu, -(y @ c), -0.5 * weight * (y @ y), shift @ shift / (2.0 * eps)])
+        return y, u, Qu - c - weight * y, terms
 
     (y, u, grad, terms), exact = dual(y), False
     while True:
         yield y, u, grad, exact
         if exact:
             return
-        GF = G[:, (lo < u) & (u < hi)]
-        step = np.linalg.lstsq(W_hat + eps * (GF @ GF.T), grad, rcond=None)[0]
+        QF = Qt[:, (lo < u) & (u < hi)]
+        step = np.linalg.lstsq(weight * np.eye(c.size) + eps * (QF @ QF.T), grad, rcond=None)[0]
         value, slack = terms.sum(), _DUAL_SLACK * np.abs(terms).sum()
         slope, t = float(grad @ step), 1.0
         while (trial := dual(y + t * step))[3].sum() < value + 1e-4 * t * slope - slack:
@@ -131,28 +124,30 @@ def dual_newton(aff: AffineData, lo: np.ndarray, hi: np.ndarray, center: np.ndar
 def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
                        max_iter: int = 200) -> tuple[ControlTrajectory, ProjectionStats]:
     """Minimum-norm control in the box and the affine set: ``dual_newton``
-    with c = 0, eps = 1, What = 0 from y = -D W^{-1} xi, whose u(y) clips
-    the minimum-norm control G^T W^{-1} xi; the name predates the method.
-    Each iterate, the start included, counts toward ``max_iter``.  Ends
-    converged once |D^{-1}(G u - xi)| <= ``tol`` (1 + |D^{-1} xi|); raises
-    ``InfeasibleIntersectionError`` once ``gap_lower_bound`` certifies the
-    multiplier; returns ``converged=False`` once the kernel ends, or after
-    ``max_iter``."""
+    with center 0, eps = 1 and weight 0 from y = -c, whose u(y) clips the
+    minimum-norm control Qt^T c = G^T W^{-1} xi; the name predates the
+    method.  Each iterate, the start included, counts toward ``max_iter``.
+    Ends converged once the row-scaled residual |D^{-1}(G u - xi)| =
+    |Rhat^T (Qt u - c)|, D = sqrt(diag W), is at most ``tol`` (1 +
+    |D^{-1} xi|); raises ``InfeasibleIntersectionError`` once
+    ``gap_lower_bound`` certifies the multiplier; returns
+    ``converged=False`` once the kernel ends, or after ``max_iter``."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))
-    d, n = aff.Wfact.scale, aff.n
-    steps = dual_newton(aff, lo, hi, 0.0, 1.0, np.zeros((n, n)), -d * aff.Wfact.solve(aff.xi))
+    Qt, c, Rhat = aff.basis
+    stop = tol * (1.0 + float(np.linalg.norm(Rhat.T @ c)))
     converged, iterations = False, 0
-    for iterations, (y, u, grad, _) in zip(range(1, max_iter + 1), steps):
-        if np.linalg.norm(grad) <= tol * (1.0 + float(np.linalg.norm(aff.xi / d))):
+    for iterations, (y, u, s, _) in zip(range(1, max_iter + 1),
+                                        dual_newton(Qt, c, lo, hi, 0.0, 1.0, 0.0, -c)):
+        if np.linalg.norm(Rhat.T @ s) <= stop:
             converged = True
             break
-        if (floor := gap_lower_bound(aff, lo, hi, y / d)) > 0.0:
+        if (floor := gap_lower_bound(aff, lo, hi, y)) > 0.0:
             raise InfeasibleIntersectionError(
                 f"a dual multiplier separates the box from the boundary-value "
                 f"set: their distance is at least {floor:.3e} (bound too small)")
     return (ControlTrajectory.from_flat(u, aff.grid, aff.m),
-            ProjectionStats(float(np.linalg.norm(aff.G @ u - aff.xi)), iterations, converged))
+            ProjectionStats(aff.residual(u), iterations, converged))

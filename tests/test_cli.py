@@ -117,9 +117,11 @@ def test_critical_writes_the_minimum_energy_control_at_the_upper_end(tmp_path):
     assert np.max(np.abs(blocks["uB"])) <= summary["a_c"]
 
 
-def test_critical_tol_a_below_the_rounding_floor_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("tol_a", ["1e-10", "inf"])
+def test_critical_tol_a_below_the_rounding_floor_exits_1(tmp_path, capsys, tol_a):
+    # an infinite tol_a would accept the bracket of the zero control
     argv = ["critical", "--system", "double_integrator", "--nodes", "1000",
-            "--tol-a", "1e-10", "--out", str(tmp_path)]
+            "--tol-a", tol_a, "--out", str(tmp_path)]
     assert cli.run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "tol_a" in err
@@ -242,11 +244,15 @@ def test_bad_trajectory_file_exits_1(tmp_path, capsys, text):
     ("--min-len", "min_len must be nonnegative")])
 def test_analyze_rejects_a_negative_tau_or_min_len(tmp_path, capsys, flag, message):
     assert cli.run(GAP + ["--out", str(tmp_path)]) == 0
-    argv = ["analyze", "--traj", str(tmp_path / "trajectory.csv"), flag, "-1",
-            "--out", str(tmp_path / "analyze")]
-    assert cli.run(argv) == 1
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not (tmp_path / "analyze" / "summary.json").exists()
+    capsys.readouterr()
+    for value in ("-1", "nan", "inf"):
+        argv = ["analyze", "--traj", str(tmp_path / "trajectory.csv"), flag, value,
+                "--out", str(tmp_path / "analyze")]
+        assert cli.run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {message}" in err
+        assert not (tmp_path / "analyze" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -282,7 +288,8 @@ def test_nan_tol_exits_1(tmp_path, capsys, argv, tol):
 
 
 TWO_INPUT_CONFIG = {"system": {"A": [[0, 1], [0, 0]], "B": [[1, 0], [0, 1]]},
-                    "t0": 0, "tf": 1, "x0": [0, 1], "xf": [0, 0], "bound": 0.5}
+                    "t0": 0, "tf": 1, "x0": [0, 1], "xf": [0, 0], "bound": 0.5,
+                    "label": "a<b & c"}
 
 
 @pytest.mark.parametrize("argv,channels", [
@@ -302,6 +309,10 @@ def test_svg_figure_has_one_polyline_per_series_and_channel(tmp_path, argv, chan
     assert [line.get("stroke") for line in lines] == \
         [color for _, color in figures.SERIES_STYLE] * channels
     assert all(len(line.get("points").split()) == 300 for line in lines)
+    if "--config" in argv:
+        # the label reaches the title through XML escaping
+        title = root.find(f"{{{SVG_NS}}}text").text
+        assert title == f"{TWO_INPUT_CONFIG['label']}: gap solve, N=300"
 
 
 @pytest.mark.parametrize("argv", [

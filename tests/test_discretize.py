@@ -242,22 +242,6 @@ def gram_test_cases():
         yield build_affine(inst.system, inst.system.grid(10_000), inst.boundary)
 
 
-class TestGramSolve:
-    def test_refined_solve_matches_long_double_elimination(self):
-        rng = np.random.default_rng(0)
-        worst, cases = 0.0, 0
-        for aff in gram_test_cases():
-            d = aff.Wfact.scale
-            for r in (aff.xi, aff.G @ rng.normal(0, 1, aff.G.shape[1]) - aff.xi):
-                y = aff.Wfact.solve(r)
-                ref = longdouble_solve(aff.W, r)
-                err = np.linalg.norm(d * (y - ref)) / np.linalg.norm(d * ref)
-                worst = max(worst, float(err))
-            cases += 1
-        assert cases > 150
-        assert worst <= 1e-6
-
-
 def longdouble_projection(aff, u):
     """u - G^T (G G^T)^{-1} (G u - xi) in long double, refined once: without
     the refinement the reference itself is off by up to 7e-10 of the step
@@ -275,7 +259,7 @@ class TestAffineBasis:
         rng = np.random.default_rng(0)
         cases = 0
         for aff in gram_test_cases():
-            Qt, c = aff.basis
+            Qt, c, _ = aff.basis
             assert Qt.shape == aff.G.shape and Qt.flags.c_contiguous
             assert np.abs(Qt @ Qt.T - np.eye(aff.n)).max() <= 1e-13
             u = rng.normal(0, 1, aff.G.shape[1])
@@ -287,23 +271,33 @@ class TestAffineBasis:
             cases += 1
         assert cases > 150
 
+    def test_scaled_factor_maps_the_basis_to_the_scaled_rows(self):
+        # D^{-1} G = Rhat^T Qt and D^{-1} xi = Rhat^T c, D = sqrt(diag W)
+        for aff in gram_test_cases():
+            Qt, c, Rhat = aff.basis
+            d = np.sqrt(np.diag(aff.W))
+            assert np.array_equal(Rhat, np.triu(Rhat))
+            assert np.abs(np.linalg.norm(Rhat, axis=0) - 1.0).max() <= 1e-14
+            assert np.abs(Rhat.T @ Qt - aff.G / d[:, None]).max() <= 1e-14
+            xi = aff.xi / d
+            assert np.abs(Rhat.T @ c - xi).max() <= 1e-13 * (1.0 + np.abs(xi).max())
+
     def test_built_on_first_use_and_kept(self):
         inst = builtin_instance("machine_tool")
         grid = inst.system.grid(300)
         aff = build_affine(inst.system, grid, inst.boundary)
-        solve_gap(aff, Bounds.symmetric(1770.0))
-        dykstra_min_energy(aff, Bounds.symmetric(1800.0))
         assert "basis" not in vars(aff)
+        solve_gap(aff, Bounds.symmetric(1770.0))
+        basis = vars(aff)["basis"]
+        dykstra_min_energy(aff, Bounds.symmetric(1800.0))
         solve_gap(aff, Bounds.symmetric(1770.0), SolveOptions(solver="fast", max_iter=5))
-        Qt, c = vars(aff)["basis"]
-        again = aff.basis
-        assert again[0] is Qt and again[1] is c
-        assert not Qt.flags.writeable and not c.flags.writeable
+        assert all(again is kept for again, kept in zip(aff.basis, basis))
+        assert not any(arr.flags.writeable for arr in basis)
         with pytest.raises(ValueError):
-            Qt[0, 0] = 0.0
+            basis[0][0, 0] = 0.0
         inst = builtin_instance("double_integrator")
         singular = build_affine(inst.system, inst.system.grid(1), inst.boundary)
-        with pytest.raises(UncontrollableGridError):
+        with pytest.raises(UncontrollableGridError, match="singular to working precision"):
             singular.basis
 
 

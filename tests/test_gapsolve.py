@@ -9,15 +9,15 @@ from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
                      brute_force_gap, check_bang_bang, extract_switchings,
                      make_lti_system, solve_gap, weighted_norm)
 
-from conftest import random_tiny_problem, scalar_integrator
+from conftest import gram_solve, random_tiny_problem, scalar_integrator
 
 
 def assert_basis_step_matches_gram_solve(aff, u):
     """The basis step Qt^T (c - Qt u) of the affine projection equals the
     normal-equations step -G^T W^{-1}(G u - xi) to 1e-12 of its length."""
-    Qt, c = aff.basis
+    Qt, c, _ = aff.basis
     step = Qt.T @ (c - Qt @ u)
-    gram = -(aff.G.T @ aff.Wfact.solve(aff.G @ u - aff.xi))
+    gram = -(aff.G.T @ gram_solve(aff, aff.G @ u - aff.xi))
     assert np.linalg.norm(step - gram) <= 1e-12 * np.linalg.norm(step)
 
 
@@ -133,7 +133,7 @@ class TestDouglasRachford:
     def test_dr_reproduces_douglas_rachford_steps(self, mt200):
         grid, aff, bounds = mt200
         lo, hi = (b.reshape(-1) for b in bounds.sample(grid, 1))
-        Qt, c = aff.basis
+        Qt, c, _ = aff.basis
 
         def project(x):
             return x + Qt.T @ (c - Qt @ x)
@@ -153,7 +153,7 @@ class TestFast:
         grid, aff = di
         lo, hi = Bounds.symmetric(1.0).sample(grid, 1)
         lo, hi = lo.reshape(-1), hi.reshape(-1)
-        Qt, c = aff.basis
+        Qt, c, _ = aff.basis
         u = np.zeros(aff.G.shape[1])
         for _ in range(37):
             u = np.clip(u + Qt.T @ (c - Qt @ u), lo, hi)
@@ -165,7 +165,7 @@ class TestFast:
     def test_fast_reproduces_restarted_momentum_steps(self, mt200):
         grid, aff, bounds = mt200
         lo, hi = (b.reshape(-1) for b in bounds.sample(grid, 1))
-        Qt, c = aff.basis
+        Qt, c, _ = aff.basis
 
         def project(u):
             """P_affine(u) and the gap |P_affine(u) - u| = sqrt(h) |c - Qt u|."""
@@ -423,7 +423,7 @@ class TestNewton:
                 aff = build_affine(system, system.grid(N), BoundarySpec(x0=x0, xf=xf))
                 if not aff.controllable:
                     continue
-                a = 0.3 * np.max(np.abs(aff.G.T @ aff.Wfact.solve(aff.xi)))
+                a = 0.3 * np.max(np.abs(aff.G.T @ gram_solve(aff, aff.xi)))
                 res = solve_gap(aff, Bounds.symmetric(a), SolveOptions(tol=1e-8))
                 assert res.converged
                 assert res.gap_lower <= res.gap_norm * (1 + 1e-12), (seed, N)

@@ -7,7 +7,7 @@ from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory,
                      dykstra_min_energy, l2_norm, make_lti_system,
                      project_affine, project_box, solve_gap, weighted_norm)
 
-from conftest import (LP_A_C_1000, ill_conditioned_affines, scaled_residual,
+from conftest import (LP_A_C_1000, gram_solve, ill_conditioned_affines, scaled_residual,
                       scalar_integrator)
 
 
@@ -188,6 +188,48 @@ class TestDykstra:
         _, aff = di
         with pytest.raises(InfeasibleIntersectionError):
             dykstra_min_energy(aff, Bounds.symmetric(1.0))
+
+    def test_verdicts_on_ill_conditioned_gramians(self):
+        # random systems whose scaled W reaches cond 3e10, at bounds around
+        # the largest entry of the minimum-norm control G^T W^{-1} xi: a
+        # converged control lies in the box and on the affine set to tol,
+        # and every certified infeasibility is one the gap solver certifies
+        tol, verdicts = 1e-9, {"converged": 0, "infeasible": 0}
+        for aff in ill_conditioned_affines():
+            peak = np.max(np.abs(aff.G.T @ gram_solve(aff, aff.xi)))
+            for share in (0.6, 0.8, 1.0, 1.2):
+                bounds = Bounds.symmetric(share * peak)
+                try:
+                    u, stats = dykstra_min_energy(aff, bounds, tol=tol)
+                except InfeasibleIntersectionError:
+                    res = solve_gap(aff, bounds)
+                    assert res.converged and res.gap_lower > 0.0
+                    verdicts["infeasible"] += 1
+                    continue
+                if stats.converged:
+                    assert np.abs(u.values).max() <= share * peak
+                    assert scaled_residual(aff, u.flat) <= tol
+                    verdicts["converged"] += 1
+        assert min(verdicts.values()) > 0
+
+    def test_exact_step_meets_tol_on_an_ill_conditioned_gramian(self):
+        # n=4, N=62, scaled cond(W) = 5.8e9: with the multiplier solved
+        # through W the exact step kept a scaled residual of 1.2-4 tol from
+        # the rounding of the scaled Gram matrix, and each solve here ended
+        # unconverged
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            n = int(rng.integers(1, 5))
+            A, B = rng.normal(0, 2, (n, n)), rng.normal(0, 1, (n, 1))
+            N = int(rng.integers(20, 300))
+            x0, xf = rng.normal(0, 1, n), rng.normal(0, 1, n)
+        system = make_lti_system(A, B, 0.0, 1.0)
+        aff = build_affine(system, system.grid(N), BoundarySpec(x0=x0, xf=xf))
+        peak = np.max(np.abs(aff.G.T @ gram_solve(aff, aff.xi)))
+        for share in (0.6, 0.8, 1.0):
+            u, stats = dykstra_min_energy(aff, Bounds.symmetric(share * peak), tol=1e-9)
+            assert stats.converged
+            assert scaled_residual(aff, u.flat) <= 1e-9
 
     def test_unconverged_flag(self, di):
         _, aff = di
