@@ -193,8 +193,9 @@ def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
     The header line names the columns; ``np.loadtxt`` parses the numeric
     rows.  The grid is rebuilt from the first two times.  A missing file or
     header, fewer than two rows, a row that does not parse or does not match
-    the header, times off that grid by more than ``GRID_SLACK`` of a step,
-    or no uA/uB/v column raise ``ConfigError``.
+    the header, times off that grid by more than ``GRID_SLACK`` of a step
+    (a non-finite time is off it), or no uA/uB/v column raise
+    ``ConfigError``.
     """
     if not Path(path).is_file():
         raise ConfigError(f"trajectory file not found: {path}")
@@ -217,7 +218,7 @@ def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
     h = t[1] - t[0]
     N = data.shape[0]
     grid = Grid(N=N, t0=float(t[0]), tf=float(t[0] + N * h))
-    if np.any(np.abs(t - (t[0] + h * np.arange(N))) > GRID_SLACK * h):
+    if not np.all(np.abs(t - (t[0] + h * np.arange(N))) <= GRID_SLACK * h):
         raise ConfigError(f"{path} has unevenly spaced times; the controls "
                           f"must sit on a uniform grid")
     blocks: dict[str, np.ndarray] = {}
@@ -277,6 +278,9 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
     if args.solver == "dr":
         summary["drift_norm"] = result.diagnostics["drift_history"][-1]
+    elif args.solver in ("map", "fast"):
+        summary["restarts"] = result.diagnostics["restarts"]
+        summary["full_steps"] = result.diagnostics["full_steps"]
     if args.oracle:
         reference = brute_force_gap(aff, bounds)
         summary["oracle_objective"] = reference.diagnostics["objective"]

@@ -29,13 +29,38 @@ extrapolated point projects to uA + beta (uA - uA_prev).  ``map``,
 a step is one product with Qt and one with Qt^T and solves no Gram
 system: u = clip(uA + beta (uA - uA_prev)), s = c - Qt u, uA = u + Qt^T s.
 Qt has orthonormal rows, so the gap |v| = |s| and the change |v - v_prev|
-= |s - s_prev| are norms of n-vectors and v itself is never formed.  A
-``map`` or ``fast`` step allocates no array of length N*m: u, uA and
-uA_prev are made once per solve and written with ``out=``, the momentum
-point in place (uA - uA_prev, times beta, plus uA) and the clip as a
-maximum with the lower bound then a minimum with the upper.  The
+= |s - s_prev| are norms of n-vectors and v itself is never formed.  The
 certificate below, the finish and ``newton`` run on the same basis: it
 is the one representation of the set, and no solve here reads G or W.
+
+A ``map`` or ``fast`` step over all N*m coordinates, a full step, writes
+u, uA and uA_prev in place and makes no new array of that length, yet
+near a bang-bang answer almost every node sits on a bound, so most steps
+run on a working set U of nodes instead.  The next momentum point at a
+node on a bound b is b + beta (b - u_prev) + q^T sigma, with q the node's
+column of Qt and sigma = (1 + beta) s - beta s_prev.  The middle term
+points out of the box (beta >= 0), so the clip holds the node at b while
+q^T sigma has the sign of the bound (+ at the upper one), and after one
+such step its momentum term is zero.  After a full step with multiplier
+sigma_r, a node on a bound is fixed (put in V) when its margin
+rho = +-q^T sigma_r / |q| exceeds the radius R.  U holds the rest: the
+free nodes, the bound nodes with rho <= 0 and the 256 of least positive
+margin, and R is the margin of the last of them.  The clip sees only the
+sign of q^T sigma, so by Cauchy-Schwarz every node in V stays on its bound
+while some positive multiple of sigma lies within R of sigma_r (safe
+screening: Ndiaye, Fercoq, Gramfort and Salmon, JMLR 18, 2017), that is
+while sigma.sigma_r > 0 and |sigma_r|^2 - (sigma.sigma_r)^2 / |sigma|^2 <
+R^2.  Until then each step runs the full step's arithmetic on U alone,
+with s = c_V - Qt_U u_U and c_V = c - Qt_V u_V formed once; the gap, the
+change, the restart test and the stop are the same n-vector quantities,
+and the yielded u is the full iterate with U written back.  Once the test
+fails, or after 32 N*m / |U| steps, uA and uA_prev are rebuilt on all
+coordinates and the next step is a full step, which picks the next
+working set.  Working sets are tried only from 4,096 coordinates up and
+kept only when U holds at most an eighth of them (else tried again 32
+full steps later); below that size every step is a full step, with the
+arithmetic and results of a plain loop.  ``diagnostics["full_steps"]``
+counts the full steps.
 
 Every step yields the box iterate uB it would return, its gap |v|, v =
 uA - uB (for ``dr`` the shadow pair, whose gap is the drift of the
@@ -132,7 +157,9 @@ class GapResult:
     certificate holds, for the others only the iterate change was small.
     ``diagnostics["gap_history"]`` holds the gap of every step, or for
     ``dr`` ``diagnostics["drift_history"]`` the drift, whose last entry is
-    the drift of the returned pair.
+    the drift of the returned pair.  For ``map`` and ``fast``,
+    ``diagnostics["restarts"]`` counts momentum restarts and
+    ``diagnostics["full_steps"]`` the steps over all N*m coordinates.
     """
 
     uA: ControlTrajectory
@@ -244,6 +271,48 @@ def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int, converged: boo
 
 _Steps = Iterator[tuple[np.ndarray, float, Optional[float]]]
 
+# The working-set rule of ``_projection_steps`` (module docstring).  A working
+# set may hold at most 1/_WS_SHARE of the coordinates and holds the
+# _WS_MARGIN bound nodes of least margin.  It is tried only from
+# _WS_MIN_COORDS coordinates up: below that the margin nodes alone fill half
+# the share, and on machine_tool at N=1000 and 2000 no working set formed
+# while the tries slowed the solve.
+_WS_SHARE = 8
+_WS_MARGIN = 256
+_WS_MIN_COORDS = 2 * _WS_SHARE * _WS_MARGIN
+# Full steps to run after a working set came out too large before the next
+# try; a try costs about half a full step.
+_WS_RETRY = 32
+# A working set runs for at most _WS_WORK full steps' worth of its own steps
+# (_WS_WORK N*m / |U| steps) before a full step picks a fresh one, so that a
+# set chosen while many nodes still moved does not outlive them; a change of
+# working set costs about five full steps.
+_WS_WORK = 32
+
+
+def _working_set(u: np.ndarray, lo: np.ndarray, hi: np.ndarray, QtT: np.ndarray,
+                 sigma: np.ndarray,
+                 inv_qnorm: np.ndarray) -> Optional[tuple[np.ndarray, float]]:
+    """The indices of the working set U after a full step to ``u`` and the
+    radius R, or None when U would hold more than 1/_WS_SHARE of the
+    coordinates.  ``sigma`` is the multiplier (1 + beta) s - beta s_prev of
+    the next momentum point; the module docstring has the rule.
+    """
+    upper, lower = u >= hi, u <= lo
+    size = u.size // _WS_SHARE
+    if u.size - np.count_nonzero(upper) - np.count_nonzero(lower) + _WS_MARGIN > size:
+        return None
+    rho = QtT.dot(sigma)
+    rho *= inv_qnorm
+    # free nodes get rho = 0
+    rho *= np.subtract(upper, lower, dtype=float)
+    k = np.count_nonzero(rho <= 0.0) + _WS_MARGIN
+    if k > size:
+        return None
+    radius = float(np.partition(rho, k - 1)[k - 1])
+    index = np.flatnonzero(~(rho > radius))
+    return (index, radius) if index.size <= size else None
+
 
 def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
                       diagnostics: dict) -> _Steps:
@@ -259,6 +328,11 @@ def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
     orthonormal rows, so both are norms of n-vectors, |s| and |s - s_prev|.
     ``u`` is the start array and is overwritten step by step, like uA and
     uA_prev: a yielded u holds its values until the next step.
+
+    The step runs on whatever u, uA, uA_prev, lo, hi, Qt and c name: the
+    arrays over all coordinates on a full step, their rows (columns of Qt)
+    in the working set U otherwise, with c less Qt_V u_V (module
+    docstring).  ``full`` keeps the full arrays while U runs.
     """
     (Qt, c, _), lo, hi, h = ws.aff.basis, ws.lo, ws.hi, ws.h
     # ndarray.dot makes the same BLAS call as @ with less dispatch per call,
@@ -269,10 +343,30 @@ def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
     QtT.dot(s, out=uA)
     uA += u
     uA_prev[:] = uA
-    t, beta, gap_prev, change = 1.0, 0.0, math.inf, math.inf
-    if momentum:
-        diagnostics["restarts"] = 0
+    u_out, full, inv_qnorm = u, None, None
+    if u.size >= _WS_MIN_COORDS:
+        qnorm = np.sqrt(np.einsum("ij,ij->j", Qt, Qt))
+        # a zero column has rho = 0 and stays in the working set
+        inv_qnorm = np.divide(1.0, qnorm, out=np.zeros_like(qnorm), where=qnorm > 0)
+    t, beta, gap_prev, change, wait = 1.0, 0.0, math.inf, math.inf, 0
+    diagnostics["restarts"] = diagnostics["full_steps"] = 0
     while True:
+        if full is not None:
+            sigma = (1.0 + beta) * s - beta * s_prev
+            along = float(sigma.dot(sigma_r))
+            budget -= 1
+            # the radius test of the module docstring, slack = |sigma_r|^2 - R^2
+            if (budget < 0 or along <= 0.0
+                    or along * along <= slack * float(sigma.dot(sigma))):
+                # back to all coordinates: the fixed ones kept u, and their uA
+                # moved with s alone
+                uA_U, uA_prev_U = uA, uA_prev
+                u, uA, uA_prev, lo, hi, Qt, QtT, c = full
+                for dst, s_k, src in ((uA, s, uA_U), (uA_prev, s_prev, uA_prev_U)):
+                    QtT.dot(s_k, out=dst)
+                    dst += u
+                    dst[index] = src
+                full = None
         if beta:
             np.subtract(uA, uA_prev, out=u)
             u *= beta
@@ -285,11 +379,15 @@ def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
         uA, uA_prev = uA_prev, uA
         QtT.dot(s, out=uA)
         uA += u
+        if full is None:
+            diagnostics["full_steps"] += 1
+        else:
+            u_out[index] = u
         gap = math.sqrt(h * float(s.dot(s)))
         if gap_prev < math.inf:  # s_prev is a step's, not the start's
             ds = s - s_prev
             change = math.sqrt(h * float(ds.dot(ds)))
-        yield u, gap, change
+        yield u_out, gap, change
         if momentum and gap > gap_prev:
             t, beta = 1.0, 0.0
             diagnostics["restarts"] += 1
@@ -298,6 +396,24 @@ def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
             beta = (t - 1.0) / t_next
             t = t_next
         gap_prev = gap
+        if full is None and inv_qnorm is not None:
+            wait -= 1
+            if wait <= 0:
+                sigma_r = (1.0 + beta) * s - beta * s_prev
+                found = _working_set(u, lo, hi, QtT, sigma_r, inv_qnorm)
+                if found is None:
+                    wait = _WS_RETRY
+                else:
+                    index, radius = found
+                    slack = float(sigma_r.dot(sigma_r)) - radius * radius
+                    budget = _WS_WORK * u.size // index.size
+                    full = u, uA, uA_prev, lo, hi, Qt, QtT, c
+                    u_V = u.copy()
+                    u_V[index] = 0.0
+                    c = c - Qt.dot(u_V)
+                    Qt = Qt[:, index]
+                    QtT = Qt.T
+                    u, uA, uA_prev, lo, hi = (a[index] for a in (u, uA, uA_prev, lo, hi))
 
 
 def _dr_steps(ws: _Workspace, z: np.ndarray) -> _Steps:

@@ -99,6 +99,10 @@ def test_gap_summary_reports_the_certificate_for_every_solver(tmp_path, solver):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert GAP_SUMMARY_KEYS <= set(summary)
     assert 0.0 < summary["gap_lower"] <= summary["gap_norm"] * (1 + 1e-12)
+    if solver != "dr":
+        assert summary["restarts"] >= 0
+        # N=200 is below the working-set size rule: every step is a full step
+        assert summary["full_steps"] == summary["iterations"]
 
 
 def test_critical_writes_the_minimum_energy_control_at_the_upper_end(tmp_path):
@@ -228,6 +232,7 @@ def test_csv_text_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path):
     "t,uA_1,uB_1,v_1\n0,1,1,0\n0.5,1,oops,0\n",  # malformed number
     "t,uA_1,uB_1,v_1\n0,1,1,0\n0.5,1,1\n",  # short row
     "t,uA_1,uB_1,v_1\n0,1,1,1\n0.5,1,1,1\n0.6,-1,-1,-1\n0.61,-1,-1,-1\n",  # uneven times
+    "t,uA_1,uB_1,v_1\n0,1,1,0\n0.25,1,1,0\nnan,1,1,0\n0.75,1,1,0\n",  # non-finite time
 ])
 def test_bad_trajectory_file_exits_1(tmp_path, capsys, text):
     traj = tmp_path / "trajectory.csv"

@@ -225,6 +225,103 @@ class TestFast:
         assert res.gap_lower >= res.gap_norm * (1 - 1e-6) - 1e-9
 
 
+def replay_projection_steps(aff, bounds, steps, momentum, u0):
+    """``steps`` map (or, with momentum, restarted fast) steps from the box
+    point u0 over all coordinates, the arithmetic of a full step in plain
+    numpy; returns the last iterate and the restart count."""
+    lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))
+    Qt, c, _ = aff.basis
+
+    def project(u):
+        s = c - Qt @ u
+        return u + Qt.T @ s, np.sqrt(aff.grid.h * (s @ s))
+
+    uA, _ = project(u0)
+    uA_prev, u = uA, u0
+    t, beta, gap_prev, restarts = 1.0, 0.0, np.inf, 0
+    for _ in range(steps):
+        u = np.clip(uA + beta * (uA - uA_prev), lo, hi)
+        uA_prev, (uA, gap) = uA, project(u)
+        if momentum and gap > gap_prev:
+            t, beta = 1.0, 0.0
+            restarts += 1
+        elif momentum:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            t, beta = t_next, (t - 1.0) / t_next
+        gap_prev = gap
+    return u, restarts
+
+
+def two_input_problem(N):
+    """A double integrator driven through two inputs, with bounds that vary
+    from node to node and channel to channel; infeasible, bang-bang uB."""
+    system = make_lti_system([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.4], [1.0, 0.3]], 0.0, 1.0)
+    grid = system.grid(N)
+    aff = build_affine(system, grid, BoundarySpec(x0=[0.0, 0.0], xf=[1.0, 0.0]))
+    t = grid.left_nodes
+    lower = np.column_stack([-0.8 - 0.2 * np.sin(3 * t), -0.5 + 0.1 * t])
+    upper = np.column_stack([0.9 + 0.1 * np.cos(2 * t), 0.4 + 0.05 * t])
+    return aff, Bounds(lower=lower, upper=upper)
+
+
+@pytest.fixture(scope="module")
+def mt10k():
+    inst = builtin_instance("machine_tool")
+    grid = inst.system.grid(10_000)
+    aff = build_affine(inst.system, grid, inst.boundary)
+    bounds = Bounds.symmetric(1770.0)
+    return aff, bounds, solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-8))
+
+
+class TestWorkingSet:
+    """Steps on a working set must follow the full steps to rounding."""
+
+    @staticmethod
+    def assert_replays(aff, bounds, solver, steps, warm_start=None, rtol=1e-12):
+        opts = SolveOptions(solver=solver, tol=1e-30, max_iter=steps, warm_start=warm_start)
+        res = solve_gap(aff, bounds, opts)
+        u0 = np.zeros(aff.grid.N * aff.m) if warm_start is None else warm_start.flat
+        lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))
+        u, restarts = replay_projection_steps(aff, bounds, steps, solver == "fast",
+                                              np.clip(u0, lo, hi))
+        assert res.diagnostics["full_steps"] < steps  # the working set was used
+        assert res.diagnostics["restarts"] == restarts
+        assert np.max(np.abs(res.uB.flat - u)) <= rtol * np.max(np.abs(u))
+
+    def test_fast_on_machine_tool(self, mt10k):
+        aff, bounds, _ = mt10k
+        self.assert_replays(aff, bounds, "fast", 1000)
+
+    def test_map_on_machine_tool(self, mt10k):
+        # a cold map solve keeps too many nodes moving for 8,800 steps, so
+        # start it from the fast answer
+        aff, bounds, fast = mt10k
+        self.assert_replays(aff, bounds, "map", 500, warm_start=fast.uB)
+
+    def test_epochs_end_when_the_multiplier_leaves_the_radius(self):
+        # Just below a_c the switch times keep moving for thousands of steps;
+        # an epoch that ran past its radius would hold nodes on a bound they
+        # leave in a full step, 1e-6 of |u| away.  The free nodes amplify
+        # rounding here, to 2e-12 of |u| after 4,000 steps.
+        inst = builtin_instance("machine_tool")
+        grid = inst.system.grid(4096)
+        aff = build_affine(inst.system, grid, inst.boundary)
+        self.assert_replays(aff, Bounds.symmetric(1774.5), "fast", 4000, rtol=1e-10)
+
+    @pytest.mark.parametrize("solver", ["map", "fast"])
+    def test_two_inputs_with_per_node_bounds(self, solver):
+        aff, bounds = two_input_problem(4000)
+        self.assert_replays(aff, bounds, solver, 150)
+
+    def test_default_tol_keeps_the_full_step_solve(self, mt10k):
+        _, _, res = mt10k
+        assert res.iterations == 9196
+        assert res.diagnostics["restarts"] == 2
+        assert res.diagnostics["full_steps"] < res.iterations / 10
+        # the gap of the same solve with every step a full step
+        assert res.gap_norm == pytest.approx(0.849703656360455, rel=1e-10)
+
+
 class TestBuffers:
     @pytest.mark.parametrize("solver", ["newton", "map", "dr", "fast"])
     def test_warm_start_is_left_unchanged(self, mt200, solver):
