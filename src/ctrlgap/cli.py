@@ -82,12 +82,12 @@ def _build_parser() -> _Parser:
     p_gap = sub.add_parser("gap", help="best-approximation pair and gap vector")
     add_instance_flags(p_gap)
     p_gap.add_argument("--solver", choices=SOLVERS, default="newton",
-                       help="newton (default, stops on a certificate), or map, dr, "
-                            "fast (stop on the iterate change)")
+                       help="newton (default, stops on a certificate), or fast "
+                            "(stops on the iterate change)")
     p_gap.add_argument("--tol", type=float, default=1e-8,
                        help="newton: bound on the certified relative duality gap "
-                            "(gap - gap_lower) / gap; map, dr, fast: stop when the "
-                            "gap vector changes by less (default 1e-8)")
+                            "(gap - gap_lower) / gap; fast: stop when the gap "
+                            "vector changes by less (default 1e-8)")
     p_gap.add_argument("--max-iter", type=int, default=2_000_000)
     p_gap.add_argument("--oracle", action="store_true",
                        help=f"cross-check with exhaustive enumeration "
@@ -276,9 +276,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "solver": result.solver, "gap_lower": result.gap_lower,
         "finish": result.diagnostics["finish"],
         "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
-    if args.solver == "dr":
-        summary["drift_norm"] = result.diagnostics["drift_history"][-1]
-    elif args.solver in ("map", "fast"):
+    if args.solver == "fast":
         summary["restarts"] = result.diagnostics["restarts"]
         summary["full_steps"] = result.diagnostics["full_steps"]
     if args.oracle:

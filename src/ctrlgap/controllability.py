@@ -136,13 +136,7 @@ def discrete_gramian(aff: AffineData) -> np.ndarray:
 
 
 def gramian_report(aff: AffineData) -> CtrbReport:
-    """Rank/conditioning report for the discrete Gramian."""
-    M = discrete_gramian(aff)
-    n = M.shape[0]
-    eig = np.linalg.eigvalsh(M)
-    top = eig[-1] if eig[-1] > 0 else 0.0
-    tol = n * np.finfo(float).eps * top
-    rank = int(np.sum(eig > tol))
-    return CtrbReport(rank=rank, required=n, controllable=rank == n,
-                      test="gramian",
-                      conditioning=float(eig[0] / top) if top > 0 else 0.0)
+    """Rank/conditioning report for the discrete Gramian W = G G^T: G with
+    unit-norm rows, ranked like the Kalman matrix, since the eigenvalues of
+    the raw W fall below rounding where G still has full rank."""
+    return _rank_report(aff.G.T, aff.n, "gramian")

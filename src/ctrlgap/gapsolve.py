@@ -1,8 +1,8 @@
 """Best-approximation (gap) solvers for the infeasible box/affine pair.
 
-Four methods compute the pair (uA, uB) minimizing the step-weighted
+Two step rules compute the pair (uA, uB) minimizing the step-weighted
 distance between the boundary-value affine set and the box.  They share
-one driver, ``solve_gap``, and differ only in the step rule it iterates:
+one driver, ``solve_gap``:
 
 ``newton`` (the default) proximal point steps on phi(u) = r.W^{-1} r / 2,
           r = G u - xi, over the box (Rockafellar, SIAM J. Control Optim.
@@ -10,31 +10,32 @@ one driver, ``solve_gap``, and differ only in the step rule it iterates:
           Toh, SIAM J. Optim. 28, 2018) by ``project.dual_newton``, the
           semismooth Newton kernel whose other caller is the minimum-energy
           control.  phi(u) is |P_affine(u) - u|^2 / 2, so its minimizer
-          over the box is uB.
-``map``   alternating projections uB <- clip(P_affine(uB)); monotone in the
-          gap.
-``fast``  the same projection step with momentum: restarted accelerated
-          projected gradient (Beck and Teboulle, SIAM J. Imaging Sci. 2,
-          2009) on q(u) = |P_affine(u) - u|^2 / 2 over the box, restarted
-          whenever the gap grows (O'Donoghue and Candes, Found. Comput.
-          Math. 15, 2015).  ``map`` is this rule with zero momentum.
-``dr``    Douglas-Rachford splitting; its shadow sequence reaches the same
-          pair even though the governing iterate drifts without bound on
-          infeasible problems.
+          over the box is uB.  It stops on a certificate.
+``fast``  restarted accelerated projected gradient (Beck and Teboulle,
+          SIAM J. Imaging Sci. 2, 2009) on q(u) = |P_affine(u) - u|^2 / 2
+          over the box, restarted whenever the gap grows (O'Donoghue and
+          Candes, Found. Comput. Math. 15, 2015): an alternating projection
+          step from a point extrapolated along the last step.  It remains
+          because the critical-bound probes warm-start it and the benchmark
+          times it.
+
+The paper's alternating projections and Douglas-Rachford splitting are
+not step rules here; the tests replay them in plain numpy as oracles for
+both rules.
 
 The projection step carries uA = P_affine(u).  P_affine is affine, so the
-extrapolated point projects to uA + beta (uA - uA_prev).  ``map``,
-``fast`` and ``dr`` project in the orthonormal basis ``AffineData.basis``
-= (Qt, c) of range(G^T): P_affine(u) = u + Qt^T s with s = c - Qt u, so
-a step is one product with Qt and one with Qt^T and solves no Gram
-system: u = clip(uA + beta (uA - uA_prev)), s = c - Qt u, uA = u + Qt^T s.
+extrapolated point projects to uA + beta (uA - uA_prev).  ``fast``
+projects in the orthonormal basis ``AffineData.basis`` = (Qt, c) of
+range(G^T): P_affine(u) = u + Qt^T s with s = c - Qt u, so a step is
+one product with Qt and one with Qt^T and solves no Gram system:
+u = clip(uA + beta (uA - uA_prev)), s = c - Qt u, uA = u + Qt^T s.
 Qt has orthonormal rows, so the gap |v| = |s| and the change |v - v_prev|
 = |s - s_prev| are norms of n-vectors and v itself is never formed.  The
 certificate below, the finish and ``newton`` run on the same basis: it
 is the one representation of the set, and no solve here reads G or W.
 
-A ``map`` or ``fast`` step over all N*m coordinates, a full step, writes
-u, uA and uA_prev in place and makes no new array of that length, yet
+A ``fast`` step over all N*m coordinates, a full step, writes u, uA
+and uA_prev in place and makes no new array of that length, yet
 near a bang-bang answer almost every node sits on a bound, so most steps
 run on a working set U of nodes instead.  The next momentum point at a
 node on a bound b is b + beta (b - u_prev) + q^T sigma, with q the node's
@@ -63,12 +64,9 @@ arithmetic and results of a plain loop.  ``diagnostics["full_steps"]``
 counts the full steps.
 
 Every step yields the box iterate uB it would return, its gap |v|, v =
-uA - uB (for ``dr`` the shadow pair, whose gap is the drift of the
-governing iterate), and the change |v - v_prev|, which each rule computes
-itself (inf at the first step; ``newton`` yields None).  ``solve_gap``
-always records every step's gap in ``diagnostics["gap_history"]``, or for
-``dr`` in ``diagnostics["drift_history"]``, whose last entry is the drift
-of the returned pair; the history is an ``array('d')``, 8 bytes a step.
+uA - uB, and the change |v - v_prev| (inf at the first step; ``newton``
+yields None).  ``solve_gap`` records every step's gap in
+``diagnostics["gap_history"]``, an ``array('d')``, 8 bytes a step.
 Any box point certifies an interval for the true gap: its own gap |v| is
 an upper end, and ``project.gap_lower_bound`` of its multiplier Qt uB - c
 a lower end, ``gap_lower``.
@@ -76,7 +74,7 @@ a lower end, ``gap_lower``.
 ``newton`` stops on that certificate: converged once gap - gap_lower <=
 tol gap, or once the gap itself is at most tol sqrt(h) (1 + |D^{-1} xi|)
 with D = sqrt(diag W), the floor that lets a feasible box, whose lower
-end is 0, end too.  The other three stop at ``max_iter`` or on the
+end is 0, end too.  ``fast`` stops at ``max_iter`` or on the
 successive change of v, which is the quantity with a uniqueness
 guarantee; uB itself may be non-unique wherever v vanishes.  That change
 bounds the step between two iterates, not the distance to the optimum,
@@ -105,7 +103,7 @@ from .discretize import AffineData, ControlTrajectory, weighted_norm
 from .model import Bounds
 from .project import dual_newton, gap_lower_bound
 
-SOLVERS = ("newton", "map", "dr", "fast")
+SOLVERS = ("newton", "fast")
 
 
 @dataclass(frozen=True)
@@ -114,12 +112,12 @@ class SolveOptions:
 
     For ``newton``, ``tol`` bounds the certified relative duality gap
     (gap - gap_lower) / gap of the answer, with the absolute floor for
-    feasible boxes given in the module docstring.  For ``map``, ``fast``
-    and ``dr`` it bounds the step-weighted successive change of the gap
-    vector, a change between iterates and not the error of the last one;
-    a stop on it is followed by the verified active-set finish.
-    ``tol`` must be positive and finite.  ``max_iter`` caps Newton steps
-    for ``newton`` and steps otherwise.
+    feasible boxes given in the module docstring.  For ``fast`` it bounds
+    the step-weighted successive change of the gap vector, a change
+    between iterates and not the error of the last one; a stop on it is
+    followed by the verified active-set finish.  ``tol`` must be positive
+    and finite.  ``max_iter`` caps Newton steps for ``newton`` and steps
+    for ``fast``.
     """
 
     tol: float = 1e-9
@@ -140,10 +138,11 @@ class SolveOptions:
 class GapResult:
     """Best-approximation pair, gap vector and solve diagnostics.
 
-    ``v`` equals ``uA - uB`` entrywise and is formed as -G^T w, so it lies
-    in the range of G^T by construction; ``uB`` is inside the box exactly;
-    ``uA`` satisfies the affine constraint to projection accuracy.  The
-    pair is the exact discrete best approximation, up to rounding, when
+    ``v`` is formed as ``uA - uB`` with uA = uB - Qt^T s, s = Qt uB - c,
+    so v equals -Qt^T s up to rounding and lies in the range of G^T;
+    ``uB`` is inside the box exactly; ``uA`` satisfies the affine
+    constraint to projection accuracy.  The pair is the exact discrete
+    best approximation, up to rounding, when
     ``diagnostics["finish"] == "exact"``; otherwise it is the solver's
     answer, accurate only as far as the stop implies (``"skipped"`` when
     no finish was tried, or the reason the active-set finish was rejected:
@@ -152,13 +151,11 @@ class GapResult:
     ``gap_lower_bound`` on the true gap (0 when the bound is vacuous or
     within rounding), so the true gap lies in [gap_lower, gap_norm].
     ``diagnostics["stop"]`` is ``"certified"`` or ``"stalled"`` for
-    ``newton``, ``"tol"`` for the others, or ``"max_iter"``.  ``converged``
+    ``newton``, ``"tol"`` for ``fast``, or ``"max_iter"``.  ``converged``
     is true after a ``"certified"`` or ``"tol"`` stop: for ``newton`` the
-    certificate holds, for the others only the iterate change was small.
-    ``diagnostics["gap_history"]`` holds the gap of every step, or for
-    ``dr`` ``diagnostics["drift_history"]`` the drift, whose last entry is
-    the drift of the returned pair.  For ``map`` and ``fast``,
-    ``diagnostics["restarts"]`` counts momentum restarts and
+    certificate holds, for ``fast`` only the iterate change was small.
+    ``diagnostics["gap_history"]`` holds the gap of every step.  For
+    ``fast``, ``diagnostics["restarts"]`` counts momentum restarts and
     ``diagnostics["full_steps"]`` the steps over all N*m coordinates.
     """
 
@@ -191,12 +188,9 @@ class _Workspace:
             u0 = w.flat
         else:
             u0 = np.zeros(self.aff.grid.N * self.aff.m)
-        return self.clip(u0)
-
-    def clip(self, u: np.ndarray) -> np.ndarray:
         # maximum then minimum: np.clip with array bounds costs about 2.5x
-        out = np.maximum(u, self.lo)
-        return np.minimum(out, self.hi, out=out)
+        u = np.maximum(u0, self.lo)
+        return np.minimum(u, self.hi, out=u)
 
 
 # Sign-check slack relative to the largest |v|.  The entries of v that an
@@ -314,15 +308,14 @@ def _working_set(u: np.ndarray, lo: np.ndarray, hi: np.ndarray, QtT: np.ndarray,
     return (index, radius) if index.size <= size else None
 
 
-def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
-                      diagnostics: dict) -> _Steps:
+def _projection_steps(ws: _Workspace, u: np.ndarray, diagnostics: dict) -> _Steps:
     """Projected gradient steps clip(P_affine(y)) on q(u) = |P_affine(u) - u|^2 / 2.
 
     q has the orthogonal projector onto range(G^T) as its Hessian, so the
-    unit step from y is one alternating projection sweep.  Without
-    momentum y is the last box iterate; with it y is extrapolated along
-    the last step and the momentum is restarted whenever the gap grows,
-    which is the test q > q_prev because q = |v|^2 / 2.  Yields (u, gap,
+    unit step from y is one alternating projection sweep.  y is
+    extrapolated along the last step, and the momentum is restarted
+    whenever the gap grows, which is the test q > q_prev because q =
+    |v|^2 / 2.  Yields (u, gap,
     change) for v = P_affine(u) - u = Qt^T s, s = c - Qt u, with change
     the step-weighted norm of v - v_prev (inf at the first step); Qt has
     orthonormal rows, so both are norms of n-vectors, |s| and |s - s_prev|.
@@ -367,13 +360,10 @@ def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
                     dst += u
                     dst[index] = src
                 full = None
-        if beta:
-            np.subtract(uA, uA_prev, out=u)
-            u *= beta
-            u += uA
-            np.maximum(u, lo, out=u)
-        else:
-            np.maximum(uA, lo, out=u)
+        np.subtract(uA, uA_prev, out=u)
+        u *= beta
+        u += uA
+        np.maximum(u, lo, out=u)
         np.minimum(u, hi, out=u)
         s_prev, s = s, c - Qt.dot(u)
         uA, uA_prev = uA_prev, uA
@@ -388,10 +378,10 @@ def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
             ds = s - s_prev
             change = math.sqrt(h * float(ds.dot(ds)))
         yield u_out, gap, change
-        if momentum and gap > gap_prev:
+        if gap > gap_prev:
             t, beta = 1.0, 0.0
             diagnostics["restarts"] += 1
-        elif momentum:
+        else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
             t = t_next
@@ -414,28 +404,6 @@ def _projection_steps(ws: _Workspace, u: np.ndarray, momentum: bool,
                     Qt = Qt[:, index]
                     QtT = Qt.T
                     u, uA, uA_prev, lo, hi = (a[index] for a in (u, uA, uA_prev, lo, hi))
-
-
-def _dr_steps(ws: _Workspace, z: np.ndarray) -> _Steps:
-    """Douglas-Rachford iteration z <- z + P_affine(2 P_box(z) - z) - P_box(z).
-
-    The shadows uB = P_box(z) and uA = P_affine(2 uB - z) converge to the
-    best-approximation pair.  On infeasible problems z drifts by the gap
-    vector v = uA - uB each step, so the yielded gap |v| is the drift;
-    the yielded change is the norm of v - v_prev (inf at the first step).
-    """
-    Qt, c, _ = ws.aff.basis
-    v_prev, change = None, math.inf
-    while True:
-        uB = ws.clip(z)
-        reflected = 2.0 * uB - z
-        uA = reflected + Qt.T @ (c - Qt @ reflected)
-        v = uA - uB
-        z = z + v
-        if v_prev is not None:
-            change = weighted_norm(v - v_prev, ws.h)
-        yield uB, weighted_norm(v, ws.h), change
-        v_prev = v
 
 
 # Newton steps allowed in one proximal step, and proximal steps in a row that
@@ -519,15 +487,11 @@ def solve_gap(aff: AffineData, bounds: Bounds,
     opts = opts or SolveOptions()
     ws = _Workspace(aff, bounds)
     diagnostics = {"stop": "max_iter"}
-    dr = opts.solver == "dr"
     if opts.solver == "newton":
         steps = _newton_steps(ws, ws.start(opts), opts.tol, diagnostics)
-    elif dr:
-        steps = _dr_steps(ws, ws.start(opts))
     else:
-        steps = _projection_steps(ws, ws.start(opts), opts.solver == "fast", diagnostics)
-    history = array("d")
-    diagnostics["drift_history" if dr else "gap_history"] = history
+        steps = _projection_steps(ws, ws.start(opts), diagnostics)
+    history = diagnostics["gap_history"] = array("d")
     it = 0
     for it, (uB, gap, change) in enumerate(islice(steps, opts.max_iter), start=1):
         history.append(gap)

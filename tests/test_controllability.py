@@ -128,3 +128,15 @@ class TestDiscreteGramian:
             ranks.append(gramian_report(aff).rank)
         assert ranks == sorted(ranks)
         assert ranks[0] == 1 and ranks[-1] == 2
+
+    @pytest.mark.parametrize("name", ["double_integrator", "damped_oscillator",
+                                      "machine_tool"])
+    def test_report_agrees_with_build_affine(self, name):
+        # machine_tool at N=7 and 8: the eigenvalues of the raw W fell below
+        # rounding, and the report read rank 5 at a negative conditioning
+        inst = builtin_instance(name)
+        for N in (1, 2, 5, 7, 8, 50, 1000):
+            aff = build_affine(inst.system, inst.system.grid(N), inst.boundary)
+            rep = gramian_report(aff)
+            assert rep.controllable == aff.controllable, N
+            assert 0.0 <= rep.conditioning <= 1.0

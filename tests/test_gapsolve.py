@@ -7,7 +7,7 @@ import pytest
 from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
                      UncontrollableGridError, build_affine, builtin_instance,
                      brute_force_gap, check_bang_bang, extract_switchings,
-                     make_lti_system, solve_gap, weighted_norm)
+                     make_lti_system, solve_gap)
 
 from conftest import gram_solve, random_tiny_problem, scalar_integrator
 
@@ -36,15 +36,18 @@ def mt200():
 
 
 class TestMap:
+    """The best-approximation pair that the paper's method of alternating
+    projections (MAP) converges to, from the default solver."""
+
     def test_feasible_instance_gap_vanishes(self, di):
         _, aff = di
-        res = solve_gap(aff, Bounds.symmetric(3.0), SolveOptions(solver="map"))
+        res = solve_gap(aff, Bounds.symmetric(3.0))
         assert res.gap_norm <= 1e-6
         assert res.converged
 
     def test_infeasible_gap_and_linear_gap_vector(self, di):
         grid, aff = di
-        res = solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(solver="map"))
+        res = solve_gap(aff, Bounds.symmetric(1.0))
         assert res.gap_norm > 0.5
         # the gap vector is the negated adjoint column, linear in time for
         # the double integrator; check an exact straight-line fit
@@ -56,22 +59,15 @@ class TestMap:
     def test_result_invariants(self, di):
         grid, aff = di
         lo, hi = Bounds.symmetric(1.0).sample(grid, 1)
-        res = solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(solver="map"))
+        res = solve_gap(aff, Bounds.symmetric(1.0))
         np.testing.assert_array_equal(res.v.values, res.uA.values - res.uB.values)
         assert np.all(res.uB.values >= lo) and np.all(res.uB.values <= hi)
         feas = np.linalg.norm(aff.G @ res.uA.flat - aff.xi)
         assert feas <= 1e-10 * (1 + np.linalg.norm(aff.xi))
 
-    def test_gap_monotone_per_iteration(self, di):
-        _, aff = di
-        res = solve_gap(aff, Bounds.symmetric(1.0),
-                        SolveOptions(solver="map", max_iter=3000, tol=1e-30))
-        hist = np.array(res.diagnostics["gap_history"])
-        assert np.all(np.diff(hist) <= 1e-14)
-
     def test_complementarity_at_optimum(self, di):
         _, aff = di
-        opts = SolveOptions(solver="map", tol=1e-10)
+        opts = SolveOptions(tol=1e-10)
         res = solve_gap(aff, Bounds.symmetric(1.0), opts)
         rep = check_bang_bang(res.uB, res.v, Bounds.symmetric(1.0),
                               tau=10 * opts.tol)
@@ -80,7 +76,7 @@ class TestMap:
 
     def test_unconverged_result_populated(self, di):
         _, aff = di
-        res = solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(solver="map", max_iter=3))
+        res = solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(max_iter=3))
         assert not res.converged
         assert res.iterations == 3
         assert np.isfinite(res.gap_norm)
@@ -91,116 +87,58 @@ class TestMap:
         grid = inst.system.grid(1)
         aff = build_affine(inst.system, grid, inst.boundary)
         with pytest.raises(UncontrollableGridError):
-            solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(solver="map"))
+            solve_gap(aff, Bounds.symmetric(1.0))
 
     def test_tiny_instance_matches_enumeration(self):
         sys_ = scalar_integrator()
         grid = sys_.grid(3)
         aff = build_affine(sys_, grid, BoundarySpec(x0=[0.0], xf=[1.0]))
         bounds = Bounds.symmetric(0.1)  # mean control must be 1: infeasible
-        res = solve_gap(aff, bounds, SolveOptions(solver="map", tol=1e-12))
+        res = solve_gap(aff, bounds, SolveOptions(tol=1e-12))
         ref = brute_force_gap(aff, bounds)
         assert res.gap_norm == pytest.approx(ref.gap_norm, abs=1e-9)
         obj = 0.5 * res.gap_norm ** 2
         assert obj == pytest.approx(ref.diagnostics["objective"], abs=1e-9)
 
 
-class TestDouglasRachford:
-    def test_feasible_agreement(self, di):
-        _, aff = di
-        bounds = Bounds.symmetric(3.0)
-        gap_dr = solve_gap(aff, bounds, SolveOptions(solver="dr")).gap_norm
-        gap_map = solve_gap(aff, bounds, SolveOptions(solver="map")).gap_norm
-        assert abs(gap_dr - gap_map) <= 1e-6
+class TestProjectionOracles:
+    """The paper's alternating projections (MAP) and Douglas-Rachford
+    splitting (DR), replayed in plain numpy, land in the certified interval
+    [gap_lower, gap_norm] of the default solver."""
 
-    def test_infeasible_pair_matches_map(self, di):
-        grid, aff = di
-        bounds = Bounds.symmetric(1.0)
-        res_dr = solve_gap(aff, bounds, SolveOptions(solver="dr", tol=1e-11))
-        res_map = solve_gap(aff, bounds, SolveOptions(solver="map", tol=1e-11))
-        diff = weighted_norm(res_dr.uB.values - res_map.uB.values, grid.h)
-        assert diff <= 1e-5
-        assert abs(res_dr.gap_norm - res_map.gap_norm) <= 1e-6 * (1 + res_map.gap_norm)
-
-    def test_drift_approaches_gap(self, di):
-        _, aff = di
-        res = solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(solver="dr"))
-        drift_hist = res.diagnostics["drift_history"]
-        assert drift_hist[-1] == pytest.approx(res.gap_norm, rel=1e-6)
-        # the drift magnitude settles to the gap from any start
-        assert abs(drift_hist[-1] - res.gap_norm) <= 1e-6 * (1 + res.gap_norm)
-
-    def test_dr_reproduces_douglas_rachford_steps(self, mt200):
-        grid, aff, bounds = mt200
-        lo, hi = (b.reshape(-1) for b in bounds.sample(grid, 1))
-        Qt, c, _ = aff.basis
-
-        def project(x):
-            return x + Qt.T @ (c - Qt @ x)
-
-        z = np.zeros(aff.G.shape[1])
-        for _ in range(37):
-            uB = np.clip(z, lo, hi)
-            reflected = 2.0 * uB - z
-            z = z + (project(reflected) - uB)
-        res = solve_gap(aff, bounds, SolveOptions(solver="dr", tol=1e-30, max_iter=37))
-        np.testing.assert_array_equal(res.uB.flat, uB)
-        assert_basis_step_matches_gram_solve(aff, reflected)
+    @pytest.mark.parametrize("name,a", [("double_integrator", 1.0),
+                                        ("damped_oscillator", 0.3)])
+    @pytest.mark.parametrize("rule", ["map", "dr"])
+    def test_replay_lands_in_the_certified_interval(self, name, a, rule):
+        inst = builtin_instance(name)
+        aff = build_affine(inst.system, inst.system.grid(2000), inst.boundary)
+        bounds = Bounds.symmetric(a)
+        res = solve_gap(aff, bounds)
+        assert res.converged
+        if rule == "map":
+            u, _, gaps = replay_projection_steps(aff, bounds, 4000, False,
+                                                 np.zeros(aff.grid.N))
+            # MAP never raises the gap
+            assert np.all(np.diff(gaps) <= 1e-14)
+        else:
+            u, gaps = replay_douglas_rachford(aff, bounds, 4000)
+        # every replayed iterate is a box point, so its gap bounds the true gap
+        assert res.gap_lower <= min(gaps)
+        assert gaps[-1] <= res.gap_norm * (1 + 1e-7)
+        assert_basis_step_matches_gram_solve(aff, u)
 
 
 class TestFast:
-    def test_map_reproduces_alternating_projections(self, di):
-        grid, aff = di
-        lo, hi = Bounds.symmetric(1.0).sample(grid, 1)
-        lo, hi = lo.reshape(-1), hi.reshape(-1)
-        Qt, c, _ = aff.basis
-        u = np.zeros(aff.G.shape[1])
-        for _ in range(37):
-            u = np.clip(u + Qt.T @ (c - Qt @ u), lo, hi)
-        res = solve_gap(aff, Bounds.symmetric(1.0),
-                        SolveOptions(solver="map", tol=1e-30, max_iter=37))
-        np.testing.assert_array_equal(res.uB.flat, u)
-        assert_basis_step_matches_gram_solve(aff, u)
-
     def test_fast_reproduces_restarted_momentum_steps(self, mt200):
-        grid, aff, bounds = mt200
-        lo, hi = (b.reshape(-1) for b in bounds.sample(grid, 1))
-        Qt, c, _ = aff.basis
-
-        def project(u):
-            """P_affine(u) and the gap |P_affine(u) - u| = sqrt(h) |c - Qt u|."""
-            s = c - Qt @ u
-            return u + Qt.T @ s, np.sqrt(grid.h * (s @ s))
-
+        _, aff, bounds = mt200
         steps = 400
-        uA, _ = project(np.zeros(aff.G.shape[1]))
-        uA_prev = uA
-        t, beta, gap_prev, restarts = 1.0, 0.0, np.inf, 0
-        for _ in range(steps):
-            u = np.clip(uA + beta * (uA - uA_prev), lo, hi)
-            uA_prev, (uA, gap) = uA, project(u)
-            if gap > gap_prev:
-                t, beta = 1.0, 0.0
-                restarts += 1
-            else:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-                t, beta = t_next, (t - 1.0) / t_next
-            gap_prev = gap
+        u, restarts, _ = replay_projection_steps(aff, bounds, steps, True,
+                                                 np.zeros(aff.grid.N))
         res = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-30, max_iter=steps))
         assert restarts >= 1
         assert res.diagnostics["restarts"] == restarts
         np.testing.assert_array_equal(res.uB.flat, u)
         assert_basis_step_matches_gram_solve(aff, u)
-
-    def test_machine_tool_agreement_and_speed(self):
-        inst = builtin_instance("machine_tool")
-        grid = inst.system.grid(2000)
-        aff = build_affine(inst.system, grid, inst.boundary)
-        bounds = Bounds.symmetric(1500.0)
-        res_map = solve_gap(aff, bounds, SolveOptions(solver="map", tol=1e-7))
-        res_fast = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-7))
-        assert abs(res_map.gap_norm - res_fast.gap_norm) <= 1e-5 * (1 + res_map.gap_norm)
-        assert res_fast.iterations < res_map.iterations
 
     def test_feasible_gap_vanishes(self, di):
         _, aff = di
@@ -226,9 +164,10 @@ class TestFast:
 
 
 def replay_projection_steps(aff, bounds, steps, momentum, u0):
-    """``steps`` map (or, with momentum, restarted fast) steps from the box
-    point u0 over all coordinates, the arithmetic of a full step in plain
-    numpy; returns the last iterate and the restart count."""
+    """``steps`` alternating projection steps u <- clip(P_affine(u)) (or,
+    with momentum, restarted ``fast`` steps) from the box point u0 over all
+    coordinates, the arithmetic of a full step in plain numpy; returns the
+    last iterate, the restart count and the gap of every step."""
     lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))
     Qt, c, _ = aff.basis
 
@@ -238,7 +177,7 @@ def replay_projection_steps(aff, bounds, steps, momentum, u0):
 
     uA, _ = project(u0)
     uA_prev, u = uA, u0
-    t, beta, gap_prev, restarts = 1.0, 0.0, np.inf, 0
+    t, beta, gap_prev, restarts, gaps = 1.0, 0.0, np.inf, 0, []
     for _ in range(steps):
         u = np.clip(uA + beta * (uA - uA_prev), lo, hi)
         uA_prev, (uA, gap) = uA, project(u)
@@ -249,7 +188,24 @@ def replay_projection_steps(aff, bounds, steps, momentum, u0):
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             t, beta = t_next, (t - 1.0) / t_next
         gap_prev = gap
-    return u, restarts
+        gaps.append(gap)
+    return u, restarts, gaps
+
+
+def replay_douglas_rachford(aff, bounds, steps):
+    """``steps`` Douglas-Rachford steps z <- z + P_affine(2 uB - z) - uB,
+    uB = clip(z), from z = 0 in plain numpy; returns the last reflected
+    point 2 uB - z and the gap |P_affine(uB) - uB| of every shadow uB."""
+    lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))
+    Qt, c, _ = aff.basis
+    z, gaps = np.zeros(aff.grid.N * aff.m), []
+    for _ in range(steps):
+        uB = np.clip(z, lo, hi)
+        reflected = 2.0 * uB - z
+        z = z + reflected + Qt.T @ (c - Qt @ reflected) - uB
+        s = c - Qt @ uB
+        gaps.append(np.sqrt(aff.grid.h * (s @ s)))
+    return reflected, gaps
 
 
 def two_input_problem(N):
@@ -277,26 +233,18 @@ class TestWorkingSet:
     """Steps on a working set must follow the full steps to rounding."""
 
     @staticmethod
-    def assert_replays(aff, bounds, solver, steps, warm_start=None, rtol=1e-12):
-        opts = SolveOptions(solver=solver, tol=1e-30, max_iter=steps, warm_start=warm_start)
+    def assert_replays(aff, bounds, steps, rtol=1e-12):
+        opts = SolveOptions(solver="fast", tol=1e-30, max_iter=steps)
         res = solve_gap(aff, bounds, opts)
-        u0 = np.zeros(aff.grid.N * aff.m) if warm_start is None else warm_start.flat
-        lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))
-        u, restarts = replay_projection_steps(aff, bounds, steps, solver == "fast",
-                                              np.clip(u0, lo, hi))
+        u, restarts, _ = replay_projection_steps(aff, bounds, steps, True,
+                                                 np.zeros(aff.grid.N * aff.m))
         assert res.diagnostics["full_steps"] < steps  # the working set was used
         assert res.diagnostics["restarts"] == restarts
         assert np.max(np.abs(res.uB.flat - u)) <= rtol * np.max(np.abs(u))
 
     def test_fast_on_machine_tool(self, mt10k):
         aff, bounds, _ = mt10k
-        self.assert_replays(aff, bounds, "fast", 1000)
-
-    def test_map_on_machine_tool(self, mt10k):
-        # a cold map solve keeps too many nodes moving for 8,800 steps, so
-        # start it from the fast answer
-        aff, bounds, fast = mt10k
-        self.assert_replays(aff, bounds, "map", 500, warm_start=fast.uB)
+        self.assert_replays(aff, bounds, 1000)
 
     def test_epochs_end_when_the_multiplier_leaves_the_radius(self):
         # Just below a_c the switch times keep moving for thousands of steps;
@@ -306,12 +254,11 @@ class TestWorkingSet:
         inst = builtin_instance("machine_tool")
         grid = inst.system.grid(4096)
         aff = build_affine(inst.system, grid, inst.boundary)
-        self.assert_replays(aff, Bounds.symmetric(1774.5), "fast", 4000, rtol=1e-10)
+        self.assert_replays(aff, Bounds.symmetric(1774.5), 4000, rtol=1e-10)
 
-    @pytest.mark.parametrize("solver", ["map", "fast"])
-    def test_two_inputs_with_per_node_bounds(self, solver):
+    def test_two_inputs_with_per_node_bounds(self):
         aff, bounds = two_input_problem(4000)
-        self.assert_replays(aff, bounds, solver, 150)
+        self.assert_replays(aff, bounds, 150)
 
     def test_default_tol_keeps_the_full_step_solve(self, mt10k):
         _, _, res = mt10k
@@ -323,7 +270,7 @@ class TestWorkingSet:
 
 
 class TestBuffers:
-    @pytest.mark.parametrize("solver", ["newton", "map", "dr", "fast"])
+    @pytest.mark.parametrize("solver", ["newton", "fast"])
     def test_warm_start_is_left_unchanged(self, mt200, solver):
         grid, aff, bounds = mt200
         rng = np.random.default_rng(4)
@@ -332,7 +279,7 @@ class TestBuffers:
         solve_gap(aff, bounds, SolveOptions(solver=solver, warm_start=warm, max_iter=50))
         np.testing.assert_array_equal(warm.values, before)
 
-    @pytest.mark.parametrize("solver", ["newton", "map", "dr", "fast"])
+    @pytest.mark.parametrize("solver", ["newton", "fast"])
     def test_results_share_no_memory(self, mt200, solver):
         _, aff, bounds = mt200
         opts = SolveOptions(solver=solver, max_iter=50)
@@ -356,7 +303,7 @@ class TestCrossSolver:
         aff = build_affine(inst.system, grid, inst.boundary)
         bounds = Bounds.symmetric(a)
         results = {s: solve_gap(aff, bounds, SolveOptions(tol=tol, solver=s))
-                   for s in ("newton", "map", "dr", "fast")}
+                   for s in ("newton", "fast")}
         gaps = {s: res.gap_norm for s, res in results.items()}
         for s1 in gaps:
             for s2 in gaps:
@@ -371,8 +318,8 @@ class TestCrossSolver:
 
 class TestActiveSetFinish:
     @pytest.mark.parametrize("name,a,solvers", [
-        ("double_integrator", 1.0, ("newton", "map", "dr", "fast")),
-        ("damped_oscillator", 0.3, ("newton", "map", "fast")),
+        ("double_integrator", 1.0, ("newton", "fast")),
+        ("damped_oscillator", 0.3, ("newton", "fast")),
     ])
     def test_solvers_agree_on_switch_times(self, name, a, solvers):
         inst = builtin_instance(name)
@@ -427,7 +374,7 @@ class TestActiveSetFinish:
             assert newton.converged
             assert newton.gap_lower * (1 - 1e-12) <= ref.gap_norm
             assert ref.gap_norm <= newton.gap_norm * (1 + 1e-12) + 1e-14
-            for solver in ("newton", "map", "dr", "fast"):
+            for solver in ("newton", "fast"):
                 res = solve_gap(aff, bounds, SolveOptions(tol=1e-9, solver=solver))
                 if res.diagnostics["finish"] != "exact":
                     continue
@@ -532,14 +479,12 @@ class TestHomogeneity:
         system = inst.system
         grid = system.grid(400)
         base_aff = build_affine(system, grid, inst.boundary)
-        base = solve_gap(base_aff, Bounds.symmetric(1.0),
-                         SolveOptions(solver="map", tol=1e-11))
+        base = solve_gap(base_aff, Bounds.symmetric(1.0), SolveOptions(tol=1e-11))
         tau = 1e-6 * np.max(np.abs(base.v.values))
         for s in rng.uniform(0.2, 5.0, 5):
             boundary = BoundarySpec(x0=s * inst.boundary.x0, xf=s * inst.boundary.xf)
             aff = build_affine(system, grid, boundary)
-            scaled = solve_gap(aff, Bounds.symmetric(s * 1.0),
-                               SolveOptions(solver="map", tol=1e-11 * s))
+            scaled = solve_gap(aff, Bounds.symmetric(s * 1.0), SolveOptions(tol=1e-11))
             assert scaled.gap_norm == pytest.approx(s * base.gap_norm, rel=1e-6)
             mask = np.abs(base.v.values) > tau
             assert np.array_equal(np.sign(scaled.v.values[mask]),

@@ -166,9 +166,9 @@ class TestDykstra:
         coef = np.polyfit(grid.left_nodes[idx], vals[idx], 1)
         assert np.max(np.abs(np.polyval(coef, grid.left_nodes[idx]) - vals[idx])) <= 1e-8
 
-    def test_box_exact_and_weakly_optimal(self, rng):
-        # the minimum-norm feasible control beats feasible points obtained
-        # by running the gap solver from random starts
+    def test_box_exact_and_weakly_optimal(self):
+        # the minimum-norm feasible control beats the feasible point of a
+        # cold gap solve
         inst = builtin_instance("double_integrator")
         grid = inst.system.grid(200)
         aff = build_affine(inst.system, grid, inst.boundary)
@@ -176,13 +176,9 @@ class TestDykstra:
         u, stats = dykstra_min_energy(aff, bounds)
         lo, hi = bounds.sample(grid, 1)
         assert np.all(u.values >= lo) and np.all(u.values <= hi)
-        best = l2_norm(u)
-        for _ in range(100):
-            start = ControlTrajectory(values=rng.normal(0, 3, (grid.N, 1)), grid=grid)
-            res = solve_gap(aff, bounds,
-                            SolveOptions(solver="map", tol=1e-10, warm_start=start))
-            assert res.gap_norm <= 1e-6  # feasible instance
-            assert best <= l2_norm(res.uB) + 1e-9
+        res = solve_gap(aff, bounds, SolveOptions(tol=1e-10))
+        assert res.converged and res.gap_norm <= 1e-6  # feasible instance
+        assert l2_norm(u) <= l2_norm(res.uB) + 1e-9
 
     def test_infeasible_detected(self, di):
         _, aff = di
