@@ -6,17 +6,19 @@ also serve as standalone diagnostics.  Rank is decided from singular
 values of the column-equilibrated test matrix (columns scaled to unit
 norm, which preserves rank): the raw stacked powers A^k B span eighteen
 orders of magnitude on the stiffest benchmark and would defeat any
-tolerance applied to the unscaled matrix.
+tolerance applied to the unscaled matrix.  Solves obey ``gramian_report``
+on the transcription, as Kalman tests are unreliable (Paige, TAC 26, 1981).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
-from .discretize import AffineData
+if TYPE_CHECKING:
+    from .discretize import AffineData
 
 MatrixSource = Union[np.ndarray, Callable[[float], np.ndarray]]
 
@@ -39,21 +41,19 @@ class CtrbReport:
     inconclusive: bool = False
 
 
+def _report(s: np.ndarray, n: int, rtol: float, test: str, ltv: bool = False) -> CtrbReport:
+    """Rank = the number of singular values ``s`` above rtol s[0]."""
+    rank = int(np.sum(s > rtol * s[0]))
+    cond = float(s[n - 1] / s[0]) if rank and len(s) >= n else 0.0
+    return CtrbReport(rank=rank, required=n, controllable=rank == n, test=test,
+                      conditioning=cond, inconclusive=ltv and rank < n)
+
+
 def _rank_report(K: np.ndarray, n: int, test: str, ltv: bool = False) -> CtrbReport:
     norms = np.linalg.norm(K, axis=0)
-    keep = norms > 0.0
-    if not np.any(keep):
-        return CtrbReport(rank=0, required=n, controllable=False, test=test,
-                          conditioning=0.0, inconclusive=ltv)
-    Kn = K[:, keep] / norms[keep]
-    s = np.linalg.svd(Kn, compute_uv=False)
-    tol = n * np.finfo(float).eps * s[0]
-    rank = int(np.sum(s > tol))
-    controllable = rank == n
-    cond = float(s[min(n, len(s)) - 1] / s[0]) if len(s) >= n else 0.0
-    return CtrbReport(rank=rank, required=n, controllable=controllable, test=test,
-                      conditioning=max(cond, 0.0),
-                      inconclusive=ltv and not controllable)
+    Kn = K[:, norms > 0.0] / norms[norms > 0.0]
+    s = np.linalg.svd(Kn, compute_uv=False) if Kn.size else np.zeros(1)
+    return _report(s, n, n * np.finfo(float).eps, test, ltv)
 
 
 def kalman_rank(A: np.ndarray, B: np.ndarray) -> CtrbReport:
@@ -130,13 +130,15 @@ def discrete_gramian(aff: AffineData) -> np.ndarray:
     under grid refinement; invertibility is equivalent to discrete
     controllability on the grid.
     """
-    M = aff.W / aff.grid.h
-    M.flags.writeable = False
-    return M
+    return aff.G @ aff.G.T / aff.grid.h
 
 
 def gramian_report(aff: AffineData) -> CtrbReport:
-    """Rank/conditioning report for the discrete Gramian W = G G^T: G with
-    unit-norm rows, ranked like the Kalman matrix, since the eigenvalues of
-    the raw W fall below rounding where G still has full rank."""
-    return _rank_report(aff.G.T, aff.n, "gramian")
+    """Rank/conditioning report for the discrete Gramian G G^T, the one
+    verdict that ``AffineData.controllable`` and every solve obey: the
+    scaled factor Rhat of the QR behind ``AffineData.basis`` needs n
+    singular values above sqrt(eps) sigma_max, the condition for a Cholesky
+    of the unit-diagonal Rhat^T Rhat, decided where numerical rank belongs
+    (Golub and Van Loan, Matrix Computations, 4th ed., 5.4)."""
+    s = np.linalg.svd(aff._factor[1], compute_uv=False)
+    return _report(s, aff.n, np.sqrt(np.finfo(float).eps), "gramian")

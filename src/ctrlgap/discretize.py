@@ -2,12 +2,11 @@
 
 The continuous set of admissible controls (those steering x0 to xf) is
 replaced by the affine set { u : G u = xi } acting on stacked piecewise-
-constant control values.  The map G, the step-matrix product Phi and the
-Gram matrix W = G G^T are assembled once per (system, grid, boundary).
-Every solver and certificate runs on one representation of that set, the
-orthonormal basis (Qt, c) of range(G^T) in ``AffineData.basis``, built
-from G on first use; W serves the controllability tests and the
-enumeration oracle.
+constant control values.  The map G and the step-matrix product Phi are
+assembled once per (system, grid, boundary).  Every solver and
+certificate runs on one representation of that set, the orthonormal basis
+(Qt, c) of range(G^T) in ``AffineData.basis``, and the same Householder QR
+of G^T decides controllability on the grid; it is built on first use.
 
 With constant matrices every Euler step is the same affine map
 x -> M x + hB u, M = I + hA, so nothing needs a per-step Python loop: G
@@ -30,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .controllability import gramian_report
 from .errors import SimulationOverflowError, UncontrollableGridError
 from .model import BoundarySpec, Grid, LinearSystem
 
@@ -102,16 +102,13 @@ class StateTrajectory:
 @dataclass(frozen=True)
 class AffineData:
     """Discrete reachability data: { u : G u = xi } equals the transcribed
-    boundary-value set, with Phi the ordered product of step matrices and
-    W = G G^T.  ``controllable`` says whether W is invertible at working
-    precision; ``basis`` is the orthonormal form of the set that every
-    solver and certificate runs on."""
+    boundary-value set, with Phi the ordered product of step matrices.
+    ``controllable`` (G has full row rank) and ``basis``, the form of the set
+    that every solver runs on, both read one QR of G^T, built on first use."""
 
     G: np.ndarray
     xi: np.ndarray
     Phi: np.ndarray
-    W: np.ndarray
-    controllable: bool
     grid: Grid
     m: int
 
@@ -128,28 +125,40 @@ class AffineData:
         return float(np.linalg.norm(self.G @ u - self.xi))
 
     @cached_property
+    def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Q^T, Rhat, d) of the Householder QR G^T = Q R: Rhat = R D^{-1}, D =
+        diag(d) the row norms of G, with d = 1 on a zero row of G."""
+        Q, R = np.linalg.qr(self.G.T)
+        d = np.sqrt(np.diag(self.G @ self.G.T))
+        d[d == 0.0] = 1.0
+        return np.ascontiguousarray(Q.T), R / d, d
+
+    @property
+    def controllable(self) -> bool:
+        """The verdict of ``gramian_report`` on this grid."""
+        return gramian_report(self).controllable
+
+    @cached_property
     def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Qt, c, Rhat) with { u : Qt u = c } = { u : G u = xi } and the rows
         of Qt an orthonormal basis of range(G^T), so P_affine(u) = u - Qt^T s
         with s = Qt u - c, and the unit-column Rhat with D^{-1} G = Rhat^T Qt,
-        D = sqrt(diag W), so the row-scaled residual D^{-1}(G u - xi) is
+        D the row norms of G, so the row-scaled residual D^{-1}(G u - xi) is
         Rhat^T s.
 
         From the Householder QR G^T = Q R: Qt = Q^T, Rhat = R D^{-1} and c =
         R^{-T} xi, solved as Rhat^{-T} D^{-1} xi.  Unlike the normal
-        equations through W, this keeps the accuracy of G on badly
+        equations through G G^T, this keeps the accuracy of G on badly
         conditioned grids (Bjorck, Numerical Methods for Least Squares
         Problems, SIAM 1996, ch. 2).  The arrays are read-only and Qt is
         C-contiguous.  Built on first access and kept; raises
-        ``UncontrollableGridError`` when W is singular.
+        ``UncontrollableGridError`` when the grid is not ``controllable``.
         """
         if not self.controllable:
             raise UncontrollableGridError(
-                "Gram matrix of the reachability map is singular to working "
+                "triangular factor of the reachability map is singular to working "
                 "precision; the discrete system is uncontrollable on this grid")
-        Q, R = np.linalg.qr(self.G.T)
-        d = np.sqrt(np.diag(self.W))
-        Qt, Rhat = np.ascontiguousarray(Q.T), R / d
+        Qt, Rhat, d = self._factor
         c = np.linalg.solve(Rhat.T, self.xi / d)
         for arr in (Qt, c, Rhat):
             arr.flags.writeable = False
@@ -272,10 +281,6 @@ def build_affine(system: LinearSystem, grid: Grid,
     Constant-matrix systems build G by doubling and Phi = M^N by binary
     powering; time-varying systems, and constant ones whose doubled G or
     Phi has a non-finite entry, accumulate the step matrices one by one.
-    W is tested for invertibility by a Cholesky factorization after
-    scaling it to unit diagonal (raw condition numbers reach ~1e15 on the
-    builtins and drop to O(10)); a singular W is flagged on the result
-    rather than raised, and every solve refuses to run on it.
     """
     if boundary.n != system.n:
         raise ValueError(f"boundary dimension {boundary.n} != state dimension {system.n}")
@@ -285,18 +290,9 @@ def build_affine(system: LinearSystem, grid: Grid,
     if G is None or not (np.isfinite(G).all() and np.isfinite(P).all()):
         G, P = _affine_loop(system, grid)
     xi = boundary.xf - P @ boundary.x0
-    W = G @ G.T
-    d = np.sqrt(np.diag(W))
-    controllable = bool(np.all(d > 0.0))
-    if controllable:
-        try:
-            np.linalg.cholesky(W / np.outer(d, d))
-        except np.linalg.LinAlgError:
-            controllable = False
-    for arr in (G, xi, P, W):
+    for arr in (G, xi, P):
         arr.flags.writeable = False
-    return AffineData(G=G, xi=xi, Phi=P, W=W, controllable=controllable,
-                      grid=grid, m=system.m)
+    return AffineData(G=G, xi=xi, Phi=P, grid=grid, m=system.m)
 
 
 def weighted_norm(values: np.ndarray, h: float) -> float:

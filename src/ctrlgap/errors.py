@@ -10,9 +10,9 @@ class ConfigError(CtrlGapError):
 
 
 class UncontrollableGridError(CtrlGapError):
-    """The Gram matrix of the discrete reachability map is singular to
-    working precision, so projection onto the boundary-value set is
-    unavailable on this grid."""
+    """The discrete reachability map lacks full row rank at working
+    precision (``gramian_report``), so projection onto the boundary-value
+    set is unavailable on this grid."""
 
 
 class SimulationOverflowError(CtrlGapError):

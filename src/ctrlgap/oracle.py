@@ -53,7 +53,8 @@ def brute_force_active_set(aff: AffineData, bounds: Bounds) -> ActiveSetSolution
             f"got {size}")
     lo, hi = bounds.sample(aff.grid, aff.m)
     lo_f, hi_f = lo.reshape(-1), hi.reshape(-1)
-    G, xi, W, h = aff.G, aff.xi, aff.W, aff.grid.h
+    G, xi, h = aff.G, aff.xi, aff.grid.h
+    W = G @ G.T
 
     scale = 1.0 + float(np.max(np.abs(np.concatenate([lo_f, hi_f]))))
     ftol = 1e-9 * scale

@@ -51,8 +51,8 @@ def project_affine(u: ControlTrajectory, aff: AffineData) -> ControlTrajectory:
     ``aff.basis``, which equals u - G^T (G G^T)^{-1} (G u - xi) but does
     not solve through the rounded W, so its affine residual keeps the
     accuracy of G on badly conditioned grids; the step weight cancels in
-    the formula.  Raises ``UncontrollableGridError`` if the Gram matrix is
-    singular on this grid.
+    the formula.  Raises ``UncontrollableGridError`` if the grid is not
+    ``aff.controllable``.
     """
     if u.grid != aff.grid or u.m != aff.m:
         raise ValueError("control trajectory does not match the affine data's grid")

@@ -74,16 +74,22 @@ def ill_conditioned_affines():
                 yield aff
 
 
+def gram(aff):
+    """The Gram matrix W = G G^T, formed from G and not from the basis."""
+    return aff.G @ aff.G.T
+
+
 def gram_solve(aff, r):
     """W^{-1} r solved with W scaled to unit diagonal, refined once against W:
     a reference for the multiplier that the solvers form in the basis."""
-    d = np.sqrt(np.diag(aff.W))
-    Ws = aff.W / np.outer(d, d)
+    W = gram(aff)
+    d = np.sqrt(np.diag(W))
+    Ws = W / np.outer(d, d)
     y = np.linalg.solve(Ws, r / d) / d
-    return y + np.linalg.solve(Ws, (r - aff.W @ y) / d) / d
+    return y + np.linalg.solve(Ws, (r - W @ y) / d) / d
 
 
 def scaled_residual(aff, u):
     """|D^{-1}(G u - xi)| / (1 + |D^{-1} xi|), D = sqrt(diag W)."""
-    d = np.sqrt(np.diag(aff.W))
+    d = np.sqrt(np.diag(gram(aff)))
     return np.linalg.norm((aff.G @ u - aff.xi) / d) / (1.0 + np.linalg.norm(aff.xi / d))

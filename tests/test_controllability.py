@@ -1,9 +1,28 @@
+import json
+
 import numpy as np
 import pytest
 
-from ctrlgap import (BoundarySpec, build_affine, builtin_instance,
-                     discrete_gramian, gramian_report, kalman_rank, ltv_rank,
-                     make_lti_system)
+from ctrlgap import (BoundarySpec, UncontrollableGridError, build_affine,
+                     builtin_instance, critical_bound, discrete_gramian,
+                     dykstra_min_energy, gramian_report, instance_from_config,
+                     kalman_rank, ltv_rank, make_lti_system, solve_gap)
+from ctrlgap import cli
+
+BUILTIN_NODES = (1, 2, 5, 7, 8, 50, 1000)
+# Grids that a Cholesky test of the unit-diagonal Gram matrix called
+# controllable, and solved on: Kalman rank 2 of 3, and two steps of one
+# input for three states (N m < n)
+UNCONTROLLABLE = {
+    "kalman_rank_2": ({"system": {"A": [[-1, 0, -1], [2, -1, -1], [2, 0, -4]],
+                                  "B": [[-1], [2], [-1]]},
+                       "t0": 0, "tf": 1, "x0": [0, 0, 0], "xf": [1, 1, 1], "bound": 1},
+                      (100, 1000, 10000)),
+    "short_grid": ({"system": {"A": [[-1, 0, 0], [0, -2, 0], [0, 0, -3]],
+                               "B": [[1], [1], [1]]},
+                    "t0": 0, "tf": 0.3, "x0": [0, 0, 0], "xf": [1, 1, 1], "bound": 1},
+                   (2,)),
+}
 
 
 def di_terminal_gramian():
@@ -130,13 +149,44 @@ class TestDiscreteGramian:
         assert ranks[0] == 1 and ranks[-1] == 2
 
     @pytest.mark.parametrize("name", ["double_integrator", "damped_oscillator",
-                                      "machine_tool"])
-    def test_report_agrees_with_build_affine(self, name):
+                                      "machine_tool", *UNCONTROLLABLE])
+    def test_report_agrees_with_build_affine(self, name, tmp_path):
         # machine_tool at N=7 and 8: the eigenvalues of the raw W fell below
         # rounding, and the report read rank 5 at a negative conditioning
-        inst = builtin_instance(name)
-        for N in (1, 2, 5, 7, 8, 50, 1000):
-            aff = build_affine(inst.system, inst.system.grid(N), inst.boundary)
+        config, nodes = UNCONTROLLABLE.get(name, ({"system": name}, BUILTIN_NODES))
+        inst = instance_from_config(config)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        for N in nodes:
+            grid = inst.system.grid(N)
+            aff = build_affine(inst.system, grid, inst.boundary)
             rep = gramian_report(aff)
             assert rep.controllable == aff.controllable, N
             assert 0.0 <= rep.conditioning <= 1.0
+            if name not in UNCONTROLLABLE:
+                continue
+            assert aff.controllable is False
+            with pytest.raises(UncontrollableGridError):
+                solve_gap(aff, inst.bounds)
+            with pytest.raises(UncontrollableGridError):
+                dykstra_min_energy(aff, inst.bounds)
+            with pytest.raises(UncontrollableGridError):
+                critical_bound(inst.system, grid, inst.boundary)
+            assert cli.run(["gap", "--config", str(cfg), "--nodes", str(N),
+                            "--out", str(tmp_path / str(N))]) == 1
+
+    def test_similarity_transformed_uncontrollable_grids(self):
+        # A = T diag(lam) T^{-1}, B = T (b_r, 0): the last n - r modes are
+        # unreachable; the Cholesky test called 41 of these controllable
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            r, m = int(rng.integers(1, n)), int(rng.integers(1, 3))
+            T = rng.normal(0, 1, (n, n))
+            A = T @ np.diag(rng.uniform(-4, 1, n)) @ np.linalg.inv(T)
+            B = T @ np.vstack([rng.normal(0, 1, (r, m)), np.zeros((n - r, m))])
+            system = make_lti_system(A, B, 0.0, 1.0)
+            N = int(rng.integers(n, 1001))
+            aff = build_affine(system, system.grid(N), BoundarySpec(x0=np.zeros(n),
+                                                                   xf=np.ones(n)))
+            assert not gramian_report(aff).controllable, (n, r, m, N)

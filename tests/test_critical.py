@@ -7,7 +7,7 @@ from ctrlgap import (Bounds, ControlTrajectory, SolveOptions, build_affine,
                      builtin_instance, critical_bound, di_critical_analytic, solve_gap)
 from ctrlgap.critical import _certified_ends
 
-from conftest import LP_A_C_1000
+from conftest import LP_A_C_1000, gram
 
 
 def _critical(name, nodes, **kwargs):
@@ -26,7 +26,7 @@ def test_bracket_contains_exact_critical_bound(name):
     assert res.a_c == hi
     assert all(p.lower <= LP_A_C_1000[name] <= p.upper for p in res.probes)
     # u_c is the minimum-energy control in the box at the upper end
-    d = np.sqrt(np.diag(aff.W))
+    d = np.sqrt(np.diag(gram(aff)))
     assert res.stats.converged
     assert np.max(np.abs(res.u_c.values)) <= res.a_c
     residual = np.linalg.norm((aff.G @ res.u_c.flat - aff.xi) / d)

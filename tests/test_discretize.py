@@ -8,7 +8,7 @@ from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SimulationOverflow
                      make_lti_system, make_ltv_system, simulate, solve_gap,
                      weighted_norm)
 
-from conftest import ill_conditioned_affines, scaled_residual, scalar_integrator
+from conftest import gram, ill_conditioned_affines, scaled_residual, scalar_integrator
 
 
 def di_system():
@@ -275,7 +275,7 @@ class TestAffineBasis:
         # D^{-1} G = Rhat^T Qt and D^{-1} xi = Rhat^T c, D = sqrt(diag W)
         for aff in gram_test_cases():
             Qt, c, Rhat = aff.basis
-            d = np.sqrt(np.diag(aff.W))
+            d = np.sqrt(np.diag(gram(aff)))
             assert np.array_equal(Rhat, np.triu(Rhat))
             assert np.abs(np.linalg.norm(Rhat, axis=0) - 1.0).max() <= 1e-14
             assert np.abs(Rhat.T @ Qt - aff.G / d[:, None]).max() <= 1e-14

@@ -9,7 +9,7 @@ from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
                      brute_force_gap, check_bang_bang, extract_switchings,
                      make_lti_system, solve_gap)
 
-from conftest import gram_solve, random_tiny_problem, scalar_integrator
+from conftest import gram, gram_solve, random_tiny_problem, scalar_integrator
 
 
 def assert_basis_step_matches_gram_solve(aff, u):
@@ -390,7 +390,7 @@ REFERENCES = json.loads(
 
 def _feasible_floor(aff, tol):
     """The absolute gap below which ``newton`` ends on a feasible box."""
-    d = np.sqrt(np.diag(aff.W))
+    d = np.sqrt(np.diag(gram(aff)))
     return tol * np.sqrt(aff.h) * (1 + np.linalg.norm(aff.xi / d))
 
 
