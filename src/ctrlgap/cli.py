@@ -95,9 +95,9 @@ def _build_parser() -> _Parser:
 
     p_crit = sub.add_parser("critical", help="critical bound as a certified bracket")
     add_instance_flags(p_crit, with_bound=False)
-    p_crit.add_argument("--tol-a", type=float, default=1e-4,
-                        help=f"relative bracket width (default 1e-4, at least "
-                             f"{TOL_A_FLOOR:g})")
+    p_crit.add_argument("--tol-a", type=float, default=1e-8,
+                        help=f"relative width of the certified bracket (default "
+                             f"1e-8, at least {TOL_A_FLOOR:g})")
 
     p_ctrb = sub.add_parser("ctrb", help="controllability report")
     add_instance_flags(p_ctrb, with_bound=False)
@@ -303,12 +303,11 @@ def _cmd_critical(args: argparse.Namespace) -> int:
                    tol_a=args.tol_a, aff=aff)
     u = result.u_c
     states = clock("simulate", simulate, instance.system, grid, instance.boundary.x0, u)
-    converged = result.converged and result.stats.converged
     summary = {
         "command": "critical", "label": instance.label, "N": args.nodes,
         "a_c": result.a_c, "switch_times": result.switch_times,
         "iterations": sum(p.iterations for p in result.probes),
-        "converged": converged, "wall_time_seconds": clock.seconds["solve"],
+        "converged": result.converged, "wall_time_seconds": clock.seconds["solve"],
         "bracket_lo": result.bracket[0], "bracket_hi": result.bracket[1],
         "evaluations": len(result.probes), "affine_residual": result.stats.residual,
         "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
@@ -318,8 +317,8 @@ def _cmd_critical(args: argparse.Namespace) -> int:
           title=f"{instance.label}: critical bound, N={args.nodes}", stages=clock.seconds)
     print(f"a_c={result.a_c:.9g} bracket=({result.bracket[0]:.9g}, "
           f"{result.bracket[1]:.9g}) evaluations={len(result.probes)} "
-          f"converged={converged} switch_times={result.switch_times}")
-    return 0 if converged else 2
+          f"converged={result.converged} switch_times={result.switch_times}")
+    return 0 if result.converged else 2
 
 
 def _cmd_ctrb(args: argparse.Namespace) -> int:

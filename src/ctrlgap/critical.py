@@ -2,17 +2,19 @@
 boundary-value set meets the box, reported as a certified bracket, plus
 the closed-form double-integrator solution used as an oracle.
 
-a_c is the minimum-effort value min |u|_inf subject to G u = xi.  Every
-control u certifies both ends of a bracket around it (Neustadt, "Minimum
-effort control systems", J. SIAM Control 1, 1962): with its multiplier
-s = Qt u - c in the orthonormal form {u : Qt u = c} of the affine set
-(``AffineData.basis``), weak duality gives a_c >= |c.s| / |Qt^T s|_1,
-and the affine projection u - Qt^T s of u is a feasible control, so a_c
-is at most its largest entry.  The search bisects on that bracket; each
-probe is a warm-started gap solve whose box iterate tightens the ends, so no
-probe is classified feasible or infeasible and the bracket does not rest
-on the gap solver being accurate.  The critical control u_c is the
-minimum-energy control in the box at the upper end, which is unique.
+a_c is the minimum-effort value min |u|_inf subject to G u = xi.  In the
+orthonormal form {u : Qt u = c} of the affine set (``AffineData.basis``)
+a multiplier s certifies a_c >= |c.s| / |Qt^T s|_1 by weak duality
+(Neustadt, J. SIAM Control 1, 1962), and a control u certifies a_c <=
+max |u - Qt^T s|, s = Qt u - c, as its affine projection is feasible.
+The distance d(a) between the box |u| <= a and the affine set is convex,
+decreasing and zero from a_c on, and its Newton step at a < a_c is the
+lower end of the gap problem's optimal multiplier at a.  The search takes
+these steps from the left, one gap solve each (Dinkelbach's iteration for
+the ratio, Management Sci. 13, 1967); every end is certified however
+inexact the solve, and the steps converge superlinearly as d'(a_c-) !=
+0.  A minimum-energy solve just above the last end then certifies the
+upper end by its control u_c, or a higher lower end by its multiplier.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import numpy as np
 from . import analyze
 from .controllability import kalman_rank
 from .discretize import AffineData, ControlTrajectory, build_affine
-from .errors import AnalyticCaseError, BracketError, UncontrollableGridError
-from .gapsolve import SolveOptions, solve_gap
+from .errors import (AnalyticCaseError, BracketError, ConsistencyError,
+                     InfeasibleIntersectionError, UncontrollableGridError)
+from .gapsolve import solve_gap
 from .model import BoundarySpec, Bounds, Grid, LinearSystem
 from .project import ROUNDING, ProjectionStats, dykstra_min_energy
 
@@ -52,9 +55,10 @@ class Probe:
 @dataclass(frozen=True)
 class CriticalResult:
     """Certified bracket on the critical bound, the minimum-energy control
-    at its upper end with the stats of that solve, and the search record.
-    ``converged`` says whether the bracket reached the relative width
-    ``tol_a``."""
+    in the box |u| <= a of the last step, a <= a_c = hi, with the stats of
+    that solve, and the gap solves of the search.  ``converged`` says
+    whether the bracket reached the relative width ``tol_a`` and that
+    solve converged."""
 
     a_c: float
     u_c: ControlTrajectory
@@ -65,34 +69,39 @@ class CriticalResult:
     stats: ProjectionStats
 
 
+def _lower_end(aff: AffineData, s: np.ndarray) -> float:
+    """a_c >= |c.s| / |Qt^T s|_1 for the multiplier ``s``, widened by
+    ``ROUNDING``: a lower end from a nearly optimal multiplier can
+    otherwise land a few ulps above a_c."""
+    Qt, c, _ = aff.basis
+    l1 = float(np.abs(Qt.T @ s).sum())
+    return abs(float(c @ s)) / l1 * (1.0 - ROUNDING) / (1.0 + ROUNDING) if l1 > 0.0 else 0.0
+
+
 def _certified_ends(aff: AffineData, u: np.ndarray) -> tuple[float, float]:
     """Ends lower <= a_c <= upper certified by the control ``u`` (flat),
-    each widened by ``ROUNDING``: without it a lower end computed from a
-    nearly optimal multiplier can land a few ulps above a_c."""
+    each widened by ``ROUNDING``."""
     Qt, c, _ = aff.basis
     s = Qt @ u - c
-    g = Qt.T @ s
-    l1 = float(np.abs(g).sum())
-    lower = abs(float(c @ s)) / l1 if l1 > 0.0 else 0.0
-    upper = float(np.abs(u - g).max())
-    return lower * (1.0 - ROUNDING) / (1.0 + ROUNDING), upper * (1.0 + ROUNDING)
+    return _lower_end(aff, s), float(np.abs(u - Qt.T @ s).max()) * (1.0 + ROUNDING)
 
 
 def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
-                   tol_a: float = 1e-4, aff: AffineData | None = None) -> CriticalResult:
+                   tol_a: float = 1e-8, aff: AffineData | None = None) -> CriticalResult:
     """Certified bracket [lo, hi] on the critical symmetric bound.
 
-    The first bracket comes from the zero control, that is from the
-    minimum-norm control G^T W^{-1} xi.  Each probe then solves the gap
-    problem at the midpoint, warm-started from the previous probe, and
-    sets lo = max(lo, lower) and hi = min(hi, upper) from the ends its box
-    iterate certifies.  The search stops converged once hi - lo <=
-    ``tol_a`` (1 + hi), or unconverged once a probe improves neither end;
-    ``tol_a`` must be finite and at least ``TOL_A_FLOOR``.
-    Returns a_c = hi together with u_c, the minimum-energy control in the
-    box |u| <= hi (``dykstra_min_energy``), which is unique.  ``aff``, when
-    given, is the transcription of (system, grid, boundary) and is used
-    instead of building it again.
+    [lo, hi] starts at the ends of the zero control.  While hi - lo >
+    ``tol_a`` (1 + hi), a ``Probe``, the default gap solve at a = lo, sets
+    lo = max(lo, lower) and hi = min(hi, upper) from the ends of its box
+    iterate, until lo rises by at most ``tol_a`` (1 + lo) / 4.  Then
+    ``dykstra_min_energy`` runs at a = min(hi, lo + ``tol_a`` (1 + lo) / 2):
+    if it certifies infeasibility, the lower end of its multiplier becomes
+    lo and the probes go on; if it converges, hi = min(hi, max(a, upper end
+    of its control)).  The search stops converged once hi - lo <= ``tol_a``
+    (1 + hi), or unconverged once this step moves no end; ``tol_a`` must be
+    finite and at least ``TOL_A_FLOOR``.  Returns a_c = hi and, as u_c, the
+    last step's control.  ``aff``, when given, is the transcription of
+    (system, grid, boundary), used instead of building it again.
     """
     if not TOL_A_FLOOR <= tol_a < math.inf:
         raise ValueError(f"tol_a must be finite and at least {TOL_A_FLOOR:g}, the "
@@ -113,27 +122,36 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
 
     lo, hi = _certified_ends(aff, np.zeros(grid.N * aff.m))
     probes: list[Probe] = []
-    warm: Optional[ControlTrajectory] = None
-    converged = hi - lo <= tol_a * (1.0 + hi)
-    while not converged:
-        a = 0.5 * (lo + hi)
-        res = solve_gap(aff, Bounds.symmetric(a), SolveOptions(solver="fast", warm_start=warm))
-        warm = res.uB
-        lower, upper = _certified_ends(aff, res.uB.flat)
-        probes.append(Probe(a=a, lower=lower, upper=upper, iterations=res.iterations))
-        if lower <= lo and upper >= hi:
+    while True:
+        while hi - lo > tol_a * (1.0 + hi):
+            res = solve_gap(aff, Bounds.symmetric(lo))
+            lower, upper = _certified_ends(aff, res.uB.flat)
+            probes.append(Probe(a=lo, lower=lower, upper=upper, iterations=res.iterations))
+            rise, lo, hi = lower - lo, max(lo, lower), min(hi, upper)
+            if rise <= 0.25 * tol_a * (1.0 + lo):
+                break
+        a = min(hi, lo + 0.5 * tol_a * (1.0 + lo))
+        try:
+            u_c, stats = dykstra_min_energy(aff, Bounds.symmetric(a))
+        except InfeasibleIntersectionError as exc:
+            # the margin test that raised puts this end above a >= lo
+            if (lower := _lower_end(aff, exc.multiplier)) <= lo:
+                raise ConsistencyError(f"infeasibility certified at a={a!r} with a "
+                                       f"lower end {lower!r} <= lo={lo!r}") from exc
+            lo = lower
+            continue
+        upper = max(a, _certified_ends(aff, u_c.flat)[1]) if stats.converged else hi
+        moved, hi = upper < hi, min(hi, upper)
+        if not moved or hi - lo <= tol_a * (1.0 + hi):
             break
-        lo, hi = max(lo, lower), min(hi, upper)
-        converged = hi - lo <= tol_a * (1.0 + hi)
 
-    u_c, stats = dykstra_min_energy(aff, Bounds.symmetric(hi))
     profile = analyze.extract_switchings(u_c, grid, reference="control")
     return CriticalResult(
         a_c=hi,
         u_c=u_c,
         switch_times=profile.switch_times,
         bracket=(lo, hi),
-        converged=converged,
+        converged=stats.converged and hi - lo <= tol_a * (1.0 + hi),
         probes=tuple(probes),
         stats=stats)
 

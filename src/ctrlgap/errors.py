@@ -22,7 +22,9 @@ class SimulationOverflowError(CtrlGapError):
 
 class InfeasibleIntersectionError(CtrlGapError):
     """A dual multiplier separates the box from the boundary-value set,
-    which proves that the two constraint sets do not intersect."""
+    which proves that the two constraint sets do not intersect.  When a
+    minimum-energy solve raises it, ``multiplier`` is that multiplier y in
+    the basis (Qt, c) of ``AffineData.basis``."""
 
 
 class BracketError(CtrlGapError):

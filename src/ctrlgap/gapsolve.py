@@ -16,8 +16,7 @@ one driver, ``solve_gap``:
           over the box, restarted whenever the gap grows (O'Donoghue and
           Candes, Found. Comput. Math. 15, 2015): an alternating projection
           step from a point extrapolated along the last step.  It remains
-          because the critical-bound probes warm-start it and the benchmark
-          times it.
+          because the benchmark times it.
 
 The paper's alternating projections and Douglas-Rachford splitting are
 not step rules here; the tests replay them in plain numpy as oracles for
@@ -85,8 +84,7 @@ others held at their bounds, and the result is kept only if it passes
 the optimality checks.  ``newton`` tries the same step on every proximal
 iterate.  ``diagnostics["finish"]`` records the outcome for the returned
 pair; only when it reads ``"exact"`` is that pair the exact discrete
-optimum, up to rounding.  The critical-bound search needs no such
-guarantee: it certifies its bracket from whatever uB a solve returns.
+optimum, up to rounding.
 """
 
 from __future__ import annotations
@@ -117,13 +115,12 @@ class SolveOptions:
     between iterates and not the error of the last one; a stop on it is
     followed by the verified active-set finish.  ``tol`` must be positive
     and finite.  ``max_iter`` caps Newton steps for ``newton`` and steps
-    for ``fast``.
+    for ``fast``.  Both start from the zero control clipped into the box.
     """
 
     tol: float = 1e-9
     max_iter: int = 2_000_000
     solver: str = "newton"
-    warm_start: Optional[ControlTrajectory] = None
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
@@ -179,18 +176,6 @@ class _Workspace:
         lo, hi = bounds.sample(aff.grid, aff.m)
         self.lo = lo.reshape(-1)
         self.hi = hi.reshape(-1)
-
-    def start(self, opts: SolveOptions) -> np.ndarray:
-        if opts.warm_start is not None:
-            w = opts.warm_start
-            if w.grid != self.aff.grid or w.m != self.aff.m:
-                raise ValueError("warm start does not match the affine data's grid")
-            u0 = w.flat
-        else:
-            u0 = np.zeros(self.aff.grid.N * self.aff.m)
-        # maximum then minimum: np.clip with array bounds costs about 2.5x
-        u = np.maximum(u0, self.lo)
-        return np.minimum(u, self.hi, out=u)
 
 
 # Sign-check slack relative to the largest |v|.  The entries of v that an
@@ -486,11 +471,14 @@ def solve_gap(aff: AffineData, bounds: Bounds,
     """
     opts = opts or SolveOptions()
     ws = _Workspace(aff, bounds)
+    # the zero control clipped into the box; np.clip with array bounds costs
+    # about 2.5x as much as maximum then minimum
+    u = np.minimum(np.maximum(0.0, ws.lo), ws.hi)
     diagnostics = {"stop": "max_iter"}
     if opts.solver == "newton":
-        steps = _newton_steps(ws, ws.start(opts), opts.tol, diagnostics)
+        steps = _newton_steps(ws, u, opts.tol, diagnostics)
     else:
-        steps = _projection_steps(ws, ws.start(opts), diagnostics)
+        steps = _projection_steps(ws, u, diagnostics)
     history = diagnostics["gap_history"] = array("d")
     it = 0
     for it, (uB, gap, change) in enumerate(islice(steps, opts.max_iter), start=1):

@@ -91,9 +91,12 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     eps Qt^T y), the gradient is Qt u(y) - c - weight y and the Newton
     matrix weight I + eps Qt_F Qt_F^T, F the free nodes of u(y), is solved
     by least squares as it is singular when the weight is 0.  A step
-    backtracks until the Armijo rule holds up to ``_DUAL_SLACK``.  Ends
-    after an ``exact`` step, a full one that keeps the clip pattern and so
-    maximizes the dual on that piece, or when no step >= 1e-12 ascends."""
+    backtracks until the Armijo rule holds up to ``_DUAL_SLACK``.  An
+    ``exact`` step, a full one that keeps the clip pattern, maximizes the
+    dual on that piece if the Newton matrix is regular and ends the
+    iteration; else the dual rises linearly along the gradient's part off
+    the matrix's range until a clipped node comes free, and the next step
+    goes twice that far.  Ends too when no step >= 1e-12 ascends."""
 
     def dual(y):
         u = np.maximum(center - eps * (Qt.T @ y), lo)
@@ -106,10 +109,17 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     (y, u, grad, terms), exact = dual(y), False
     while True:
         yield y, u, grad, exact
-        if exact:
-            return
         QF = Qt[:, (lo < u) & (u < hi)]
-        step = np.linalg.lstsq(weight * np.eye(c.size) + eps * (QF @ QF.T), grad, rcond=None)[0]
+        M = weight * np.eye(c.size) + eps * (QF @ QF.T)
+        step, _, rank, _ = np.linalg.lstsq(M, grad, rcond=None)
+        if exact:
+            ray = grad - M @ step
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = (u - center + eps * (Qt.T @ y)) / (-eps * (Qt.T @ ray))
+            reach = reach[((u <= lo) | (u >= hi)) & (0.0 < reach) & (reach < np.inf)]
+            if rank == c.size or not reach.size:
+                return
+            step = 2.0 * float(reach.min()) * ray
         value, slack = terms.sum(), _DUAL_SLACK * np.abs(terms).sum()
         slope, t = float(grad @ step), 1.0
         while (trial := dual(y + t * step))[3].sum() < value + 1e-4 * t * slope - slack:
@@ -129,9 +139,10 @@ def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
     method.  Each iterate, the start included, counts toward ``max_iter``.
     Ends converged once the row-scaled residual |D^{-1}(G u - xi)| =
     |Rhat^T (Qt u - c)|, D = sqrt(diag W), is at most ``tol`` (1 +
-    |D^{-1} xi|); raises ``InfeasibleIntersectionError`` once
-    ``gap_lower_bound`` certifies the multiplier; returns
-    ``converged=False`` once the kernel ends, or after ``max_iter``."""
+    |D^{-1} xi|); raises ``InfeasibleIntersectionError``, with y as its
+    ``multiplier``, once ``gap_lower_bound`` certifies the multiplier y;
+    returns ``converged=False`` once the kernel ends, or after
+    ``max_iter``."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
@@ -146,8 +157,10 @@ def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
             converged = True
             break
         if (floor := gap_lower_bound(aff, lo, hi, y)) > 0.0:
-            raise InfeasibleIntersectionError(
+            error = InfeasibleIntersectionError(
                 f"a dual multiplier separates the box from the boundary-value "
                 f"set: their distance is at least {floor:.3e} (bound too small)")
+            error.multiplier = y
+            raise error
     return (ControlTrajectory.from_flat(u, aff.grid, aff.m),
             ProjectionStats(aff.residual(u), iterations, converged))

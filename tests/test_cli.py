@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ctrlgap import ControlTrajectory, Grid, builtin_instance, cli, figures
+from ctrlgap import ControlTrajectory, Grid, build_affine, builtin_instance, cli, figures
+from ctrlgap.critical import _certified_ends
 from ctrlgap.oracle import MAX_COORDS
 
 GAP = ["gap", "--system", "double_integrator", "--nodes", "200", "--bound", "1"]
@@ -159,8 +160,9 @@ def test_bad_instance_flags_exit_1(tmp_path, capsys, command, flags):
 
 def test_critical_stops_when_a_probe_improves_neither_end(tmp_path, capsys, monkeypatch):
     # every gap solve returns its starting point, the zero control, whose
-    # certified ends are the first bracket itself
-    def stuck_solve_gap(aff, bounds, opts):
+    # certified ends are the first bracket itself: only the minimum-energy
+    # steps raise lo, and the search stops once one of them moves neither end
+    def stuck_solve_gap(aff, bounds):
         zero = ControlTrajectory.zeros(aff.grid, aff.m)
         return SimpleNamespace(uA=zero, uB=zero, v=zero, gap_norm=1.0,
                                iterations=0, converged=True)
@@ -172,7 +174,10 @@ def test_critical_stops_when_a_probe_improves_neither_end(tmp_path, capsys, monk
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["converged"] is False
-    assert summary["evaluations"] == 1
+    # no minimum-energy step converged, so hi is still the zero control's
+    inst = builtin_instance("double_integrator")
+    aff = build_affine(inst.system, inst.system.grid(200), inst.boundary)
+    assert summary["bracket_hi"] == _certified_ends(aff, np.zeros(200))[1]
 
 
 def test_critical_with_zero_control_reaching_the_endpoint_exits_1(tmp_path, capsys):

@@ -145,15 +145,6 @@ class TestFast:
         res = solve_gap(aff, Bounds.symmetric(3.0), SolveOptions(solver="fast"))
         assert res.gap_norm <= 1e-6
 
-    def test_warm_start_helps(self, di):
-        _, aff = di
-        bounds = Bounds.symmetric(1.0)
-        cold = solve_gap(aff, bounds, SolveOptions(solver="fast"))
-        warm = solve_gap(aff, Bounds.symmetric(1.02),
-                         SolveOptions(solver="fast", warm_start=cold.uB))
-        assert warm.converged
-        assert warm.iterations <= cold.iterations
-
     def test_certified_bounds_bracket_gap(self, di):
         _, aff = di
         bounds = Bounds.symmetric(1.0)
@@ -270,15 +261,6 @@ class TestWorkingSet:
 
 
 class TestBuffers:
-    @pytest.mark.parametrize("solver", ["newton", "fast"])
-    def test_warm_start_is_left_unchanged(self, mt200, solver):
-        grid, aff, bounds = mt200
-        rng = np.random.default_rng(4)
-        warm = ControlTrajectory(values=rng.uniform(-2000.0, 2000.0, (grid.N, 1)), grid=grid)
-        before = warm.values.copy()
-        solve_gap(aff, bounds, SolveOptions(solver=solver, warm_start=warm, max_iter=50))
-        np.testing.assert_array_equal(warm.values, before)
-
     @pytest.mark.parametrize("solver", ["newton", "fast"])
     def test_results_share_no_memory(self, mt200, solver):
         _, aff, bounds = mt200

@@ -282,6 +282,30 @@ class TestMinEnergyNearCritical:
         assert not stats.converged
         assert stats.iterations <= 100
 
+    def test_converges_where_the_free_nodes_span_too_few_directions(self):
+        # machine_tool at N=300, 1e-8 above a_c: the Newton steps reach a clip
+        # pattern with 6 free nodes for 7 dual directions, on which the dual
+        # rises along the seventh until one more node comes free
+        inst = builtin_instance("machine_tool")
+        aff = build_affine(inst.system, inst.system.grid(300), inst.boundary)
+        bounds = Bounds.symmetric(1779.49875)
+        u, stats = dykstra_min_energy(aff, bounds)
+        assert stats.converged
+        assert np.abs(u.values).max() <= 1779.49875
+        assert scaled_residual(aff, u.flat) <= 1e-9
+
+    def test_separating_multiplier_bounds_the_critical_bound(self, affine_1000):
+        # weak duality: the multiplier that certifies infeasibility gives the
+        # lower end |c.y| / |Qt^T y|_1 of the critical bound
+        aff = affine_1000["double_integrator"]
+        a_c = LP_A_C_1000["double_integrator"]
+        with pytest.raises(InfeasibleIntersectionError) as err:
+            dykstra_min_energy(aff, Bounds.symmetric(0.999 * a_c))
+        Qt, c, _ = aff.basis
+        y = err.value.multiplier
+        lower = abs(float(c @ y)) / float(np.abs(Qt.T @ y).sum())
+        assert 0.0 < lower <= a_c
+
     def test_separating_multiplier_bounds_the_gap(self, affine_1000):
         # the floor in the error message lies under the gap a tight solve finds
         aff = affine_1000["damped_oscillator"]
