@@ -16,20 +16,20 @@ from .gapsolve import GapResult, SolveOptions, solve_gap
 from .model import (BUILTIN_NAMES, BoundarySpec, Bounds, Grid, LinearSystem,
                     ProblemInstance, builtin_instance, instance_from_config,
                     make_lti_system, make_ltv_system)
-from .oracle import ActiveSetSolution, brute_force_active_set, brute_force_gap
+from .oracle import brute_force_gap
 from .project import ProjectionStats, dykstra_min_energy, project_affine, project_box
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineData", "AnalyticCaseError", "ActiveSetSolution", "BangBangReport",
+    "AffineData", "AnalyticCaseError", "BangBangReport",
     "BoundarySpec", "Bounds", "BracketError", "BUILTIN_NAMES", "ConfigError",
     "ConsistencyError", "ControlTrajectory", "CriticalResult",
     "CtrbReport", "CtrlGapError", "DICriticalSolution", "GapResult", "Grid",
     "InfeasibleIntersectionError", "LinearSystem", "OracleSizeError",
     "ProblemInstance", "ProjectionStats", "SimulationOverflowError",
     "SolveOptions", "StateTrajectory", "SwitchingProfile",
-    "UncontrollableGridError", "brute_force_active_set", "brute_force_gap",
+    "UncontrollableGridError", "brute_force_gap",
     "build_affine", "builtin_instance", "check_bang_bang", "critical_bound",
     "di_critical_analytic", "discrete_gramian",
     "dykstra_min_energy", "extract_switchings", "gramian_report",

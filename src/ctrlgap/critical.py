@@ -13,8 +13,9 @@ lower end of the gap problem's optimal multiplier at a.  The search takes
 these steps from the left, one gap solve each (Dinkelbach's iteration for
 the ratio, Management Sci. 13, 1967); every end is certified however
 inexact the solve, and the steps converge superlinearly as d'(a_c-) !=
-0.  A minimum-energy solve just above the last end then certifies the
-upper end by its control u_c, or a higher lower end by its multiplier.
+0.  After each step a minimum-energy solve just above the new lower end
+gives a verdict: its control u_c certifies the upper end, or its
+multiplier a higher lower end, from which the next step starts.
 """
 
 from __future__ import annotations
@@ -90,18 +91,18 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
                    tol_a: float = 1e-8, aff: AffineData | None = None) -> CriticalResult:
     """Certified bracket [lo, hi] on the critical symmetric bound.
 
-    [lo, hi] starts at the ends of the zero control.  While hi - lo >
-    ``tol_a`` (1 + hi), a ``Probe``, the default gap solve at a = lo, sets
-    lo = max(lo, lower) and hi = min(hi, upper) from the ends of its box
-    iterate, until lo rises by at most ``tol_a`` (1 + lo) / 4.  Then
-    ``dykstra_min_energy`` runs at a = min(hi, lo + ``tol_a`` (1 + lo) / 2):
-    if it certifies infeasibility, the lower end of its multiplier becomes
-    lo and the probes go on; if it converges, hi = min(hi, max(a, upper end
-    of its control)).  The search stops converged once hi - lo <= ``tol_a``
-    (1 + hi), or unconverged once this step moves no end; ``tol_a`` must be
-    finite and at least ``TOL_A_FLOOR``.  Returns a_c = hi and, as u_c, the
-    last step's control.  ``aff``, when given, is the transcription of
-    (system, grid, boundary), used instead of building it again.
+    [lo, hi] starts at the ends of the zero control.  Each round runs, while
+    hi - lo > ``tol_a`` (1 + hi), a ``Probe``, the default gap solve at a =
+    lo, and sets lo = max(lo, lower) and hi = min(hi, upper) from the ends
+    of its box iterate; then ``dykstra_min_energy`` at a = min(hi, lo +
+    ``tol_a`` (1 + lo) / 2) gives the verdict.  If it certifies
+    infeasibility, the lower end of its multiplier becomes lo and the next
+    round starts; if it converges, hi = min(hi, max(a, upper end of its
+    control)) and the search ends, converged once hi - lo <= ``tol_a`` (1 +
+    hi); if it does neither, the search ends unconverged.  ``tol_a`` must
+    be finite and at least ``TOL_A_FLOOR``.  Returns a_c = hi and, as u_c,
+    the last verdict's control.  ``aff``, when given, is the transcription
+    of (system, grid, boundary), used instead of building it again.
     """
     if not TOL_A_FLOOR <= tol_a < math.inf:
         raise ValueError(f"tol_a must be finite and at least {TOL_A_FLOOR:g}, the "
@@ -123,13 +124,11 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
     lo, hi = _certified_ends(aff, np.zeros(grid.N * aff.m))
     probes: list[Probe] = []
     while True:
-        while hi - lo > tol_a * (1.0 + hi):
+        if hi - lo > tol_a * (1.0 + hi):
             res = solve_gap(aff, Bounds.symmetric(lo))
             lower, upper = _certified_ends(aff, res.uB.flat)
             probes.append(Probe(a=lo, lower=lower, upper=upper, iterations=res.iterations))
-            rise, lo, hi = lower - lo, max(lo, lower), min(hi, upper)
-            if rise <= 0.25 * tol_a * (1.0 + lo):
-                break
+            lo, hi = max(lo, lower), min(hi, upper)
         a = min(hi, lo + 0.5 * tol_a * (1.0 + lo))
         try:
             u_c, stats = dykstra_min_energy(aff, Bounds.symmetric(a))
@@ -140,10 +139,9 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
                                        f"lower end {lower!r} <= lo={lo!r}") from exc
             lo = lower
             continue
-        upper = max(a, _certified_ends(aff, u_c.flat)[1]) if stats.converged else hi
-        moved, hi = upper < hi, min(hi, upper)
-        if not moved or hi - lo <= tol_a * (1.0 + hi):
-            break
+        if stats.converged:
+            hi = min(hi, max(a, _certified_ends(aff, u_c.flat)[1]))
+        break
 
     profile = analyze.extract_switchings(u_c, grid, reference="control")
     return CriticalResult(

@@ -24,7 +24,8 @@ class InfeasibleIntersectionError(CtrlGapError):
     """A dual multiplier separates the box from the boundary-value set,
     which proves that the two constraint sets do not intersect.  When a
     minimum-energy solve raises it, ``multiplier`` is that multiplier y in
-    the basis (Qt, c) of ``AffineData.basis``."""
+    the basis (Qt, c) of ``AffineData.basis``: a dual iterate, or a ray
+    along which the dual rises without bound."""
 
 
 class BracketError(CtrlGapError):

@@ -1,15 +1,13 @@
-"""Independent oracles: exhaustive active-set enumeration for tiny gap
-problems and the closed-form unconstrained minimum-energy control of the
-double integrator.
+"""Independent oracle: exhaustive active-set enumeration for tiny gap
+problems.
 
-These live in the library (not only in the test suite) so the CLI can
+It lives in the library (not only in the test suite) so the CLI can
 reproduce the agreement evidence on tiny instances via ``--oracle``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,30 +19,19 @@ from .model import Bounds
 MAX_COORDS = 8  # 3^8 = 6561 activity patterns
 
 
-@dataclass(frozen=True)
-class ActiveSetSolution:
-    """Winner of the enumeration: the coordinate activity pattern together
-    with the pair it induces and the attained objective (half the squared
-    step-weighted gap)."""
-
-    pattern: tuple[str, ...]
-    uB: ControlTrajectory
-    uA: ControlTrajectory
-    v: ControlTrajectory
-    objective: float
-
-
-def brute_force_active_set(aff: AffineData, bounds: Bounds) -> ActiveSetSolution:
-    """Enumerate every lower/free/upper pattern and solve its stationarity
-    system.
+def brute_force_gap(aff: AffineData, bounds: Bounds) -> GapResult:
+    """Exhaustive solution of the tiny gap problem, packaged like a solver
+    result (solver tag ``oracle``): enumerate every lower/free/upper
+    pattern and solve its stationarity system.
 
     A pattern fixes the bound coordinates and makes the gap vector vanish
     on the free ones; candidates must be box-feasible with correctly signed
     gap components on the bound coordinates.  The convex objective makes
     the best stationary candidate the global minimizer.  Patterns are
     visited in lexicographic order (lower < free < upper) and ties keep the
-    first, so the returned pattern is the lexicographically smallest
-    optimum.
+    first, so ``diagnostics["pattern"]`` is the lexicographically smallest
+    optimum and ``diagnostics["objective"]`` its half squared step-weighted
+    gap.
     """
     size = aff.grid.N * aff.m
     if size > MAX_COORDS:
@@ -89,20 +76,8 @@ def brute_force_active_set(aff: AffineData, bounds: Bounds) -> ActiveSetSolution
                                "the Gram data is inconsistent")
     objective, pattern, u, v = best
     grid, m = aff.grid, aff.m
-    uB = ControlTrajectory.from_flat(u, grid, m)
-    vtraj = ControlTrajectory.from_flat(v, grid, m)
-    uA = ControlTrajectory.from_flat(u + v, grid, m)
-    return ActiveSetSolution(pattern=pattern, uB=uB, uA=uA, v=vtraj,
-                             objective=objective)
-
-
-def brute_force_gap(aff: AffineData, bounds: Bounds) -> GapResult:
-    """Exhaustive solution of the tiny gap problem, packaged like a solver
-    result (solver tag ``oracle``)."""
-    sol = brute_force_active_set(aff, bounds)
-    gap = weighted_norm(sol.v.values, aff.grid.h)
-    return GapResult(uA=sol.uA, uB=sol.uB, v=sol.v, gap_norm=gap,
-                     iterations=0, converged=True, solver="oracle",
-                     diagnostics={"pattern": sol.pattern,
-                                  "objective": sol.objective})
-
+    return GapResult(uA=ControlTrajectory.from_flat(u + v, grid, m),
+                     uB=ControlTrajectory.from_flat(u, grid, m),
+                     v=ControlTrajectory.from_flat(v, grid, m),
+                     gap_norm=weighted_norm(v, h), iterations=0, converged=True,
+                     solver="oracle", diagnostics={"pattern": pattern, "objective": objective})

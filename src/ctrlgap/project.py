@@ -96,7 +96,10 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     dual on that piece if the Newton matrix is regular and ends the
     iteration; else the dual rises linearly along the gradient's part off
     the matrix's range until a clipped node comes free, and the next step
-    goes twice that far.  Ends too when no step >= 1e-12 ascends."""
+    goes twice that far.  If the ray meets no clipped node, the dual rises
+    along it without bound, so the ray separates the box from {u : Qt u =
+    c}: it is yielded once more in place of y, with the same u, and the
+    iteration ends.  Ends too when no step >= 1e-12 ascends."""
 
     def dual(y):
         u = np.maximum(center - eps * (Qt.T @ y), lo)
@@ -117,7 +120,10 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             with np.errstate(divide="ignore", invalid="ignore"):
                 reach = (u - center + eps * (Qt.T @ y)) / (-eps * (Qt.T @ ray))
             reach = reach[((u <= lo) | (u >= hi)) & (0.0 < reach) & (reach < np.inf)]
-            if rank == c.size or not reach.size:
+            if rank == c.size:
+                return
+            if not reach.size:
+                yield ray, u, grad, exact
                 return
             step = 2.0 * float(reach.min()) * ray
         value, slack = terms.sum(), _DUAL_SLACK * np.abs(terms).sum()
@@ -140,8 +146,9 @@ def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
     Ends converged once the row-scaled residual |D^{-1}(G u - xi)| =
     |Rhat^T (Qt u - c)|, D = sqrt(diag W), is at most ``tol`` (1 +
     |D^{-1} xi|); raises ``InfeasibleIntersectionError``, with y as its
-    ``multiplier``, once ``gap_lower_bound`` certifies the multiplier y;
-    returns ``converged=False`` once the kernel ends, or after
+    ``multiplier``, once ``gap_lower_bound`` certifies the multiplier y, or
+    the ray that the kernel yields in its place; returns
+    ``converged=False`` once the kernel ends uncertified, or after
     ``max_iter``."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

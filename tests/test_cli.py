@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ctrlgap import ControlTrajectory, Grid, build_affine, builtin_instance, cli, figures
+from ctrlgap import (BUILTIN_NAMES, ControlTrajectory, Grid, ProjectionStats,
+                     build_affine, builtin_instance, cli, figures)
 from ctrlgap.critical import _certified_ends
 from ctrlgap.oracle import MAX_COORDS
 
@@ -158,16 +159,65 @@ def test_bad_instance_flags_exit_1(tmp_path, capsys, command, flags):
     assert not (tmp_path / "summary.json").exists()
 
 
+CTRB_SUMMARY_KEYS = {"N", "column_ranks", "command", "conditioning", "controllable",
+                     "converged", "gramian_conditioning", "gramian_rank", "label", "rank",
+                     "required", "wall_time_seconds"}
+
+
+def test_ctrb_prints_one_row_per_test_and_writes_its_summary(tmp_path, capsys):
+    argv = ["ctrb", "--system", "machine_tool", "--nodes", "200", "--out", str(tmp_path)]
+    assert cli.run(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split("  ")[0].rstrip() for row in rows] == \
+        ["kalman (full B)", "kalman (column 1)", "gramian (grid)"]
+    assert all("rank 7/7" in row and row.endswith("  controllable") for row in rows)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary) == CTRB_SUMMARY_KEYS
+    assert summary["rank"] == summary["required"] == summary["gramian_rank"] == 7
+    assert summary["column_ranks"] == [7]
+    assert summary["controllable"] is True and summary["N"] == 200
+
+
+def test_analyze_of_a_gap_trajectory_reproduces_its_switch_times(tmp_path, capsys):
+    gap_dir, analyze_dir = tmp_path / "gap", tmp_path / "analyze"
+    argv = ["gap", "--system", "machine_tool", "--nodes", "1000", "--bound", "1770",
+            "--out", str(gap_dir)]
+    assert cli.run(argv) == 0
+    gap = json.loads((gap_dir / "summary.json").read_text())
+    traj = str(gap_dir / "trajectory.csv")
+    assert cli.run(["analyze", "--traj", traj, "--signal", "uB",
+                    "--out", str(analyze_dir)]) == 0
+    summary = json.loads((analyze_dir / "summary.json").read_text())
+    assert len(gap["switch_times"]) >= 2
+    assert summary["switch_times"] == gap["switch_times"]
+    assert (summary["command"], summary["label"], summary["N"]) == ("analyze", traj, 1000)
+    assert f"channel 1: {len(gap['switch_times'])} switchings" in capsys.readouterr().out
+
+
+def test_systems_lists_every_builtin(capsys):
+    assert cli.run(["systems"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(BUILTIN_NAMES)
+    assert lines[-1].startswith("machine_tool: n=7 m=1 horizon=[0, 0.0522]")
+
+
+def stuck_solve_gap(aff, bounds):
+    """A gap solve that returns its starting point, the zero control, whose
+    certified ends are the first bracket itself."""
+    zero = ControlTrajectory.zeros(aff.grid, aff.m)
+    return SimpleNamespace(uA=zero, uB=zero, v=zero, gap_norm=1.0,
+                           iterations=0, converged=True)
+
+
 def test_critical_stops_when_a_probe_improves_neither_end(tmp_path, capsys, monkeypatch):
-    # every gap solve returns its starting point, the zero control, whose
-    # certified ends are the first bracket itself: only the minimum-energy
-    # steps raise lo, and the search stops once one of them moves neither end
-    def stuck_solve_gap(aff, bounds):
+    # the gap solves are stuck and the minimum-energy step ends neither
+    # converged nor certified infeasible: the search stops after one round
+    def unconverged_min_energy(aff, bounds):
         zero = ControlTrajectory.zeros(aff.grid, aff.m)
-        return SimpleNamespace(uA=zero, uB=zero, v=zero, gap_norm=1.0,
-                               iterations=0, converged=True)
+        return zero, ProjectionStats(aff.residual(zero.flat), 1, False)
 
     monkeypatch.setattr("ctrlgap.critical.solve_gap", stuck_solve_gap)
+    monkeypatch.setattr("ctrlgap.critical.dykstra_min_energy", unconverged_min_energy)
     argv = ["critical", "--system", "double_integrator", "--nodes", "200",
             "--out", str(tmp_path)]
     assert cli.run(argv) == 2
@@ -178,6 +228,25 @@ def test_critical_stops_when_a_probe_improves_neither_end(tmp_path, capsys, monk
     inst = builtin_instance("double_integrator")
     aff = build_affine(inst.system, inst.system.grid(200), inst.boundary)
     assert summary["bracket_hi"] == _certified_ends(aff, np.zeros(200))[1]
+
+
+def test_critical_minimum_energy_certificates_alone_close_the_bracket(tmp_path, monkeypatch):
+    # with every gap solve stuck at the zero control, each minimum-energy
+    # step either raises lo by the multiplier or the ray that certifies it
+    # infeasible, or converges and sets hi
+    monkeypatch.setattr("ctrlgap.critical.solve_gap", stuck_solve_gap)
+    argv = ["critical", "--system", "double_integrator", "--nodes", "200",
+            "--out", str(tmp_path)]
+    assert cli.run(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    lo, hi = summary["bracket_lo"], summary["bracket_hi"]
+    assert summary["converged"] is True
+    assert hi - lo <= 1e-8 * (1.0 + hi)
+    inst = builtin_instance("double_integrator")
+    aff = build_affine(inst.system, inst.system.grid(200), inst.boundary)
+    zero_lo, zero_hi = _certified_ends(aff, np.zeros(200))
+    assert zero_lo < lo and hi < zero_hi
+    assert summary["iterations"] == 0 and summary["evaluations"] >= 1
 
 
 def test_critical_with_zero_control_reaching_the_endpoint_exits_1(tmp_path, capsys):

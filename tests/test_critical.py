@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ctrlgap import (Bounds, build_affine, builtin_instance, critical_bound,
-                     di_critical_analytic, solve_gap)
+from ctrlgap import (BoundarySpec, Bounds, build_affine, builtin_instance, critical_bound,
+                     di_critical_analytic, make_lti_system, solve_gap)
 from ctrlgap.critical import _certified_ends
 
 from conftest import LP_A_C_1000, gram
@@ -59,6 +59,26 @@ def test_probes_replay_as_cold_default_solves(name):
         replay = solve_gap(aff, Bounds.symmetric(probe.a))
         assert replay.iterations == probe.iterations
         assert _certified_ends(aff, replay.uB.flat) == (probe.lower, probe.upper)
+
+
+def test_default_tol_a_converges_on_random_systems():
+    # 100 random single-input systems: a search that ended on a minimum-energy
+    # step neither converged nor certified infeasible stopped unconverged on
+    # 8 of them, each on an exact step whose ray meets no clipped node
+    rng = np.random.default_rng(1)
+    unconverged = []
+    for case in range(100):
+        n = int(rng.integers(2, 8))
+        A = rng.normal(0, float(rng.choice([2.0, 4.0])), (n, n))
+        B = rng.normal(0, 1, (n, 1))
+        N = int(rng.integers(50, 300))
+        x0, xf = rng.normal(0, 1, n), rng.normal(0, 1, n)
+        system = make_lti_system(A, B, 0.0, 1.0)
+        res = critical_bound(system, system.grid(N), BoundarySpec(x0=x0, xf=xf))
+        lo, hi = res.bracket
+        if not (res.converged and hi - lo <= 1e-8 * (1.0 + hi)):
+            unconverged.append((case, n, N))
+    assert unconverged == []
 
 
 def test_tight_bracket_contains_exact_critical_bound():

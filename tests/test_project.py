@@ -6,6 +6,7 @@ from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory,
                      UncontrollableGridError, build_affine, builtin_instance,
                      dykstra_min_energy, l2_norm, make_lti_system,
                      project_affine, project_box, solve_gap, weighted_norm)
+from ctrlgap.critical import _lower_end
 
 from conftest import (LP_A_C_1000, gram_solve, ill_conditioned_affines, scaled_residual,
                       scalar_integrator)
@@ -293,6 +294,18 @@ class TestMinEnergyNearCritical:
         assert stats.converged
         assert np.abs(u.values).max() <= 1779.49875
         assert scaled_residual(aff, u.flat) <= 1e-9
+
+    def test_a_ray_that_meets_no_clipped_node_certifies_infeasibility(self):
+        # double integrator at N=200, 7.0e-6 below the certified lower end
+        # 2.4227947401: an exact step's Newton matrix is singular and the dual
+        # rises along its ray without bound; ending there, the solve once
+        # stopped after 13 steps neither converged nor certified
+        inst = builtin_instance("double_integrator")
+        aff = build_affine(inst.system, inst.system.grid(200), inst.boundary)
+        a = 2.4227777746
+        with pytest.raises(InfeasibleIntersectionError, match="separates") as err:
+            dykstra_min_energy(aff, Bounds.symmetric(a))
+        assert _lower_end(aff, err.value.multiplier) > a
 
     def test_separating_multiplier_bounds_the_critical_bound(self, affine_1000):
         # weak duality: the multiplier that certifies infeasibility gives the
