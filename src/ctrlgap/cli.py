@@ -17,6 +17,7 @@ reach ``--tol-a``), 1 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,7 +64,10 @@ def _nodes(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: each ``parse_args`` fills a new
+    namespace, so no run sees another's arguments."""
     parser = _Parser(prog="ctrlgap",
                      description="Gap solutions and critical bounds for "
                                  "box-constrained linear optimal control")
@@ -275,6 +279,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "converged": result.converged, "wall_time_seconds": clock.seconds["solve"],
         "solver": result.solver, "gap_lower": result.gap_lower,
         "finish": result.diagnostics["finish"],
+        "coarse_iterations": result.diagnostics.get("coarse_iterations"),
         "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
     if args.solver == "fast":
         summary["restarts"] = result.diagnostics["restarts"]

@@ -70,6 +70,21 @@ Any box point certifies an interval for the true gap: its own gap |v| is
 an upper end, and ``project.gap_lower_bound`` of its multiplier Qt uB - c
 a lower end, ``gap_lower``.
 
+``newton`` starts from the clipped zero control at eps = 1 below 16,384
+control coordinates (N*m).  From that size up it first solves the same
+problem restricted to controls constant on blocks of 64 nodes,
+``AffineData.coarse``, with the blockwise intersection of the box, and
+starts from that box iterate, each block's value repeated over its nodes,
+at eps = 1e5.  The answer is bang-bang with the gap vector as its
+switching function, so the coarse answer places every switch to within a
+block and the fine proximal steps start near their answer (nested
+iteration: Briggs, Henson and McCormick, A Multigrid Tutorial,
+SIAM 2000, ch. 3).  The coarse solve is a ``newton`` gap solve itself, at
+the same tol; its Newton steps are ``diagnostics["coarse_iterations"]``
+and count neither toward ``iterations`` nor toward ``max_iter``.  An
+uncontrollable coarse grid, or a block whose box intersection is empty,
+leaves the cold start.
+
 ``newton`` stops on that certificate: converged once gap - gap_lower <=
 tol gap, or once the gap itself is at most tol sqrt(h) (1 + |D^{-1} xi|)
 with D = sqrt(diag W), the floor that lets a feasible box, whose lower
@@ -97,7 +112,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .discretize import AffineData, ControlTrajectory, weighted_norm
+from .discretize import COARSE_BLOCK, AffineData, ControlTrajectory, weighted_norm
 from .model import Bounds
 from .project import dual_newton, gap_lower_bound
 
@@ -115,7 +130,10 @@ class SolveOptions:
     between iterates and not the error of the last one; a stop on it is
     followed by the verified active-set finish.  ``tol`` must be positive
     and finite.  ``max_iter`` caps Newton steps for ``newton`` and steps
-    for ``fast``.  Both start from the zero control clipped into the box.
+    for ``fast``.  ``fast`` starts from the zero control clipped into the
+    box, and so does ``newton`` below 16,384 control coordinates; from that
+    size up ``newton`` starts from a coarse solve (module docstring), whose
+    steps ``max_iter`` does not count.
     """
 
     tol: float = 1e-9
@@ -153,7 +171,9 @@ class GapResult:
     certificate holds, for ``fast`` only the iterate change was small.
     ``diagnostics["gap_history"]`` holds the gap of every step.  For
     ``fast``, ``diagnostics["restarts"]`` counts momentum restarts and
-    ``diagnostics["full_steps"]`` the steps over all N*m coordinates.
+    ``diagnostics["full_steps"]`` the steps over all N*m coordinates.  For
+    ``newton`` from the coarse start, ``diagnostics["coarse_iterations"]``
+    counts the Newton steps of the coarse solve.
     """
 
     uA: ControlTrajectory
@@ -398,18 +418,26 @@ _INNER_STEPS = 50
 _STALL_STEPS = 5
 
 
-def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) -> _Steps:
+def _newton_steps(ws: _Workspace, u: np.ndarray, eps: float, tol: float,
+                  diagnostics: dict) -> _Steps:
     """Proximal point steps u <- argmin over the box of phi + |. - u|^2 / (2 eps),
     phi(u) = |Qt u - c|^2 / 2, each by ``project.dual_newton`` with weight 1.
 
     The weight makes each dual smooth and strictly concave.  A proximal
     step ends when the kernel ends or after ``_INNER_STEPS`` Newton steps;
-    the next one starts from its multiplier.
-    eps starts at 1, the scale of phi's Hessian (the projector onto
-    range(G^T)), and grows tenfold after a proximal step whose iterate has
-    a new interior set; after one that repeats the last interior set it is
-    held, since a larger eps then only makes the Newton matrix worse
-    conditioned.
+    the next one starts from its multiplier, the first from y = 0.  eps
+    starts at the given value (1, the scale of phi's Hessian, the projector
+    onto range(G^T), from a cold start) and grows tenfold after a proximal
+    step whose iterate has a new interior set or that did not halve the
+    best certified excess; after one that does neither it is held, since a
+    larger eps then only makes the Newton matrix worse conditioned.  From
+    the coarse start the interior set can repeat while the excess stalls
+    (machine_tool at N=2e5 and a=1774.9, the double integrator at N=5e4 and
+    a=2.414).  A proximal step cut at ``_INNER_STEPS`` divides eps by ten
+    instead: the kernel did not resolve the dual at that eps, and a larger
+    one only makes it harder (machine_tool at N=2e5 and a=1774.7 with tol
+    1e-9 reached eps = 1e12 from the coarse start and stalled).  From the
+    cold start no builtin solve measured took either branch.
 
     Every proximal iterate goes through ``_active_set_finish`` and is
     certified by ``_certify``.  The iterate with the smallest certified
@@ -430,7 +458,7 @@ def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) 
         return steps, next(steps)[1]
 
     y = np.zeros_like(c)
-    eps, interior, inner, stale = 1.0, None, 0, 0
+    interior, inner, stale = None, 0, 0
     steps, u_y = proximal_step(u, eps, y)
     while True:
         step = next(steps, None)
@@ -445,7 +473,9 @@ def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) 
             if gap - lower < best[0]:
                 best = (gap - lower, u, gap)
                 diagnostics["finish"] = finish
-            if interior is None or not np.array_equal(Z, interior):
+            if step is not None and not exact and inner == _INNER_STEPS:
+                eps /= 10.0
+            elif stale or interior is None or not np.array_equal(Z, interior):
                 eps *= 10.0
             interior, inner = Z, 0
             steps, u_y = proximal_step(u, eps, y)
@@ -460,6 +490,41 @@ def _newton_steps(ws: _Workspace, u: np.ndarray, tol: float, diagnostics: dict) 
             return
 
 
+def _cold_start(ws: _Workspace) -> np.ndarray:
+    """The zero control clipped into the box; np.clip with array bounds costs
+    about 2.5x as much as maximum then minimum."""
+    return np.minimum(np.maximum(0.0, ws.lo), ws.hi)
+
+
+# The ``newton`` rule starts from the coarse solve from _COARSE_MIN_COORDS
+# control coordinates up, at proximal weight eps = _COARSE_EPS (module
+# docstring).  At 4,096 and 8,192 coordinates the coarse start made the
+# builtin gaps as often slower as faster, by a few milliseconds either way.
+_COARSE_MIN_COORDS = 16_384
+_COARSE_EPS = 1e5
+
+
+def _newton_start(ws: _Workspace, tol: float, diagnostics: dict) -> tuple[np.ndarray, float]:
+    """The start (u, eps) of the ``newton`` rule: below _COARSE_MIN_COORDS
+    coordinates, or when the coarse grid is uncontrollable or a block's box
+    is empty, the cold start at eps = 1; else the box iterate of the gap
+    solve on ``AffineData.coarse`` with the blockwise intersection of the
+    box, each block's value repeated over its nodes, at eps = _COARSE_EPS.
+    ``diagnostics["coarse_iterations"]`` counts that solve's Newton steps."""
+    if ws.lo.size < _COARSE_MIN_COORDS or not ws.aff.coarse.controllable:
+        return _cold_start(ws), 1.0
+    coarse, m = ws.aff.coarse, ws.aff.m
+    starts = np.arange(0, ws.aff.grid.N, COARSE_BLOCK)
+    lo = np.maximum.reduceat(ws.lo.reshape(-1, m), starts)
+    hi = np.minimum.reduceat(ws.hi.reshape(-1, m), starts)
+    if not np.all(lo < hi):
+        return _cold_start(ws), 1.0
+    res = solve_gap(coarse, Bounds(lower=lo, upper=hi), SolveOptions(tol=tol))
+    diagnostics["coarse_iterations"] = res.iterations
+    sizes = np.diff(starts, append=ws.aff.grid.N)
+    return np.repeat(res.uB.values, sizes, axis=0).reshape(-1), _COARSE_EPS
+
+
 def solve_gap(aff: AffineData, bounds: Bounds,
               opts: SolveOptions | None = None) -> GapResult:
     """Iterate the step rule of ``opts.solver`` until a stop fires.
@@ -471,14 +536,12 @@ def solve_gap(aff: AffineData, bounds: Bounds,
     """
     opts = opts or SolveOptions()
     ws = _Workspace(aff, bounds)
-    # the zero control clipped into the box; np.clip with array bounds costs
-    # about 2.5x as much as maximum then minimum
-    u = np.minimum(np.maximum(0.0, ws.lo), ws.hi)
     diagnostics = {"stop": "max_iter"}
     if opts.solver == "newton":
-        steps = _newton_steps(ws, u, opts.tol, diagnostics)
+        steps = _newton_steps(ws, *_newton_start(ws, opts.tol, diagnostics), opts.tol,
+                              diagnostics)
     else:
-        steps = _projection_steps(ws, u, diagnostics)
+        steps = _projection_steps(ws, _cold_start(ws), diagnostics)
     history = diagnostics["gap_history"] = array("d")
     it = 0
     for it, (uB, gap, change) in enumerate(islice(steps, opts.max_iter), start=1):

@@ -107,6 +107,29 @@ def test_gap_summary_reports_the_certificate_for_every_solver(tmp_path, solver):
         assert summary["full_steps"] == summary["iterations"]
 
 
+def test_gap_summary_reports_the_coarse_solve_from_the_size_floor_up(tmp_path):
+    argv = ["gap", "--system", "double_integrator", "--nodes", "16384", "--bound", "1"]
+    assert cli.run(argv + ["--out", str(tmp_path / "free")]) == 0
+    summary = json.loads((tmp_path / "free" / "summary.json").read_text())
+    assert set(summary) == GAP_SUMMARY_KEYS | {"coarse_iterations"}
+    assert summary["coarse_iterations"] > 0
+    # --max-iter and iterations count the Newton steps on the fine grid alone
+    capped = argv + ["--max-iter", str(summary["iterations"]), "--out", str(tmp_path / "cap")]
+    assert cli.run(capped) == 0
+    assert json.loads((tmp_path / "cap" / "summary.json").read_text())["converged"] is True
+
+
+def test_parser_built_once_keeps_no_arguments_between_runs(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.run(["gap", "--system", "double_integrator", "--nodes", "x"]) == 1
+    assert "--nodes" in capsys.readouterr().err
+    assert cli.run(GAP + ["--svg", "--out", str(tmp_path / "svg")]) == 0
+    assert (tmp_path / "svg" / "figure.svg").is_file()
+    assert cli.run(GAP + ["--out", str(tmp_path / "plain")]) == 0
+    assert not (tmp_path / "plain" / "figure.svg").exists()
+    assert cli._build_parser().parse_args(GAP).svg is False
+
+
 def test_critical_writes_the_minimum_energy_control_at_the_upper_end(tmp_path):
     argv = ["critical", "--system", "double_integrator", "--nodes", "200",
             "--out", str(tmp_path)]

@@ -1,13 +1,16 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
+from ctrlgap import (BUILTIN_NAMES, BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
                      UncontrollableGridError, build_affine, builtin_instance,
-                     brute_force_gap, check_bang_bang, extract_switchings,
-                     make_lti_system, solve_gap)
+                     brute_force_gap, check_bang_bang, critical, critical_bound,
+                     extract_switchings, gapsolve, make_lti_system, make_ltv_system,
+                     solve_gap)
+from ctrlgap.project import dual_newton
 
 from conftest import gram, gram_solve, random_tiny_problem, scalar_integrator
 
@@ -471,3 +474,164 @@ class TestHomogeneity:
             mask = np.abs(base.v.values) > tau
             assert np.array_equal(np.sign(scaled.v.values[mask]),
                                   np.sign(base.v.values[mask]))
+
+
+def replay_cold_newton(aff, bounds, tol):
+    """The ``newton`` rule as it ran at every size before the coarse start,
+    on the package's kernel and certificate: from the clipped zero control
+    at eps = 1, eps growing tenfold only after a proximal step with a new
+    interior set.  Returns the gap after every Newton step and the returned
+    box iterate."""
+    ws = gapsolve._Workspace(aff, bounds)
+    Qt, c, Rhat = aff.basis
+    floor = tol * np.sqrt(ws.h) * (1.0 + float(np.linalg.norm(Rhat.T @ c)))
+    u = np.minimum(np.maximum(0.0, ws.lo), ws.hi)
+    _, _, gap, lower = gapsolve._certify(ws, u)
+    best, history = (gap - lower, u, gap), []
+    y, eps, interior, stale = np.zeros_like(c), 1.0, None, 0
+    while True:
+        steps = dual_newton(Qt, c, ws.lo, ws.hi, u, eps, 1.0, y)
+        u_y = next(steps)[1]
+        for inner in range(1, gapsolve._INNER_STEPS + 1):
+            step = next(steps, None)
+            if step is not None:
+                y, u_y, _, exact = step
+            end = step is None or exact or inner == gapsolve._INNER_STEPS
+            if end:
+                Z = np.flatnonzero((u_y > ws.lo) & (u_y < ws.hi))
+                u, _ = gapsolve._active_set_finish(ws, u_y)
+                _, _, gap, lower = gapsolve._certify(ws, u)
+                stale = 0 if gap - lower <= 0.5 * best[0] else stale + 1
+                if gap - lower < best[0]:
+                    best = (gap - lower, u, gap)
+                if interior is None or not np.array_equal(Z, interior):
+                    eps *= 10.0
+                interior = Z
+            history.append(best[2])
+            if (best[0] <= tol * best[2] or best[2] <= floor
+                    or stale >= gapsolve._STALL_STEPS):
+                return history, best[1]
+            if end:
+                break
+
+
+def alternating_scalar_integrator(N):
+    """x' = b(t) u with b = +-1 alternating from node to node: controllable
+    on the grid, while every block column sum of G, over an even number of
+    nodes, is 0."""
+    return make_ltv_system(lambda t: np.zeros((1, 1)),
+                           lambda t: np.array([[(-1.0) ** round(t * N)]]), 1, 1, 0.0, 1.0)
+
+
+class TestCoarseStart:
+    """From ``gapsolve._COARSE_MIN_COORDS`` control coordinates up, ``newton``
+    starts from the solve on ``AffineData.coarse``; below, every iterate is
+    the cold rule's."""
+
+    @staticmethod
+    def cold(aff, bounds, tol=1e-8):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gapsolve, "_COARSE_MIN_COORDS", math.inf)
+            return solve_gap(aff, bounds, SolveOptions(tol=tol))
+
+    def assert_certified_inside_the_cold_interval(self, aff, bounds, tol=1e-8):
+        res = solve_gap(aff, bounds, SolveOptions(tol=tol))
+        assert res.diagnostics["coarse_iterations"] > 0
+        assert res.converged
+        cold = self.cold(aff, bounds, tol)
+        assert cold.converged
+        assert "coarse_iterations" not in cold.diagnostics
+        # the two certified intervals [gap_lower, gap_norm] overlap
+        assert max(res.gap_lower, cold.gap_lower) <= min(res.gap_norm, cold.gap_norm) * (1 + 1e-12)
+        lo, hi = bounds.sample(aff.grid, aff.m)
+        assert np.all(res.uB.values >= lo) and np.all(res.uB.values <= hi)
+
+    def assert_takes_the_cold_path(self, aff, bounds):
+        res = solve_gap(aff, bounds, SolveOptions(tol=1e-8))
+        cold = self.cold(aff, bounds)
+        assert "coarse_iterations" not in res.diagnostics
+        assert bytes(res.diagnostics["gap_history"]) == bytes(cold.diagnostics["gap_history"])
+        np.testing.assert_array_equal(res.uB.values, cold.uB.values)
+
+    def test_below_the_floor_every_iterate_is_the_cold_rules(self, monkeypatch):
+        solves = []
+
+        def recorded(aff, bounds, opts=None):
+            res = solve_gap(aff, bounds, opts)
+            solves.append((aff, bounds, (opts or SolveOptions()).tol, res))
+            return res
+
+        monkeypatch.setattr(critical, "solve_gap", recorded)
+        for name in BUILTIN_NAMES:
+            inst = builtin_instance(name)
+            critical_bound(inst.system, inst.system.grid(1000), inst.boundary)
+        inst = builtin_instance("machine_tool")
+        aff = build_affine(inst.system, inst.system.grid(1000), inst.boundary)
+        recorded(aff, Bounds.symmetric(1770.0), SolveOptions(tol=1e-8))
+        assert len(solves) == 5
+        for aff, bounds, tol, res in solves:
+            history, uB = replay_cold_newton(aff, bounds, tol)
+            assert "coarse_iterations" not in res.diagnostics
+            assert bytes(res.diagnostics["gap_history"]) == np.array(history).tobytes()
+            assert res.uB.flat.tobytes() == uB.tobytes()
+
+    @pytest.mark.parametrize("name,a", [("machine_tool", 1770.0), ("machine_tool", 1774.5),
+                                        ("machine_tool", 1774.8),
+                                        ("double_integrator", 2.414),
+                                        ("damped_oscillator", 0.47)])
+    def test_builtins_near_a_c(self, name, a):
+        inst = builtin_instance(name)
+        aff = build_affine(inst.system, inst.system.grid(20_000), inst.boundary)
+        self.assert_certified_inside_the_cold_interval(aff, Bounds.symmetric(a))
+
+    def test_time_varying_system_on_uneven_blocks(self):
+        system = make_ltv_system(lambda t: np.array([[0.0, 1.0], [-4.0 * t, -0.5]]),
+                                 lambda t: np.array([[0.0], [1.0 + 0.5 * t]]),
+                                 2, 1, 0.0, 1.0)
+        N = 16_400  # 256 blocks of 64 nodes and one of 16
+        aff = build_affine(system, system.grid(N),
+                           BoundarySpec(x0=[0.0, 1.0], xf=[0.0, 0.0]))
+        assert aff.coarse.grid.N == 257
+        self.assert_certified_inside_the_cold_interval(aff, Bounds.symmetric(1.0))
+
+    def test_two_inputs_with_per_node_bounds_on_uneven_blocks(self):
+        aff, bounds = two_input_problem(8250)
+        assert aff.coarse.G.shape == (2, 2 * 129)
+        self.assert_certified_inside_the_cold_interval(aff, bounds)
+
+    def test_uncontrollable_coarse_grid_takes_the_cold_path(self):
+        N = 16_384
+        system = alternating_scalar_integrator(N)
+        aff = build_affine(system, system.grid(N), BoundarySpec(x0=[0.0], xf=[1.0]))
+        assert aff.controllable and not aff.coarse.controllable
+        self.assert_takes_the_cold_path(aff, Bounds.symmetric(0.5))
+
+    def test_empty_block_box_takes_the_cold_path(self):
+        inst = builtin_instance("double_integrator")
+        N = 16_384
+        aff = build_affine(inst.system, inst.system.grid(N), inst.boundary)
+        # boxes [-1, -0.5] and [0.5, 1] on alternate nodes: no control is
+        # constant on a block
+        odd = np.arange(N) % 2 == 1
+        bounds = Bounds(lower=np.where(odd, 0.5, -1.0), upper=np.where(odd, 1.0, -0.5))
+        self.assert_takes_the_cold_path(aff, bounds)
+
+    def test_stale_proximal_steps_grow_eps(self):
+        # From the coarse start the interior set can repeat while the excess
+        # does not halve; holding eps there stalls this solve at excess 8e-3.
+        inst = builtin_instance("double_integrator")
+        aff = build_affine(inst.system, inst.system.grid(50_000), inst.boundary)
+        res = solve_gap(aff, Bounds.symmetric(2.414), SolveOptions(tol=1e-8))
+        assert res.diagnostics["stop"] == "certified"
+        assert res.gap_norm - res.gap_lower <= 1e-8 * res.gap_norm
+
+    def test_a_cut_proximal_step_shrinks_eps(self):
+        # From the coarse start this solve reaches eps = 1e12, where the
+        # kernel does not converge in a proximal step; growing eps further
+        # stalled it after 288 Newton steps at excess 4.9e-9.
+        inst = builtin_instance("machine_tool")
+        aff = build_affine(inst.system, inst.system.grid(200_000), inst.boundary)
+        res = solve_gap(aff, Bounds.symmetric(1774.7), SolveOptions(tol=1e-9))
+        assert res.diagnostics["coarse_iterations"] > 0
+        assert res.diagnostics["stop"] == "certified"
+        assert res.gap_norm - res.gap_lower <= 1e-9 * res.gap_norm
