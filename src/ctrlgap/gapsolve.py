@@ -1,76 +1,41 @@
-"""Best-approximation (gap) solvers for the infeasible box/affine pair.
+"""Best-approximation (gap) solver for the infeasible box/affine pair.
 
-Two step rules compute the pair (uA, uB) minimizing the step-weighted
-distance between the boundary-value affine set and the box.  They share
-one driver, ``solve_gap``:
+``solve_gap`` computes the pair (uA, uB) minimizing the step-weighted
+distance between the boundary-value affine set and the box by proximal
+point steps on phi(u) = r.W^{-1} r / 2, r = G u - xi, over the box
+(Rockafellar, SIAM J. Control Optim. 14, 1976).  Each step is solved on
+its n-dimensional dual (Li, Sun and Toh, SIAM J. Optim. 28, 2018) by
+``project.dual_newton``, the semismooth Newton kernel whose other caller
+is the minimum-energy control.  phi(u) is |P_affine(u) - u|^2 / 2, so its
+minimizer over the box is uB.
 
-``newton`` (the default) proximal point steps on phi(u) = r.W^{-1} r / 2,
-          r = G u - xi, over the box (Rockafellar, SIAM J. Control Optim.
-          14, 1976), each solved on its n-dimensional dual (Li, Sun and
-          Toh, SIAM J. Optim. 28, 2018) by ``project.dual_newton``, the
-          semismooth Newton kernel whose other caller is the minimum-energy
-          control.  phi(u) is |P_affine(u) - u|^2 / 2, so its minimizer
-          over the box is uB.  It stops on a certificate.
-``fast``  restarted accelerated projected gradient (Beck and Teboulle,
-          SIAM J. Imaging Sci. 2, 2009) on q(u) = |P_affine(u) - u|^2 / 2
-          over the box, restarted whenever the gap grows (O'Donoghue and
-          Candes, Found. Comput. Math. 15, 2015): an alternating projection
-          step from a point extrapolated along the last step.  It remains
-          because the benchmark times it.
+The affine set is represented by the orthonormal basis
+``AffineData.basis`` = (Qt, c) of range(G^T): P_affine(u) = u + Qt^T s
+with s = c - Qt u, and phi(u) = |Qt u - c|^2 / 2.  The solver, its
+certificate and its finish run on that basis alone; no solve here reads
+G or W.  The paper's alternating projections, Douglas-Rachford splitting
+and the restarted accelerated projection of O'Donoghue and Candes (Found.
+Comput. Math. 15, 2015) are not solvers here; the tests replay them in
+plain numpy as oracles that must land in the certified interval below.
 
-The paper's alternating projections and Douglas-Rachford splitting are
-not step rules here; the tests replay them in plain numpy as oracles for
-both rules.
+Any box point certifies an interval for the true gap: its own gap |v|,
+v = P_affine(u) - u, is an upper end, and ``project.gap_lower_bound`` of
+its multiplier Qt u - c a lower end, ``gap_lower``.  The solver stops on
+that certificate alone: converged once gap - gap_lower <= tol gap, or once
+the gap itself is at most tol sqrt(h) (1 + |D^{-1} xi|) with D =
+sqrt(diag W), the floor that lets a feasible box, whose lower end is 0,
+end too.  Every proximal iterate first goes through one verified
+primal-dual active-set step (Hintermueller, Ito and Kunisch, SIAM J.
+Optim. 13, 2003): the nodes where it lies strictly inside the box are
+solved for exactly with the others held at their bounds, and the result is
+kept only if it passes the optimality checks.  ``diagnostics["finish"]``
+records the outcome for the returned pair; only when it reads ``"exact"``
+is that pair the exact discrete optimum, up to rounding.  Every Newton
+step yields the best certified box iterate so far and its gap;
+``solve_gap`` records every step's gap in ``diagnostics["gap_history"]``,
+an ``array('d')``, 8 bytes a step.
 
-The projection step carries uA = P_affine(u).  P_affine is affine, so the
-extrapolated point projects to uA + beta (uA - uA_prev).  ``fast``
-projects in the orthonormal basis ``AffineData.basis`` = (Qt, c) of
-range(G^T): P_affine(u) = u + Qt^T s with s = c - Qt u, so a step is
-one product with Qt and one with Qt^T and solves no Gram system:
-u = clip(uA + beta (uA - uA_prev)), s = c - Qt u, uA = u + Qt^T s.
-Qt has orthonormal rows, so the gap |v| = |s| and the change |v - v_prev|
-= |s - s_prev| are norms of n-vectors and v itself is never formed.  The
-certificate below, the finish and ``newton`` run on the same basis: it
-is the one representation of the set, and no solve here reads G or W.
-
-A ``fast`` step over all N*m coordinates, a full step, writes u, uA
-and uA_prev in place and makes no new array of that length, yet
-near a bang-bang answer almost every node sits on a bound, so most steps
-run on a working set U of nodes instead.  The next momentum point at a
-node on a bound b is b + beta (b - u_prev) + q^T sigma, with q the node's
-column of Qt and sigma = (1 + beta) s - beta s_prev.  The middle term
-points out of the box (beta >= 0), so the clip holds the node at b while
-q^T sigma has the sign of the bound (+ at the upper one), and after one
-such step its momentum term is zero.  After a full step with multiplier
-sigma_r, a node on a bound is fixed (put in V) when its margin
-rho = +-q^T sigma_r / |q| exceeds the radius R.  U holds the rest: the
-free nodes, the bound nodes with rho <= 0 and the 256 of least positive
-margin, and R is the margin of the last of them.  The clip sees only the
-sign of q^T sigma, so by Cauchy-Schwarz every node in V stays on its bound
-while some positive multiple of sigma lies within R of sigma_r (safe
-screening: Ndiaye, Fercoq, Gramfort and Salmon, JMLR 18, 2017), that is
-while sigma.sigma_r > 0 and |sigma_r|^2 - (sigma.sigma_r)^2 / |sigma|^2 <
-R^2.  Until then each step runs the full step's arithmetic on U alone,
-with s = c_V - Qt_U u_U and c_V = c - Qt_V u_V formed once; the gap, the
-change, the restart test and the stop are the same n-vector quantities,
-and the yielded u is the full iterate with U written back.  Once the test
-fails, or after 32 N*m / |U| steps, uA and uA_prev are rebuilt on all
-coordinates and the next step is a full step, which picks the next
-working set.  Working sets are tried only from 4,096 coordinates up and
-kept only when U holds at most an eighth of them (else tried again 32
-full steps later); below that size every step is a full step, with the
-arithmetic and results of a plain loop.  ``diagnostics["full_steps"]``
-counts the full steps.
-
-Every step yields the box iterate uB it would return, its gap |v|, v =
-uA - uB, and the change |v - v_prev| (inf at the first step; ``newton``
-yields None).  ``solve_gap`` records every step's gap in
-``diagnostics["gap_history"]``, an ``array('d')``, 8 bytes a step.
-Any box point certifies an interval for the true gap: its own gap |v| is
-an upper end, and ``project.gap_lower_bound`` of its multiplier Qt uB - c
-a lower end, ``gap_lower``.
-
-``newton`` starts from the clipped zero control at eps = 1 below 16,384
+The solve starts from the clipped zero control at eps = 1 below 16,384
 control coordinates (N*m).  From that size up it first solves the same
 problem restricted to controls constant on blocks of 64 nodes,
 ``AffineData.coarse``, with the blockwise intersection of the box, and
@@ -79,27 +44,11 @@ at eps = 1e5.  The answer is bang-bang with the gap vector as its
 switching function, so the coarse answer places every switch to within a
 block and the fine proximal steps start near their answer (nested
 iteration: Briggs, Henson and McCormick, A Multigrid Tutorial,
-SIAM 2000, ch. 3).  The coarse solve is a ``newton`` gap solve itself, at
-the same tol; its Newton steps are ``diagnostics["coarse_iterations"]``
-and count neither toward ``iterations`` nor toward ``max_iter``.  An
-uncontrollable coarse grid, or a block whose box intersection is empty,
-leaves the cold start.
-
-``newton`` stops on that certificate: converged once gap - gap_lower <=
-tol gap, or once the gap itself is at most tol sqrt(h) (1 + |D^{-1} xi|)
-with D = sqrt(diag W), the floor that lets a feasible box, whose lower
-end is 0, end too.  ``fast`` stops at ``max_iter`` or on the
-successive change of v, which is the quantity with a uniqueness
-guarantee; uB itself may be non-unique wherever v vanishes.  That change
-bounds the step between two iterates, not the distance to the optimum,
-so a stop on ``tol`` is followed by one verified primal-dual active-set
-step (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2003): the nodes
-where uB lies strictly inside the box are solved for exactly with the
-others held at their bounds, and the result is kept only if it passes
-the optimality checks.  ``newton`` tries the same step on every proximal
-iterate.  ``diagnostics["finish"]`` records the outcome for the returned
-pair; only when it reads ``"exact"`` is that pair the exact discrete
-optimum, up to rounding.
+SIAM 2000, ch. 3).  The coarse solve is a gap solve itself, at the same
+tol; its Newton steps are ``diagnostics["coarse_iterations"]`` and count
+neither toward ``iterations`` nor toward ``max_iter``.  An uncontrollable
+coarse grid, or a block whose box intersection is empty, leaves the cold
+start.
 """
 
 from __future__ import annotations
@@ -108,7 +57,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -116,37 +65,28 @@ from .discretize import COARSE_BLOCK, AffineData, ControlTrajectory, weighted_no
 from .model import Bounds
 from .project import dual_newton, gap_lower_bound
 
-SOLVERS = ("newton", "fast")
-
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs shared by the gap solvers.
+    """Knobs of the gap solver.
 
-    For ``newton``, ``tol`` bounds the certified relative duality gap
-    (gap - gap_lower) / gap of the answer, with the absolute floor for
-    feasible boxes given in the module docstring.  For ``fast`` it bounds
-    the step-weighted successive change of the gap vector, a change
-    between iterates and not the error of the last one; a stop on it is
-    followed by the verified active-set finish.  ``tol`` must be positive
-    and finite.  ``max_iter`` caps Newton steps for ``newton`` and steps
-    for ``fast``.  ``fast`` starts from the zero control clipped into the
-    box, and so does ``newton`` below 16,384 control coordinates; from that
-    size up ``newton`` starts from a coarse solve (module docstring), whose
-    steps ``max_iter`` does not count.
+    ``tol`` bounds the certified relative duality gap (gap - gap_lower) /
+    gap of the answer, with the absolute floor for feasible boxes given in
+    the module docstring; it must be positive and finite.  ``max_iter``
+    caps the Newton steps on the given grid; the steps of the coarse solve
+    that starts a solve of 16,384 control coordinates or more (module
+    docstring) do not count.  Builtin solves take 12 to 80 Newton steps and
+    the most measured was 201, so the default cap ends a stall quickly.
     """
 
     tol: float = 1e-9
-    max_iter: int = 2_000_000
-    solver: str = "newton"
+    max_iter: int = 1_000
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
 
 
 @dataclass(frozen=True)
@@ -165,15 +105,13 @@ class GapResult:
     ``"rejected_sign"``).  ``gap_lower`` is the certified dual lower bound
     ``gap_lower_bound`` on the true gap (0 when the bound is vacuous or
     within rounding), so the true gap lies in [gap_lower, gap_norm].
-    ``diagnostics["stop"]`` is ``"certified"`` or ``"stalled"`` for
-    ``newton``, ``"tol"`` for ``fast``, or ``"max_iter"``.  ``converged``
-    is true after a ``"certified"`` or ``"tol"`` stop: for ``newton`` the
-    certificate holds, for ``fast`` only the iterate change was small.
-    ``diagnostics["gap_history"]`` holds the gap of every step.  For
-    ``fast``, ``diagnostics["restarts"]`` counts momentum restarts and
-    ``diagnostics["full_steps"]`` the steps over all N*m coordinates.  For
-    ``newton`` from the coarse start, ``diagnostics["coarse_iterations"]``
-    counts the Newton steps of the coarse solve.
+    ``diagnostics["stop"]`` is ``"certified"``, ``"stalled"`` or
+    ``"max_iter"``, and ``converged`` is true exactly after a
+    ``"certified"`` stop, when the certificate of the module docstring
+    holds.  ``diagnostics["gap_history"]`` holds the gap after every Newton
+    step.  From the coarse start, ``diagnostics["coarse_iterations"]``
+    counts the Newton steps of the coarse solve.  ``solver`` tags the
+    method: ``"newton"`` here, ``"oracle"`` for ``brute_force_gap``.
     """
 
     uA: ControlTrajectory
@@ -188,7 +126,7 @@ class GapResult:
 
 
 class _Workspace:
-    """Flattened views shared by the step rules."""
+    """The affine data and the box as flat per-coordinate bounds."""
 
     def __init__(self, aff: AffineData, bounds: Bounds):
         self.aff = aff
@@ -248,13 +186,10 @@ def _certify(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, flo
     return uA, v, weighted_norm(v, ws.h), gap_lower_bound(ws.aff, ws.lo, ws.hi, s)
 
 
-def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int, converged: bool,
-            solver: str, diagnostics: dict) -> GapResult:
+def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int,
+            diagnostics: dict) -> GapResult:
     grid, m = ws.aff.grid, ws.aff.m
-    if diagnostics["stop"] == "tol":
-        uB_flat, diagnostics["finish"] = _active_set_finish(ws, uB_flat)
-    else:
-        diagnostics.setdefault("finish", "skipped")
+    diagnostics.setdefault("finish", "skipped")
     uA_flat, v_flat, gap, gap_lower = _certify(ws, uB_flat)
     return GapResult(
         uA=ControlTrajectory.from_flat(uA_flat, grid, m),
@@ -262,164 +197,21 @@ def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int, converged: boo
         v=ControlTrajectory.from_flat(v_flat, grid, m),
         gap_norm=gap,
         iterations=iterations,
-        converged=converged,
-        solver=solver,
+        converged=diagnostics["stop"] == "certified",
+        solver="newton",
         gap_lower=gap_lower,
         diagnostics=diagnostics)
 
 
-_Steps = Iterator[tuple[np.ndarray, float, Optional[float]]]
-
-# The working-set rule of ``_projection_steps`` (module docstring).  A working
-# set may hold at most 1/_WS_SHARE of the coordinates and holds the
-# _WS_MARGIN bound nodes of least margin.  It is tried only from
-# _WS_MIN_COORDS coordinates up: below that the margin nodes alone fill half
-# the share, and on machine_tool at N=1000 and 2000 no working set formed
-# while the tries slowed the solve.
-_WS_SHARE = 8
-_WS_MARGIN = 256
-_WS_MIN_COORDS = 2 * _WS_SHARE * _WS_MARGIN
-# Full steps to run after a working set came out too large before the next
-# try; a try costs about half a full step.
-_WS_RETRY = 32
-# A working set runs for at most _WS_WORK full steps' worth of its own steps
-# (_WS_WORK N*m / |U| steps) before a full step picks a fresh one, so that a
-# set chosen while many nodes still moved does not outlive them; a change of
-# working set costs about five full steps.
-_WS_WORK = 32
-
-
-def _working_set(u: np.ndarray, lo: np.ndarray, hi: np.ndarray, QtT: np.ndarray,
-                 sigma: np.ndarray,
-                 inv_qnorm: np.ndarray) -> Optional[tuple[np.ndarray, float]]:
-    """The indices of the working set U after a full step to ``u`` and the
-    radius R, or None when U would hold more than 1/_WS_SHARE of the
-    coordinates.  ``sigma`` is the multiplier (1 + beta) s - beta s_prev of
-    the next momentum point; the module docstring has the rule.
-    """
-    upper, lower = u >= hi, u <= lo
-    size = u.size // _WS_SHARE
-    if u.size - np.count_nonzero(upper) - np.count_nonzero(lower) + _WS_MARGIN > size:
-        return None
-    rho = QtT.dot(sigma)
-    rho *= inv_qnorm
-    # free nodes get rho = 0
-    rho *= np.subtract(upper, lower, dtype=float)
-    k = np.count_nonzero(rho <= 0.0) + _WS_MARGIN
-    if k > size:
-        return None
-    radius = float(np.partition(rho, k - 1)[k - 1])
-    index = np.flatnonzero(~(rho > radius))
-    return (index, radius) if index.size <= size else None
-
-
-def _projection_steps(ws: _Workspace, u: np.ndarray, diagnostics: dict) -> _Steps:
-    """Projected gradient steps clip(P_affine(y)) on q(u) = |P_affine(u) - u|^2 / 2.
-
-    q has the orthogonal projector onto range(G^T) as its Hessian, so the
-    unit step from y is one alternating projection sweep.  y is
-    extrapolated along the last step, and the momentum is restarted
-    whenever the gap grows, which is the test q > q_prev because q =
-    |v|^2 / 2.  Yields (u, gap,
-    change) for v = P_affine(u) - u = Qt^T s, s = c - Qt u, with change
-    the step-weighted norm of v - v_prev (inf at the first step); Qt has
-    orthonormal rows, so both are norms of n-vectors, |s| and |s - s_prev|.
-    ``u`` is the start array and is overwritten step by step, like uA and
-    uA_prev: a yielded u holds its values until the next step.
-
-    The step runs on whatever u, uA, uA_prev, lo, hi, Qt and c name: the
-    arrays over all coordinates on a full step, their rows (columns of Qt)
-    in the working set U otherwise, with c less Qt_V u_V (module
-    docstring).  ``full`` keeps the full arrays while U runs.
-    """
-    (Qt, c, _), lo, hi, h = ws.aff.basis, ws.lo, ws.hi, ws.h
-    # ndarray.dot makes the same BLAS call as @ with less dispatch per call,
-    # which is a tenth of a step on short vectors
-    QtT = Qt.T
-    uA, uA_prev = np.empty_like(u), np.empty_like(u)
-    s = c - Qt.dot(u)
-    QtT.dot(s, out=uA)
-    uA += u
-    uA_prev[:] = uA
-    u_out, full, inv_qnorm = u, None, None
-    if u.size >= _WS_MIN_COORDS:
-        qnorm = np.sqrt(np.einsum("ij,ij->j", Qt, Qt))
-        # a zero column has rho = 0 and stays in the working set
-        inv_qnorm = np.divide(1.0, qnorm, out=np.zeros_like(qnorm), where=qnorm > 0)
-    t, beta, gap_prev, change, wait = 1.0, 0.0, math.inf, math.inf, 0
-    diagnostics["restarts"] = diagnostics["full_steps"] = 0
-    while True:
-        if full is not None:
-            sigma = (1.0 + beta) * s - beta * s_prev
-            along = float(sigma.dot(sigma_r))
-            budget -= 1
-            # the radius test of the module docstring, slack = |sigma_r|^2 - R^2
-            if (budget < 0 or along <= 0.0
-                    or along * along <= slack * float(sigma.dot(sigma))):
-                # back to all coordinates: the fixed ones kept u, and their uA
-                # moved with s alone
-                uA_U, uA_prev_U = uA, uA_prev
-                u, uA, uA_prev, lo, hi, Qt, QtT, c = full
-                for dst, s_k, src in ((uA, s, uA_U), (uA_prev, s_prev, uA_prev_U)):
-                    QtT.dot(s_k, out=dst)
-                    dst += u
-                    dst[index] = src
-                full = None
-        np.subtract(uA, uA_prev, out=u)
-        u *= beta
-        u += uA
-        np.maximum(u, lo, out=u)
-        np.minimum(u, hi, out=u)
-        s_prev, s = s, c - Qt.dot(u)
-        uA, uA_prev = uA_prev, uA
-        QtT.dot(s, out=uA)
-        uA += u
-        if full is None:
-            diagnostics["full_steps"] += 1
-        else:
-            u_out[index] = u
-        gap = math.sqrt(h * float(s.dot(s)))
-        if gap_prev < math.inf:  # s_prev is a step's, not the start's
-            ds = s - s_prev
-            change = math.sqrt(h * float(ds.dot(ds)))
-        yield u_out, gap, change
-        if gap > gap_prev:
-            t, beta = 1.0, 0.0
-            diagnostics["restarts"] += 1
-        else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_next
-            t = t_next
-        gap_prev = gap
-        if full is None and inv_qnorm is not None:
-            wait -= 1
-            if wait <= 0:
-                sigma_r = (1.0 + beta) * s - beta * s_prev
-                found = _working_set(u, lo, hi, QtT, sigma_r, inv_qnorm)
-                if found is None:
-                    wait = _WS_RETRY
-                else:
-                    index, radius = found
-                    slack = float(sigma_r.dot(sigma_r)) - radius * radius
-                    budget = _WS_WORK * u.size // index.size
-                    full = u, uA, uA_prev, lo, hi, Qt, QtT, c
-                    u_V = u.copy()
-                    u_V[index] = 0.0
-                    c = c - Qt.dot(u_V)
-                    Qt = Qt[:, index]
-                    QtT = Qt.T
-                    u, uA, uA_prev, lo, hi = (a[index] for a in (u, uA, uA_prev, lo, hi))
-
-
 # Newton steps allowed in one proximal step, and proximal steps in a row that
 # may end without halving the best certified excess gap - gap_lower before
-# the ``newton`` rule stops as stalled.
+# the solve stops as stalled.
 _INNER_STEPS = 50
 _STALL_STEPS = 5
 
 
 def _newton_steps(ws: _Workspace, u: np.ndarray, eps: float, tol: float,
-                  diagnostics: dict) -> _Steps:
+                  diagnostics: dict) -> Iterator[tuple[np.ndarray, float]]:
     """Proximal point steps u <- argmin over the box of phi + |. - u|^2 / (2 eps),
     phi(u) = |Qt u - c|^2 / 2, each by ``project.dual_newton`` with weight 1.
 
@@ -443,7 +235,7 @@ def _newton_steps(ws: _Workspace, u: np.ndarray, eps: float, tol: float,
     certified by ``_certify``.  The iterate with the smallest certified
     excess gap - gap_lower so far is yielded after every Newton step, so
     ``max_iter`` caps Newton steps and a cut returns that iterate.  The
-    rule returns with ``diagnostics["stop"]`` set to ``"certified"`` once
+    steps end with ``diagnostics["stop"]`` set to ``"certified"`` once
     that iterate meets the stop in the module docstring, or ``"stalled"``
     after ``_STALL_STEPS`` proximal steps in a row that do not halve the
     best excess.
@@ -485,7 +277,7 @@ def _newton_steps(ws: _Workspace, u: np.ndarray, eps: float, tol: float,
                 else "stalled" if stale >= _STALL_STEPS else None)
         if stop:
             diagnostics["stop"] = stop
-        yield u_best, gap_best, None
+        yield u_best, gap_best
         if stop:
             return
 
@@ -496,7 +288,7 @@ def _cold_start(ws: _Workspace) -> np.ndarray:
     return np.minimum(np.maximum(0.0, ws.lo), ws.hi)
 
 
-# The ``newton`` rule starts from the coarse solve from _COARSE_MIN_COORDS
+# The solve starts from the coarse solve from _COARSE_MIN_COORDS
 # control coordinates up, at proximal weight eps = _COARSE_EPS (module
 # docstring).  At 4,096 and 8,192 coordinates the coarse start made the
 # builtin gaps as often slower as faster, by a few milliseconds either way.
@@ -505,7 +297,7 @@ _COARSE_EPS = 1e5
 
 
 def _newton_start(ws: _Workspace, tol: float, diagnostics: dict) -> tuple[np.ndarray, float]:
-    """The start (u, eps) of the ``newton`` rule: below _COARSE_MIN_COORDS
+    """The start (u, eps) of the proximal steps: below _COARSE_MIN_COORDS
     coordinates, or when the coarse grid is uncontrollable or a block's box
     is empty, the cold start at eps = 1; else the box iterate of the gap
     solve on ``AffineData.coarse`` with the blockwise intersection of the
@@ -527,27 +319,19 @@ def _newton_start(ws: _Workspace, tol: float, diagnostics: dict) -> tuple[np.nda
 
 def solve_gap(aff: AffineData, bounds: Bounds,
               opts: SolveOptions | None = None) -> GapResult:
-    """Iterate the step rule of ``opts.solver`` until a stop fires.
+    """Run the proximal Newton steps until the certificate, a stall or
+    ``opts.max_iter`` stops them.
 
-    The returned pair re-projects the box iterate uB onto the affine set
-    (the last one, or for ``newton`` the best certified one), so uB is
-    box-feasible exactly and uA satisfies the affine constraint to solver
-    precision.
+    The returned pair re-projects the best certified box iterate uB onto
+    the affine set, so uB is box-feasible exactly and uA satisfies the
+    affine constraint to solver precision.
     """
     opts = opts or SolveOptions()
     ws = _Workspace(aff, bounds)
     diagnostics = {"stop": "max_iter"}
-    if opts.solver == "newton":
-        steps = _newton_steps(ws, *_newton_start(ws, opts.tol, diagnostics), opts.tol,
-                              diagnostics)
-    else:
-        steps = _projection_steps(ws, _cold_start(ws), diagnostics)
+    steps = _newton_steps(ws, *_newton_start(ws, opts.tol, diagnostics), opts.tol,
+                          diagnostics)
     history = diagnostics["gap_history"] = array("d")
-    it = 0
-    for it, (uB, gap, change) in enumerate(islice(steps, opts.max_iter), start=1):
+    for uB, gap in islice(steps, opts.max_iter):
         history.append(gap)
-        if change is not None and change <= opts.tol:
-            diagnostics["stop"] = "tol"
-            break
-    return _finish(ws, uB, it, diagnostics["stop"] in ("tol", "certified"), opts.solver,
-                   diagnostics)
+    return _finish(ws, uB, len(history), diagnostics)

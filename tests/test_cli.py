@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ctrlgap import (BUILTIN_NAMES, ControlTrajectory, Grid, ProjectionStats,
-                     build_affine, builtin_instance, cli, figures)
+                     SolveOptions, build_affine, builtin_instance, cli, figures)
 from ctrlgap.critical import _certified_ends
 from ctrlgap.oracle import MAX_COORDS
 
@@ -97,14 +97,48 @@ def test_default_gap_on_machine_tool_is_certified(tmp_path):
 
 @pytest.mark.parametrize("solver", ["newton", "fast"])
 def test_gap_summary_reports_the_certificate_for_every_solver(tmp_path, solver):
+    # both spellings of --solver run the one certified solver
     assert cli.run(GAP + ["--solver", solver, "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert GAP_SUMMARY_KEYS <= set(summary)
+    assert set(summary) == GAP_SUMMARY_KEYS
+    assert summary["solver"] == "newton"
     assert 0.0 < summary["gap_lower"] <= summary["gap_norm"] * (1 + 1e-12)
-    if solver == "fast":
-        assert summary["restarts"] >= 0
-        # N=200 is below the working-set size rule: every step is a full step
-        assert summary["full_steps"] == summary["iterations"]
+    assert summary["gap_norm"] - summary["gap_lower"] <= 1e-8 * summary["gap_norm"]
+
+
+# Timings, which differ from run to run.
+TIMING_KEYS = {"stage_seconds", "wall_time_seconds"}
+
+
+@pytest.mark.parametrize("nodes,gap_norm", [(1_000, 0.8340362106898944),
+                                            (10_000, 0.8496992057977855)])
+def test_legacy_fast_spelling_writes_the_default_runs_files(tmp_path, nodes, gap_norm):
+    argv = ["gap", "--system", "machine_tool", "--nodes", str(nodes), "--bound", "1770"]
+    assert cli.run(argv + ["--out", str(tmp_path / "default")]) == 0
+    assert cli.run(argv + ["--solver", "fast", "--out", str(tmp_path / "fast")]) == 0
+    for name in ("trajectory.csv", "states.csv"):
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+    default, fast = (json.loads((tmp_path / run / "summary.json").read_text())
+                     for run in ("default", "fast"))
+    for key in TIMING_KEYS:
+        del default[key], fast[key]
+    assert fast == default
+    assert fast["solver"] == "newton"
+    assert not {"restarts", "full_steps"} & set(fast)
+    # certified reference (perfbench/references.json)
+    assert abs(fast["gap_norm"] - gap_norm) <= 1e-10 * gap_norm
+
+
+def test_gap_budget_defaults_to_the_library_cap_and_a_cut_exits_2(tmp_path):
+    assert cli._build_parser().parse_args(GAP).max_iter == SolveOptions().max_iter == 1_000
+    # machine_tool needs 47 Newton steps here; one step is a cut short of a certificate
+    argv = ["gap", "--system", "machine_tool", "--nodes", "1000", "--bound", "1770",
+            "--max-iter", "1", "--out", str(tmp_path)]
+    assert cli.run(argv) == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["iterations"] == 1
+    assert summary["gap_norm"] - summary["gap_lower"] > 1e-8 * summary["gap_norm"]
 
 
 def test_gap_summary_reports_the_coarse_solve_from_the_size_floor_up(tmp_path):

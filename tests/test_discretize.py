@@ -290,7 +290,7 @@ class TestAffineBasis:
         solve_gap(aff, Bounds.symmetric(1770.0))
         basis = vars(aff)["basis"]
         dykstra_min_energy(aff, Bounds.symmetric(1800.0))
-        solve_gap(aff, Bounds.symmetric(1770.0), SolveOptions(solver="fast", max_iter=5))
+        solve_gap(aff, Bounds.symmetric(1770.0), SolveOptions(max_iter=5))
         assert all(again is kept for again, kept in zip(aff.basis, basis))
         assert not any(arr.flags.writeable for arr in basis)
         with pytest.raises(ValueError):

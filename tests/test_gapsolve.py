@@ -105,63 +105,55 @@ class TestMap:
 
 
 class TestProjectionOracles:
-    """The paper's alternating projections (MAP) and Douglas-Rachford
-    splitting (DR), replayed in plain numpy, land in the certified interval
-    [gap_lower, gap_norm] of the default solver."""
+    """The paper's alternating projections (MAP), Douglas-Rachford splitting
+    (DR) and MAP with restarted momentum, replayed in plain numpy, land in
+    the certified interval [gap_lower, gap_norm] of the default solver."""
 
     @pytest.mark.parametrize("name,a", [("double_integrator", 1.0),
                                         ("damped_oscillator", 0.3)])
-    @pytest.mark.parametrize("rule", ["map", "dr"])
+    @pytest.mark.parametrize("rule", ["map", "dr", "restarted"])
     def test_replay_lands_in_the_certified_interval(self, name, a, rule):
         inst = builtin_instance(name)
         aff = build_affine(inst.system, inst.system.grid(2000), inst.boundary)
         bounds = Bounds.symmetric(a)
         res = solve_gap(aff, bounds)
         assert res.converged
-        if rule == "map":
-            u, _, gaps = replay_projection_steps(aff, bounds, 4000, False,
-                                                 np.zeros(aff.grid.N))
-            # MAP never raises the gap
-            assert np.all(np.diff(gaps) <= 1e-14)
-        else:
+        if rule == "dr":
             u, gaps = replay_douglas_rachford(aff, bounds, 4000)
+        else:
+            u, restarts, gaps = replay_projection_steps(aff, bounds, 4000, rule == "restarted",
+                                                        np.zeros(aff.grid.N))
+            if rule == "map":  # MAP never raises the gap
+                assert np.all(np.diff(gaps) <= 1e-14)
+            else:  # the momentum steps do, and restart
+                assert restarts > 0
         # every replayed iterate is a box point, so its gap bounds the true gap
         assert res.gap_lower <= min(gaps)
         assert gaps[-1] <= res.gap_norm * (1 + 1e-7)
         assert_basis_step_matches_gram_solve(aff, u)
 
-
-class TestFast:
-    def test_fast_reproduces_restarted_momentum_steps(self, mt200):
+    @pytest.mark.parametrize("rule", ["map", "restarted"])
+    def test_replay_lands_in_the_certified_interval_on_machine_tool(self, mt200, rule):
         _, aff, bounds = mt200
-        steps = 400
-        u, restarts, _ = replay_projection_steps(aff, bounds, steps, True,
-                                                 np.zeros(aff.grid.N))
-        res = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-30, max_iter=steps))
-        assert restarts >= 1
-        assert res.diagnostics["restarts"] == restarts
-        np.testing.assert_array_equal(res.uB.flat, u)
+        res = solve_gap(aff, bounds)
+        assert res.converged
+        u0 = np.zeros(aff.grid.N)
+        if rule == "map":
+            # MAP from zero is still 4% above the gap here after 4,000 steps,
+            # so it starts where 1,000 restarted steps end, 4e-6 above it
+            u0, _, _ = replay_projection_steps(aff, bounds, 1000, True, u0)
+        u, _, gaps = replay_projection_steps(aff, bounds, 4000, rule == "restarted", u0)
+        assert res.gap_lower <= min(gaps)
+        assert gaps[-1] <= res.gap_norm * (1 + 1e-6)
         assert_basis_step_matches_gram_solve(aff, u)
-
-    def test_feasible_gap_vanishes(self, di):
-        _, aff = di
-        res = solve_gap(aff, Bounds.symmetric(3.0), SolveOptions(solver="fast"))
-        assert res.gap_norm <= 1e-6
-
-    def test_certified_bounds_bracket_gap(self, di):
-        _, aff = di
-        bounds = Bounds.symmetric(1.0)
-        res = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-11))
-        # at optimality the dual bound is tight
-        assert res.gap_lower <= res.gap_norm + 1e-12
-        assert res.gap_lower >= res.gap_norm * (1 - 1e-6) - 1e-9
 
 
 def replay_projection_steps(aff, bounds, steps, momentum, u0):
-    """``steps`` alternating projection steps u <- clip(P_affine(u)) (or,
-    with momentum, restarted ``fast`` steps) from the box point u0 over all
-    coordinates, the arithmetic of a full step in plain numpy; returns the
-    last iterate, the restart count and the gap of every step."""
+    """``steps`` alternating projection steps u <- clip(P_affine(u)) from the
+    box point u0 in plain numpy, with momentum from a point extrapolated
+    along the last step and restarted whenever the gap grows (O'Donoghue
+    and Candes, Found. Comput. Math. 15, 2015); returns the last iterate,
+    the restart count and the gap of every step."""
     lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))
     Qt, c, _ = aff.basis
 
@@ -214,60 +206,12 @@ def two_input_problem(N):
     return aff, Bounds(lower=lower, upper=upper)
 
 
-@pytest.fixture(scope="module")
-def mt10k():
-    inst = builtin_instance("machine_tool")
-    grid = inst.system.grid(10_000)
-    aff = build_affine(inst.system, grid, inst.boundary)
-    bounds = Bounds.symmetric(1770.0)
-    return aff, bounds, solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-8))
-
-
-class TestWorkingSet:
-    """Steps on a working set must follow the full steps to rounding."""
-
-    @staticmethod
-    def assert_replays(aff, bounds, steps, rtol=1e-12):
-        opts = SolveOptions(solver="fast", tol=1e-30, max_iter=steps)
-        res = solve_gap(aff, bounds, opts)
-        u, restarts, _ = replay_projection_steps(aff, bounds, steps, True,
-                                                 np.zeros(aff.grid.N * aff.m))
-        assert res.diagnostics["full_steps"] < steps  # the working set was used
-        assert res.diagnostics["restarts"] == restarts
-        assert np.max(np.abs(res.uB.flat - u)) <= rtol * np.max(np.abs(u))
-
-    def test_fast_on_machine_tool(self, mt10k):
-        aff, bounds, _ = mt10k
-        self.assert_replays(aff, bounds, 1000)
-
-    def test_epochs_end_when_the_multiplier_leaves_the_radius(self):
-        # Just below a_c the switch times keep moving for thousands of steps;
-        # an epoch that ran past its radius would hold nodes on a bound they
-        # leave in a full step, 1e-6 of |u| away.  The free nodes amplify
-        # rounding here, to 2e-12 of |u| after 4,000 steps.
-        inst = builtin_instance("machine_tool")
-        grid = inst.system.grid(4096)
-        aff = build_affine(inst.system, grid, inst.boundary)
-        self.assert_replays(aff, Bounds.symmetric(1774.5), 4000, rtol=1e-10)
-
-    def test_two_inputs_with_per_node_bounds(self):
-        aff, bounds = two_input_problem(4000)
-        self.assert_replays(aff, bounds, 150)
-
-    def test_default_tol_keeps_the_full_step_solve(self, mt10k):
-        _, _, res = mt10k
-        assert res.iterations == 9196
-        assert res.diagnostics["restarts"] == 2
-        assert res.diagnostics["full_steps"] < res.iterations / 10
-        # the gap of the same solve with every step a full step
-        assert res.gap_norm == pytest.approx(0.849703656360455, rel=1e-10)
-
-
 class TestBuffers:
-    @pytest.mark.parametrize("solver", ["newton", "fast"])
-    def test_results_share_no_memory(self, mt200, solver):
-        _, aff, bounds = mt200
-        opts = SolveOptions(solver=solver, max_iter=50)
+    @pytest.mark.parametrize("nodes", [200, 16_384], ids=["cold", "coarse"])
+    def test_results_share_no_memory(self, nodes):
+        inst = builtin_instance("machine_tool")
+        aff = build_affine(inst.system, inst.system.grid(nodes), inst.boundary)
+        bounds, opts = Bounds.symmetric(1770.0), SolveOptions(max_iter=50)
         first, second = solve_gap(aff, bounds, opts), solve_gap(aff, bounds, opts)
         arrays = [t.values for res in (first, second) for t in (res.uA, res.uB, res.v)]
         for i, a in enumerate(arrays):
@@ -283,38 +227,50 @@ class TestCrossSolver:
         ("machine_tool", 1500.0, 1e-7),
     ])
     def test_three_way_agreement(self, name, a, tol):
+        # the solver, the restarted momentum replay and that replay after the
+        # active-set finish
         inst = builtin_instance(name)
         grid = inst.system.grid(2000)
         aff = build_affine(inst.system, grid, inst.boundary)
         bounds = Bounds.symmetric(a)
-        results = {s: solve_gap(aff, bounds, SolveOptions(tol=tol, solver=s))
-                   for s in ("newton", "fast")}
-        gaps = {s: res.gap_norm for s, res in results.items()}
-        for s1 in gaps:
-            for s2 in gaps:
-                assert abs(gaps[s1] - gaps[s2]) <= 1e-6 * (1 + gaps[s1])
-        # each answer certifies [gap_lower, gap_norm] around the one true gap
-        lower = max(res.gap_lower for res in results.values())
-        assert lower <= min(gaps.values()) * (1 + 1e-12)
-        newton = results["newton"]
+        newton = solve_gap(aff, bounds, SolveOptions(tol=tol))
         assert newton.converged
         assert newton.gap_norm - newton.gap_lower <= tol * newton.gap_norm
+        ws = gapsolve._Workspace(aff, bounds)
+        u, _, _ = replay_projection_steps(aff, bounds, 2000, True, np.zeros(grid.N))
+        finished, _ = gapsolve._active_set_finish(ws, u)
+        gaps, lowers = [newton.gap_norm], [newton.gap_lower]
+        for point in (u, finished):
+            _, _, gap, lower = gapsolve._certify(ws, point)
+            gaps.append(gap)
+            lowers.append(lower)
+        for g1 in gaps:
+            for g2 in gaps:
+                assert abs(g1 - g2) <= 1e-6 * (1 + g1)
+        # each answer certifies [gap_lower, gap_norm] around the one true gap
+        assert max(lowers) <= min(gaps) * (1 + 1e-12)
 
 
 class TestActiveSetFinish:
     @pytest.mark.parametrize("name,a,solvers", [
-        ("double_integrator", 1.0, ("newton", "fast")),
-        ("damped_oscillator", 0.3, ("newton", "fast")),
+        ("double_integrator", 1.0, ("newton", "restarted_replay")),
+        ("damped_oscillator", 0.3, ("newton", "restarted_replay")),
     ])
     def test_solvers_agree_on_switch_times(self, name, a, solvers):
+        # the solver's answer and 2,000 restarted momentum replay steps after
+        # the active-set finish are both the exact optimum
         inst = builtin_instance(name)
         grid = inst.system.grid(2000)
         aff = build_affine(inst.system, grid, inst.boundary)
-        times = {}
-        for s in solvers:
-            res = solve_gap(aff, Bounds.symmetric(a), SolveOptions(tol=1e-9, solver=s))
-            assert res.diagnostics["finish"] == "exact"
-            times[s] = extract_switchings(res.uB, grid).switch_times
+        bounds = Bounds.symmetric(a)
+        res = solve_gap(aff, bounds, SolveOptions(tol=1e-9))
+        assert res.diagnostics["finish"] == "exact"
+        u, _, _ = replay_projection_steps(aff, bounds, 2000, True, np.zeros(grid.N))
+        replayed, finish = gapsolve._active_set_finish(gapsolve._Workspace(aff, bounds), u)
+        assert finish == "exact"
+        answers = {"newton": res.uB,
+                   "restarted_replay": ControlTrajectory.from_flat(replayed, grid, aff.m)}
+        times = {s: extract_switchings(answers[s], grid).switch_times for s in solvers}
         ref = times[solvers[0]]
         assert ref
         for s in solvers[1:]:
@@ -322,29 +278,34 @@ class TestActiveSetFinish:
             assert np.max(np.abs(np.subtract(times[s], ref))) <= 1e-10
 
     def test_rejected_finish_keeps_loop_iterate(self):
+        # 7,917 restarted steps leave 7 nodes inside the box, and their
+        # least-squares solution leaves it
         inst = builtin_instance("machine_tool")
         grid = inst.system.grid(1000)
         aff = build_affine(inst.system, grid, inst.boundary)
         bounds = Bounds.symmetric(1770.0)
-        res = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-8))
-        assert res.diagnostics["stop"] == "tol"
-        assert res.diagnostics["finish"].startswith("rejected_")
-        # the same iterate, reached by a stop that runs no finish
-        loop = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-30,
-                                                   max_iter=res.iterations))
-        assert loop.diagnostics["finish"] == "skipped"
-        np.testing.assert_array_equal(res.uB.values, loop.uB.values)
-        lo, hi = bounds.sample(grid, aff.m)
-        assert np.all(res.uB.values >= lo) and np.all(res.uB.values <= hi)
-        np.testing.assert_array_equal(res.v.values, res.uA.values - res.uB.values)
-        before = res.diagnostics["gap_history"][-1]
-        assert res.gap_norm == pytest.approx(before, rel=1e-4)
+        u, _, gaps = replay_projection_steps(aff, bounds, 7917, True, np.zeros(grid.N))
+        kept = u.copy()
+        ws = gapsolve._Workspace(aff, bounds)
+        out, finish = gapsolve._active_set_finish(ws, u)
+        assert finish == "rejected_box"
+        assert out is u
+        np.testing.assert_array_equal(u, kept)
+        _, _, gap, _ = gapsolve._certify(ws, out)
+        assert gap == pytest.approx(gaps[-1], rel=1e-12)
 
     def test_feasible_problem_rejected_on_size(self, di):
         _, aff = di
-        res = solve_gap(aff, Bounds.symmetric(3.0), SolveOptions(solver="fast"))
-        assert res.diagnostics["stop"] == "tol"
+        bounds = Bounds.symmetric(3.0)
+        res = solve_gap(aff, bounds)
+        assert res.diagnostics["stop"] == "certified"
+        # the feasible answer keeps many nodes inside the box, more than the
+        # n = 2 that the exact step can solve for
         assert res.diagnostics["finish"] == "rejected_size"
+        ws = gapsolve._Workspace(aff, bounds)
+        out, finish = gapsolve._active_set_finish(ws, res.uB.flat)
+        assert finish == "rejected_size"
+        np.testing.assert_array_equal(out, res.uB.flat)
 
     def test_exact_finish_matches_enumeration(self, rng):
         with_interior = 0
@@ -359,13 +320,11 @@ class TestActiveSetFinish:
             assert newton.converged
             assert newton.gap_lower * (1 - 1e-12) <= ref.gap_norm
             assert ref.gap_norm <= newton.gap_norm * (1 + 1e-12) + 1e-14
-            for solver in ("newton", "fast"):
-                res = solve_gap(aff, bounds, SolveOptions(tol=1e-9, solver=solver))
-                if res.diagnostics["finish"] != "exact":
-                    continue
-                assert res.gap_norm == pytest.approx(ref.gap_norm, rel=1e-12, abs=1e-14)
-                uB = res.uB.values
-                with_interior += bool(np.any((uB > lo) & (uB < hi)))
+            if newton.diagnostics["finish"] != "exact":
+                continue
+            assert newton.gap_norm == pytest.approx(ref.gap_norm, rel=1e-12, abs=1e-14)
+            uB = newton.uB.values
+            with_interior += bool(np.any((uB > lo) & (uB < hi)))
         assert with_interior > 0
 
 

@@ -326,5 +326,5 @@ class TestMinEnergyNearCritical:
         with pytest.raises(InfeasibleIntersectionError) as err:
             dykstra_min_energy(aff, bounds)
         floor = float(str(err.value).split("at least ")[1].split()[0])
-        gap = solve_gap(aff, bounds, SolveOptions(solver="fast", tol=1e-11)).gap_norm
+        gap = solve_gap(aff, bounds, SolveOptions(tol=1e-11)).gap_norm
         assert 0.0 < floor <= gap * (1 + 1e-9)
