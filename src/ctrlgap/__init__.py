@@ -3,8 +3,7 @@ linear optimal control under forward-Euler transcription."""
 
 from .analyze import (BangBangReport, SwitchingProfile, check_bang_bang,
                       extract_switchings)
-from .controllability import (CtrbReport, discrete_gramian, gramian_report,
-                              kalman_rank, ltv_rank)
+from .controllability import CtrbReport, gramian_report, kalman_rank
 from .critical import (CriticalResult, DICriticalSolution, critical_bound,
                        di_critical_analytic)
 from .discretize import (AffineData, ControlTrajectory, StateTrajectory,
@@ -17,7 +16,7 @@ from .model import (BUILTIN_NAMES, BoundarySpec, Bounds, Grid, LinearSystem,
                     ProblemInstance, builtin_instance, instance_from_config,
                     make_lti_system, make_ltv_system)
 from .oracle import brute_force_gap
-from .project import ProjectionStats, dykstra_min_energy, project_affine, project_box
+from .project import ProjectionStats, dykstra_min_energy
 
 __version__ = "0.1.0"
 
@@ -31,9 +30,8 @@ __all__ = [
     "SolveOptions", "StateTrajectory", "SwitchingProfile",
     "UncontrollableGridError", "brute_force_gap",
     "build_affine", "builtin_instance", "check_bang_bang", "critical_bound",
-    "di_critical_analytic", "discrete_gramian",
-    "dykstra_min_energy", "extract_switchings", "gramian_report",
-    "instance_from_config", "kalman_rank", "l2_norm", "ltv_rank",
-    "make_lti_system", "make_ltv_system", "project_affine", "project_box",
-    "simulate", "solve_gap", "weighted_norm",
+    "di_critical_analytic", "dykstra_min_energy", "extract_switchings",
+    "gramian_report", "instance_from_config", "kalman_rank", "l2_norm",
+    "make_lti_system", "make_ltv_system", "simulate", "solve_gap",
+    "weighted_norm",
 ]

@@ -27,7 +27,9 @@ class ChannelSwitching:
 
 @dataclass(frozen=True)
 class SwitchingProfile:
-    """Per-channel switch times, bang polarity sequence and singular runs.
+    """Per-channel switch times, bang polarity sequence and singular runs
+    of one nodal signal, with the ``tau`` band and ``min_len`` they were
+    extracted with.
 
     Switch times come from linear interpolation between nodes of strict
     opposite sign; runs where the signal stays inside the tau band longer
@@ -35,7 +37,6 @@ class SwitchingProfile:
     """
 
     channels: tuple[ChannelSwitching, ...]
-    reference: str
     tau: float
     min_len: float
 
@@ -85,9 +86,9 @@ def _extract_channel(s: np.ndarray, times: np.ndarray, h: float, tau: float,
 
 
 def extract_switchings(sig: ControlTrajectory, grid: Grid, tau: float | None = None,
-                       min_len: float | None = None,
-                       reference: str = "control") -> SwitchingProfile:
-    """Locate sign switches and singular runs of a nodal signal.
+                       min_len: float | None = None) -> SwitchingProfile:
+    """Locate sign switches and singular runs of a nodal signal: a control,
+    or a gap vector read as a switching function.
 
     ``tau`` defaults to 1e-7 times the largest magnitude of the signal
     (a switch of a bang-bang control is unambiguous at that scale), and
@@ -110,8 +111,7 @@ def extract_switchings(sig: ControlTrajectory, grid: Grid, tau: float | None = N
     channels = tuple(
         _extract_channel(values[:, i], times, grid.h, tau, min_len)
         for i in range(sig.m))
-    return SwitchingProfile(channels=channels, reference=reference,
-                            tau=float(tau), min_len=float(min_len))
+    return SwitchingProfile(channels=channels, tau=float(tau), min_len=float(min_len))
 
 
 def check_bang_bang(uB: ControlTrajectory, v: ControlTrajectory, bounds: Bounds,

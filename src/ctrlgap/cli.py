@@ -11,7 +11,8 @@ vectorised encoder in ``csvtext`` writes exactly the bytes that Python's
 parsed and builds its summary as a plain dict; ``_emit`` leaves out None
 entries and rejects a non-finite number.  Exit codes: 0 converged, 2
 unconverged (for ``critical`` also when the certified bracket did not
-reach ``--tol-a``), 1 usage or configuration error.
+reach ``--tol-a``), 1 usage or configuration error, or a file that cannot
+be read or written.
 """
 
 from __future__ import annotations
@@ -270,7 +271,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
     result = clock("solve", solve_gap, aff, bounds,
                    SolveOptions(tol=args.tol, max_iter=args.max_iter))
-    profile = extract_switchings(result.uB, grid, reference="control")
+    profile = extract_switchings(result.uB, grid)
     states = clock("simulate", simulate, instance.system, grid,
                    instance.boundary.x0, result.uA)
     summary = {
@@ -338,8 +339,7 @@ def _cmd_ctrb(args: argparse.Namespace) -> int:
     rows[1:1] = [(f"kalman (column {i + 1})", rep) for i, rep in enumerate(columns)]
     width = max(len(name) for name, _ in rows)
     for name, rep in rows:
-        verdict = "controllable" if rep.controllable else (
-            "inconclusive" if rep.inconclusive else "NOT controllable")
+        verdict = "controllable" if rep.controllable else "NOT controllable"
         print(f"{name:<{width}}  rank {rep.rank}/{rep.required}  "
               f"cond {rep.conditioning:.3e}  {verdict}")
     _emit(Path(args.out), {
@@ -383,8 +383,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.signal not in blocks:
         raise ConfigError(f"trajectory has no {args.signal} columns")
     sig = ControlTrajectory(values=blocks[args.signal], grid=grid)
-    profile = extract_switchings(sig, grid, tau=args.tau, min_len=args.min_len,
-                                 reference=args.signal)
+    profile = extract_switchings(sig, grid, tau=args.tau, min_len=args.min_len)
     for i, ch in enumerate(profile.channels):
         print(f"channel {i + 1}: {len(ch.switch_times)} switchings "
               f"{[round(t, 6) for t in ch.switch_times]} signs={list(ch.signs)} "
@@ -423,7 +422,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, CtrlGapError, ValueError) as exc:
+    except (ConfigError, CtrlGapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -143,7 +143,7 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
             hi = min(hi, max(a, _certified_ends(aff, u_c.flat)[1]))
         break
 
-    profile = analyze.extract_switchings(u_c, grid, reference="control")
+    profile = analyze.extract_switchings(u_c, grid)
     return CriticalResult(
         a_c=hi,
         u_c=u_c,

@@ -6,7 +6,7 @@ across threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError
 
 MatrixLike = Union[np.ndarray, Callable[[float], np.ndarray]]
-BoundLike = Union[float, Sequence[float], np.ndarray, Callable[[float], np.ndarray]]
+BoundLike = Union[float, Sequence[float], np.ndarray]
 
 BUILTIN_NAMES = ("double_integrator", "damped_oscillator", "machine_tool")
 
@@ -172,9 +172,9 @@ class Bounds:
     """Per-channel, per-node control bounds.
 
     ``lower`` and ``upper`` may each be a scalar, a length-m sequence of
-    per-channel constants, or a callable ``t -> length-m array``.  Sampling
-    happens on a grid's left nodes; the strict inequality lower < upper is
-    enforced at every sampled node and channel.
+    per-channel constants, or an (N, m) array of values at a grid's left
+    nodes (a length-N vector when m = 1).  The strict inequality
+    lower < upper is enforced at every node and channel.
     """
 
     lower: BoundLike
@@ -189,33 +189,21 @@ class Bounds:
         return cls(lower=-a, upper=a)
 
     def _sample_one(self, spec, grid: Grid, m: int, name: str) -> np.ndarray:
-        times = grid.left_nodes
-        if callable(spec):
-            rows = [np.asarray(spec(t), dtype=float).reshape(-1) for t in times]
-            arr = np.vstack(rows)
-            if arr.shape[1] == 1 and m > 1:
-                arr = np.repeat(arr, m, axis=1)
+        base = np.asarray(spec, dtype=float)
+        if base.ndim == 0:
+            arr = np.full((grid.N, m), float(base))
+        elif base.ndim == 1 and base.size == m:
+            arr = np.tile(base, (grid.N, 1))
+        elif base.ndim == 1 and base.size == grid.N and m == 1:
+            arr = base.reshape(-1, 1)
+        elif base.ndim == 1:
+            raise ValueError(f"{name} bound vector of length {base.size} matches neither "
+                             f"m={m} nor N={grid.N}")
+        elif base.shape == (grid.N, m):
+            arr = base.copy()
         else:
-            base = np.asarray(spec, dtype=float)
-            if base.ndim == 0:
-                arr = np.full((grid.N, m), float(base))
-            elif base.ndim == 1:
-                if base.size == m:
-                    arr = np.tile(base, (grid.N, 1))
-                elif base.size == grid.N and m == 1:
-                    arr = base.reshape(-1, 1)
-                else:
-                    raise ValueError(
-                        f"{name} bound vector of length {base.size} matches neither "
-                        f"m={m} nor N={grid.N}")
-            else:
-                if base.shape != (grid.N, m):
-                    raise ValueError(f"{name} bound array must have shape {(grid.N, m)}, "
-                                     f"got {base.shape}")
-                arr = base.copy()
-        if arr.shape != (grid.N, m):
-            raise ValueError(f"{name} bound samples have shape {arr.shape}, "
-                             f"expected {(grid.N, m)}")
+            raise ValueError(f"{name} bound array must have shape {(grid.N, m)}, "
+                             f"got {base.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} bound contains non-finite samples")
         return arr

@@ -1,5 +1,5 @@
-"""Projections onto the box and the boundary-value affine set, the
-multiplier that certifies them disjoint, and ``dual_newton``, the one
+"""The minimum-energy control in the box and the boundary-value affine set,
+the multiplier that certifies them disjoint, and ``dual_newton``, the one
 semismooth Newton kernel (Hintermueller, Ito and Kunisch, SIAM J. Optim.
 13, 2003) on the n-dimensional dual of min over the box of |u - center|^2
 / (2 eps) + weight |Qt u - c|^2 / 2.  Weight 0 makes Qt u = c a
@@ -36,29 +36,6 @@ class ProjectionStats:
     residual: float
     iterations: int
     converged: bool
-
-
-def project_box(u: ControlTrajectory, bounds: Bounds) -> ControlTrajectory:
-    """Clamp every sample into [lower_i(t_k), upper_i(t_k)]."""
-    lo, hi = bounds.sample(u.grid, u.m)
-    return ControlTrajectory(values=np.clip(u.values, lo, hi), grid=u.grid)
-
-
-def project_affine(u: ControlTrajectory, aff: AffineData) -> ControlTrajectory:
-    """Nearest point of { u : G u = xi } in the step-weighted norm.
-
-    Computes u + Qt^T (c - Qt u) in the orthonormal basis (Qt, c) of
-    ``aff.basis``, which equals u - G^T (G G^T)^{-1} (G u - xi) but does
-    not solve through the rounded W, so its affine residual keeps the
-    accuracy of G on badly conditioned grids; the step weight cancels in
-    the formula.  Raises ``UncontrollableGridError`` if the grid is not
-    ``aff.controllable``.
-    """
-    if u.grid != aff.grid or u.m != aff.m:
-        raise ValueError("control trajectory does not match the affine data's grid")
-    Qt, c, _ = aff.basis
-    flat = u.flat
-    return ControlTrajectory.from_flat(flat + Qt.T @ (c - Qt @ flat), u.grid, u.m)
 
 
 def gap_lower_bound(aff: AffineData, lo: np.ndarray, hi: np.ndarray, y: np.ndarray) -> float:

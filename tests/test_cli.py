@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -203,6 +204,25 @@ def test_missing_instance_source_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unusable", ["out_is_a_file", "unreadable_config"])
+def test_unusable_out_or_config_exits_1(tmp_path, capsys, monkeypatch, unusable):
+    path = tmp_path / "taken"
+    if unusable == "out_is_a_file":
+        path.write_text("a regular file\n")
+        argv = GAP + ["--out", str(path)]
+    else:
+        path.write_text(json.dumps({"system": "double_integrator", "bound": 1.0}))
+        path.chmod(0)
+        if os.access(path, os.R_OK):  # a superuser reads it anyway
+            def refuse(self, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(self))
+            monkeypatch.setattr(cli.Path, "read_text", refuse)
+        argv = ["gap", "--config", str(path), "--nodes", "100", "--out", str(tmp_path / "o")]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--system", "double_integrator", "--nodes", "1"],
     ["--system", "double_integrator", "--nodes", "many"],
@@ -233,6 +253,21 @@ def test_ctrb_prints_one_row_per_test_and_writes_its_summary(tmp_path, capsys):
     assert summary["rank"] == summary["required"] == summary["gramian_rank"] == 7
     assert summary["column_ranks"] == [7]
     assert summary["controllable"] is True and summary["N"] == 200
+
+
+def test_ctrb_reports_an_uncontrollable_input_column(tmp_path, capsys):
+    # B = (1, 0) with A B = 0: every test matrix has rank 1 of 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": {"A": [[0, 1], [0, 0]], "B": [[1], [0]]},
+                               "t0": 0, "tf": 1, "x0": [0, 1], "xf": [0, 0]}))
+    argv = ["ctrb", "--config", str(cfg), "--nodes", "200", "--out", str(tmp_path / "o")]
+    assert cli.run(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 3
+    assert all("rank 1/2" in row and row.endswith("  NOT controllable") for row in rows)
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["controllable"] is False and summary["gramian_rank"] < 2
+    assert summary["column_ranks"] == [1]
 
 
 def test_analyze_of_a_gap_trajectory_reproduces_its_switch_times(tmp_path, capsys):

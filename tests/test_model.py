@@ -128,16 +128,10 @@ class TestBounds:
         np.testing.assert_array_equal(lo[0], [-1.0, -2.0])
         np.testing.assert_array_equal(hi[2], [0.5, 3.0])
 
-    def test_callable_bounds(self):
-        grid = Grid(N=4, t0=0.5, tf=1.5)
-        b = Bounds(lower=lambda t: np.array([-t]), upper=lambda t: np.array([t]))
-        lo, hi = b.sample(grid, 1)
-        np.testing.assert_allclose(hi[:, 0], grid.left_nodes)
-        np.testing.assert_allclose(lo[:, 0], -grid.left_nodes)
-
     def test_strict_ordering_enforced(self):
         grid = Grid(N=4, t0=0.0, tf=1.0)
-        b = Bounds(lower=lambda t: np.array([-t]), upper=lambda t: np.array([t]))
+        t = grid.left_nodes
+        b = Bounds(lower=-t, upper=t)
         with pytest.raises(ValueError, match="lower < upper"):
             b.sample(grid, 1)  # lower == upper == 0 at t=0
 

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory,
-                     InfeasibleIntersectionError, SolveOptions,
-                     UncontrollableGridError, build_affine, builtin_instance,
-                     dykstra_min_energy, l2_norm, make_lti_system,
-                     project_affine, project_box, solve_gap, weighted_norm)
+from ctrlgap import (BoundarySpec, Bounds, InfeasibleIntersectionError,
+                     SolveOptions, build_affine, builtin_instance,
+                     dykstra_min_energy, l2_norm, make_lti_system, solve_gap)
 from ctrlgap.critical import _lower_end
 
-from conftest import (LP_A_C_1000, gram_solve, ill_conditioned_affines, scaled_residual,
-                      scalar_integrator)
+from conftest import LP_A_C_1000, gram_solve, ill_conditioned_affines, scaled_residual
 
 
 @pytest.fixture(scope="module")
@@ -17,110 +14,6 @@ def di():
     inst = builtin_instance("double_integrator")
     grid = inst.system.grid(2000)
     return grid, build_affine(inst.system, grid, inst.boundary)
-
-
-def random_control(grid, rng, scale=2.0, m=1):
-    return ControlTrajectory(values=rng.normal(0, scale, (grid.N, m)), grid=grid)
-
-
-class TestProjectBox:
-    def test_inside_unchanged(self, di, rng):
-        grid, _ = di
-        u = ControlTrajectory(values=rng.uniform(-1, 1, (grid.N, 1)), grid=grid)
-        out = project_box(u, Bounds.symmetric(1.0))
-        np.testing.assert_array_equal(out.values, u.values)
-
-    def test_clamps(self):
-        grid = scalar_integrator().grid(3)
-        u = ControlTrajectory(values=np.array([[3.0], [-2.0], [0.5]]), grid=grid)
-        out = project_box(u, Bounds.symmetric(1.0))
-        np.testing.assert_array_equal(out.values, [[1.0], [-1.0], [0.5]])
-
-    def test_time_varying_bounds(self):
-        # clamp a unit control to the widening box [-t, t] (horizon kept
-        # away from zero so lower < upper holds everywhere)
-        grid = scalar_integrator(0.5, 1.5).grid(4)
-        b = Bounds(lower=lambda t: np.array([-t]), upper=lambda t: np.array([t]))
-        u = ControlTrajectory(values=np.ones((4, 1)), grid=grid)
-        out = project_box(u, b)
-        np.testing.assert_allclose(out.values[:, 0],
-                                   np.minimum(1.0, grid.left_nodes))
-
-    def test_idempotent(self, di, rng):
-        grid, _ = di
-        u = random_control(grid, rng)
-        b = Bounds.symmetric(0.7)
-        once = project_box(u, b)
-        twice = project_box(once, b)
-        np.testing.assert_array_equal(once.values, twice.values)
-
-
-class TestProjectAffine:
-    def test_fixed_point_unchanged(self, di):
-        grid, aff = di
-        u0 = project_affine(ControlTrajectory.zeros(grid, 1), aff)
-        again = project_affine(u0, aff)
-        assert np.max(np.abs(again.values - u0.values)) <= \
-            1e-12 * (1 + np.max(np.abs(u0.values)))
-
-    def test_minimum_norm_control_converges(self, di):
-        grid, aff = di
-        out = project_affine(ControlTrajectory.zeros(grid, 1), aff)
-        # compare against the closed-form control on the step midpoints it
-        # represents; first-order transcription bias is ~3h there
-        mids = grid.left_nodes + grid.h / 2
-        err = np.max(np.abs(out.values[:, 0] - (6 * mids - 4)))
-        assert err <= 5 * grid.h
-
-    def test_scalar_least_norm_is_constant(self):
-        sys_ = scalar_integrator()
-        grid = sys_.grid(4)
-        aff = build_affine(sys_, grid, BoundarySpec(x0=[0.0], xf=[1.0]))
-        out = project_affine(ControlTrajectory.zeros(grid, 1), aff)
-        np.testing.assert_allclose(out.values, np.ones((4, 1)), atol=1e-12)
-
-    def test_displacement_in_row_space(self, di, rng):
-        grid, aff = di
-        u = random_control(grid, rng)
-        out = project_affine(u, aff)
-        move = out.flat - u.flat
-        _, res, *_ = np.linalg.lstsq(aff.G.T, move, rcond=None)
-        denom = max(np.linalg.norm(move), 1e-30)
-        assert np.sqrt(res[0]) / denom <= 1e-10 if res.size else True
-
-    def test_nonexpansive(self, di, rng):
-        grid, aff = di
-        for _ in range(5):
-            a = random_control(grid, rng)
-            b = random_control(grid, rng)
-            pa, pb = project_affine(a, aff), project_affine(b, aff)
-            lhs = weighted_norm(pa.values - pb.values, grid.h)
-            rhs = weighted_norm(a.values - b.values, grid.h)
-            assert lhs <= rhs * (1 + 1e-12)
-
-    def test_box_nonexpansive(self, di, rng):
-        grid, _ = di
-        bounds = Bounds.symmetric(0.5)
-        for _ in range(5):
-            a = random_control(grid, rng)
-            b = random_control(grid, rng)
-            lhs = weighted_norm(project_box(a, bounds).values
-                                - project_box(b, bounds).values, grid.h)
-            rhs = weighted_norm(a.values - b.values, grid.h)
-            assert lhs <= rhs * (1 + 1e-12)
-
-    def test_singular_gram_refused(self):
-        inst = builtin_instance("double_integrator")
-        grid = inst.system.grid(1)
-        aff = build_affine(inst.system, grid, inst.boundary)
-        with pytest.raises(UncontrollableGridError):
-            project_affine(ControlTrajectory.zeros(grid, 1), aff)
-
-    def test_affine_residual_on_ill_conditioned_gramians(self, rng):
-        # through the rounded W the scaled residual reached 6.7e-9 here
-        for aff in ill_conditioned_affines():
-            u = random_control(aff.grid, rng)
-            assert scaled_residual(aff, project_affine(u, aff).flat) <= 1e-11
 
 
 class TestDykstra:
@@ -132,10 +25,11 @@ class TestDykstra:
         assert stats.converged and stats.residual <= 1e-9 * (1 + np.linalg.norm(aff.xi))
 
     def test_huge_box_equals_affine_projection(self, di):
-        grid, aff = di
+        # the projection of 0 onto {u : Qt u = c} is Qt^T c
+        _, aff = di
         u, _ = dykstra_min_energy(aff, Bounds.symmetric(1e6))
-        direct = project_affine(ControlTrajectory.zeros(grid, 1), aff)
-        assert np.max(np.abs(u.values - direct.values)) <= 1e-10
+        Qt, c, _ = aff.basis
+        assert np.max(np.abs(u.flat - Qt.T @ c)) <= 1e-10
 
     def test_three_piece_structure_near_critical(self, di):
         # low bang, linear ramp, high bang; junction values are not pinned
