@@ -70,12 +70,13 @@ class CriticalResult:
     stats: ProjectionStats
 
 
-def _lower_end(aff: AffineData, s: np.ndarray) -> float:
+def _lower_end(aff: AffineData, s: np.ndarray, g: np.ndarray | None = None) -> float:
     """a_c >= |c.s| / |Qt^T s|_1 for the multiplier ``s``, widened by
     ``ROUNDING``: a lower end from a nearly optimal multiplier can
-    otherwise land a few ulps above a_c."""
+    otherwise land a few ulps above a_c.  ``g`` is Qt^T s when the caller
+    has formed it."""
     Qt, c, _ = aff.basis
-    l1 = float(np.abs(Qt.T @ s).sum())
+    l1 = float(np.abs(Qt.T @ s if g is None else g).sum())
     return abs(float(c @ s)) / l1 * (1.0 - ROUNDING) / (1.0 + ROUNDING) if l1 > 0.0 else 0.0
 
 
@@ -84,7 +85,8 @@ def _certified_ends(aff: AffineData, u: np.ndarray) -> tuple[float, float]:
     each widened by ``ROUNDING``."""
     Qt, c, _ = aff.basis
     s = Qt @ u - c
-    return _lower_end(aff, s), float(np.abs(u - Qt.T @ s).max()) * (1.0 + ROUNDING)
+    g = Qt.T @ s
+    return _lower_end(aff, s, g), float(np.abs(u - g).max()) * (1.0 + ROUNDING)
 
 
 def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,

@@ -180,10 +180,11 @@ def _certify(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, flo
     ``gap_lower_bound`` of the multiplier s = Qt u - c (a lower one)."""
     Qt, c, _ = ws.aff.basis
     s = Qt @ u - c
-    uA = u - Qt.T @ s
+    g = Qt.T @ s
+    uA = u - g
     # subtract so the reported identity v == uA - uB holds bitwise
     v = uA - u
-    return uA, v, weighted_norm(v, ws.h), gap_lower_bound(ws.aff, ws.lo, ws.hi, s)
+    return uA, v, weighted_norm(v, ws.h), gap_lower_bound(ws.aff, ws.lo, ws.hi, s, g)
 
 
 def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int,

@@ -38,14 +38,15 @@ class ProjectionStats:
     converged: bool
 
 
-def gap_lower_bound(aff: AffineData, lo: np.ndarray, hi: np.ndarray, y: np.ndarray) -> float:
+def gap_lower_bound(aff: AffineData, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
+                    g: np.ndarray) -> float:
     """Certified floor under the distance between the box [lo, hi] and
-    {u : Qt u = c}.  Every box point has y.Qt u <= sigma_box(Qt^T y) =
-    sum_k max(g_k lo_k, g_k hi_k), so a margin c.y - sigma_box(Qt^T y) > 0
-    (or the same for -y) separates the sets by sqrt(h) margin / |Qt^T y|.
-    A margin within ``ROUNDING`` of the size of its terms is rounding: floor 0."""
-    Qt, c, _ = aff.basis
-    g = Qt.T @ y
+    {u : Qt u = c}, from the multiplier y and g = Qt^T y.  Every box point
+    has y.Qt u <= sigma_box(g) = sum_k max(g_k lo_k, g_k hi_k), so a margin
+    c.y - sigma_box(g) > 0 (or the same for -y) separates the sets by
+    sqrt(h) margin / |g|.  A margin within ``ROUNDING`` of the size of its
+    terms is rounding: floor 0."""
+    c = aff.basis[1]
     xy = float(y @ c)
     margin = max(xy - float(np.sum(np.maximum(g * lo, g * hi))),
                  float(np.sum(np.minimum(g * lo, g * hi))) - xy)
@@ -67,51 +68,88 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     Newton step on the dual in the module docstring.  u(y) = clip(center -
     eps Qt^T y), the gradient is Qt u(y) - c - weight y and the Newton
     matrix weight I + eps Qt_F Qt_F^T, F the free nodes of u(y), is solved
-    by least squares as it is singular when the weight is 0.  A step
-    backtracks until the Armijo rule holds up to ``_DUAL_SLACK``.  An
-    ``exact`` step, a full one that keeps the clip pattern, maximizes the
-    dual on that piece if the Newton matrix is regular and ends the
-    iteration; else the dual rises linearly along the gradient's part off
-    the matrix's range until a clipped node comes free, and the next step
-    goes twice that far.  If the ray meets no clipped node, the dual rises
-    along it without bound, so the ray separates the box from {u : Qt u =
-    c}: it is yielded once more in place of y, with the same u, and the
-    iteration ends.  Ends too when no step >= 1e-12 ascends."""
+    directly when the weight is positive and by least squares when it is 0,
+    as it is singular then.  A step backtracks until the Armijo rule holds
+    up to ``_DUAL_SLACK``.  An ``exact`` step, a full one that keeps the
+    clip pattern, maximizes the dual on that piece if the Newton matrix is
+    regular and ends the iteration; else the dual rises linearly along the
+    gradient's part off the matrix's range until a clipped node comes free,
+    and the next step goes twice that far.  If the ray meets no clipped
+    node, the dual rises along it without bound, so the ray separates the
+    box from {u : Qt u = c}: it is yielded once more in place of y, with
+    the same u, and the iteration ends.  Ends too when no step >= 1e-12
+    ascends.
 
-    def dual(y):
-        u = np.maximum(center - eps * (Qt.T @ y), lo)
-        np.minimum(u, hi, out=u)
-        Qu = Qt @ u
+    The kernel carries g = Qt^T y with y.  A full step costs two products
+    with Qt, Qt^T (y + step) and Qt u; a rejected one costs O(N*m)
+    elementwise work, as g + t d with d = Qt^T (y + step) - g gives Qt^T y
+    along the step and g.u gives y.Qt u, and the accepted one adds the
+    product Qt u of its gradient."""
+    diag = weight * np.eye(c.size)
+
+    def control(g):
+        # center - eps g in one new array: x + (-y) rounds as x - y
+        u = -eps * g
+        u += center
+        np.maximum(u, lo, out=u)
+        return np.minimum(u, hi, out=u)
+
+    def dual(y, u, yQu):
+        """The dual's value at y with u = u(y) and yQu = y.Qt u, and the
+        slack its rounding may take, ``_DUAL_SLACK`` of its terms' size."""
         shift = u - center
-        terms = np.array([y @ Qu, -(y @ c), -0.5 * weight * (y @ y), shift @ shift / (2.0 * eps)])
-        return y, u, Qu - c - weight * y, terms
+        terms = (yQu, -float(y @ c), -0.5 * weight * float(y @ y),
+                 float(shift @ shift) / (2.0 * eps))
+        return sum(terms), _DUAL_SLACK * sum(abs(term) for term in terms)
 
-    (y, u, grad, terms), exact = dual(y), False
+    g = Qt.T @ y
+    u = control(g)
+    Qu = Qt @ u
+    (value, slack), grad, exact = dual(y, u, float(y @ Qu)), Qu - c - weight * y, False
     while True:
         yield y, u, grad, exact
+        if exact and weight > 0.0:
+            return
         QF = Qt[:, (lo < u) & (u < hi)]
-        M = weight * np.eye(c.size) + eps * (QF @ QF.T)
-        step, _, rank, _ = np.linalg.lstsq(M, grad, rcond=None)
+        M = diag + eps * (QF @ QF.T)
+        if weight > 0.0:
+            step = np.linalg.solve(M, grad)
+        else:
+            step, _, rank, _ = np.linalg.lstsq(M, grad, rcond=None)
         if exact:
-            ray = grad - M @ step
-            with np.errstate(divide="ignore", invalid="ignore"):
-                reach = (u - center + eps * (Qt.T @ y)) / (-eps * (Qt.T @ ray))
-            reach = reach[((u <= lo) | (u >= hi)) & (0.0 < reach) & (reach < np.inf)]
             if rank == c.size:
                 return
+            ray = grad - M @ step
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = (u - center + eps * g) / (-eps * (Qt.T @ ray))
+            reach = reach[((u <= lo) | (u >= hi)) & (0.0 < reach) & (reach < np.inf)]
             if not reach.size:
                 yield ray, u, grad, exact
                 return
             step = 2.0 * float(reach.min()) * ray
-        value, slack = terms.sum(), _DUAL_SLACK * np.abs(terms).sum()
         slope, t = float(grad @ step), 1.0
-        while (trial := dual(y + t * step))[3].sum() < value + 1e-4 * t * slope - slack:
-            t *= 0.5
-            if t < 1e-12:
-                return
-        exact = (t == 1.0 and np.array_equal(trial[1] >= hi, u >= hi)
-                 and np.array_equal(trial[1] <= lo, u <= lo))
-        y, u, grad, terms = trial
+        y_t = y + step
+        g_t = Qt.T @ y_t
+        u_t = control(g_t)
+        Qu = Qt @ u_t
+        value_t, slack_t = dual(y_t, u_t, float(y_t @ Qu))
+        if value_t < value + 1e-4 * slope - slack:
+            d = g_t - g
+            while True:
+                t *= 0.5
+                if t < 1e-12:
+                    return
+                y_t, g_t = y + t * step, g + t * d
+                u_t = control(g_t)
+                value_t, slack_t = dual(y_t, u_t, float(g_t @ u_t))
+                if value_t >= value + 1e-4 * t * slope - slack:
+                    break
+            Qu = Qt @ u_t
+            del d  # no N-vector outlives a step but g and u
+        exact = (t == 1.0 and np.array_equal(u_t >= hi, u >= hi)
+                 and np.array_equal(u_t <= lo, u <= lo))
+        y, g, u, value, slack = y_t, g_t, u_t, value_t, slack_t
+        grad = Qu - c - weight * y
 
 
 def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
@@ -140,7 +178,7 @@ def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
         if np.linalg.norm(Rhat.T @ s) <= stop:
             converged = True
             break
-        if (floor := gap_lower_bound(aff, lo, hi, y)) > 0.0:
+        if (floor := gap_lower_bound(aff, lo, hi, y, Qt.T @ y)) > 0.0:
             error = InfeasibleIntersectionError(
                 f"a dual multiplier separates the box from the boundary-value "
                 f"set: their distance is at least {floor:.3e} (bound too small)")

@@ -1,10 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from ctrlgap import (BoundarySpec, Bounds, InfeasibleIntersectionError,
                      SolveOptions, build_affine, builtin_instance,
-                     dykstra_min_energy, l2_norm, make_lti_system, solve_gap)
+                     dykstra_min_energy, gapsolve, l2_norm, make_lti_system, solve_gap)
 from ctrlgap.critical import _lower_end
+from ctrlgap.project import dual_newton
 
 from conftest import LP_A_C_1000, gram_solve, ill_conditioned_affines, scaled_residual
 
@@ -222,3 +225,65 @@ class TestMinEnergyNearCritical:
         floor = float(str(err.value).split("at least ")[1].split()[0])
         gap = solve_gap(aff, bounds, SolveOptions(tol=1e-11)).gap_norm
         assert 0.0 < floor <= gap * (1 + 1e-9)
+
+
+class TestDualNewton:
+    def test_rejected_trials_take_no_product_with_qt(self, affine_1000, monkeypatch):
+        # the gap at machine_tool N=1e3, a=1770 makes 178 dual evaluations in
+        # 47 Newton steps; each evaluation once formed Qt^T y and Qt u, now a
+        # rejected Armijo trial forms neither
+        counts = Counter()
+
+        class Counting(np.ndarray):
+            """Counts the products of Qt with a vector, and through lo the
+            dual evaluations, each of which clips once against it."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                inputs = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+                if ufunc is np.matmul and min(np.ndim(x) for x in inputs) == 1:
+                    counts["products"] += 1
+                elif ufunc is np.maximum:
+                    counts["evaluations"] += 1
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        def counted(Qt, c, lo, hi, *args):
+            counts["calls"] += 1
+            for iterate in dual_newton(Qt.view(Counting), c, lo.view(Counting), hi, *args):
+                counts["iterates"] += 1
+                yield iterate
+
+        monkeypatch.setattr(gapsolve, "dual_newton", counted)
+        assert solve_gap(affine_1000["machine_tool"], Bounds.symmetric(1770.0)).converged
+        steps = counts["iterates"] - counts["calls"]
+        rejected = counts["evaluations"] - counts["iterates"]
+        assert rejected > steps
+        # the start's two products, then per step the full trial's two and
+        # the gradient of a shorter accepted one
+        assert counts["products"] <= 2 * counts["calls"] + 3 * steps
+
+    @pytest.mark.parametrize("name", sorted(LP_A_C_1000))
+    @pytest.mark.parametrize("share", [0.99, 1.01])
+    def test_weighted_steps_solve_directly_and_follow_no_ray(self, affine_1000, monkeypatch,
+                                                             name, share):
+        # weight I + eps Qt_F Qt_F^T is regular for weight 1: its direct solve
+        # is the least-squares step to rounding, and the iteration ends at its
+        # first exact step with no ray after it
+        aff = affine_1000[name]
+        Qt, c, _ = aff.basis
+        lo, hi = (b.reshape(-1) for b in Bounds.symmetric(share * LP_A_C_1000[name])
+                  .sample(aff.grid, aff.m))
+        solve, solves = np.linalg.solve, []
+
+        def recorded(M, b):
+            solves.append((M, b, solve(M, b)))
+            return solves[-1][2]
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        for eps in (1.0, 1e4, 1e8):
+            exact = [step[3] for step in dual_newton(Qt, c, lo, hi, 0.0, eps, 1.0,
+                                                         np.zeros_like(c))]
+            assert exact == [False] * (len(exact) - 1) + [True]
+        assert solves
+        for M, b, x in solves:
+            ref = np.linalg.lstsq(M, b, rcond=None)[0]
+            assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.cond(M) * np.linalg.norm(x)
