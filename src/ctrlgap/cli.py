@@ -11,8 +11,9 @@ vectorised encoder in ``csvtext`` writes exactly the bytes that Python's
 parsed and builds its summary as a plain dict; ``_emit`` leaves out None
 entries and rejects a non-finite number.  Exit codes: 0 converged, 2
 unconverged (for ``critical`` also when the certified bracket did not
-reach ``--tol-a``), 1 usage or configuration error, or a file that cannot
-be read or written.
+reach ``--tol-a``), 1 usage or configuration error, a file that cannot be
+read or written, or a ``gap --oracle`` enumeration whose gap lies outside
+the certified interval.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .controllability import gramian_report, kalman_rank
 from .critical import TOL_A_FLOOR, critical_bound
 from .csvtext import encode_rows
 from .discretize import ControlTrajectory, build_affine, l2_norm, simulate
-from .errors import ConfigError, CtrlGapError
-from .gapsolve import SolveOptions, solve_gap
+from .errors import ConfigError, ConsistencyError, CtrlGapError
+from .gapsolve import SolveOptions, feasible_floor, solve_gap
 from .model import (BUILTIN_NAMES, Bounds, Grid, ProblemInstance,
                     builtin_instance, instance_from_config)
 from .oracle import MAX_COORDS, brute_force_gap
@@ -288,6 +289,12 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         summary["oracle_objective"] = reference.diagnostics["objective"]
         summary["oracle_objective_diff"] = abs(
             reference.diagnostics["objective"] - 0.5 * result.gap_norm ** 2)
+        # the enumeration solves through W: widen by the floor at the default --tol
+        slack = feasible_floor(aff, 1e-8)
+        if not result.gap_lower - slack <= reference.gap_norm <= result.gap_norm + slack:
+            raise ConsistencyError(
+                f"the enumerated gap {reference.gap_norm!r} lies outside the certified "
+                f"interval [{result.gap_lower!r}, {result.gap_norm!r}] widened by {slack:.3g}")
     _emit(Path(args.out), summary, grid,
           {"uA": result.uA.values, "uB": result.uB.values, "v": result.v.values},
           states.values, args.svg,

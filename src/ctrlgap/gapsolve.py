@@ -30,10 +30,8 @@ Optim. 13, 2003): the nodes where it lies strictly inside the box are
 solved for exactly with the others held at their bounds, and the result is
 kept only if it passes the optimality checks.  ``diagnostics["finish"]``
 records the outcome for the returned pair; only when it reads ``"exact"``
-is that pair the exact discrete optimum, up to rounding.  Every Newton
-step yields the best certified box iterate so far and its gap;
-``solve_gap`` records every step's gap in ``diagnostics["gap_history"]``,
-an ``array('d')``, 8 bytes a step.
+is that pair the exact discrete optimum, up to rounding.  The solve tests
+its stop after every Newton step, on the best certified box iterate so far.
 
 The solve starts from the clipped zero control at eps = 1 below 16,384
 control coordinates (N*m).  From that size up it first solves the same
@@ -44,8 +42,8 @@ at eps = 1e5.  The answer is bang-bang with the gap vector as its
 switching function, so the coarse answer places every switch to within a
 block and the fine proximal steps start near their answer (nested
 iteration: Briggs, Henson and McCormick, A Multigrid Tutorial,
-SIAM 2000, ch. 3).  The coarse solve is a gap solve itself, at the same
-tol; its Newton steps are ``diagnostics["coarse_iterations"]`` and count
+SIAM 2000, ch. 3).  The coarse solve runs the same loop at the same tol;
+its Newton steps are ``diagnostics["coarse_iterations"]`` and count
 neither toward ``iterations`` nor toward ``max_iter``.  An uncontrollable
 coarse grid, or a block whose box intersection is empty, leaves the cold
 start.
@@ -56,8 +54,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
@@ -108,10 +104,11 @@ class GapResult:
     ``diagnostics["stop"]`` is ``"certified"``, ``"stalled"`` or
     ``"max_iter"``, and ``converged`` is true exactly after a
     ``"certified"`` stop, when the certificate of the module docstring
-    holds.  ``diagnostics["gap_history"]`` holds the gap after every Newton
-    step.  From the coarse start, ``diagnostics["coarse_iterations"]``
-    counts the Newton steps of the coarse solve.  ``solver`` tags the
-    method: ``"newton"`` here, ``"oracle"`` for ``brute_force_gap``.
+    holds.  ``diagnostics["gap_history"]``, an ``array('d')``, holds the
+    gap of the best certified box iterate after every Newton step.  From
+    the coarse start, ``diagnostics["coarse_iterations"]`` counts the Newton
+    steps of the coarse solve.  ``solver`` tags the method: ``"newton"``
+    here, ``"oracle"`` for ``brute_force_gap``.
     """
 
     uA: ControlTrajectory
@@ -128,12 +125,18 @@ class GapResult:
 class _Workspace:
     """The affine data and the box as flat per-coordinate bounds."""
 
-    def __init__(self, aff: AffineData, bounds: Bounds):
+    def __init__(self, aff: AffineData, lo: np.ndarray, hi: np.ndarray):
         self.aff = aff
         self.h = aff.grid.h
-        lo, hi = bounds.sample(aff.grid, aff.m)
         self.lo = lo.reshape(-1)
         self.hi = hi.reshape(-1)
+
+
+def feasible_floor(aff: AffineData, tol: float) -> float:
+    """The gap tol sqrt(h) (1 + |D^{-1} xi|), D = sqrt(diag W), at or below
+    which a solve at ``tol`` ends certified (module docstring)."""
+    _, c, Rhat = aff.basis
+    return tol * np.sqrt(aff.h) * (1.0 + float(np.linalg.norm(Rhat.T @ c)))
 
 
 # Sign-check slack relative to the largest |v|.  The entries of v that an
@@ -142,66 +145,55 @@ class _Workspace:
 _SIGN_SLACK = 1e-12
 
 
-def _active_set_finish(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, str]:
+def _active_set_finish(ws: _Workspace, u: np.ndarray,
+                       Z: np.ndarray) -> tuple[np.ndarray, str, tuple]:
     """One primal-dual active-set step from the box-feasible iterate ``u``.
 
-    The nodes strictly inside the box form the interior set Z; every other
-    node stays on the bound it sits on.  The optimality conditions for
-    that pattern make v vanish on Z, that is u_Z minimizes |Qt u - c| with
-    the other nodes held, a least-squares problem on the columns Qt_Z.  It
-    has one solution only if Qt_Z has full column rank, which needs |Z| <=
-    n.  The solution replaces ``u`` only if u_Z lies in the box and the new
-    gap vector v = Qt^T (c - Qt u) has the sign of the bound at every fixed
-    node; otherwise ``u`` comes back unchanged with the reason.
+    The nodes strictly inside the box form the interior set ``Z``, as given;
+    every other node stays on the bound it sits on.  The optimality
+    conditions for that pattern make v vanish on Z, that is u_Z minimizes
+    |Qt u - c| with the other nodes held, a least-squares problem on the
+    columns Qt_Z.  It has one solution only if Qt_Z has full column rank,
+    which needs |Z| <= n.  The solution replaces ``u`` only if u_Z lies in
+    the box and the new gap vector v = -Qt^T s, s = Qt u - c, has the sign
+    of the bound at every fixed node; otherwise ``u`` comes back unchanged
+    with the reason.  Returns the point kept, the outcome and the point's
+    ``_certify`` tuple, which reuses the products that the sign test formed.
     """
     Qt, c, _ = ws.aff.basis
-    Z = np.flatnonzero((u > ws.lo) & (u < ws.hi))
     if Z.size > c.size:
-        return u, "rejected_size"
+        return u, "rejected_size", _certify(ws, u)
     u_new = u.copy()
     u_new[Z] = 0.0
     if Z.size:
         u_Z, _, rank, _ = np.linalg.lstsq(Qt[:, Z], c - Qt @ u_new, rcond=None)
         if rank < Z.size:
-            return u, "rejected_singular"
+            return u, "rejected_singular", _certify(ws, u)
         if np.any(u_Z < ws.lo[Z]) or np.any(u_Z > ws.hi[Z]):
-            return u, "rejected_box"
+            return u, "rejected_box", _certify(ws, u)
         u_new[Z] = u_Z
-    v = Qt.T @ (c - Qt @ u_new)
-    slack = _SIGN_SLACK * float(np.max(np.abs(v), initial=0.0))
-    if np.any((u >= ws.hi) & (v < -slack)) or np.any((u <= ws.lo) & (v > slack)):
-        return u, "rejected_sign"
-    return u_new, "exact"
+    s = Qt @ u_new - c
+    g = Qt.T @ s
+    slack = _SIGN_SLACK * float(np.max(np.abs(g), initial=0.0))
+    if np.any((u >= ws.hi) & (g > slack)) or np.any((u <= ws.lo) & (g < -slack)):
+        return u, "rejected_sign", _certify(ws, u)
+    return u_new, "exact", _certify(ws, u_new, s, g)
 
 
-def _certify(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _certify(ws: _Workspace, u: np.ndarray, s: np.ndarray | None = None,
+             g: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The pair through the box point ``u``: uA = P_affine(u), v = uA - u,
     the gap |v| (an upper bound on the true gap) and the dual floor
-    ``gap_lower_bound`` of the multiplier s = Qt u - c (a lower one)."""
-    Qt, c, _ = ws.aff.basis
-    s = Qt @ u - c
-    g = Qt.T @ s
+    ``gap_lower_bound`` of the multiplier s = Qt u - c (a lower one).
+    ``s`` and g = Qt^T s are formed here unless the caller has formed them."""
+    if s is None:
+        Qt, c, _ = ws.aff.basis
+        s = Qt @ u - c
+        g = Qt.T @ s
     uA = u - g
     # subtract so the reported identity v == uA - uB holds bitwise
     v = uA - u
     return uA, v, weighted_norm(v, ws.h), gap_lower_bound(ws.aff, ws.lo, ws.hi, s, g)
-
-
-def _finish(ws: _Workspace, uB_flat: np.ndarray, iterations: int,
-            diagnostics: dict) -> GapResult:
-    grid, m = ws.aff.grid, ws.aff.m
-    diagnostics.setdefault("finish", "skipped")
-    uA_flat, v_flat, gap, gap_lower = _certify(ws, uB_flat)
-    return GapResult(
-        uA=ControlTrajectory.from_flat(uA_flat, grid, m),
-        uB=ControlTrajectory.from_flat(uB_flat, grid, m),
-        v=ControlTrajectory.from_flat(v_flat, grid, m),
-        gap_norm=gap,
-        iterations=iterations,
-        converged=diagnostics["stop"] == "certified",
-        solver="newton",
-        gap_lower=gap_lower,
-        diagnostics=diagnostics)
 
 
 # Newton steps allowed in one proximal step, and proximal steps in a row that
@@ -211,10 +203,11 @@ _INNER_STEPS = 50
 _STALL_STEPS = 5
 
 
-def _newton_steps(ws: _Workspace, u: np.ndarray, eps: float, tol: float,
-                  diagnostics: dict) -> Iterator[tuple[np.ndarray, float]]:
+def _proximal_newton(ws: _Workspace, u: np.ndarray, eps: float, opts: SolveOptions,
+                     diagnostics: dict) -> tuple[np.ndarray, tuple]:
     """Proximal point steps u <- argmin over the box of phi + |. - u|^2 / (2 eps),
-    phi(u) = |Qt u - c|^2 / 2, each by ``project.dual_newton`` with weight 1.
+    phi(u) = |Qt u - c|^2 / 2, from the box point ``u``, each by
+    ``project.dual_newton`` with weight 1.
 
     The weight makes each dual smooth and strictly concave.  A proximal
     step ends when the kernel ends or after ``_INNER_STEPS`` Newton steps;
@@ -232,61 +225,53 @@ def _newton_steps(ws: _Workspace, u: np.ndarray, eps: float, tol: float,
     1e-9 reached eps = 1e12 from the coarse start and stalled).  From the
     cold start no builtin solve measured took either branch.
 
-    Every proximal iterate goes through ``_active_set_finish`` and is
-    certified by ``_certify``.  The iterate with the smallest certified
-    excess gap - gap_lower so far is yielded after every Newton step, so
-    ``max_iter`` caps Newton steps and a cut returns that iterate.  The
-    steps end with ``diagnostics["stop"]`` set to ``"certified"`` once
-    that iterate meets the stop in the module docstring, or ``"stalled"``
-    after ``_STALL_STEPS`` proximal steps in a row that do not halve the
-    best excess.
+    Every proximal iterate goes through ``_active_set_finish``, which
+    certifies the point it keeps.  After each Newton step the stop is
+    tested on the iterate with the smallest certified excess gap -
+    gap_lower so far, so the next proximal step starts only when the solve
+    goes on: ``"certified"`` by the module docstring, ``"stalled"`` after
+    ``_STALL_STEPS`` proximal steps in a row that do not halve the best
+    excess, or ``"max_iter"``.  Returns that iterate and its ``_certify``
+    tuple and fills the diagnostics that ``GapResult`` describes.
     """
-    _, _, gap, lower = _certify(ws, u)
-    best = (gap - lower, u, gap)
-    Qt, c, Rhat = ws.aff.basis
-    floor = tol * np.sqrt(ws.h) * (1.0 + float(np.linalg.norm(Rhat.T @ c)))
-
-    def proximal_step(center, eps, y):
-        steps = dual_newton(Qt, c, ws.lo, ws.hi, center, eps, 1.0, y)
-        return steps, next(steps)[1]
-
-    y = np.zeros_like(c)
-    interior, inner, stale = None, 0, 0
-    steps, u_y = proximal_step(u, eps, y)
+    Qt, c, _ = ws.aff.basis
+    floor = feasible_floor(ws.aff, opts.tol)
+    certificate = _certify(ws, u)
+    best = certificate[2] - certificate[3], u, certificate
+    history = diagnostics["gap_history"] = array("d")
+    diagnostics["finish"] = "skipped"
+    y, interior, stale = np.zeros_like(c), None, 0
     while True:
-        step = next(steps, None)
-        inner += 1
-        if step is not None:
-            y, u_y, _, exact = step
-        if step is None or exact or inner == _INNER_STEPS:
-            Z = np.flatnonzero((u_y > ws.lo) & (u_y < ws.hi))
-            u, finish = _active_set_finish(ws, u_y)
-            _, _, gap, lower = _certify(ws, u)
-            stale = 0 if gap - lower <= 0.5 * best[0] else stale + 1
-            if gap - lower < best[0]:
-                best = (gap - lower, u, gap)
-                diagnostics["finish"] = finish
-            if step is not None and not exact and inner == _INNER_STEPS:
-                eps /= 10.0
-            elif stale or interior is None or not np.array_equal(Z, interior):
-                eps *= 10.0
-            interior, inner = Z, 0
-            steps, u_y = proximal_step(u, eps, y)
-        excess, u_best, gap_best = best
-        # set before the yield: the driver may take no further step
-        stop = ("certified" if excess <= tol * gap_best or gap_best <= floor
-                else "stalled" if stale >= _STALL_STEPS else None)
-        if stop:
-            diagnostics["stop"] = stop
-        yield u_best, gap_best
-        if stop:
-            return
-
-
-def _cold_start(ws: _Workspace) -> np.ndarray:
-    """The zero control clipped into the box; np.clip with array bounds costs
-    about 2.5x as much as maximum then minimum."""
-    return np.minimum(np.maximum(0.0, ws.lo), ws.hi)
+        steps = dual_newton(Qt, c, ws.lo, ws.hi, u, eps, 1.0, y)
+        u_y = next(steps)[1]
+        for inner in range(1, _INNER_STEPS + 1):
+            step = next(steps, None)
+            if step is not None:
+                y, u_y, _, exact, _ = step
+            end = step is None or exact or inner == _INNER_STEPS
+            if end:
+                Z = np.flatnonzero((u_y > ws.lo) & (u_y < ws.hi))
+                u, finish, certificate = _active_set_finish(ws, u_y, Z)
+                excess = certificate[2] - certificate[3]
+                stale = 0 if excess <= 0.5 * best[0] else stale + 1
+                if excess < best[0]:
+                    best = excess, u, certificate
+                    diagnostics["finish"] = finish
+                if step is not None and not exact and inner == _INNER_STEPS:
+                    eps /= 10.0
+                elif stale or interior is None or not np.array_equal(Z, interior):
+                    eps *= 10.0
+                interior = Z
+            best_excess, _, (_, _, gap, _) = best
+            history.append(gap)
+            stop = ("certified" if best_excess <= opts.tol * gap or gap <= floor
+                    else "stalled" if stale >= _STALL_STEPS
+                    else "max_iter" if len(history) == opts.max_iter else None)
+            if stop:
+                diagnostics["stop"] = stop
+                return best[1:]
+            if end:
+                break
 
 
 # The solve starts from the coarse solve from _COARSE_MIN_COORDS
@@ -300,22 +285,26 @@ _COARSE_EPS = 1e5
 def _newton_start(ws: _Workspace, tol: float, diagnostics: dict) -> tuple[np.ndarray, float]:
     """The start (u, eps) of the proximal steps: below _COARSE_MIN_COORDS
     coordinates, or when the coarse grid is uncontrollable or a block's box
-    is empty, the cold start at eps = 1; else the box iterate of the gap
-    solve on ``AffineData.coarse`` with the blockwise intersection of the
-    box, each block's value repeated over its nodes, at eps = _COARSE_EPS.
+    is empty, the cold start at eps = 1; else the box iterate that
+    ``_proximal_newton`` returns on ``AffineData.coarse`` with the blockwise
+    intersection of the box, at ``tol`` and the default ``max_iter``, each
+    block's value repeated over its nodes, at eps = _COARSE_EPS.
     ``diagnostics["coarse_iterations"]`` counts that solve's Newton steps."""
-    if ws.lo.size < _COARSE_MIN_COORDS or not ws.aff.coarse.controllable:
-        return _cold_start(ws), 1.0
-    coarse, m = ws.aff.coarse, ws.aff.m
-    starts = np.arange(0, ws.aff.grid.N, COARSE_BLOCK)
-    lo = np.maximum.reduceat(ws.lo.reshape(-1, m), starts)
-    hi = np.minimum.reduceat(ws.hi.reshape(-1, m), starts)
-    if not np.all(lo < hi):
-        return _cold_start(ws), 1.0
-    res = solve_gap(coarse, Bounds(lower=lo, upper=hi), SolveOptions(tol=tol))
-    diagnostics["coarse_iterations"] = res.iterations
-    sizes = np.diff(starts, append=ws.aff.grid.N)
-    return np.repeat(res.uB.values, sizes, axis=0).reshape(-1), _COARSE_EPS
+    m, N = ws.aff.m, ws.aff.grid.N
+    if ws.lo.size >= _COARSE_MIN_COORDS and ws.aff.coarse.controllable:
+        starts = np.arange(0, N, COARSE_BLOCK)
+        lo = np.maximum.reduceat(ws.lo.reshape(-1, m), starts)
+        hi = np.minimum.reduceat(ws.hi.reshape(-1, m), starts)
+        if np.all(lo < hi):
+            coarse, coarse_diagnostics = _Workspace(ws.aff.coarse, lo, hi), {}
+            u, _ = _proximal_newton(coarse, *_newton_start(coarse, tol, coarse_diagnostics),
+                                    SolveOptions(tol=tol), coarse_diagnostics)
+            diagnostics["coarse_iterations"] = len(coarse_diagnostics["gap_history"])
+            sizes = np.diff(starts, append=N)
+            return np.repeat(u.reshape(-1, m), sizes, axis=0).reshape(-1), _COARSE_EPS
+    # the zero control clipped into the box: np.clip with array bounds costs
+    # about 2.5x as much as maximum then minimum
+    return np.minimum(np.maximum(0.0, ws.lo), ws.hi), 1.0
 
 
 def solve_gap(aff: AffineData, bounds: Bounds,
@@ -323,16 +312,17 @@ def solve_gap(aff: AffineData, bounds: Bounds,
     """Run the proximal Newton steps until the certificate, a stall or
     ``opts.max_iter`` stops them.
 
-    The returned pair re-projects the best certified box iterate uB onto
-    the affine set, so uB is box-feasible exactly and uA satisfies the
-    affine constraint to solver precision.
+    The returned pair is the best certified box iterate uB and its
+    projection uA onto the affine set, so uB is box-feasible exactly and uA
+    satisfies the affine constraint to solver precision.
     """
     opts = opts or SolveOptions()
-    ws = _Workspace(aff, bounds)
-    diagnostics = {"stop": "max_iter"}
-    steps = _newton_steps(ws, *_newton_start(ws, opts.tol, diagnostics), opts.tol,
-                          diagnostics)
-    history = diagnostics["gap_history"] = array("d")
-    for uB, gap in islice(steps, opts.max_iter):
-        history.append(gap)
-    return _finish(ws, uB, len(history), diagnostics)
+    ws = _Workspace(aff, *bounds.sample(aff.grid, aff.m))
+    diagnostics = {}
+    uB, (uA, v, gap, gap_lower) = _proximal_newton(
+        ws, *_newton_start(ws, opts.tol, diagnostics), opts, diagnostics)
+    uA, uB, v = (ControlTrajectory.from_flat(x, aff.grid, aff.m) for x in (uA, uB, v))
+    return GapResult(uA=uA, uB=uB, v=v, gap_norm=gap,
+                     iterations=len(diagnostics["gap_history"]),
+                     converged=diagnostics["stop"] == "certified", solver="newton",
+                     gap_lower=gap_lower, diagnostics=diagnostics)

@@ -64,9 +64,10 @@ _DUAL_SLACK = 1e-12
 def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 center: np.ndarray | float, eps: float, weight: float,
                 y: np.ndarray) -> Iterator[tuple]:
-    """Yield (y, u(y), gradient, exact) for the start ``y`` and after every
-    Newton step on the dual in the module docstring.  u(y) = clip(center -
-    eps Qt^T y), the gradient is Qt u(y) - c - weight y and the Newton
+    """Yield (y, u(y), gradient, exact, g) for the start ``y`` and after
+    every Newton step on the dual in the module docstring, with g = Qt^T y
+    as the kernel carries it (below).  u(y) = clip(center - eps Qt^T y),
+    the gradient is Qt u(y) - c - weight y and the Newton
     matrix weight I + eps Qt_F Qt_F^T, F the free nodes of u(y), is solved
     directly when the weight is positive and by least squares when it is 0,
     as it is singular then.  A step backtracks until the Armijo rule holds
@@ -77,8 +78,8 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     and the next step goes twice that far.  If the ray meets no clipped
     node, the dual rises along it without bound, so the ray separates the
     box from {u : Qt u = c}: it is yielded once more in place of y, with
-    the same u, and the iteration ends.  Ends too when no step >= 1e-12
-    ascends.
+    the same u and Qt^T ray in place of g, and the iteration ends.  Ends
+    too when no step >= 1e-12 ascends.
 
     The kernel carries g = Qt^T y with y.  A full step costs two products
     with Qt, Qt^T (y + step) and Qt u; a rejected one costs O(N*m)
@@ -107,7 +108,7 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     Qu = Qt @ u
     (value, slack), grad, exact = dual(y, u, float(y @ Qu)), Qu - c - weight * y, False
     while True:
-        yield y, u, grad, exact
+        yield y, u, grad, exact, g
         if exact and weight > 0.0:
             return
         QF = Qt[:, (lo < u) & (u < hi)]
@@ -120,11 +121,12 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             if rank == c.size:
                 return
             ray = grad - M @ step
+            g_ray = Qt.T @ ray
             with np.errstate(divide="ignore", invalid="ignore"):
-                reach = (u - center + eps * g) / (-eps * (Qt.T @ ray))
+                reach = (u - center + eps * g) / (-eps * g_ray)
             reach = reach[((u <= lo) | (u >= hi)) & (0.0 < reach) & (reach < np.inf)]
             if not reach.size:
-                yield ray, u, grad, exact
+                yield ray, u, grad, exact, g_ray
                 return
             step = 2.0 * float(reach.min()) * ray
         slope, t = float(grad @ step), 1.0
@@ -162,9 +164,9 @@ def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
     |Rhat^T (Qt u - c)|, D = sqrt(diag W), is at most ``tol`` (1 +
     |D^{-1} xi|); raises ``InfeasibleIntersectionError``, with y as its
     ``multiplier``, once ``gap_lower_bound`` certifies the multiplier y, or
-    the ray that the kernel yields in its place; returns
-    ``converged=False`` once the kernel ends uncertified, or after
-    ``max_iter``."""
+    the ray that the kernel yields in its place, with the Qt^T y that the
+    kernel yields; returns ``converged=False`` once the kernel ends
+    uncertified, or after ``max_iter``."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
@@ -173,12 +175,12 @@ def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
     Qt, c, Rhat = aff.basis
     stop = tol * (1.0 + float(np.linalg.norm(Rhat.T @ c)))
     converged, iterations = False, 0
-    for iterations, (y, u, s, _) in zip(range(1, max_iter + 1),
-                                        dual_newton(Qt, c, lo, hi, 0.0, 1.0, 0.0, -c)):
+    for iterations, (y, u, s, _, g) in zip(range(1, max_iter + 1),
+                                           dual_newton(Qt, c, lo, hi, 0.0, 1.0, 0.0, -c)):
         if np.linalg.norm(Rhat.T @ s) <= stop:
             converged = True
             break
-        if (floor := gap_lower_bound(aff, lo, hi, y, Qt.T @ y)) > 0.0:
+        if (floor := gap_lower_bound(aff, lo, hi, y, g)) > 0.0:
             error = InfeasibleIntersectionError(
                 f"a dual multiplier separates the box from the boundary-value "
                 f"set: their distance is at least {floor:.3e} (bound too small)")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -504,6 +505,23 @@ def test_oracle_agrees_with_the_gap_solve(tmp_path):
     assert summary["converged"] is True
     assert summary["oracle_objective"] > 0.0
     assert summary["oracle_objective_diff"] <= 1e-12
+
+
+def test_oracle_outside_the_certified_interval_exits_1(tmp_path, capsys, monkeypatch):
+    # an enumerated gap 1e-6 above the certified interval's upper end 1.43
+    # lies 55 times the allowed slack of 2.6e-8 outside it
+    genuine = cli.brute_force_gap
+
+    def doctored(aff, bounds):
+        reference = genuine(aff, bounds)
+        return dataclasses.replace(reference, gap_norm=reference.gap_norm * (1 + 1e-6))
+
+    monkeypatch.setattr(cli, "brute_force_gap", doctored)
+    argv = ["gap", "--system", "double_integrator", "--nodes", "6", "--bound", "1",
+            "--oracle", "--out", str(tmp_path)]
+    assert cli.run(argv) == 1
+    assert "outside the certified interval" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_oracle_beyond_its_size_limit_exits_1(tmp_path, capsys):

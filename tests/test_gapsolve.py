@@ -194,6 +194,17 @@ def replay_douglas_rachford(aff, bounds, steps):
     return reflected, gaps
 
 
+def workspace(aff, bounds):
+    return gapsolve._Workspace(aff, *bounds.sample(aff.grid, aff.m))
+
+
+def active_set_finish(ws, u):
+    """``gapsolve._active_set_finish`` on the interior set of ``u``: the
+    point kept and the outcome."""
+    Z = np.flatnonzero((u > ws.lo) & (u < ws.hi))
+    return gapsolve._active_set_finish(ws, u, Z)[:2]
+
+
 def two_input_problem(N):
     """A double integrator driven through two inputs, with bounds that vary
     from node to node and channel to channel; infeasible, bang-bang uB."""
@@ -236,9 +247,9 @@ class TestCrossSolver:
         newton = solve_gap(aff, bounds, SolveOptions(tol=tol))
         assert newton.converged
         assert newton.gap_norm - newton.gap_lower <= tol * newton.gap_norm
-        ws = gapsolve._Workspace(aff, bounds)
+        ws = workspace(aff, bounds)
         u, _, _ = replay_projection_steps(aff, bounds, 2000, True, np.zeros(grid.N))
-        finished, _ = gapsolve._active_set_finish(ws, u)
+        finished, _ = active_set_finish(ws, u)
         gaps, lowers = [newton.gap_norm], [newton.gap_lower]
         for point in (u, finished):
             _, _, gap, lower = gapsolve._certify(ws, point)
@@ -266,7 +277,7 @@ class TestActiveSetFinish:
         res = solve_gap(aff, bounds, SolveOptions(tol=1e-9))
         assert res.diagnostics["finish"] == "exact"
         u, _, _ = replay_projection_steps(aff, bounds, 2000, True, np.zeros(grid.N))
-        replayed, finish = gapsolve._active_set_finish(gapsolve._Workspace(aff, bounds), u)
+        replayed, finish = active_set_finish(workspace(aff, bounds), u)
         assert finish == "exact"
         answers = {"newton": res.uB,
                    "restarted_replay": ControlTrajectory.from_flat(replayed, grid, aff.m)}
@@ -286,8 +297,8 @@ class TestActiveSetFinish:
         bounds = Bounds.symmetric(1770.0)
         u, _, gaps = replay_projection_steps(aff, bounds, 7917, True, np.zeros(grid.N))
         kept = u.copy()
-        ws = gapsolve._Workspace(aff, bounds)
-        out, finish = gapsolve._active_set_finish(ws, u)
+        ws = workspace(aff, bounds)
+        out, finish = active_set_finish(ws, u)
         assert finish == "rejected_box"
         assert out is u
         np.testing.assert_array_equal(u, kept)
@@ -302,8 +313,8 @@ class TestActiveSetFinish:
         # the feasible answer keeps many nodes inside the box, more than the
         # n = 2 that the exact step can solve for
         assert res.diagnostics["finish"] == "rejected_size"
-        ws = gapsolve._Workspace(aff, bounds)
-        out, finish = gapsolve._active_set_finish(ws, res.uB.flat)
+        ws = workspace(aff, bounds)
+        out, finish = active_set_finish(ws, res.uB.flat)
         assert finish == "rejected_size"
         np.testing.assert_array_equal(out, res.uB.flat)
 
@@ -397,6 +408,31 @@ class TestNewton:
         assert capped.converged
         assert capped.gap_norm == full.gap_norm
 
+    def test_cut_proximal_steps_divide_eps_by_ten(self, monkeypatch):
+        # no cold-start builtin solve runs a proximal step to _INNER_STEPS = 50;
+        # at 5, machine_tool N=1e3, a=1770 cuts three of them
+        calls = []  # eps, iterates and the last one's exact flag of each proximal step
+
+        def recorded(Qt, c, lo, hi, center, eps, *args):
+            calls.append([eps, 0, False])
+            for iterate in dual_newton(Qt, c, lo, hi, center, eps, *args):
+                calls[-1][1:] = calls[-1][1] + 1, iterate[3]
+                yield iterate
+
+        monkeypatch.setattr(gapsolve, "_INNER_STEPS", 5)
+        monkeypatch.setattr(gapsolve, "dual_newton", recorded)
+        inst = builtin_instance("machine_tool")
+        aff = build_affine(inst.system, inst.system.grid(1000), inst.boundary)
+        res = solve_gap(aff, Bounds.symmetric(1770.0))
+        assert res.diagnostics["stop"] == "certified"
+        assert res.gap_norm - res.gap_lower <= SolveOptions().tol * res.gap_norm
+        # a cut step yields its start and five steps, the last not exact
+        cuts = [k for k, (_, iterates, exact) in enumerate(calls[:-1])
+                if iterates == 6 and not exact]
+        assert cuts
+        for k in cuts:
+            assert calls[k + 1][0] == calls[k][0] / 10.0
+
     def test_certificate_ends_never_cross_on_ill_conditioned_gramians(self):
         # random 4-state systems whose scaled W reaches cond 3e10: a
         # projection through the rounded W alone lost up to 7e-6 of the gap
@@ -441,7 +477,7 @@ def replay_cold_newton(aff, bounds, tol):
     at eps = 1, eps growing tenfold only after a proximal step with a new
     interior set.  Returns the gap after every Newton step and the returned
     box iterate."""
-    ws = gapsolve._Workspace(aff, bounds)
+    ws = workspace(aff, bounds)
     Qt, c, Rhat = aff.basis
     floor = tol * np.sqrt(ws.h) * (1.0 + float(np.linalg.norm(Rhat.T @ c)))
     u = np.minimum(np.maximum(0.0, ws.lo), ws.hi)
@@ -454,11 +490,11 @@ def replay_cold_newton(aff, bounds, tol):
         for inner in range(1, gapsolve._INNER_STEPS + 1):
             step = next(steps, None)
             if step is not None:
-                y, u_y, _, exact = step
+                y, u_y, _, exact, _ = step
             end = step is None or exact or inner == gapsolve._INNER_STEPS
             if end:
                 Z = np.flatnonzero((u_y > ws.lo) & (u_y < ws.hi))
-                u, _ = gapsolve._active_set_finish(ws, u_y)
+                u, _, _ = gapsolve._active_set_finish(ws, u_y, Z)
                 _, _, gap, lower = gapsolve._certify(ws, u)
                 stale = 0 if gap - lower <= 0.5 * best[0] else stale + 1
                 if gap - lower < best[0]:

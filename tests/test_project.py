@@ -5,7 +5,8 @@ import pytest
 
 from ctrlgap import (BoundarySpec, Bounds, InfeasibleIntersectionError,
                      SolveOptions, build_affine, builtin_instance,
-                     dykstra_min_energy, gapsolve, l2_norm, make_lti_system, solve_gap)
+                     dykstra_min_energy, gapsolve, l2_norm, make_lti_system, project,
+                     solve_gap)
 from ctrlgap.critical import _lower_end
 from ctrlgap.project import dual_newton
 
@@ -227,24 +228,30 @@ class TestMinEnergyNearCritical:
         assert 0.0 < floor <= gap * (1 + 1e-9)
 
 
+def counting(counts):
+    """An ndarray subclass whose views count, in ``counts``, their products
+    with a vector and, through lo, the dual evaluations, each of which clips
+    once against it."""
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+            if ufunc is np.matmul and min(np.ndim(x) for x in inputs) == 1:
+                counts["products"] += 1
+            elif ufunc is np.maximum:
+                counts["evaluations"] += 1
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return Counting
+
+
 class TestDualNewton:
     def test_rejected_trials_take_no_product_with_qt(self, affine_1000, monkeypatch):
         # the gap at machine_tool N=1e3, a=1770 makes 178 dual evaluations in
         # 47 Newton steps; each evaluation once formed Qt^T y and Qt u, now a
         # rejected Armijo trial forms neither
         counts = Counter()
-
-        class Counting(np.ndarray):
-            """Counts the products of Qt with a vector, and through lo the
-            dual evaluations, each of which clips once against it."""
-
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                inputs = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
-                if ufunc is np.matmul and min(np.ndim(x) for x in inputs) == 1:
-                    counts["products"] += 1
-                elif ufunc is np.maximum:
-                    counts["evaluations"] += 1
-                return getattr(ufunc, method)(*inputs, **kwargs)
+        Counting = counting(counts)
 
         def counted(Qt, c, lo, hi, *args):
             counts["calls"] += 1
@@ -260,6 +267,27 @@ class TestDualNewton:
         # the start's two products, then per step the full trial's two and
         # the gradient of a shorter accepted one
         assert counts["products"] <= 2 * counts["calls"] + 3 * steps
+
+    @pytest.mark.parametrize("share", [0.99, 1.01])
+    def test_min_energy_forms_no_product_with_qt_outside_the_kernel(self, affine_1000,
+                                                                    monkeypatch, share):
+        # the kernel yields Qt^T y with every iterate, so the certificate of an
+        # unconverged one, or of the ray, takes no product of its own; the
+        # kernel gets Qt as a plain array, so only products outside it count
+        counts = Counter()
+        aff = affine_1000["machine_tool"]
+        Qt, c, Rhat = aff.basis
+        monkeypatch.setitem(aff.__dict__, "basis", (Qt.view(counting(counts)), c, Rhat))
+        monkeypatch.setattr(project, "dual_newton",
+                            lambda Qt, *args: dual_newton(Qt.view(np.ndarray), *args))
+        bounds = Bounds.symmetric(share * LP_A_C_1000["machine_tool"])
+        if share < 1.0:
+            with pytest.raises(InfeasibleIntersectionError):
+                dykstra_min_energy(aff, bounds)
+        else:
+            _, stats = dykstra_min_energy(aff, bounds)
+            assert stats.converged and stats.iterations > 1
+        assert counts["products"] == 0
 
     @pytest.mark.parametrize("name", sorted(LP_A_C_1000))
     @pytest.mark.parametrize("share", [0.99, 1.01])
