@@ -136,7 +136,7 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
             u_c, stats = dykstra_min_energy(aff, Bounds.symmetric(a))
         except InfeasibleIntersectionError as exc:
             # the margin test that raised puts this end above a >= lo
-            if (lower := _lower_end(aff, exc.multiplier)) <= lo:
+            if (lower := _lower_end(aff, exc.multiplier, exc.g)) <= lo:
                 raise ConsistencyError(f"infeasibility certified at a={a!r} with a "
                                        f"lower end {lower!r} <= lo={lo!r}") from exc
             lo = lower

@@ -166,7 +166,7 @@ def _active_set_finish(ws: _Workspace, u: np.ndarray,
     u_new = u.copy()
     u_new[Z] = 0.0
     if Z.size:
-        u_Z, _, rank, _ = np.linalg.lstsq(Qt[:, Z], c - Qt @ u_new, rcond=None)
+        u_Z, _, rank, _ = np.linalg.lstsq(Qt.take(Z, axis=1), c - Qt @ u_new, rcond=None)
         if rank < Z.size:
             return u, "rejected_singular", _certify(ws, u)
         if np.any(u_Z < ws.lo[Z]) or np.any(u_Z > ws.hi[Z]):

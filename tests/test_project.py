@@ -1,12 +1,14 @@
+import math
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from ctrlgap import (BoundarySpec, Bounds, InfeasibleIntersectionError,
-                     SolveOptions, build_affine, builtin_instance,
-                     dykstra_min_energy, gapsolve, l2_norm, make_lti_system, project,
-                     solve_gap)
+                     SolveOptions, build_affine, builtin_instance, critical,
+                     critical_bound, dykstra_min_energy, gapsolve, l2_norm,
+                     make_lti_system, project, solve_gap)
 from ctrlgap.critical import _lower_end
 from ctrlgap.project import dual_newton
 
@@ -247,9 +249,9 @@ def counting(counts):
 
 class TestDualNewton:
     def test_rejected_trials_take_no_product_with_qt(self, affine_1000, monkeypatch):
-        # the gap at machine_tool N=1e3, a=1770 makes 178 dual evaluations in
-        # 47 Newton steps; each evaluation once formed Qt^T y and Qt u, now a
-        # rejected Armijo trial forms neither
+        # the gap at machine_tool N=1e3, a=1770 makes 112 dual evaluations in
+        # 47 Newton steps (178 with plain halving); each evaluation once
+        # formed Qt^T y and Qt u, now a rejected Armijo trial forms neither
         counts = Counter()
         Counting = counting(counts)
 
@@ -288,6 +290,91 @@ class TestDualNewton:
             _, stats = dykstra_min_energy(aff, bounds)
             assert stats.converged and stats.iterations > 1
         assert counts["products"] == 0
+
+    def test_verdict_lower_ends_form_no_product_with_qt(self, affine_1000, monkeypatch):
+        # the machine_tool N=1e3 search: each infeasible verdict raises with
+        # the kernel's Qt^T y, from which its lower end is read
+        counts, ends, raised = Counter(), {}, []
+        aff = affine_1000["machine_tool"]
+        Qt, c, Rhat = aff.basis
+        monkeypatch.setitem(aff.__dict__, "basis", (Qt.view(counting(counts)), c, Rhat))
+
+        def lower_end(aff, s, g=None):
+            before = counts["products"]
+            end = ends[id(s)] = _lower_end(aff, s, g)
+            assert counts["products"] == before
+            return end
+
+        def verdict(*args):
+            try:
+                return dykstra_min_energy(*args)
+            except InfeasibleIntersectionError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(critical, "_lower_end", lower_end)
+        monkeypatch.setattr(critical, "dykstra_min_energy", verdict)
+        inst = builtin_instance("machine_tool")
+        res = critical_bound(inst.system, aff.grid, inst.boundary, aff=aff)
+        assert res.converged and raised
+        # the end read from the kernel's g is the one Qt^T y gives, to rounding
+        for exc in raised:
+            assert ends[id(exc.multiplier)] == pytest.approx(_lower_end(aff, exc.multiplier),
+                                                             rel=1e-12)
+
+    def test_reaches_an_exact_step_at_a_large_eps(self, affine_1000):
+        # double_integrator at N=1e3, a = 0.99 a_c, center 0 and y = 0: at
+        # eps = 1e8 a step rule that accepts shorter steps than halving took
+        # 406 Newton steps to an exact step, against 98
+        aff = affine_1000["double_integrator"]
+        Qt, c, _ = aff.basis
+        lo, hi = (b.reshape(-1) for b in Bounds.symmetric(0.99 * LP_A_C_1000["double_integrator"])
+                  .sample(aff.grid, aff.m))
+        exact = [step[3] for step in islice(dual_newton(Qt, c, lo, hi, 0.0, 1e8, 1.0,
+                                                        np.zeros_like(c)), 99)]
+        assert exact[-1]
+
+    @pytest.mark.parametrize("eps, most", [(1e6, 4), (1e8, 7)])
+    def test_backtracking_takes_the_halving_step_in_few_trials(self, affine_1000, eps, most):
+        # machine_tool at N=1e3, a=1770, center 0 and y = 0, where most full
+        # steps are rejected: every step meets the Armijo rule with the dual
+        # recomputed from y, and is the longest 2^-k that does, so halving
+        # would have taken it, after k + 1 trials; where that is 10 or more,
+        # the kernel takes at most ``most``, and over the steps that backtrack
+        # it takes at most half as many
+        aff = affine_1000["machine_tool"]
+        Qt, c, _ = aff.basis
+        lo, hi = (b.reshape(-1) for b in Bounds.symmetric(1770.0).sample(aff.grid, aff.m))
+
+        def dual(y):
+            u = np.clip(-eps * (Qt.T @ y), lo, hi)
+            terms = (y @ (Qt @ u), -(y @ c), -0.5 * (y @ y), (u @ u) / (2.0 * eps))
+            return sum(terms), project._DUAL_SLACK * sum(abs(term) for term in terms)
+
+        counts = Counter()
+        iterates, evaluations = [], []
+        for step in dual_newton(Qt, c, lo.view(counting(counts)), hi, 0.0, eps, 1.0,
+                                np.zeros_like(c)):
+            iterates.append(step)
+            evaluations.append(counts["evaluations"])
+        halving, trials = [], np.diff(evaluations)
+        for (y, u, grad, _, _), (y_next, *_) in zip(iterates, iterates[1:]):
+            QF = Qt[:, (lo < u) & (u < hi)]
+            direction = np.linalg.solve(np.eye(c.size) + eps * (QF @ QF.T), grad)
+            t = (y_next - y) @ direction / (direction @ direction)
+            level = round(-math.log2(t))
+            assert t == pytest.approx(0.5 ** level, rel=1e-6)
+            (value, slack), slope = dual(y), float(grad @ direction)
+            assert dual(y_next)[0] >= value + 1e-4 * 0.5 ** level * slope - slack
+            if level:
+                longer = 0.5 ** (level - 1)
+                assert dual(y + longer * direction)[0] < value + 1e-4 * longer * slope - slack
+            halving.append(level + 1)
+        halving = np.array(halving)
+        assert iterates[-1][3] and np.count_nonzero(halving >= 10) >= 2
+        assert np.all(trials[halving >= 10] <= most)
+        backtracked = halving > 1
+        assert trials[backtracked].sum() <= 0.5 * halving[backtracked].sum()
 
     @pytest.mark.parametrize("name", sorted(LP_A_C_1000))
     @pytest.mark.parametrize("share", [0.99, 1.01])
