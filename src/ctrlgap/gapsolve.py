@@ -71,8 +71,10 @@ class SolveOptions:
     the module docstring; it must be positive and finite.  ``max_iter``
     caps the Newton steps on the given grid; the steps of the coarse solve
     that starts a solve of 16,384 control coordinates or more (module
-    docstring) do not count.  Builtin solves take 12 to 80 Newton steps and
-    the most measured was 201, so the default cap ends a stall quickly.
+    docstring) do not count.  On 80 builtin solves at N = 1e3 to 2e5 and
+    bounds from well below to above a_c, the steps on the given grid
+    numbered 1 to 52 and those of the coarse solve 8 to 52, so the default
+    cap ends a stall quickly.
     """
 
     tol: float = 1e-9

@@ -9,11 +9,13 @@ All of it runs on the orthonormal form {u : Qt u = c} of
 ``AffineData.basis``: the multiplier of u is s = Qt u - c, and Qt^T s =
 G^T W^{-1} r with no solve through the rounded W.  n is at most 7 in every
 benchmark while N*m can reach 2e5, so the kernel solves n-by-n systems.
+The dual is concave and piecewise quadratic, kinked where a node of u meets
+a bound, so each step goes to its maximum along the Newton direction, found
+in one sorted pass over the kinks, with no sufficient-decrease test.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -57,51 +59,37 @@ def gap_lower_bound(aff: AffineData, lo: np.ndarray, hi: np.ndarray, y: np.ndarr
     return float(np.sqrt(aff.h)) * margin / float(np.linalg.norm(g))
 
 
-# Share of the summed magnitudes of the dual's terms that its computed value
-# may be off by; a step that lowers the value by less still counts as ascent.
-_DUAL_SLACK = 1e-12
-# The first level k whose step t = 2^-k is below 1e-12, where backtracking
-# ends the kernel.
-_END_LEVEL = 40
-
-
 def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 center: np.ndarray | float, eps: float, weight: float,
                 y: np.ndarray) -> Iterator[tuple]:
     """Yield (y, u(y), gradient, exact, g) for the start ``y`` and after
     every Newton step on the dual in the module docstring, with g = Qt^T y
-    as the kernel carries it (below).  u(y) = clip(center - eps Qt^T y),
-    the gradient is Qt u(y) - c - weight y and the Newton
-    matrix weight I + eps Qt_F Qt_F^T, F the free nodes of u(y), is solved
-    directly when the weight is positive and by least squares when it is 0,
-    as it is singular then.  A step takes the longest t = 2^-k, k = 0, 1,
-    ..., for which the Armijo rule holds up to ``_DUAL_SLACK``, the step
-    that plain halving of t takes, and the iteration ends when no t >=
-    1e-12 passes.  The dual is concave along the step, so the levels k
-    that fail come before those that pass, and the levels are searched
-    inside the bracket of the highest failed and the lowest passed one.
-    After a failed trial, the next one is at the longest 2^-k at or below
-    the point where the quadratic through the dual's value and slope at 0
-    and its value at the failed trial meets the Armijo line (Nocedal and
-    Wright, Numerical Optimization, 2nd ed., 2006, sec. 3.5), moved into
-    the bracket.  Near a_c at a large eps the full step overshoots by
-    orders of magnitude: on machine_tool at N=1e3 and eps = 1e8 halving
-    spends 13 to 18 trials on most steps, this search 4 to 7.  An
-    ``exact`` step, a full one that keeps the clip pattern, maximizes the
-    dual on that piece if the Newton matrix is regular and ends the
-    iteration; else the dual rises linearly along the gradient's part off
-    the matrix's range until a clipped node comes free, and the next step
-    goes twice that far.  If the ray meets no clipped node, the dual rises
-    along it without bound, so the ray separates the box from {u : Qt u =
-    c}: it is yielded once more in place of y, with the same u and Qt^T ray
-    in place of g, and the iteration ends.
+    as the kernel carries it.  u(y) = clip(center - eps Qt^T y), the
+    gradient is Qt u(y) - c - weight y and the Newton matrix M = weight I +
+    eps Qt_F Qt_F^T, F the free nodes of u(y), is solved directly when the
+    weight is positive and by least squares when it is 0, as it is singular
+    then.
 
-    The kernel carries g = Qt^T y with y.  A full step costs two products
-    with Qt, Qt^T (y + step) and Qt u; a shorter trial costs O(N*m)
-    elementwise work, about ten passes over N*m values, as g + t d with d
-    = Qt^T (y + step) - g gives Qt^T y along the step and g.u gives y.Qt
-    u, and the accepted one adds the product Qt u of its gradient."""
+    Along a direction p the unclipped control is linear in t, so the dual's
+    slope is piecewise linear and non-increasing: it falls at the rate p.M p
+    at 0+, faster by eps e_k^2 once node k comes free and slower by as much
+    once it meets a bound, e = Qt^T p.  A step takes t = 1 when the full
+    step keeps the clip pattern or the slope there is not negative, and
+    otherwise the slope's root in (0, 1), read off the sorted kinks of the
+    nodes whose clip status differs at t = 0 and t = 1, the only ones with
+    a kink inside the step.  The iteration ends when the root leaves y
+    where it is.  An ``exact`` step, a full one that keeps the clip pattern,
+    maximizes the dual on that piece if M is regular and ends the
+    iteration; else the dual rises linearly along the gradient's part off
+    M's range, and the next step goes to the slope's root on that ray, over
+    the nodes where Qt^T ray is not 0.  If the slope never reaches 0, the
+    ray separates the box from {u : Qt u = c}: it is yielded once more in
+    place of y, with the same u and Qt^T ray in place of g, and the
+    iteration ends.  A full step forms two products with Qt, Qt^T (y + p)
+    and Qt u, and a shorter one a third, Qt u at the root; g + t (Qt^T (y
+    + p) - g) gives Qt^T y along the step."""
     diag = weight * np.eye(c.size)
+    centers = np.broadcast_to(center, lo.shape)
 
     def control(g):
         # center - eps g in one new array: x + (-y) rounds as x - y
@@ -110,23 +98,47 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         np.maximum(u, lo, out=u)
         return np.minimum(u, hi, out=u)
 
-    def dual(y, u, yQu):
-        """The dual's value at y with u = u(y) and yQu = y.Qt u, and the
-        slack its rounding may take, ``_DUAL_SLACK`` of its terms' size."""
-        shift = u - center
-        terms = (yQu, -float(y @ c), -0.5 * weight * float(y @ y),
-                 float(shift @ shift) / (2.0 * eps))
-        return sum(terms), _DUAL_SLACK * sum(abs(term) for term in terms)
+    def root(p, e, nodes):
+        """The least t > 0 at which the dual's slope along p from y, e =
+        Qt^T p, reaches 0, or inf if it never does, from the kinks of
+        ``nodes``, where center - eps (g + t e) meets a bound."""
+        slope, rate = float(grad @ p), -float(p @ M @ p)
+        if slope <= 0.0:
+            return 0.0
+        e, z = e[nodes], centers[nodes] - eps * g[nodes]
+        ends = (z - lo[nodes]) / (eps * e), (z - hi[nodes]) / (eps * e)
+        enter, leave = np.minimum(*ends), np.maximum(*ends)
+        # a node free at 0+ is in the rate already, and one that meets its
+        # bound by t = 0 never comes free
+        came, left = enter >= 0.0, leave > 0.0
+        times = np.concatenate(([0.0], enter[came], leave[left]))
+        square = eps * e * e
+        jumps = np.concatenate(([rate], -square[came], square[left]))
+        # the root mostly lies among the first quarter of the kinks: sort
+        # those, and all of them only if the slope stays positive there
+        for size in (min(times.size, 512 + times.size // 4), times.size):
+            order = np.argpartition(times, size - 1)[:size]
+            order = order[np.argsort(times[order])]
+            # from the k-th kink on, the slope is offsets[k] + rates[k] t
+            kinks, jump = times[order], jumps[order]
+            rates, offsets = np.cumsum(jump), slope - np.cumsum(jump * kinks)
+            below = offsets + rates * kinks <= 0.0
+            if below.any() or size == times.size:
+                break
+        # the segment where the slope reaches 0, -1 (the last) if none does;
+        # the kink before the first slope <= 0 is the last at its time
+        k = int(np.argmax(below)) - 1
+        return offsets[k] / -rates[k] if rates[k] < 0.0 else np.inf
 
     g = Qt.T @ y
     u = control(g)
-    Qu = Qt @ u
-    (value, slack), grad, exact = dual(y, u, float(y @ Qu)), Qu - c - weight * y, False
+    grad, exact = Qt @ u - c - weight * y, False
+    lower, upper = u <= lo, u >= hi
     while True:
         yield y, u, grad, exact, g
         if exact and weight > 0.0:
             return
-        QF = Qt.compress((lo < u) & (u < hi), axis=1)
+        QF = Qt.compress(~(lower | upper), axis=1)
         M = diag + eps * (QF @ QF.T)
         if weight > 0.0:
             step = np.linalg.solve(M, grad)
@@ -135,57 +147,41 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         if exact:
             if rank == c.size:
                 return
-            ray = grad - M @ step
-            g_ray = Qt.T @ ray
-            with np.errstate(divide="ignore", invalid="ignore"):
-                reach = (u - center + eps * g) / (-eps * g_ray)
-            reach = reach[((u <= lo) | (u >= hi)) & (0.0 < reach) & (reach < np.inf)]
-            if not reach.size:
-                yield ray, u, grad, exact, g_ray
+            step = grad - M @ step
+            d = Qt.T @ step
+            t = root(step, d, np.flatnonzero(d))
+            if t == np.inf:
+                yield step, u, grad, exact, d
                 return
-            step = 2.0 * float(reach.min()) * ray
-        slope, t = float(grad @ step), 1.0
-        y_t = y + step
-        g_t = Qt.T @ y_t
-        u_t = control(g_t)
-        Qu = Qt @ u_t
-        value_t, slack_t = dual(y_t, u_t, float(y_t @ Qu))
-        if value_t < value + 1e-4 * slope - slack:
-            # every level <= failed fails and every level >= passed passes;
-            # value_t is the dual at the last failed trial, and cross is where
-            # the quadratic through it meets the Armijo line
-            d, failed, passed, kept = g_t - g, 0, _END_LEVEL, None
-            while passed > failed + 1:
-                t = 0.5 ** failed
-                drop = value + slope * t - value_t
-                cross = (1.0 - 1e-4) * slope * t * t / drop if drop > 0.0 else 0.0
-                level = math.ceil(-math.log2(cross)) if 0.0 < cross < t else failed + 1
-                level = min(max(level, failed + 1), passed - 1)
-                t = 0.5 ** level
-                y_t, g_t = y + t * step, g + t * d
-                u_t = control(g_t)
-                trial = dual(y_t, u_t, float(g_t @ u_t))
-                if trial[0] >= value + 1e-4 * t * slope - slack:
-                    passed, kept = level, (t, y_t, g_t, u_t, *trial)
-                else:
-                    failed, value_t = level, trial[0]
-            if kept is None:
-                return
-            t, y_t, g_t, u_t, value_t, slack_t = kept
-            Qu = Qt @ u_t
-            del d, kept  # no N-vector outlives a step but g and u
-        exact = (t == 1.0 and np.array_equal(u_t >= hi, u >= hi)
-                 and np.array_equal(u_t <= lo, u <= lo))
-        y, g, u, value, slack = y_t, g_t, u_t, value_t, slack_t
-        grad = Qu - c - weight * y
+        else:
+            y_t = y + step
+            g_t = Qt.T @ y_t
+            u_t = control(g_t)
+            grad_t = Qt @ u_t - c - weight * y_t
+            lower_t, upper_t = u_t <= lo, u_t >= hi
+            changed = (lower_t != lower) | (upper_t != upper)
+            exact = not changed.any()
+            if exact or float(step @ grad_t) >= 0.0:
+                y, g, u, grad, lower, upper = y_t, g_t, u_t, grad_t, lower_t, upper_t
+                continue
+            d = g_t - g
+            t = min(root(step, d, np.flatnonzero(changed)), 1.0)
+        y_t = y + t * step
+        if np.array_equal(y_t, y):
+            return
+        y, g, exact = y_t, g + t * d, False
+        u = control(g)
+        grad = Qt @ u - c - weight * y
+        lower, upper = u <= lo, u >= hi
 
 
 def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
                        max_iter: int = 200) -> tuple[ControlTrajectory, ProjectionStats]:
     """Minimum-norm control in the box and the affine set: ``dual_newton``
     with center 0, eps = 1 and weight 0 from y = -c, whose u(y) clips the
-    minimum-norm control Qt^T c = G^T W^{-1} xi; the name predates the
-    method.  Each iterate, the start included, counts toward ``max_iter``.
+    minimum-norm control Qt^T c = G^T W^{-1} xi.  The name predates the
+    method and stays until the benchmark revision (ROADMAP item 1), as
+    ``perfbench/tracing.py`` wraps this function by name.  Each iterate, the start included, counts toward ``max_iter``.
     Ends converged once the row-scaled residual |D^{-1}(G u - xi)| =
     |Rhat^T (Qt u - c)|, D = sqrt(diag W), is at most ``tol`` (1 +
     |D^{-1} xi|); raises ``InfeasibleIntersectionError``, with y as its

@@ -74,6 +74,19 @@ def ill_conditioned_affines():
                 yield aff
 
 
+def two_input_draw(k):
+    """The system and boundary of the k-th (from 1) of the random two-input
+    systems drawn from default_rng(21) in the order n, N, A, B, x0, xf."""
+    rng = np.random.default_rng(21)
+    for _ in range(k):
+        n, N = int(rng.integers(2, 8)), int(rng.integers(50, 1500))
+        A = rng.normal(0, float(rng.choice([2.0, 4.0])), (n, n))
+        B = rng.normal(0, 1, (n, 2))
+        x0, xf = rng.normal(0, 1, n), rng.normal(0, 1, n)
+    system = make_lti_system(A, B, 0.0, 1.0)
+    return system, system.grid(N), BoundarySpec(x0=x0, xf=xf)
+
+
 def gram(aff):
     """The Gram matrix W = G G^T, formed from G and not from the basis."""
     return aff.G @ aff.G.T

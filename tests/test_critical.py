@@ -7,7 +7,7 @@ from ctrlgap import (BoundarySpec, Bounds, build_affine, builtin_instance, criti
                      di_critical_analytic, make_lti_system, solve_gap)
 from ctrlgap.critical import _certified_ends
 
-from conftest import LP_A_C_1000, gram
+from conftest import LP_A_C_1000, gram, two_input_draw
 
 
 def _critical(name, nodes, **kwargs):
@@ -79,6 +79,15 @@ def test_default_tol_a_converges_on_random_systems():
         if not (res.converged and hi - lo <= 1e-8 * (1.0 + hi)):
             unconverged.append((case, n, N))
     assert unconverged == []
+
+
+def test_default_tol_a_converges_on_the_23rd_two_input_draw():
+    # n=3, N=601: every minimum-energy step near a_c once ended neither
+    # converged nor certified, when the kernel found no step that passed an
+    # Armijo test, and the search ended unconverged
+    res = critical_bound(*two_input_draw(23))
+    lo, hi = res.bracket
+    assert res.converged and hi - lo <= 1e-8 * (1.0 + hi)
 
 
 def test_tight_bracket_contains_exact_critical_bound():
