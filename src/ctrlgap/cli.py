@@ -89,13 +89,13 @@ def _build_parser() -> _Parser:
     add_instance_flags(p_gap)
     p_gap.add_argument("--solver", choices=("newton", "fast"), default="newton",
                        help="accepted for older command lines: both names run the "
-                            "one certified proximal Newton solver")
+                            "one certified gap solver")
     p_gap.add_argument("--tol", type=float, default=1e-8,
                        help="bound on the certified relative duality gap "
                             "(gap - gap_lower) / gap (default 1e-8)")
     p_gap.add_argument("--max-iter", type=int, default=SolveOptions.max_iter,
-                       help=f"cap on Newton steps; a solve it cuts exits 2 "
-                            f"(default {SolveOptions.max_iter})")
+                       help="cap on exchange pivots and descent steps; a solve it cuts "
+                            f"exits 2 (default {SolveOptions.max_iter})")
     p_gap.add_argument("--oracle", action="store_true",
                        help=f"cross-check with exhaustive enumeration "
                             f"(at most {MAX_COORDS} control coordinates)")
@@ -281,8 +281,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "switch_times": profile.switch_times, "iterations": result.iterations,
         "converged": result.converged, "wall_time_seconds": clock.seconds["solve"],
         "solver": result.solver, "gap_lower": result.gap_lower,
-        "finish": result.diagnostics["finish"],
-        "coarse_iterations": result.diagnostics.get("coarse_iterations"),
+        "finish": result.diagnostics["finish"], "stop": result.diagnostics["stop"],
         "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
     if args.oracle:
         reference = brute_force_gap(aff, bounds)

@@ -7,8 +7,6 @@ assembled once per (system, grid, boundary).  Every solver and
 certificate runs on one representation of that set, the orthonormal basis
 (Qt, c) of range(G^T) in ``AffineData.basis``, and the same Householder QR
 of G^T decides controllability on the grid; it is built on first use.
-``AffineData.coarse`` is the set of controls constant on blocks of nodes,
-from which the gap solver starts on long grids.
 
 With constant matrices every Euler step is the same affine map
 x -> M x + hB u, M = I + hA, so nothing needs a per-step Python loop: G
@@ -34,10 +32,6 @@ import numpy as np
 from .controllability import gramian_report
 from .errors import SimulationOverflowError, UncontrollableGridError
 from .model import BoundarySpec, Grid, LinearSystem
-
-# Nodes per block of ``AffineData.coarse``.
-COARSE_BLOCK = 64
-
 
 @dataclass(frozen=True)
 class ControlTrajectory:
@@ -168,22 +162,6 @@ class AffineData:
         for arr in (Qt, c, Rhat):
             arr.flags.writeable = False
         return Qt, c, Rhat
-
-    @cached_property
-    def coarse(self) -> "AffineData":
-        """The same set restricted to controls constant on the contiguous
-        blocks of ``COARSE_BLOCK`` nodes (the last block holds the rest):
-        G u for such a u is the product of the block column sums of G, per
-        input, with the block values, so any N and time-varying systems need
-        no second transcription.  Its grid has one node per block on the same
-        interval.  Built on first access and kept, like ``basis``."""
-        N = self.grid.N
-        G = np.add.reduceat(self.G.reshape(self.n, N, self.m),
-                            np.arange(0, N, COARSE_BLOCK), axis=1)
-        G = G.reshape(self.n, -1)
-        G.flags.writeable = False
-        grid = Grid(N=G.shape[1] // self.m, t0=self.grid.t0, tf=self.grid.tf)
-        return AffineData(G=G, xi=self.xi, Phi=self.Phi, grid=grid, m=self.m)
 
 
 def _sample_steps(system: LinearSystem, grid: Grid):

@@ -17,7 +17,7 @@ from ctrlgap.oracle import MAX_COORDS
 GAP = ["gap", "--system", "double_integrator", "--nodes", "200", "--bound", "1"]
 
 GAP_SUMMARY_KEYS = {"N", "a", "command", "converged", "finish", "gap_lower",
-                    "gap_norm", "iterations", "label", "solver", "stage_seconds",
+                    "gap_norm", "iterations", "label", "solver", "stage_seconds", "stop",
                     "switch_times", "terminal_error", "wall_time_seconds"}
 
 MIN_ENERGY_SUMMARY_KEYS = {"N", "a", "affine_residual", "command", "converged",
@@ -133,26 +133,35 @@ def test_legacy_fast_spelling_writes_the_default_runs_files(tmp_path, nodes, gap
 
 def test_gap_budget_defaults_to_the_library_cap_and_a_cut_exits_2(tmp_path):
     assert cli._build_parser().parse_args(GAP).max_iter == SolveOptions().max_iter == 1_000
-    # machine_tool needs 47 Newton steps here; one step is a cut short of a certificate
+    # machine_tool takes 13 pivots and 3 descent steps here; one pivot is a
+    # cut short of a certificate
     argv = ["gap", "--system", "machine_tool", "--nodes", "1000", "--bound", "1770",
             "--max-iter", "1", "--out", str(tmp_path)]
     assert cli.run(argv) == 2
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["converged"] is False
+    assert summary["stop"] == "max_iter"
+    assert summary["finish"] == "cut"
     assert summary["iterations"] == 1
     assert summary["gap_norm"] - summary["gap_lower"] > 1e-8 * summary["gap_norm"]
 
 
-def test_gap_summary_reports_the_coarse_solve_from_the_size_floor_up(tmp_path):
+def test_gap_summary_reports_the_stop(tmp_path):
     argv = ["gap", "--system", "double_integrator", "--nodes", "16384", "--bound", "1"]
     assert cli.run(argv + ["--out", str(tmp_path / "free")]) == 0
     summary = json.loads((tmp_path / "free" / "summary.json").read_text())
-    assert set(summary) == GAP_SUMMARY_KEYS | {"coarse_iterations"}
-    assert summary["coarse_iterations"] > 0
-    # --max-iter and iterations count the Newton steps on the fine grid alone
+    assert (summary["stop"], summary["finish"]) == ("certified", "exact")
+    # --max-iter and iterations count the pivots on the blocks as well
     capped = argv + ["--max-iter", str(summary["iterations"]), "--out", str(tmp_path / "cap")]
     assert cli.run(capped) == 0
     assert json.loads((tmp_path / "cap" / "summary.json").read_text())["converged"] is True
+    # an exact answer whose certificate rounding keeps from --tol exits 2
+    # (ROADMAP item 5)
+    near = ["gap", "--system", "machine_tool", "--nodes", "1000", "--bound", "1774.81",
+            "--tol", "1e-9", "--out", str(tmp_path / "near")]
+    assert cli.run(near) == 2
+    summary = json.loads((tmp_path / "near" / "summary.json").read_text())
+    assert (summary["stop"], summary["finish"]) == ("rounding", "exact")
 
 
 def test_parser_built_once_keeps_no_arguments_between_runs(tmp_path, capsys):

@@ -5,12 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctrlgap import (BUILTIN_NAMES, BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
+from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
                      UncontrollableGridError, build_affine, builtin_instance,
-                     brute_force_gap, check_bang_bang, critical, critical_bound,
-                     extract_switchings, gapsolve, make_lti_system, make_ltv_system,
-                     solve_gap)
-from ctrlgap.project import dual_newton
+                     brute_force_gap, check_bang_bang, extract_switchings, gapsolve,
+                     make_lti_system, make_ltv_system, solve_gap)
 
 from conftest import gram, gram_solve, random_tiny_problem, scalar_integrator
 
@@ -143,7 +141,8 @@ class TestProjectionOracles:
             # so it starts where 1,000 restarted steps end, 4e-6 above it
             u0, _, _ = replay_projection_steps(aff, bounds, 1000, True, u0)
         u, _, gaps = replay_projection_steps(aff, bounds, 4000, rule == "restarted", u0)
-        assert res.gap_lower <= min(gaps)
+        # the answer is exact, so its lower end is the gap to rounding
+        assert res.gap_lower <= min(gaps) * (1 + 1e-12)
         assert gaps[-1] <= res.gap_norm * (1 + 1e-6)
         assert_basis_step_matches_gram_solve(aff, u)
 
@@ -198,11 +197,26 @@ def workspace(aff, bounds):
     return gapsolve._Workspace(aff, *bounds.sample(aff.grid, aff.m))
 
 
-def active_set_finish(ws, u):
-    """``gapsolve._active_set_finish`` on the interior set of ``u``: the
-    point kept and the outcome."""
-    Z = np.flatnonzero((u > ws.lo) & (u < ws.hi))
-    return gapsolve._active_set_finish(ws, u, Z)[:2]
+def exact_finish(aff, bounds, u):
+    """One primal-dual active-set step from the box point ``u`` in plain
+    numpy, an oracle for the solver's optimum: the nodes strictly inside the
+    box are solved for by least squares with the others held, and the
+    result is returned only if it stays in the box and the gap vector has
+    the sign of the bound at every held node; else None."""
+    lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))
+    Qt, c, _ = aff.basis
+    Z = np.flatnonzero((u > lo) & (u < hi))
+    if Z.size > c.size:
+        return None
+    held = u.copy()
+    held[Z] = 0.0
+    held[Z] = np.linalg.lstsq(Qt[:, Z], c - Qt @ held, rcond=None)[0]
+    g = Qt.T @ (Qt @ held - c)
+    slack = 1e-12 * np.max(np.abs(g))
+    if (np.any(held < lo) or np.any(held > hi) or np.any((u >= hi) & (g > slack))
+            or np.any((u <= lo) & (g < -slack))):
+        return None
+    return held
 
 
 def two_input_problem(N):
@@ -238,20 +252,20 @@ class TestCrossSolver:
         ("machine_tool", 1500.0, 1e-7),
     ])
     def test_three_way_agreement(self, name, a, tol):
-        # the solver, the restarted momentum replay and that replay after the
-        # active-set finish
+        # the solver, the restarted momentum replay and that replay after an
+        # exact active-set step
         inst = builtin_instance(name)
         grid = inst.system.grid(2000)
         aff = build_affine(inst.system, grid, inst.boundary)
         bounds = Bounds.symmetric(a)
-        newton = solve_gap(aff, bounds, SolveOptions(tol=tol))
-        assert newton.converged
-        assert newton.gap_norm - newton.gap_lower <= tol * newton.gap_norm
+        res = solve_gap(aff, bounds, SolveOptions(tol=tol))
+        assert res.converged
+        assert res.gap_norm - res.gap_lower <= tol * res.gap_norm
         ws = workspace(aff, bounds)
         u, _, _ = replay_projection_steps(aff, bounds, 2000, True, np.zeros(grid.N))
-        finished, _ = active_set_finish(ws, u)
-        gaps, lowers = [newton.gap_norm], [newton.gap_lower]
-        for point in (u, finished):
+        finished = exact_finish(aff, bounds, u)
+        gaps, lowers = [res.gap_norm], [res.gap_lower]
+        for point in (u, u if finished is None else finished):
             _, _, gap, lower = gapsolve._certify(ws, point)
             gaps.append(gap)
             lowers.append(lower)
@@ -262,14 +276,12 @@ class TestCrossSolver:
         assert max(lowers) <= min(gaps) * (1 + 1e-12)
 
 
-class TestActiveSetFinish:
-    @pytest.mark.parametrize("name,a,solvers", [
-        ("double_integrator", 1.0, ("newton", "restarted_replay")),
-        ("damped_oscillator", 0.3, ("newton", "restarted_replay")),
-    ])
-    def test_solvers_agree_on_switch_times(self, name, a, solvers):
+class TestExactAnswer:
+    @pytest.mark.parametrize("name,a", [("double_integrator", 1.0),
+                                        ("damped_oscillator", 0.3)])
+    def test_solver_and_finished_replay_agree_on_switch_times(self, name, a):
         # the solver's answer and 2,000 restarted momentum replay steps after
-        # the active-set finish are both the exact optimum
+        # an exact active-set step are both the exact optimum
         inst = builtin_instance(name)
         grid = inst.system.grid(2000)
         aff = build_affine(inst.system, grid, inst.boundary)
@@ -277,48 +289,45 @@ class TestActiveSetFinish:
         res = solve_gap(aff, bounds, SolveOptions(tol=1e-9))
         assert res.diagnostics["finish"] == "exact"
         u, _, _ = replay_projection_steps(aff, bounds, 2000, True, np.zeros(grid.N))
-        replayed, finish = active_set_finish(workspace(aff, bounds), u)
-        assert finish == "exact"
-        answers = {"newton": res.uB,
-                   "restarted_replay": ControlTrajectory.from_flat(replayed, grid, aff.m)}
-        times = {s: extract_switchings(answers[s], grid).switch_times for s in solvers}
-        ref = times[solvers[0]]
-        assert ref
-        for s in solvers[1:]:
-            assert len(times[s]) == len(ref)
-            assert np.max(np.abs(np.subtract(times[s], ref))) <= 1e-10
+        replayed = exact_finish(aff, bounds, u)
+        assert replayed is not None
+        times = [extract_switchings(x, grid).switch_times
+                 for x in (res.uB, ControlTrajectory.from_flat(replayed, grid, aff.m))]
+        assert times[0] and len(times[1]) == len(times[0])
+        assert np.max(np.abs(np.subtract(times[1], times[0]))) <= 1e-10
 
-    def test_rejected_finish_keeps_loop_iterate(self):
-        # 7,917 restarted steps leave 7 nodes inside the box, and their
-        # least-squares solution leaves it
-        inst = builtin_instance("machine_tool")
-        grid = inst.system.grid(1000)
-        aff = build_affine(inst.system, grid, inst.boundary)
-        bounds = Bounds.symmetric(1770.0)
-        u, _, gaps = replay_projection_steps(aff, bounds, 7917, True, np.zeros(grid.N))
-        kept = u.copy()
-        ws = workspace(aff, bounds)
-        out, finish = active_set_finish(ws, u)
-        assert finish == "rejected_box"
-        assert out is u
-        np.testing.assert_array_equal(u, kept)
-        _, _, gap, _ = gapsolve._certify(ws, out)
-        assert gap == pytest.approx(gaps[-1], rel=1e-12)
-
-    def test_feasible_problem_rejected_on_size(self, di):
+    def test_feasible_box_returns_the_critical_control(self, di):
+        # a >= a_c: the vertex control, in the box and on the affine set
         _, aff = di
-        bounds = Bounds.symmetric(3.0)
-        res = solve_gap(aff, bounds)
+        res = solve_gap(aff, Bounds.symmetric(3.0))
         assert res.diagnostics["stop"] == "certified"
-        # the feasible answer keeps many nodes inside the box, more than the
-        # n = 2 that the exact step can solve for
-        assert res.diagnostics["finish"] == "rejected_size"
-        ws = workspace(aff, bounds)
-        out, finish = active_set_finish(ws, res.uB.flat)
-        assert finish == "rejected_size"
-        np.testing.assert_array_equal(out, res.uB.flat)
+        assert res.diagnostics["finish"] == "exact"
+        assert res.iterations == res.diagnostics["pivots"]
+        assert np.max(np.abs(res.uB.values)) <= 3.0
+        assert res.gap_norm <= _feasible_floor(aff, SolveOptions().tol)
 
-    def test_exact_finish_matches_enumeration(self, rng):
+    def test_box_centred_on_the_affine_set(self):
+        # x' = u from 0 to 0: the centre u = 0 of a symmetric box steers the
+        # system, so it is the answer without a pivot
+        system = scalar_integrator()
+        aff = build_affine(system, system.grid(40), BoundarySpec(x0=[0.0], xf=[0.0]))
+        res = solve_gap(aff, Bounds.symmetric(1.0))
+        assert res.converged and res.iterations == 0
+        np.testing.assert_array_equal(res.uB.values, 0.0)
+        assert res.gap_norm == 0.0
+
+    def test_copies_of_one_column_share_their_kink(self):
+        # x' = (u1 + y, u2) for the state (x, y): every node of u1 has the
+        # same column, so at a vertex the nodes off the bound are all of
+        # them or none; a descent that kinks one copy at a time took 1,000
+        # steps here
+        system = make_lti_system([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], 0.0, 1.0)
+        aff = build_affine(system, system.grid(300), BoundarySpec(x0=[0.0, 1.0], xf=[0.0, 0.0]))
+        res = solve_gap(aff, Bounds.symmetric(0.5), SolveOptions(tol=1e-8))
+        assert res.converged and res.diagnostics["finish"] == "exact"
+        assert res.iterations <= 10
+
+    def test_exact_answer_matches_enumeration(self, rng):
         with_interior = 0
         for _ in range(30):
             problem = random_tiny_problem(rng, max_coords=6)
@@ -327,14 +336,12 @@ class TestActiveSetFinish:
             grid, aff, bounds = problem
             ref = brute_force_gap(aff, bounds)
             lo, hi = bounds.sample(grid, aff.m)
-            newton = solve_gap(aff, bounds, SolveOptions(tol=1e-9))
-            assert newton.converged
-            assert newton.gap_lower * (1 - 1e-12) <= ref.gap_norm
-            assert ref.gap_norm <= newton.gap_norm * (1 + 1e-12) + 1e-14
-            if newton.diagnostics["finish"] != "exact":
-                continue
-            assert newton.gap_norm == pytest.approx(ref.gap_norm, rel=1e-12, abs=1e-14)
-            uB = newton.uB.values
+            res = solve_gap(aff, bounds, SolveOptions(tol=1e-9))
+            assert res.converged and res.diagnostics["finish"] == "exact"
+            assert res.gap_lower * (1 - 1e-12) <= ref.gap_norm
+            assert ref.gap_norm <= res.gap_norm * (1 + 1e-12) + 1e-14
+            assert res.gap_norm == pytest.approx(ref.gap_norm, rel=1e-12, abs=1e-14)
+            uB = res.uB.values
             with_interior += bool(np.any((uB > lo) & (uB < hi)))
         assert with_interior > 0
 
@@ -384,54 +391,74 @@ class TestNewton:
             if res.converged:
                 assert excess <= tol * res.gap_norm
             else:
-                assert res.diagnostics["stop"] == "stalled"
+                assert res.diagnostics["stop"] == "rounding"
+                assert res.diagnostics["finish"] == "exact"
             # certified or not, the answer is the reference to its certificate
             expected = REFERENCES["gap:machine_tool:1000:1770"]["gap_norm"]
             assert abs(res.gap_norm - expected) <= max(excess, 1e-12 * expected)
 
-    def test_max_iter_caps_newton_steps_and_keeps_the_best_iterate(self, di):
+    def test_max_iter_caps_pivots_and_steps_and_keeps_a_box_point(self, di):
         _, aff = di
         bounds = Bounds.symmetric(1.0)
-        res = solve_gap(aff, bounds, SolveOptions(max_iter=4))
+        full = solve_gap(aff, bounds)
+        assert full.converged and full.iterations > 3
+        res = solve_gap(aff, bounds, SolveOptions(max_iter=3))
         assert not res.converged
-        assert res.iterations == 4
+        assert res.iterations == 3
         assert res.diagnostics["stop"] == "max_iter"
-        history = res.diagnostics["gap_history"]
-        assert len(history) == 4
-        assert res.gap_norm == pytest.approx(min(history), rel=1e-12)
+        assert res.diagnostics["finish"] == "cut"
         lo, hi = bounds.sample(aff.grid, 1)
         assert np.all(res.uB.values >= lo) and np.all(res.uB.values <= hi)
-        # a cap that falls on the certifying step still reports it
-        full = solve_gap(aff, bounds)
-        assert full.converged
+        assert res.gap_lower <= full.gap_norm * (1 + 1e-12) <= res.gap_norm * (1 + 2e-12)
+        # a cap that falls on the last step still reports it
         capped = solve_gap(aff, bounds, SolveOptions(max_iter=full.iterations))
         assert capped.converged
         assert capped.gap_norm == full.gap_norm
 
-    def test_cut_proximal_steps_divide_eps_by_ten(self, monkeypatch):
-        # no cold-start builtin solve runs a proximal step to _INNER_STEPS = 50;
-        # at 5, machine_tool N=1e3, a=1770 cuts three of them
-        calls = []  # eps, iterates and the last one's exact flag of each proximal step
+    def test_max_iter_cuts_the_exchange_on_the_blocks(self):
+        inst = builtin_instance("machine_tool")
+        aff = build_affine(inst.system, inst.system.grid(16_384), inst.boundary)
+        bounds = Bounds.symmetric(1770.0)
+        res = solve_gap(aff, bounds, SolveOptions(max_iter=3))
+        assert (res.iterations, res.diagnostics["pivots"]) == (3, 3)
+        assert res.diagnostics["stop"] == "max_iter"
+        lo, hi = bounds.sample(aff.grid, 1)
+        assert np.all(res.uB.values >= lo) and np.all(res.uB.values <= hi)
+        assert res.gap_lower <= res.gap_norm
 
-        def recorded(Qt, c, lo, hi, center, eps, *args):
-            calls.append([eps, 0, False])
-            for iterate in dual_newton(Qt, c, lo, hi, center, eps, *args):
-                calls[-1][1:] = calls[-1][1] + 1, iterate[3]
-                yield iterate
-
-        monkeypatch.setattr(gapsolve, "_INNER_STEPS", 5)
-        monkeypatch.setattr(gapsolve, "dual_newton", recorded)
+    def test_descent_ends_only_where_the_box_holds_every_interior_value(self):
+        # machine_tool at N=1e3, a=1770: the vertex's interior set is not the
+        # answer's, so the descent releases nodes that leave the box before
+        # its optimality test passes
         inst = builtin_instance("machine_tool")
         aff = build_affine(inst.system, inst.system.grid(1000), inst.boundary)
         res = solve_gap(aff, Bounds.symmetric(1770.0))
+        assert res.converged
+        assert res.iterations - res.diagnostics["pivots"] >= 2
+        u = res.uB.flat
+        interior = np.flatnonzero(np.abs(u) < 1770.0)
+        assert 0 < interior.size <= aff.n
+        # uB is the exact optimum: its gap vector vanishes on the interior
+        # nodes and has the sign of the bound elsewhere
+        v = res.v.flat
+        scale = np.max(np.abs(v))
+        assert np.all(np.abs(v[interior]) <= 1e-9 * scale)
+        held = np.abs(u) == 1770.0
+        assert np.all(v[held] * np.sign(u[held]) >= -1e-12 * scale)
+
+    @pytest.mark.parametrize("name,nodes,a", [("double_integrator", 50_000, 1.0),
+                                              ("machine_tool", 10_000, 1774.5),
+                                              ("double_integrator", 50_000, 2.414)])
+    def test_certifies_at_tol_1e9_where_a_switch_node_sits_at_rounding(self, name, nodes, a):
+        # the gap of a fine_grid benchmark operation and a machine_tool gap
+        # just below a_c, where a descent that holds a node whose g is at
+        # rounding level on a bound ends at excess 3.6e-9 and 7.3e-7; and the
+        # double integrator just below a_c
+        inst = builtin_instance(name)
+        aff = build_affine(inst.system, inst.system.grid(nodes), inst.boundary)
+        res = solve_gap(aff, Bounds.symmetric(a), SolveOptions(tol=1e-9))
         assert res.diagnostics["stop"] == "certified"
-        assert res.gap_norm - res.gap_lower <= SolveOptions().tol * res.gap_norm
-        # a cut step yields its start and five steps, the last not exact
-        cuts = [k for k, (_, iterates, exact) in enumerate(calls[:-1])
-                if iterates == 6 and not exact]
-        assert cuts
-        for k in cuts:
-            assert calls[k + 1][0] == calls[k][0] / 10.0
+        assert res.gap_norm - res.gap_lower <= 1e-9 * res.gap_norm
 
     def test_certificate_ends_never_cross_on_ill_conditioned_gramians(self):
         # random 4-state systems whose scaled W reaches cond 3e10: a
@@ -471,57 +498,18 @@ class TestHomogeneity:
                                   np.sign(base.v.values[mask]))
 
 
-def replay_cold_newton(aff, bounds, tol):
-    """The ``newton`` rule as it ran at every size before the coarse start,
-    on the package's kernel and certificate: from the clipped zero control
-    at eps = 1, eps growing tenfold only after a proximal step with a new
-    interior set.  Returns the gap after every Newton step and the returned
-    box iterate."""
-    ws = workspace(aff, bounds)
-    Qt, c, Rhat = aff.basis
-    floor = tol * np.sqrt(ws.h) * (1.0 + float(np.linalg.norm(Rhat.T @ c)))
-    u = np.minimum(np.maximum(0.0, ws.lo), ws.hi)
-    _, _, gap, lower = gapsolve._certify(ws, u)
-    best, history = (gap - lower, u, gap), []
-    y, eps, interior, stale = np.zeros_like(c), 1.0, None, 0
-    while True:
-        steps = dual_newton(Qt, c, ws.lo, ws.hi, u, eps, 1.0, y)
-        u_y = next(steps)[1]
-        for inner in range(1, gapsolve._INNER_STEPS + 1):
-            step = next(steps, None)
-            if step is not None:
-                y, u_y, _, exact, _ = step
-            end = step is None or exact or inner == gapsolve._INNER_STEPS
-            if end:
-                Z = np.flatnonzero((u_y > ws.lo) & (u_y < ws.hi))
-                u, _, _ = gapsolve._active_set_finish(ws, u_y, Z)
-                _, _, gap, lower = gapsolve._certify(ws, u)
-                stale = 0 if gap - lower <= 0.5 * best[0] else stale + 1
-                if gap - lower < best[0]:
-                    best = (gap - lower, u, gap)
-                if interior is None or not np.array_equal(Z, interior):
-                    eps *= 10.0
-                interior = Z
-            history.append(best[2])
-            if (best[0] <= tol * best[2] or best[2] <= floor
-                    or stale >= gapsolve._STALL_STEPS):
-                return history, best[1]
-            if end:
-                break
-
-
 def alternating_scalar_integrator(N):
     """x' = b(t) u with b = +-1 alternating from node to node: controllable
-    on the grid, while every block column sum of G, over an even number of
+    on the grid, while every block column sum of Qt, over an even number of
     nodes, is 0."""
     return make_ltv_system(lambda t: np.zeros((1, 1)),
                            lambda t: np.array([[(-1.0) ** round(t * N)]]), 1, 1, 0.0, 1.0)
 
 
-class TestCoarseStart:
-    """From ``gapsolve._COARSE_MIN_COORDS`` control coordinates up, ``newton``
-    starts from the solve on ``AffineData.coarse``; below, every iterate is
-    the cold rule's."""
+class TestBlockStart:
+    """From ``gapsolve._COARSE_MIN_COORDS`` control coordinates up, the
+    exchange starts from the vertex on block-constant controls; the answer
+    is certified like the one from the cold exchange."""
 
     @staticmethod
     def cold(aff, bounds, tol=1e-8):
@@ -531,44 +519,13 @@ class TestCoarseStart:
 
     def assert_certified_inside_the_cold_interval(self, aff, bounds, tol=1e-8):
         res = solve_gap(aff, bounds, SolveOptions(tol=tol))
-        assert res.diagnostics["coarse_iterations"] > 0
         assert res.converged
         cold = self.cold(aff, bounds, tol)
         assert cold.converged
-        assert "coarse_iterations" not in cold.diagnostics
         # the two certified intervals [gap_lower, gap_norm] overlap
         assert max(res.gap_lower, cold.gap_lower) <= min(res.gap_norm, cold.gap_norm) * (1 + 1e-12)
         lo, hi = bounds.sample(aff.grid, aff.m)
         assert np.all(res.uB.values >= lo) and np.all(res.uB.values <= hi)
-
-    def assert_takes_the_cold_path(self, aff, bounds):
-        res = solve_gap(aff, bounds, SolveOptions(tol=1e-8))
-        cold = self.cold(aff, bounds)
-        assert "coarse_iterations" not in res.diagnostics
-        assert bytes(res.diagnostics["gap_history"]) == bytes(cold.diagnostics["gap_history"])
-        np.testing.assert_array_equal(res.uB.values, cold.uB.values)
-
-    def test_below_the_floor_every_iterate_is_the_cold_rules(self, monkeypatch):
-        solves = []
-
-        def recorded(aff, bounds, opts=None):
-            res = solve_gap(aff, bounds, opts)
-            solves.append((aff, bounds, (opts or SolveOptions()).tol, res))
-            return res
-
-        monkeypatch.setattr(critical, "solve_gap", recorded)
-        for name in BUILTIN_NAMES:
-            inst = builtin_instance(name)
-            critical_bound(inst.system, inst.system.grid(1000), inst.boundary)
-        inst = builtin_instance("machine_tool")
-        aff = build_affine(inst.system, inst.system.grid(1000), inst.boundary)
-        recorded(aff, Bounds.symmetric(1770.0), SolveOptions(tol=1e-8))
-        assert len(solves) == 5
-        for aff, bounds, tol, res in solves:
-            history, uB = replay_cold_newton(aff, bounds, tol)
-            assert "coarse_iterations" not in res.diagnostics
-            assert bytes(res.diagnostics["gap_history"]) == np.array(history).tobytes()
-            assert res.uB.flat.tobytes() == uB.tobytes()
 
     @pytest.mark.parametrize("name,a", [("machine_tool", 1770.0), ("machine_tool", 1774.5),
                                         ("machine_tool", 1774.8),
@@ -579,29 +536,35 @@ class TestCoarseStart:
         aff = build_affine(inst.system, inst.system.grid(20_000), inst.boundary)
         self.assert_certified_inside_the_cold_interval(aff, Bounds.symmetric(a))
 
+    def test_the_largest_grid_near_a_c_at_tol_1e9(self):
+        # from the block start, just below a_c
+        inst = builtin_instance("machine_tool")
+        aff = build_affine(inst.system, inst.system.grid(200_000), inst.boundary)
+        res = solve_gap(aff, Bounds.symmetric(1774.7), SolveOptions(tol=1e-9))
+        assert res.diagnostics["stop"] == "certified"
+        assert res.gap_norm - res.gap_lower <= 1e-9 * res.gap_norm
+
     def test_time_varying_system_on_uneven_blocks(self):
         system = make_ltv_system(lambda t: np.array([[0.0, 1.0], [-4.0 * t, -0.5]]),
                                  lambda t: np.array([[0.0], [1.0 + 0.5 * t]]),
                                  2, 1, 0.0, 1.0)
         N = 16_400  # 256 blocks of 64 nodes and one of 16
-        aff = build_affine(system, system.grid(N),
-                           BoundarySpec(x0=[0.0, 1.0], xf=[0.0, 0.0]))
-        assert aff.coarse.grid.N == 257
+        aff = build_affine(system, system.grid(N), BoundarySpec(x0=[0.0, 1.0], xf=[0.0, 0.0]))
         self.assert_certified_inside_the_cold_interval(aff, Bounds.symmetric(1.0))
 
     def test_two_inputs_with_per_node_bounds_on_uneven_blocks(self):
-        aff, bounds = two_input_problem(8250)
-        assert aff.coarse.G.shape == (2, 2 * 129)
+        aff, bounds = two_input_problem(8250)  # 128 blocks of 64 nodes and one of 58
         self.assert_certified_inside_the_cold_interval(aff, bounds)
 
-    def test_uncontrollable_coarse_grid_takes_the_cold_path(self):
+    def test_blocks_whose_columns_cancel(self):
         N = 16_384
         system = alternating_scalar_integrator(N)
         aff = build_affine(system, system.grid(N), BoundarySpec(x0=[0.0], xf=[1.0]))
-        assert aff.controllable and not aff.coarse.controllable
-        self.assert_takes_the_cold_path(aff, Bounds.symmetric(0.5))
+        Qt = aff.basis[0]
+        assert not np.any(np.add.reduceat(Qt, np.arange(0, N, gapsolve._BLOCK), axis=1))
+        self.assert_certified_inside_the_cold_interval(aff, Bounds.symmetric(0.5))
 
-    def test_empty_block_box_takes_the_cold_path(self):
+    def test_empty_block_box_takes_the_cold_exchange(self):
         inst = builtin_instance("double_integrator")
         N = 16_384
         aff = build_affine(inst.system, inst.system.grid(N), inst.boundary)
@@ -609,24 +572,7 @@ class TestCoarseStart:
         # constant on a block
         odd = np.arange(N) % 2 == 1
         bounds = Bounds(lower=np.where(odd, 0.5, -1.0), upper=np.where(odd, 1.0, -0.5))
-        self.assert_takes_the_cold_path(aff, bounds)
-
-    def test_stale_proximal_steps_grow_eps(self):
-        # From the coarse start the interior set can repeat while the excess
-        # does not halve; holding eps there stalls this solve at excess 8e-3.
-        inst = builtin_instance("double_integrator")
-        aff = build_affine(inst.system, inst.system.grid(50_000), inst.boundary)
-        res = solve_gap(aff, Bounds.symmetric(2.414), SolveOptions(tol=1e-8))
-        assert res.diagnostics["stop"] == "certified"
-        assert res.gap_norm - res.gap_lower <= 1e-8 * res.gap_norm
-
-    def test_a_cut_proximal_step_shrinks_eps(self):
-        # From the coarse start this solve reaches eps = 1e12, where the
-        # kernel does not converge in a proximal step; growing eps further
-        # stalled it after 288 Newton steps at excess 4.9e-9.
-        inst = builtin_instance("machine_tool")
-        aff = build_affine(inst.system, inst.system.grid(200_000), inst.boundary)
-        res = solve_gap(aff, Bounds.symmetric(1774.7), SolveOptions(tol=1e-9))
-        assert res.diagnostics["coarse_iterations"] > 0
-        assert res.diagnostics["stop"] == "certified"
-        assert res.gap_norm - res.gap_lower <= 1e-9 * res.gap_norm
+        res = solve_gap(aff, bounds, SolveOptions(tol=1e-8))
+        cold = self.cold(aff, bounds)
+        assert res.diagnostics == cold.diagnostics
+        np.testing.assert_array_equal(res.uB.values, cold.uB.values)

@@ -1,12 +1,11 @@
 from collections import Counter
-from itertools import islice
 
 import numpy as np
 import pytest
 
 from ctrlgap import (BoundarySpec, Bounds, InfeasibleIntersectionError,
                      SolveOptions, build_affine, builtin_instance, critical,
-                     critical_bound, dykstra_min_energy, gapsolve, l2_norm,
+                     critical_bound, dykstra_min_energy, l2_norm,
                      make_lti_system, project, solve_gap)
 from ctrlgap.critical import _lower_end
 from ctrlgap.project import dual_newton
@@ -261,21 +260,23 @@ def counting(counts):
     return Counting
 
 
-def shorter_steps(Qt, c, lo, hi, center, eps, iterates):
-    """The number of steps between the weight-1 ``iterates`` that stop short
-    of the full Newton step.  With the dual's slope along the Newton
-    direction p recomputed from y, such a step must end at the slope's
-    root, to rounding, and a full step where the slope is not negative or
-    the clip pattern is kept."""
+def shorter_steps(Qt, c, lo, hi, iterates):
+    """The number of steps between the ``iterates`` that stop short of the
+    full Newton step.  With the dual's slope along the Newton direction p
+    recomputed from y, such a step must end at the slope's root, to
+    rounding, and a full step where the slope is not negative or the clip
+    pattern is kept.  Steps from an exact iterate follow a ray and are not
+    checked."""
     shorter = 0
-    for (y, u, grad, _, _), (y_next, *_) in zip(iterates, iterates[1:]):
+    for (y, u, grad, exact, _), (y_next, *_) in zip(iterates, iterates[1:]):
+        if exact:
+            continue
         QF = Qt[:, (lo < u) & (u < hi)]
-        p = np.linalg.solve(np.eye(c.size) + eps * (QF @ QF.T), grad)
+        p = np.linalg.lstsq(QF @ QF.T, grad, rcond=None)[0]
         t = (y_next - y) @ p / (p @ p)
-        u_next = np.clip(center - eps * (Qt.T @ y_next), lo, hi)
-        slope = float(p @ (Qt @ u_next - c - y_next))
-        rounding = 1e-11 * float(np.abs(p) @ (np.abs(Qt) @ np.abs(u_next) + np.abs(c)
-                                              + np.abs(y_next)))
+        u_next = np.clip(-(Qt.T @ y_next), lo, hi)
+        slope = float(p @ (Qt @ u_next - c))
+        rounding = 1e-11 * float(np.abs(p) @ (np.abs(Qt) @ np.abs(u_next) + np.abs(c)))
         if t == pytest.approx(1.0, rel=1e-6):
             assert slope >= -rounding or (np.array_equal(u_next <= lo, u <= lo)
                                           and np.array_equal(u_next >= hi, u >= hi))
@@ -285,28 +286,40 @@ def shorter_steps(Qt, c, lo, hi, center, eps, iterates):
     return shorter
 
 
+def search_kernel_calls(aff, monkeypatch, wrap=lambda Qt, lo: (Qt, lo)):
+    """The machine_tool N=1e3 critical search, with the (lo, hi, iterates)
+    of every ``dual_newton`` call of its minimum-energy verdicts; ``wrap``
+    may replace the Qt and lo that the kernel gets."""
+    calls = []
+
+    def recorded(Qt, c, lo, hi, y):
+        calls.append((lo, hi, []))
+        Qt_k, lo_k = wrap(Qt, lo)
+        for iterate in dual_newton(Qt_k, c, lo_k, hi, y):
+            calls[-1][2].append(iterate)
+            yield iterate
+
+    monkeypatch.setattr(project, "dual_newton", recorded)
+    inst = builtin_instance("machine_tool")
+    assert critical_bound(inst.system, aff.grid, inst.boundary, aff=aff).converged
+    return calls
+
+
 class TestDualNewton:
     def test_rejected_trials_take_no_product_with_qt(self, affine_1000, monkeypatch):
-        # the gap at machine_tool N=1e3, a=1770: a step that stops short of the
-        # full step forms its control from Qt^T y carried along the step, and
-        # at most one control besides the full step's
+        # the verdicts of the machine_tool N=1e3 search: a step that stops
+        # short of the full step forms its control from Qt^T y carried along
+        # the step, and at most one control besides the full step's
         counts = Counter()
         Counting = counting(counts)
-
-        def counted(Qt, c, lo, hi, *args):
-            counts["calls"] += 1
-            for iterate in dual_newton(Qt.view(Counting), c, lo.view(Counting), hi, *args):
-                counts["iterates"] += 1
-                yield iterate
-
-        monkeypatch.setattr(gapsolve, "dual_newton", counted)
-        assert solve_gap(affine_1000["machine_tool"], Bounds.symmetric(1770.0)).converged
-        steps = counts["iterates"] - counts["calls"]
+        calls = search_kernel_calls(affine_1000["machine_tool"], monkeypatch,
+                                    lambda Qt, lo: (Qt.view(Counting), lo.view(Counting)))
+        steps = sum(len(iterates) for *_, iterates in calls) - len(calls)
         # the start's clip, then per step the full step's and a shorter one's
-        assert counts["calls"] + steps < counts["evaluations"] <= counts["calls"] + 2 * steps
+        assert len(calls) + steps < counts["evaluations"] <= len(calls) + 2 * steps
         # the start's two products, then per step the full step's two and
         # the gradient of a shorter one
-        assert counts["products"] <= 2 * counts["calls"] + 3 * steps
+        assert counts["products"] <= 2 * len(calls) + 3 * steps
 
     @pytest.mark.parametrize("share", [0.99, 1.01])
     def test_min_energy_forms_no_product_with_qt_outside_the_kernel(self, affine_1000,
@@ -360,71 +373,9 @@ class TestDualNewton:
             assert ends[id(exc.multiplier)] == pytest.approx(_lower_end(aff, exc.multiplier),
                                                              rel=1e-12)
 
-    def test_reaches_an_exact_step_at_a_large_eps(self, affine_1000):
-        # double_integrator at N=1e3, a = 0.99 a_c, center 0 and y = 0: steps
-        # by an Armijo test took 98 and 346 Newton steps to an exact step at
-        # eps = 1e8 and 1e10, and found none in 2,000 at eps = 1e12
-        aff = affine_1000["double_integrator"]
-        Qt, c, _ = aff.basis
-        lo, hi = (b.reshape(-1) for b in Bounds.symmetric(0.99 * LP_A_C_1000["double_integrator"])
-                  .sample(aff.grid, aff.m))
-        for eps in (1e8, 1e10, 1e12):
-            exact = [step[3] for step in islice(dual_newton(Qt, c, lo, hi, 0.0, eps, 1.0,
-                                                            np.zeros_like(c)), 21)]
-            assert exact[-1]
-
-    @pytest.mark.parametrize("eps", [1e6, 1e8])
-    def test_each_step_ends_where_the_dual_stops_rising(self, affine_1000, eps):
-        # machine_tool at N=1e3, a=1770, center 0 and y = 0, where most full
+    def test_each_step_ends_where_the_dual_stops_rising(self, affine_1000, monkeypatch):
+        # the verdicts of the machine_tool N=1e3 search, where a few full
         # steps overshoot
-        aff = affine_1000["machine_tool"]
-        Qt, c, _ = aff.basis
-        lo, hi = (b.reshape(-1) for b in Bounds.symmetric(1770.0).sample(aff.grid, aff.m))
-        iterates = list(dual_newton(Qt, c, lo, hi, 0.0, eps, 1.0, np.zeros_like(c)))
-        assert iterates[-1][3] and shorter_steps(Qt, c, lo, hi, 0.0, eps, iterates) >= 2
-
-    def test_a_root_past_the_first_sorted_kinks_ends_its_step(self, monkeypatch):
-        # damped_oscillator at N=1e4, a=0.47: in one step of this gap solve
-        # the slope's root lies past the first quarter of the kinks, which
-        # the kernel sorts first
-        inst = builtin_instance("damped_oscillator")
-        aff = build_affine(inst.system, inst.system.grid(10_000), inst.boundary)
-        Qt, c, _ = aff.basis
-        calls = []
-
-        def recorded(Qt, c, lo, hi, center, eps, weight, y):
-            calls.append(((lo, hi, center, eps), []))
-            for iterate in dual_newton(Qt, c, lo, hi, center, eps, weight, y):
-                calls[-1][1].append(iterate)
-                yield iterate
-
-        monkeypatch.setattr(gapsolve, "dual_newton", recorded)
-        assert solve_gap(aff, Bounds.symmetric(0.47)).converged
-        assert sum(shorter_steps(Qt, c, *args, iterates) for args, iterates in calls) >= 2
-
-    @pytest.mark.parametrize("name", sorted(LP_A_C_1000))
-    @pytest.mark.parametrize("share", [0.99, 1.01])
-    def test_weighted_steps_solve_directly_and_follow_no_ray(self, affine_1000, monkeypatch,
-                                                             name, share):
-        # weight I + eps Qt_F Qt_F^T is regular for weight 1: its direct solve
-        # is the least-squares step to rounding, and the iteration ends at its
-        # first exact step with no ray after it
-        aff = affine_1000[name]
-        Qt, c, _ = aff.basis
-        lo, hi = (b.reshape(-1) for b in Bounds.symmetric(share * LP_A_C_1000[name])
-                  .sample(aff.grid, aff.m))
-        solve, solves = np.linalg.solve, []
-
-        def recorded(M, b):
-            solves.append((M, b, solve(M, b)))
-            return solves[-1][2]
-
-        monkeypatch.setattr(np.linalg, "solve", recorded)
-        for eps in (1.0, 1e4, 1e8):
-            exact = [step[3] for step in dual_newton(Qt, c, lo, hi, 0.0, eps, 1.0,
-                                                         np.zeros_like(c))]
-            assert exact == [False] * (len(exact) - 1) + [True]
-        assert solves
-        for M, b, x in solves:
-            ref = np.linalg.lstsq(M, b, rcond=None)[0]
-            assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.cond(M) * np.linalg.norm(x)
+        Qt, c, _ = affine_1000["machine_tool"].basis
+        calls = search_kernel_calls(affine_1000["machine_tool"], monkeypatch)
+        assert sum(shorter_steps(Qt, c, lo, hi, iterates) for lo, hi, iterates in calls) >= 1
