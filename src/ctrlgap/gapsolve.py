@@ -24,13 +24,14 @@ vector as its switching function, as the paper proves.  The solve:
    set: y = 0, and the vertex control clipped into the box is the answer.
 3. Else an exact active-set descent on F (Hintermueller, Ito and Kunisch,
    SIAM J. Optim. 13, 2003) starts from y = -lambda s, lambda minimizing F
-   along -s, with the vertex nodes as its kink set Z.  Each step heads for
-   the minimizer of F's current piece subject to g_Z = 0 and stops at F's
-   minimum on the way, where the slope, jumping by 2 w_k |e_k| where g_k
-   changes sign (e = Qt^T of the step), reaches 0: one sorted pass over
-   the breakpoints.  A breakpoint that ends a step adds its node to Z.  At
-   the piece's minimizer a least-squares solve gives u_Z, and the descent
-   releases the node furthest outside the box or stops at the optimum.
+   along -s, with the vertex's nodes at their kink as its kink set Z.
+   Each step heads for the minimizer of F's current piece subject to g_Z =
+   0 and stops at F's minimum on the way, where the slope, jumping by 2 w_k
+   |e_k| where g_k changes sign (e = Qt^T of the step), reaches 0: one
+   sorted pass over the breakpoints.  A breakpoint that ends a step adds
+   its node to Z.  At the piece's minimizer a least-squares solve gives
+   u_Z, and the descent releases the node furthest outside the box or
+   stops at the optimum.
 4. ``_certify`` certifies the box point: its gap |v| is an upper end on
    the true gap and ``project.gap_lower_bound`` of its multiplier Qt u - c
    a lower end, ``gap_lower``.  It is certified once gap - gap_lower <= tol
@@ -86,11 +87,13 @@ class GapResult:
     ``diagnostics["finish"]`` is ``"exact"`` when the pair passed the
     optimality test (the exchange's for a feasible box, else the
     descent's), so it is the exact discrete optimum up to rounding, and
-    ``"cut"`` when ``max_iter`` came first.  ``diagnostics["stop"]`` is
-    ``"certified"`` (then ``converged``), ``"rounding"`` for an exact
-    finish whose certificate rounding keeps from ``tol``, or
-    ``"max_iter"``.  ``solver`` is ``"newton"`` here and ``"oracle"`` for
-    ``brute_force_gap``.
+    ``"cut"`` when it did not.  ``diagnostics["stop"]`` is ``"certified"``
+    (then ``converged``), ``"max_iter"`` when a cut solve used all of
+    ``max_iter``, or ``"rounding"`` otherwise: rounding keeps an exact
+    finish's certificate from ``tol``, or ended the pivots or steps below
+    the cap (dependent vertex columns, or no descent or no turn of the
+    slope along an edge).  ``solver`` is ``"newton"`` here and
+    ``"oracle"`` for ``brute_force_gap``.
     """
 
     uA: ControlTrajectory
@@ -142,10 +145,6 @@ def _descend(box: _Workspace, b: np.ndarray, y: np.ndarray, g: np.ndarray, Z: li
     kink set ``Z``, in at most ``budget`` steps: the box point of its last
     piece, the steps and whether the optimality test passed."""
     Qt, z, w = box.aff.basis[0], box.z, box.w
-    # a node whose g is rounding next to the largest sits on its kink
-    level = LEVEL * float(np.max(np.abs(g)))
-    Z += [int(k) for k in np.flatnonzero(np.abs(g) <= level) if k not in Z]
-    g[Z] = 0.0
     # w_k sign(g_k), 0 on Z: uB = z - ws off Z, and Qt ws is the gradient
     # of the sum there
     ws = w * np.sign(g)
@@ -170,17 +169,15 @@ def _descend(box: _Workspace, b: np.ndarray, y: np.ndarray, g: np.ndarray, Z: li
         kink = k >= 0 and t >= times[k]
         if kink:
             t = times[k]
-        # the nodes whose kinks the step passes change sign; at a kink, those
-        # that reach theirs with it, to rounding, enter Z
-        tied = np.abs(times - t) <= LEVEL * t if kink else np.zeros(times.size, bool)
-        passed = cross[(times < t) & ~tied]
+        # the nodes whose kinks the step passes change sign, and a kink that
+        # ends it adds its node to Z
+        passed = cross[times < t]
         flip(Qt, ws, r, passed, -ws[passed])
         y, g = y + t * p, end if t == 1.0 else g + t * e
         if kink:
-            nodes = cross[tied]
-            g[nodes] = 0.0
-            flip(Qt, ws, r, nodes, np.zeros(nodes.size))
-            Z += nodes.tolist()
+            Z.append(int(cross[k]))
+            g[Z[-1]] = 0.0
+            flip(Qt, ws, r, np.array(Z[-1:]), np.zeros(1))
         elif t == 1.0:
             ratio = np.abs(x) / w[Z]
             worst = float(np.max(ratio, initial=0.0))
@@ -201,11 +198,11 @@ def _descend(box: _Workspace, b: np.ndarray, y: np.ndarray, g: np.ndarray, Z: li
     return u, steps, optimal
 
 
-# From _COARSE_MIN_COORDS control coordinates up, the exchange starts from
+# From _BLOCK_MIN_COORDS control coordinates up, the exchange starts from
 # the vertex on controls constant on blocks of _BLOCK nodes in the box: Qt
 # u = Qt_B u_B, Qt_B the block sums of Qt's columns per input, so s keeps
 # its meaning.
-_COARSE_MIN_COORDS = 16_384
+_BLOCK_MIN_COORDS = 16_384
 _BLOCK = 64
 
 
@@ -217,7 +214,7 @@ def _vertex(box: _Workspace, b: np.ndarray, max_pivots: int) -> Vertex:
     starts = np.arange(0, N, _BLOCK)
     lo = np.maximum.reduceat(box.lo.reshape(-1, m), starts).reshape(-1)
     hi = np.minimum.reduceat(box.hi.reshape(-1, m), starts).reshape(-1)
-    if box.lo.size < _COARSE_MIN_COORDS or np.any(lo >= hi):
+    if box.lo.size < _BLOCK_MIN_COORDS or np.any(lo >= hi):
         return critical_vertex(Qt, b, w, max_pivots)
     Qt_B = np.add.reduceat(Qt.reshape(c.size, N, m), starts, axis=1).reshape(c.size, -1)
     blocks = critical_vertex(Qt_B, c - Qt_B @ (0.5 * (lo + hi)), 0.5 * (hi - lo), max_pivots)
@@ -251,10 +248,11 @@ def solve_gap(aff: AffineData, bounds: Bounds,
         else:
             lam = reach / float(vertex.s @ vertex.s)
             u, steps, optimal = _descend(box, b, -lam * vertex.s, -lam * vertex.g,
-                                         list(vertex.Z), opts.max_iter - pivots)
+                                         vertex.K.tolist(), opts.max_iter - pivots)
     uA, v, gap, gap_lower = _certify(box, u)
     certified = gap - gap_lower <= opts.tol * gap or gap <= feasible_floor(aff, opts.tol)
-    stop = "certified" if certified else "rounding" if optimal else "max_iter"
+    cut = not optimal and pivots + steps >= opts.max_iter
+    stop = "certified" if certified else "max_iter" if cut else "rounding"
     uA, uB, v = (ControlTrajectory.from_flat(x, aff.grid, aff.m) for x in (uA, u, v))
     return GapResult(uA=uA, uB=uB, v=v, gap_norm=gap, iterations=pivots + steps,
                      converged=stop == "certified", solver="newton", gap_lower=gap_lower,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctrlgap import (BoundarySpec, Bounds, SolveOptions, build_affine, builtin_instance,
-                     critical_bound, make_lti_system, solve_gap)
+                     critical_bound, exchange, gapsolve, make_lti_system, solve_gap)
 from ctrlgap.critical import TOL_A_FLOOR
 from ctrlgap.exchange import certified_ends, critical_vertex
 
@@ -40,7 +40,7 @@ def assert_brackets_agree(draws):
         assert vertex.optimal, k
         assert lower <= upper <= lower + TOL_A_FLOOR * (1.0 + upper), k
         # at the vertex, n - 1 nodes leave the bound
-        assert vertex.Z.size == aff.n - 1, k
+        assert vertex.K.size == aff.n - 1, k
         res = critical_bound(system, grid, boundary, aff=aff)
         if res.converged:
             lo, hi = res.bracket
@@ -72,7 +72,7 @@ def test_one_state_vertex_has_no_vertex_nodes():
     system = make_lti_system([[0.0]], [[1.0]], 0.0, 1.0)
     aff = build_affine(system, system.grid(50), BoundarySpec(x0=[0.0], xf=[1.0]))
     vertex, lower, upper = vertex_bracket(aff)
-    assert vertex.optimal and vertex.pivots == 1 and vertex.Z.size == 0
+    assert vertex.optimal and vertex.pivots == 1 and vertex.K.size == 0
     assert lower <= 1.0 <= upper <= lower + TOL_A_FLOOR * (1.0 + upper)
 
 
@@ -122,3 +122,33 @@ def test_the_ends_bracket_the_scaling_at_which_the_box_meets_the_set(case):
     above = solve_gap(aff, Bounds(lower=z - 1.001 * upper * w, upper=z + 1.001 * upper * w),
                       SolveOptions(tol=1e-8))
     assert above.converged and above.gap_lower == 0.0
+
+
+def test_a_kink_past_the_earliest_256_ends_its_pivot_or_step(monkeypatch):
+    # machine_tool at N=1e4, a=1770 (the near_critical benchmark's gap): 2 of
+    # its 27 pivots and steps end at a kink past the 256 earliest, so the
+    # pass has to go on to sort them all
+    inst = builtin_instance("machine_tool")
+    aff = build_affine(inst.system, inst.system.grid(10_000), inst.boundary)
+    first_kink, ranks = exchange.first_kink, []
+
+    def checked(times, jumps, offset, rate):
+        k, before = first_kink(times, jumps, offset, rate)
+        # the same pass over one full sort
+        order = np.argsort(times)
+        total = np.cumsum(jumps[order])
+        hit = offset + rate * times[order] + total >= 0.0
+        if hit.any():
+            j = int(np.argmax(hit))
+            assert times[k] == times[order[j]]
+            assert before == pytest.approx(total[j] - jumps[order[j]], rel=1e-12, abs=0.0)
+            ranks.append(j)
+        else:
+            assert k == -1
+        return k, before
+
+    monkeypatch.setattr(exchange, "first_kink", checked)
+    monkeypatch.setattr(gapsolve, "first_kink", checked)
+    res = solve_gap(aff, Bounds.symmetric(1770.0))
+    assert res.converged
+    assert max(ranks) >= 256

@@ -141,8 +141,7 @@ class TestProjectionOracles:
             # so it starts where 1,000 restarted steps end, 4e-6 above it
             u0, _, _ = replay_projection_steps(aff, bounds, 1000, True, u0)
         u, _, gaps = replay_projection_steps(aff, bounds, 4000, rule == "restarted", u0)
-        # the answer is exact, so its lower end is the gap to rounding
-        assert res.gap_lower <= min(gaps) * (1 + 1e-12)
+        assert res.gap_lower <= min(gaps)
         assert gaps[-1] <= res.gap_norm * (1 + 1e-6)
         assert_basis_step_matches_gram_solve(aff, u)
 
@@ -296,6 +295,19 @@ class TestExactAnswer:
         assert times[0] and len(times[1]) == len(times[0])
         assert np.max(np.abs(np.subtract(times[1], times[0]))) <= 1e-10
 
+    @pytest.mark.parametrize("name,N,a", [("double_integrator", 1000, 1.0),
+                                          ("machine_tool", 1000, 1500.0),
+                                          ("double_integrator", 10_000, 2.414),
+                                          ("damped_oscillator", 10_000, 0.3)])
+    def test_the_floor_of_an_exact_answer_stays_below_its_gap(self, name, N, a):
+        # the answer's own gap bounds the true gap; on these four the floor
+        # from the margin as computed lay above it, by up to 5e-15 of it
+        inst = builtin_instance(name)
+        aff = build_affine(inst.system, inst.system.grid(N), inst.boundary)
+        res = solve_gap(aff, Bounds.symmetric(a))
+        assert res.converged and res.diagnostics["finish"] == "exact"
+        assert 0.0 < res.gap_lower <= res.gap_norm
+
     def test_feasible_box_returns_the_critical_control(self, di):
         # a >= a_c: the vertex control, in the box and on the affine set
         _, aff = di
@@ -426,6 +438,20 @@ class TestNewton:
         assert np.all(res.uB.values >= lo) and np.all(res.uB.values <= hi)
         assert res.gap_lower <= res.gap_norm
 
+    def test_an_exchange_cut_short_below_the_cap_stops_on_rounding(self, monkeypatch):
+        # an exchange that ends untested below max_iter, as on dependent
+        # vertex columns, here after one pivot: the feasible box's clipped
+        # control misses the set, and the stop names rounding, not the cap
+        critical_vertex = gapsolve.critical_vertex
+        monkeypatch.setattr(gapsolve, "critical_vertex",
+                            lambda Qt, b, w, max_pivots, s=None: critical_vertex(Qt, b, w, 1, s))
+        inst = builtin_instance("machine_tool")
+        aff = build_affine(inst.system, inst.system.grid(1000), inst.boundary)
+        res = solve_gap(aff, Bounds.symmetric(1800.0))
+        assert res.iterations == res.diagnostics["pivots"] == 1
+        assert not res.converged
+        assert (res.diagnostics["stop"], res.diagnostics["finish"]) == ("rounding", "cut")
+
     def test_descent_ends_only_where_the_box_holds_every_interior_value(self):
         # machine_tool at N=1e3, a=1770: the vertex's interior set is not the
         # answer's, so the descent releases nodes that leave the box before
@@ -507,14 +533,14 @@ def alternating_scalar_integrator(N):
 
 
 class TestBlockStart:
-    """From ``gapsolve._COARSE_MIN_COORDS`` control coordinates up, the
+    """From ``gapsolve._BLOCK_MIN_COORDS`` control coordinates up, the
     exchange starts from the vertex on block-constant controls; the answer
     is certified like the one from the cold exchange."""
 
     @staticmethod
     def cold(aff, bounds, tol=1e-8):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gapsolve, "_COARSE_MIN_COORDS", math.inf)
+            mp.setattr(gapsolve, "_BLOCK_MIN_COORDS", math.inf)
             return solve_gap(aff, bounds, SolveOptions(tol=tol))
 
     def assert_certified_inside_the_cold_interval(self, aff, bounds, tol=1e-8):
