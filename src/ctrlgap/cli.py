@@ -9,11 +9,11 @@ times) and ``states.csv`` (simulated states on all nodes), and with
 vectorised encoder in ``csvtext`` writes exactly the bytes that Python's
 ``%`` formatting gives.  Each command takes the argparse namespace as
 parsed and builds its summary as a plain dict; ``_emit`` leaves out None
-entries and rejects a non-finite number.  Exit codes: 0 converged, 2
-unconverged (for ``critical`` also when the certified bracket did not
-reach ``--tol-a``), 1 usage or configuration error, a file that cannot be
-read or written, or a ``gap --oracle`` enumeration whose gap lies outside
-the certified interval.
+entries and rejects a non-finite number.  Exit codes: 0 converged (for
+``critical``: the certified bracket reached ``--tol-a``), 2 unconverged,
+1 usage or configuration error, a file that cannot be read or written, or
+a ``gap --oracle`` enumeration whose gap lies outside the certified
+interval.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ def _build_parser() -> _Parser:
     p_crit = sub.add_parser("critical", help="critical bound as a certified bracket")
     add_instance_flags(p_crit, with_bound=False)
     p_crit.add_argument("--tol-a", type=float, default=1e-8,
-                        help=f"relative width of the certified bracket (default "
-                             f"1e-8, at least {TOL_A_FLOOR:g})")
+                        help=f"relative width the certified bracket must reach to "
+                             f"exit 0 (default 1e-8, at least {TOL_A_FLOOR:g})")
 
     p_ctrb = sub.add_parser("ctrb", help="controllability report")
     add_instance_flags(p_ctrb, with_bound=False)
@@ -316,18 +316,18 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     summary = {
         "command": "critical", "label": instance.label, "N": args.nodes,
         "a_c": result.a_c, "switch_times": result.switch_times,
-        "iterations": sum(p.iterations for p in result.probes),
+        "iterations": result.probes[0].iterations,
         "converged": result.converged, "wall_time_seconds": clock.seconds["solve"],
         "bracket_lo": result.bracket[0], "bracket_hi": result.bracket[1],
-        "evaluations": len(result.probes), "affine_residual": result.stats.residual,
+        "affine_residual": aff.residual(u.flat),
         "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
     _emit(Path(args.out), summary, grid,
           {"uA": u.values, "uB": u.values, "v": np.zeros_like(u.values)},
           states.values, args.svg,
           title=f"{instance.label}: critical bound, N={args.nodes}", stages=clock.seconds)
     print(f"a_c={result.a_c:.9g} bracket=({result.bracket[0]:.9g}, "
-          f"{result.bracket[1]:.9g}) evaluations={len(result.probes)} "
-          f"converged={result.converged} switch_times={result.switch_times}")
+          f"{result.bracket[1]:.9g}) converged={result.converged} "
+          f"switch_times={result.switch_times}")
     return 0 if result.converged else 2
 
 

@@ -4,18 +4,12 @@ the closed-form double-integrator solution used as an oracle.
 
 a_c is the minimum-effort value min |u|_inf subject to G u = xi.  In the
 orthonormal form {u : Qt u = c} of the affine set (``AffineData.basis``)
-a multiplier s certifies a_c >= |c.s| / |Qt^T s|_1 by weak duality
-(Neustadt, J. SIAM Control 1, 1962), and a control u certifies a_c <=
-max |u - Qt^T s|, s = Qt u - c, as its affine projection is feasible.
-The distance d(a) between the box |u| <= a and the affine set is convex,
-decreasing and zero from a_c on, and its Newton step at a < a_c is the
-lower end of the gap problem's optimal multiplier at a.  The search takes
-these steps from the left, one gap solve each (Dinkelbach's iteration for
-the ratio, Management Sci. 13, 1967); every end is certified however
-inexact the solve, and the steps converge superlinearly as d'(a_c-) !=
-0.  After each step a minimum-energy solve just above the new lower end
-gives a verdict: its control u_c certifies the upper end, or its
-multiplier a higher lower end, from which the next step starts.
+it is the value of a linear program in n <= 7 dual unknowns, 1 / a_c = min
+|Qt^T s|_1 subject to c.s = 1 (Neustadt, J. SIAM Control 1, 1962), whose
+vertex is the paper's bang-bang critical control.  The search is one
+feasible gap solve: in the box |u| <= a0, a0 the zero control's certified
+upper end, the solve's exchange finds that vertex, and a_c = a0 t_c, t_c
+the box's critical scaling, whose ends the solve certifies.
 """
 
 from __future__ import annotations
@@ -29,23 +23,22 @@ import numpy as np
 from . import analyze
 from .controllability import kalman_rank
 from .discretize import AffineData, ControlTrajectory, build_affine
-from .errors import (AnalyticCaseError, BracketError, ConsistencyError,
-                     InfeasibleIntersectionError, UncontrollableGridError)
+from .errors import AnalyticCaseError, BracketError, UncontrollableGridError
 from .gapsolve import solve_gap
 from .model import BoundarySpec, Bounds, Grid, LinearSystem
-from .project import ROUNDING, ProjectionStats, dykstra_min_energy
+from .project import ROUNDING
 
 
-# Narrowest relative bracket width the search can reach: ``_certified_ends``
-# widens the ends so that hi / lo >= (1 + ROUNDING)^2 / (1 - ROUNDING), more
-# than 1 + 3 ROUNDING, whatever the probes find.
+# Narrowest relative bracket width the search can reach: the certified ends
+# are widened so that hi / lo >= (1 + ROUNDING)^2 / (1 - ROUNDING), more than
+# 1 + 3 ROUNDING, whatever the exchange finds.
 TOL_A_FLOOR = 3 * ROUNDING
 
 
 @dataclass(frozen=True)
 class Probe:
-    """One gap solve of the search at bound ``a`` and the ends
-    lower <= a_c <= upper that its box iterate certifies."""
+    """The gap solve of the search at bound ``a`` and the ends lower <=
+    a_c <= upper that it certifies."""
 
     a: float
     lower: float
@@ -55,11 +48,10 @@ class Probe:
 
 @dataclass(frozen=True)
 class CriticalResult:
-    """Certified bracket on the critical bound, the minimum-energy control
-    in the box |u| <= a of the last step, a <= a_c = hi, with the stats of
-    that solve, and the gap solves of the search.  ``converged`` says
-    whether the bracket reached the relative width ``tol_a`` and that
-    solve converged."""
+    """Certified bracket on the critical bound, the vertex control u_c with
+    max |u_c| <= a_c = hi on the affine set, and the one gap solve of the
+    search.  ``converged`` says whether the bracket reached the relative
+    width ``tol_a``."""
 
     a_c: float
     u_c: ControlTrajectory
@@ -67,43 +59,20 @@ class CriticalResult:
     bracket: tuple[float, float]
     converged: bool
     probes: tuple[Probe, ...]
-    stats: ProjectionStats
-
-
-def _lower_end(aff: AffineData, s: np.ndarray, g: np.ndarray | None = None) -> float:
-    """a_c >= |c.s| / |Qt^T s|_1 for the multiplier ``s``, widened by
-    ``ROUNDING``: a lower end from a nearly optimal multiplier can
-    otherwise land a few ulps above a_c.  ``g`` is Qt^T s when the caller
-    has formed it."""
-    Qt, c, _ = aff.basis
-    l1 = float(np.abs(Qt.T @ s if g is None else g).sum())
-    return abs(float(c @ s)) / l1 * (1.0 - ROUNDING) / (1.0 + ROUNDING) if l1 > 0.0 else 0.0
-
-
-def _certified_ends(aff: AffineData, u: np.ndarray) -> tuple[float, float]:
-    """Ends lower <= a_c <= upper certified by the control ``u`` (flat),
-    each widened by ``ROUNDING``."""
-    Qt, c, _ = aff.basis
-    s = Qt @ u - c
-    g = Qt.T @ s
-    return _lower_end(aff, s, g), float(np.abs(u - g).max()) * (1.0 + ROUNDING)
 
 
 def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
                    tol_a: float = 1e-8, aff: AffineData | None = None) -> CriticalResult:
     """Certified bracket [lo, hi] on the critical symmetric bound.
 
-    [lo, hi] starts at the ends of the zero control.  Each round runs, while
-    hi - lo > ``tol_a`` (1 + hi), a ``Probe``, the default gap solve at a =
-    lo, and sets lo = max(lo, lower) and hi = min(hi, upper) from the ends
-    of its box iterate; then ``dykstra_min_energy`` at a = min(hi, lo +
-    ``tol_a`` (1 + lo) / 2) gives the verdict.  If it certifies
-    infeasibility, the lower end of its multiplier becomes lo and the next
-    round starts; if it converges, hi = min(hi, max(a, upper end of its
-    control)) and the search ends, converged once hi - lo <= ``tol_a`` (1 +
-    hi); if it does neither, the search ends unconverged.  ``tol_a`` must
-    be finite and at least ``TOL_A_FLOOR``.  Returns a_c = hi and, as u_c,
-    the last verdict's control.  ``aff``, when given, is the transcription
+    One ``Probe``, the default gap solve at a0 = max |Qt^T c| (1 +
+    ``ROUNDING``), the zero control's certified upper end, whose box is
+    feasible, so the solve ends on the exchange's vertex: [lo, hi] = a0
+    ``GapResult.scale``, and u_c is the solve's box point, the vertex control
+    projected onto the affine set.  The ends are certified however the
+    pivots went, so a cut exchange only widens them; the search is
+    converged once hi - lo <= ``tol_a`` (1 + hi).  ``tol_a`` must be finite
+    and at least ``TOL_A_FLOOR``.  ``aff``, when given, is the transcription
     of (system, grid, boundary), used instead of building it again.
     """
     if not TOL_A_FLOOR <= tol_a < math.inf:
@@ -123,37 +92,17 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
         raise BracketError("the zero control reaches xf, so a_c = 0 and no "
                            "box with interior is critical")
 
-    lo, hi = _certified_ends(aff, np.zeros(grid.N * aff.m))
-    probes: list[Probe] = []
-    while True:
-        if hi - lo > tol_a * (1.0 + hi):
-            res = solve_gap(aff, Bounds.symmetric(lo))
-            lower, upper = _certified_ends(aff, res.uB.flat)
-            probes.append(Probe(a=lo, lower=lower, upper=upper, iterations=res.iterations))
-            lo, hi = max(lo, lower), min(hi, upper)
-        a = min(hi, lo + 0.5 * tol_a * (1.0 + lo))
-        try:
-            u_c, stats = dykstra_min_energy(aff, Bounds.symmetric(a))
-        except InfeasibleIntersectionError as exc:
-            # the margin test that raised puts this end above a >= lo
-            if (lower := _lower_end(aff, exc.multiplier, exc.g)) <= lo:
-                raise ConsistencyError(f"infeasibility certified at a={a!r} with a "
-                                       f"lower end {lower!r} <= lo={lo!r}") from exc
-            lo = lower
-            continue
-        if stats.converged:
-            hi = min(hi, max(a, _certified_ends(aff, u_c.flat)[1]))
-        break
-
-    profile = analyze.extract_switchings(u_c, grid)
+    Qt, c, _ = aff.basis
+    a0 = float(np.abs(Qt.T @ c).max()) * (1.0 + ROUNDING)
+    res = solve_gap(aff, Bounds.symmetric(a0))
+    lo, hi = (a0 * t for t in res.scale)
     return CriticalResult(
         a_c=hi,
-        u_c=u_c,
-        switch_times=profile.switch_times,
+        u_c=res.uB,
+        switch_times=analyze.extract_switchings(res.uB, grid).switch_times,
         bracket=(lo, hi),
-        converged=stats.converged and hi - lo <= tol_a * (1.0 + hi),
-        probes=tuple(probes),
-        stats=stats)
+        converged=hi - lo <= tol_a * (1.0 + hi),
+        probes=(Probe(a=a0, lower=lo, upper=hi, iterations=res.iterations),))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,7 @@ class InfeasibleIntersectionError(CtrlGapError):
     which proves that the two constraint sets do not intersect.  When a
     minimum-energy solve raises it, ``multiplier`` is that multiplier y in
     the basis (Qt, c) of ``AffineData.basis``: a dual iterate, or a ray
-    along which the dual rises without bound; ``g`` is Qt^T y as the
-    solve formed it."""
+    along which the dual rises without bound."""
 
 
 class BracketError(CtrlGapError):

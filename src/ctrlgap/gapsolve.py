@@ -19,7 +19,8 @@ quadratic, kinked where some g_k = 0, and at most n <= 7 nodes sit on a
 kink, inside the box, at its minimizer: uB is bang-bang with the gap
 vector as its switching function, as the paper proves.  The solve:
 
-1. ``exchange.critical_vertex`` finds the critical vertex s, b.s = 1.
+1. ``exchange.critical_vertex`` finds the critical vertex s, b.s = 1, and
+   ``exchange.certified_ends`` the ends of the box's critical scaling t_c.
 2. If its value sum_k w_k |(Qt^T s)_k| is at least b.s, the box meets the
    set: y = 0, and the vertex control clipped into the box is the answer.
 3. Else an exact active-set descent on F (Hintermueller, Ito and Kunisch,
@@ -93,7 +94,10 @@ class GapResult:
     finish's certificate from ``tol``, or ended the pivots or steps below
     the cap (dependent vertex columns, or no descent or no turn of the
     slope along an edge).  ``solver`` is ``"newton"`` here and
-    ``"oracle"`` for ``brute_force_gap``.
+    ``"oracle"`` for ``brute_force_gap``.  ``scale`` = (lower, upper)
+    holds the certified ends of the scaling t_c at which the box scaled
+    about its centre meets the affine set, (0, 0) when the centre lies on
+    it; ``brute_force_gap`` leaves it None.
     """
 
     uA: ControlTrajectory
@@ -105,6 +109,7 @@ class GapResult:
     solver: str
     gap_lower: float = 0.0
     diagnostics: dict = field(default_factory=dict)
+    scale: tuple[float, float] | None = None
 
 
 class _Workspace:
@@ -238,12 +243,12 @@ def solve_gap(aff: AffineData, bounds: Bounds,
     Qt, c, _ = aff.basis
     b = c - Qt @ box.z
     if not b.any():  # the box's centre lies on the affine set
-        u, pivots, steps, optimal = box.z, 0, 0, True
+        u, pivots, steps, optimal, scale = box.z, 0, 0, True, (0.0, 0.0)
     else:
         vertex = _vertex(box, b, opts.max_iter)
         pivots, reach = vertex.pivots, float(b @ vertex.s) - vertex.value
+        *scale, u = certified_ends(Qt, c, box.z, box.w, vertex)
         if reach <= 0.0:
-            u = certified_ends(Qt, c, box.z, box.w, vertex)[2]
             u, steps, optimal = np.minimum(np.maximum(u, box.lo), box.hi), 0, vertex.optimal
         else:
             lam = reach / float(vertex.s @ vertex.s)
@@ -256,5 +261,6 @@ def solve_gap(aff: AffineData, bounds: Bounds,
     uA, uB, v = (ControlTrajectory.from_flat(x, aff.grid, aff.m) for x in (uA, u, v))
     return GapResult(uA=uA, uB=uB, v=v, gap_norm=gap, iterations=pivots + steps,
                      converged=stop == "certified", solver="newton", gap_lower=gap_lower,
+                     scale=tuple(scale),
                      diagnostics={"stop": stop, "finish": "exact" if optimal else "cut",
                                   "pivots": pivots})

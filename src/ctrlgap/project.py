@@ -169,10 +169,9 @@ def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
     ``max_iter``.  Ends converged once the row-scaled residual |D^{-1}(G u - xi)| =
     |Rhat^T (Qt u - c)|, D = sqrt(diag W), is at most ``tol`` (1 +
     |D^{-1} xi|); raises ``InfeasibleIntersectionError``, with y as its
-    ``multiplier`` and the kernel's Qt^T y as its ``g``, once
-    ``gap_lower_bound`` certifies the multiplier y, or the ray that the
-    kernel yields in its place, with the Qt^T y that the kernel yields;
-    returns ``converged=False`` once the kernel ends
+    ``multiplier``, once ``gap_lower_bound`` certifies the multiplier y, or
+    the ray that the kernel yields in its place, with the Qt^T y that the
+    kernel yields; returns ``converged=False`` once the kernel ends
     uncertified, or after ``max_iter``."""
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -191,7 +190,7 @@ def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
             error = InfeasibleIntersectionError(
                 f"a dual multiplier separates the box from the boundary-value "
                 f"set: their distance is at least {floor:.3e} (bound too small)")
-            error.multiplier, error.g = y, g
+            error.multiplier = y
             raise error
     return (ControlTrajectory.from_flat(u, aff.grid, aff.m),
             ProjectionStats(aff.residual(u), iterations, converged))

@@ -9,9 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ctrlgap import (BUILTIN_NAMES, ControlTrajectory, Grid, ProjectionStats,
+from ctrlgap import (BUILTIN_NAMES, ControlTrajectory, Grid,
                      SolveOptions, build_affine, builtin_instance, cli, figures)
-from ctrlgap.critical import _certified_ends
+from ctrlgap.project import ROUNDING
 from ctrlgap.oracle import MAX_COORDS
 
 GAP = ["gap", "--system", "double_integrator", "--nodes", "200", "--bound", "1"]
@@ -25,7 +25,7 @@ MIN_ENERGY_SUMMARY_KEYS = {"N", "a", "affine_residual", "command", "converged",
                            "stage_seconds", "terminal_error", "wall_time_seconds"}
 
 CRITICAL_SUMMARY_KEYS = {"N", "a_c", "affine_residual", "bracket_hi", "bracket_lo",
-                         "command", "converged", "evaluations", "iterations", "label",
+                         "command", "converged", "iterations", "label",
                          "stage_seconds", "switch_times", "terminal_error",
                          "wall_time_seconds"}
 
@@ -175,7 +175,7 @@ def test_parser_built_once_keeps_no_arguments_between_runs(tmp_path, capsys):
     assert cli._build_parser().parse_args(GAP).svg is False
 
 
-def test_critical_writes_the_minimum_energy_control_at_the_upper_end(tmp_path):
+def test_critical_writes_the_vertex_control_at_the_upper_end(tmp_path):
     argv = ["critical", "--system", "double_integrator", "--nodes", "200",
             "--out", str(tmp_path)]
     assert cli.run(argv) == 0
@@ -303,52 +303,29 @@ def test_systems_lists_every_builtin(capsys):
     assert lines[-1].startswith("machine_tool: n=7 m=1 horizon=[0, 0.0522]")
 
 
-def stuck_solve_gap(aff, bounds):
-    """A gap solve that returns its starting point, the zero control, whose
-    certified ends are the first bracket itself."""
-    zero = ControlTrajectory.zeros(aff.grid, aff.m)
-    return SimpleNamespace(uA=zero, uB=zero, v=zero, gap_norm=1.0,
-                           iterations=0, converged=True)
-
-
 def test_critical_stops_when_a_probe_improves_neither_end(tmp_path, capsys, monkeypatch):
-    # the gap solves are stuck and the minimum-energy step ends neither
-    # converged nor certified infeasible: the search stops after one round
-    def unconverged_min_energy(aff, bounds):
+    # a gap solve stuck at its start, the zero control, certifies only the
+    # zero control's ends: the search exits 2 on that bracket
+    def stuck_solve_gap(aff, bounds):
         zero = ControlTrajectory.zeros(aff.grid, aff.m)
-        return zero, ProjectionStats(aff.residual(zero.flat), 1, False)
+        Qt, c, _ = aff.basis
+        g = Qt.T @ c
+        lower = float(c @ c) / float(np.abs(g).sum()) * (1.0 - ROUNDING) / (1.0 + ROUNDING)
+        # the box is |u| <= the zero control's upper end, so its scale is 1
+        return SimpleNamespace(uB=zero, iterations=0, scale=(lower / bounds.upper, 1.0))
 
     monkeypatch.setattr("ctrlgap.critical.solve_gap", stuck_solve_gap)
-    monkeypatch.setattr("ctrlgap.critical.dykstra_min_energy", unconverged_min_energy)
     argv = ["critical", "--system", "double_integrator", "--nodes", "200",
             "--out", str(tmp_path)]
     assert cli.run(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["converged"] is False
-    # no minimum-energy step converged, so hi is still the zero control's
+    assert summary["converged"] is False and summary["iterations"] == 0
     inst = builtin_instance("double_integrator")
     aff = build_affine(inst.system, inst.system.grid(200), inst.boundary)
-    assert summary["bracket_hi"] == _certified_ends(aff, np.zeros(200))[1]
-
-
-def test_critical_minimum_energy_certificates_alone_close_the_bracket(tmp_path, monkeypatch):
-    # with every gap solve stuck at the zero control, each minimum-energy
-    # step either raises lo by the multiplier or the ray that certifies it
-    # infeasible, or converges and sets hi
-    monkeypatch.setattr("ctrlgap.critical.solve_gap", stuck_solve_gap)
-    argv = ["critical", "--system", "double_integrator", "--nodes", "200",
-            "--out", str(tmp_path)]
-    assert cli.run(argv) == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    lo, hi = summary["bracket_lo"], summary["bracket_hi"]
-    assert summary["converged"] is True
-    assert hi - lo <= 1e-8 * (1.0 + hi)
-    inst = builtin_instance("double_integrator")
-    aff = build_affine(inst.system, inst.system.grid(200), inst.boundary)
-    zero_lo, zero_hi = _certified_ends(aff, np.zeros(200))
-    assert zero_lo < lo and hi < zero_hi
-    assert summary["iterations"] == 0 and summary["evaluations"] >= 1
+    Qt, c, _ = aff.basis
+    assert summary["bracket_hi"] == float(np.abs(Qt.T @ c).max()) * (1.0 + ROUNDING)
+    assert summary["bracket_lo"] < summary["bracket_hi"] * (1.0 - 1e-8)
 
 
 def test_critical_with_zero_control_reaching_the_endpoint_exits_1(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from ctrlgap import (BoundarySpec, Bounds, build_affine, builtin_instance, critical_bound,
                      di_critical_analytic, make_lti_system, solve_gap)
-from ctrlgap.critical import _certified_ends
 
 from conftest import LP_A_C_1000, gram, two_input_draw
 
@@ -25,13 +24,12 @@ def test_bracket_contains_exact_critical_bound(name):
     assert res.converged
     assert lo <= LP_A_C_1000[name] <= hi
     assert res.a_c == hi
-    assert all(p.lower <= LP_A_C_1000[name] <= p.upper for p in res.probes)
-    # the Newton steps on d(a) run from the left: every lower end comes from
-    # a gap solve below a_c
-    assert all(p.a <= LP_A_C_1000[name] for p in res.probes)
-    # u_c is the minimum-energy control in a box inside the bracket
+    # one feasible gap solve, at the zero control's upper end, gives both ends
+    (probe,) = res.probes
+    assert (probe.lower, probe.upper) == res.bracket
+    assert probe.a > hi
+    # u_c is the vertex control, on the affine set and in the box |u| <= a_c
     d = np.sqrt(np.diag(gram(aff)))
-    assert res.stats.converged
     assert np.max(np.abs(res.u_c.values)) <= res.a_c
     residual = np.linalg.norm((aff.G @ res.u_c.flat - aff.xi) / d)
     assert residual <= 1e-9 * (1.0 + np.linalg.norm(aff.xi / d))
@@ -42,29 +40,30 @@ def test_bracket_contains_exact_critical_bound(name):
 def test_default_tol_a_converges(name, nodes):
     res = _critical(name, nodes, tol_a=1e-8)
     lo, hi = res.bracket
-    assert res.converged and res.stats.converged
+    assert res.converged
     assert hi - lo <= 1e-8 * (1.0 + hi)
 
 
 @pytest.mark.parametrize("name", sorted(LP_A_C_1000))
 def test_probes_replay_as_cold_default_solves(name):
-    # a probe is a default gap solve at probe.a from the zero control: the
-    # same solve run again gives the same ends, bit for bit
+    # the probe is a default gap solve at probe.a from the zero control: the
+    # same solve run again gives the same ends and control, bit for bit
     inst = builtin_instance(name)
     grid = inst.system.grid(1000)
     aff = build_affine(inst.system, grid, inst.boundary)
     res = critical_bound(inst.system, grid, inst.boundary, aff=aff)
-    assert res.probes
-    for probe in res.probes:
-        replay = solve_gap(aff, Bounds.symmetric(probe.a))
-        assert replay.iterations == probe.iterations
-        assert _certified_ends(aff, replay.uB.flat) == (probe.lower, probe.upper)
+    (probe,) = res.probes
+    replay = solve_gap(aff, Bounds.symmetric(probe.a))
+    assert replay.iterations == probe.iterations
+    assert tuple(probe.a * t for t in replay.scale) == (probe.lower, probe.upper)
+    assert np.array_equal(replay.uB.flat, res.u_c.flat)
 
 
 def test_default_tol_a_converges_on_random_systems():
-    # 100 random single-input systems: a search that ended on a minimum-energy
-    # step neither converged nor certified infeasible stopped unconverged on
-    # 8 of them, each on an exact step whose ray meets no clipped node
+    # 100 random single-input systems: a search that once ended on a
+    # minimum-energy step neither converged nor certified infeasible stopped
+    # unconverged on 8 of them, each on an exact step whose ray meets no
+    # clipped node
     rng = np.random.default_rng(1)
     unconverged = []
     for case in range(100):

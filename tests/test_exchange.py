@@ -4,7 +4,7 @@ import pytest
 from ctrlgap import (BoundarySpec, Bounds, SolveOptions, build_affine, builtin_instance,
                      critical_bound, exchange, gapsolve, make_lti_system, solve_gap)
 from ctrlgap.critical import TOL_A_FLOOR
-from ctrlgap.exchange import certified_ends, critical_vertex
+from ctrlgap.exchange import certified_ends, critical_vertex, flip
 
 from conftest import LP_A_C_1000, two_input_draw
 
@@ -42,9 +42,9 @@ def assert_brackets_agree(draws):
         # at the vertex, n - 1 nodes leave the bound
         assert vertex.K.size == aff.n - 1, k
         res = critical_bound(system, grid, boundary, aff=aff)
-        if res.converged:
-            lo, hi = res.bracket
-            assert max(lo, lower) <= min(hi, upper), k
+        assert res.converged, k
+        lo, hi = res.bracket
+        assert max(lo, lower) <= min(hi, upper), k
 
 
 def test_vertex_brackets_a_c_on_random_single_input_systems():
@@ -52,7 +52,9 @@ def test_vertex_brackets_a_c_on_random_single_input_systems():
 
 
 def test_vertex_brackets_a_c_on_random_two_input_systems():
-    # the 42nd draw is one where critical_bound ends unconverged
+    # on the 42nd draw a search by minimum-energy verdicts once ended
+    # unconverged: its verdict met the residual test with the certified upper
+    # end 9.2e-8 relative above lo
     assert_brackets_agree(two_input_draw(k) for k in range(1, 61))
 
 
@@ -64,6 +66,20 @@ def test_builtin_brackets_contain_the_exact_bound(name):
     assert vertex.optimal
     assert lower <= LP_A_C_1000[name] <= upper
     assert upper - lower <= TOL_A_FLOOR * (1.0 + upper)
+
+
+@pytest.mark.parametrize("name", sorted(LP_A_C_1000))
+def test_an_optimal_vertex_ends_on_its_multipliers(name, monkeypatch):
+    # every pivot but the last moves along an edge, with two flips (the nodes
+    # on their kink, then the nodes passed); the last finds every |mu_j| <= 1
+    # and stops without a search along an edge
+    flips = []
+    monkeypatch.setattr(exchange, "flip", lambda *args: flips.append(args) or flip(*args))
+    inst = builtin_instance(name)
+    aff = build_affine(inst.system, inst.system.grid(1000), inst.boundary)
+    vertex, _, _ = vertex_bracket(aff)
+    assert vertex.optimal and vertex.pivots > 1
+    assert len(flips) == 2 * (vertex.pivots - 1)
 
 
 def test_one_state_vertex_has_no_vertex_nodes():

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from ctrlgap import (BoundarySpec, Bounds, InfeasibleIntersectionError,
-                     SolveOptions, build_affine, builtin_instance, critical,
-                     critical_bound, dykstra_min_energy, l2_norm,
-                     make_lti_system, project, solve_gap)
-from ctrlgap.critical import _lower_end
+                     SolveOptions, build_affine, builtin_instance, dykstra_min_energy,
+                     l2_norm, make_lti_system, project, solve_gap)
 from ctrlgap.project import dual_newton
 
 from conftest import (LP_A_C_1000, gram_solve, ill_conditioned_affines, scaled_residual,
@@ -204,7 +202,9 @@ class TestMinEnergyNearCritical:
         a = 2.4227777746
         with pytest.raises(InfeasibleIntersectionError, match="separates") as err:
             dykstra_min_energy(aff, Bounds.symmetric(a))
-        assert _lower_end(aff, err.value.multiplier) > a
+        Qt, c, _ = aff.basis
+        y = err.value.multiplier
+        assert abs(float(c @ y)) / float(np.abs(Qt.T @ y).sum()) > a
 
     @pytest.mark.parametrize("share", [1 - 1e-8, 1 + 1e-9, 1 + 3e-9, 1 + 5e-9, 1 + 1e-8,
                                        1 + 1e-7, 1 + 1e-6])
@@ -286,10 +286,11 @@ def shorter_steps(Qt, c, lo, hi, iterates):
     return shorter
 
 
-def search_kernel_calls(aff, monkeypatch, wrap=lambda Qt, lo: (Qt, lo)):
-    """The machine_tool N=1e3 critical search, with the (lo, hi, iterates)
-    of every ``dual_newton`` call of its minimum-energy verdicts; ``wrap``
-    may replace the Qt and lo that the kernel gets."""
+def kernel_calls(aff, monkeypatch, wrap=lambda Qt, lo: (Qt, lo)):
+    """The (lo, hi, iterates) of every ``dual_newton`` call of two
+    minimum-energy solves on the machine_tool N=1e3 ``aff``, 1e-8 below
+    a_c, certified infeasible, and 1e-8 above, converged; ``wrap`` may
+    replace the Qt and lo that the kernel gets."""
     calls = []
 
     def recorded(Qt, c, lo, hi, y):
@@ -300,19 +301,22 @@ def search_kernel_calls(aff, monkeypatch, wrap=lambda Qt, lo: (Qt, lo)):
             yield iterate
 
     monkeypatch.setattr(project, "dual_newton", recorded)
-    inst = builtin_instance("machine_tool")
-    assert critical_bound(inst.system, aff.grid, inst.boundary, aff=aff).converged
+    a_c = LP_A_C_1000["machine_tool"]
+    with pytest.raises(InfeasibleIntersectionError):
+        dykstra_min_energy(aff, Bounds.symmetric((1 - 1e-8) * a_c))
+    assert dykstra_min_energy(aff, Bounds.symmetric((1 + 1e-8) * a_c))[1].converged
     return calls
 
 
 class TestDualNewton:
     def test_rejected_trials_take_no_product_with_qt(self, affine_1000, monkeypatch):
-        # the verdicts of the machine_tool N=1e3 search: a step that stops
-        # short of the full step forms its control from Qt^T y carried along
-        # the step, and at most one control besides the full step's
+        # minimum-energy solves either side of the machine_tool N=1e3 a_c: a
+        # step that stops short of the full step forms its control from Qt^T
+        # y carried along the step, and at most one control besides the full
+        # step's
         counts = Counter()
         Counting = counting(counts)
-        calls = search_kernel_calls(affine_1000["machine_tool"], monkeypatch,
+        calls = kernel_calls(affine_1000["machine_tool"], monkeypatch,
                                     lambda Qt, lo: (Qt.view(Counting), lo.view(Counting)))
         steps = sum(len(iterates) for *_, iterates in calls) - len(calls)
         # the start's clip, then per step the full step's and a shorter one's
@@ -342,40 +346,10 @@ class TestDualNewton:
             assert stats.converged and stats.iterations > 1
         assert counts["products"] == 0
 
-    def test_verdict_lower_ends_form_no_product_with_qt(self, affine_1000, monkeypatch):
-        # the machine_tool N=1e3 search: each infeasible verdict raises with
-        # the kernel's Qt^T y, from which its lower end is read
-        counts, ends, raised = Counter(), {}, []
-        aff = affine_1000["machine_tool"]
-        Qt, c, Rhat = aff.basis
-        monkeypatch.setitem(aff.__dict__, "basis", (Qt.view(counting(counts)), c, Rhat))
-
-        def lower_end(aff, s, g=None):
-            before = counts["products"]
-            end = ends[id(s)] = _lower_end(aff, s, g)
-            assert counts["products"] == before
-            return end
-
-        def verdict(*args):
-            try:
-                return dykstra_min_energy(*args)
-            except InfeasibleIntersectionError as exc:
-                raised.append(exc)
-                raise
-
-        monkeypatch.setattr(critical, "_lower_end", lower_end)
-        monkeypatch.setattr(critical, "dykstra_min_energy", verdict)
-        inst = builtin_instance("machine_tool")
-        res = critical_bound(inst.system, aff.grid, inst.boundary, aff=aff)
-        assert res.converged and raised
-        # the end read from the kernel's g is the one Qt^T y gives, to rounding
-        for exc in raised:
-            assert ends[id(exc.multiplier)] == pytest.approx(_lower_end(aff, exc.multiplier),
-                                                             rel=1e-12)
-
     def test_each_step_ends_where_the_dual_stops_rising(self, affine_1000, monkeypatch):
-        # the verdicts of the machine_tool N=1e3 search, where a few full
-        # steps overshoot
+        # minimum-energy solves either side of the machine_tool N=1e3 a_c,
+        # where on each side a few full steps overshoot
         Qt, c, _ = affine_1000["machine_tool"].basis
-        calls = search_kernel_calls(affine_1000["machine_tool"], monkeypatch)
-        assert sum(shorter_steps(Qt, c, lo, hi, iterates) for lo, hi, iterates in calls) >= 1
+        calls = kernel_calls(affine_1000["machine_tool"], monkeypatch)
+        assert len(calls) == 2
+        assert all(shorter_steps(Qt, c, lo, hi, iterates) >= 1 for lo, hi, iterates in calls)
