@@ -7,18 +7,23 @@ times) and ``states.csv`` (simulated states on all nodes), and with
 ``--svg`` ``figure.svg``.  The CSV files hold every value as its
 ``%.17g`` text, so ``read_trajectory`` gets the same doubles back; the
 vectorised encoder in ``csvtext`` writes exactly the bytes that Python's
-``%`` formatting gives.  Each command takes the argparse namespace as
-parsed and builds its summary as a plain dict; ``_emit`` leaves out None
-entries and rejects a non-finite number.  Exit codes: 0 converged (for
-``critical``: the certified bracket reached ``--tol-a``), 2 unconverged,
-1 usage or configuration error, a file that cannot be read or written, or
-a ``gap --oracle`` enumeration whose gap lies outside the certified
-interval.
+``%`` formatting gives.  Both files are written in one pass over blocks of
+rows: ``csvtext.encode_slots`` gives each distinct value array of a block
+its text once (the times serve both files, uB passed as the same array as
+uA reuses uA's slots, and an all-zero v is one slot for the run), and
+``csvtext.gather`` lays out each file's rows from those slots.  Each
+command takes the argparse namespace as parsed and builds its summary as a
+plain dict; ``_emit`` leaves out None entries and rejects a non-finite
+number.  Exit codes: 0 converged (for ``critical``: the certified bracket
+reached ``--tol-a``), 2 unconverged, 1 usage or configuration error, a
+file that cannot be read or written, or a ``gap --oracle`` enumeration
+whose gap lies outside the certified interval.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -34,19 +39,20 @@ from . import figures
 from .analyze import extract_switchings
 from .controllability import gramian_report, kalman_rank
 from .critical import TOL_A_FLOOR, critical_bound
-from .csvtext import encode_rows
-from .discretize import ControlTrajectory, build_affine, l2_norm, simulate
-from .errors import ConfigError, ConsistencyError, CtrlGapError
+from .csvtext import encode_slots, gather
+from .discretize import AffineData, ControlTrajectory, build_affine, l2_norm, simulate
+from .errors import ConfigError, ConsistencyError, CtrlGapError, UncontrollableGridError
 from .gapsolve import SolveOptions, feasible_floor, solve_gap
 from .model import (BUILTIN_NAMES, Bounds, Grid, ProblemInstance,
                     builtin_instance, instance_from_config)
 from .oracle import MAX_COORDS, brute_force_gap
 from .project import dykstra_min_energy
 
-# Rows encoded per write when saving a CSV file.  A block of a few thousand
-# values keeps the encoder's per-call overhead small and its scratch arrays
-# near 1 MB at 8 columns, and the whole file's text is never in memory.
-CSV_BLOCK_ROWS = 1024
+# At most this many values are encoded per call when writing the CSV
+# files.  A few thousand keep the encoder's fixed cost per call, that of
+# about a thousand values, small and its scratch arrays near 1 MB, and the
+# whole file's text is never in memory.
+CSV_BLOCK_VALUES = 8192
 # Share of a step that a time read back may be off the uniform grid rebuilt
 # from the first two times, more than rounding leaves in a written file.
 GRID_SLACK = 1e-3
@@ -165,33 +171,85 @@ class _Stages:
         return result
 
 
+def _transcribe(instance: ProblemInstance, grid: Grid) -> AffineData:
+    """``build_affine`` with ``basis``, the QR of G^T that every solve
+    reads, formed here rather than on its first use in the solve.  A grid
+    that is not controllable is left for the solve to report."""
+    aff = build_affine(instance.system, grid, instance.boundary)
+    with contextlib.suppress(UncontrollableGridError):
+        aff.basis
+    return aff
+
+
 def _symmetric_bound(bounds: Bounds) -> Optional[float]:
     """a when the box is |u| <= a with a scalar a, else None."""
     lo, hi = bounds.lower, bounds.upper
     return float(hi) if np.isscalar(lo) and np.isscalar(hi) and lo == -hi else None
 
 
-def _write_csv(path: Path, header: list[str], columns: Sequence[np.ndarray]) -> None:
-    """Write the columns under ``header``, each value as ``%.17g``: rows
-    are encoded by ``csvtext.encode_rows`` and written ``CSV_BLOCK_ROWS``
-    at a time, byte for byte what ``"%.17g" %`` gives for each value."""
-    data = np.column_stack(columns)
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("ascii"))
-        for start in range(0, data.shape[0], CSV_BLOCK_ROWS):
-            fh.write(encode_rows(data[start:start + CSV_BLOCK_ROWS]))
+def _write_csv_files(out_dir: Path, grid: Grid, curves: dict, states: np.ndarray) -> None:
+    """Write ``trajectory.csv``, the times and ``curves`` at the N left
+    nodes, and ``states.csv``, the times and ``states`` at all N + 1 nodes,
+    in one pass over blocks of rows, byte for byte what ``"%.17g" %`` gives
+    for each value.
 
+    The rows are split into the fewest equal blocks of at most
+    ``CSV_BLOCK_VALUES`` values each, so no short last block costs an
+    encoder call of its own.  Each block makes one ``csvtext.encode_slots`` call over its distinct
+    values only: the times serve both files, a curve passed as the same
+    array as an earlier one reuses its slots, and an all-zero array, tested
+    by bit pattern so that -0.0 is not one, reads one slot encoded once
+    for the whole run.  ``csvtext.gather`` then lays out each file's rows
+    of the block."""
+    nodes = grid.nodes.reshape(-1, 1)
+    sources: list[np.ndarray] = []  # the distinct arrays that vary by row
+    known: dict[int, int] = {}
+    ZERO = -1  # the source of a column that reads the zero slot, kept last
 
-def _write_trajectory(path: Path, grid: Grid, uA, uB, v) -> None:
-    m = uA.shape[1]
-    header = (["t"] + [f"uA_{i + 1}" for i in range(m)]
-              + [f"uB_{i + 1}" for i in range(m)] + [f"v_{i + 1}" for i in range(m)])
-    _write_csv(path, header, (grid.left_nodes, uA, uB, v))
+    def refs(arr: np.ndarray) -> list[tuple[int, int]]:
+        """(source, column) of each column of ``arr``."""
+        if not arr.view(np.uint64).any():
+            return [(ZERO, 0)] * arr.shape[1]
+        if id(arr) not in known:
+            known[id(arr)] = len(sources)
+            sources.append(arr)
+        return [(known[id(arr)], j) for j in range(arr.shape[1])]
 
-
-def _write_states(path: Path, grid: Grid, states) -> None:
-    n = states.shape[1]
-    _write_csv(path, ["t"] + [f"x_{i + 1}" for i in range(n)], (grid.nodes, states))
+    m, n = curves["uA"].shape[1], states.shape[1]
+    files = [
+        ("trajectory.csv", grid.N,
+         ["t"] + [f"{name}_{i + 1}" for name in ("uA", "uB", "v") for i in range(m)],
+         refs(nodes) + refs(curves["uA"]) + refs(curves["uB"]) + refs(curves["v"])),
+        ("states.csv", grid.N + 1, ["t"] + [f"x_{i + 1}" for i in range(n)],
+         refs(nodes) + refs(states))]
+    widths = [arr.shape[1] for arr in sources]
+    blocks = math.ceil((grid.N + 1) * sum(widths) / CSV_BLOCK_VALUES)
+    rows = -(-(grid.N + 1) // blocks)
+    slots = np.empty((rows * sum(widths) + 1, 4), dtype="<u8")  # zero slot last
+    steps = np.append(widths, 0)
+    # the zero slot is encoded with the first block, in no call of its own
+    zero = [np.zeros(1)] if any(
+        source == ZERO for *_, columns in files for source, _ in columns) else []
+    with contextlib.ExitStack() as stack:
+        layouts = []
+        for name, total, header, columns in files:
+            fh = stack.enter_context(open(out_dir / name, "wb"))
+            fh.write((",".join(header) + "\n").encode("ascii"))
+            source, col = np.array(columns).T
+            layouts.append((fh, total, source, col, steps[source]))
+        for r0 in range(0, grid.N + 1, rows):
+            parts = [arr[r0:r0 + rows].reshape(-1) for arr in sources]
+            starts = np.cumsum([0] + [part.size for part in parts])
+            encode_slots(np.concatenate(parts + zero), out=slots[:starts[-1] + len(zero)])
+            if zero:
+                slots[ZERO] = slots[starts[-1]]
+                zero = []
+            starts[ZERO] = len(slots) - 1
+            for fh, total, source, col, step in layouts:
+                if r0 < total:
+                    first = starts[source] + col
+                    block = np.arange(min(rows, total - r0))
+                    fh.write(gather(slots, first + block[:, None] * step))
 
 
 def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
@@ -248,10 +306,7 @@ def _emit(out_dir: Path, summary: dict, grid: Grid = None,
     out_dir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     if curves is not None:
-        _write_trajectory(out_dir / "trajectory.csv", grid,
-                          curves["uA"], curves["uB"], curves["v"])
-    if states is not None:
-        _write_states(out_dir / "states.csv", grid, states)
+        _write_csv_files(out_dir, grid, curves, states)
     if svg and curves is not None:
         figures.write_svg(out_dir / "figure.svg", grid.left_nodes, curves, title)
     if stages is not None:
@@ -269,7 +324,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     bounds = _resolve_bounds(args, instance)
     grid = instance.system.grid(args.nodes)
     clock = _Stages()
-    aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
+    aff = clock("transcribe", _transcribe, instance, grid)
     result = clock("solve", solve_gap, aff, bounds,
                    SolveOptions(tol=args.tol, max_iter=args.max_iter))
     profile = extract_switchings(result.uB, grid)
@@ -308,7 +363,7 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     grid = instance.system.grid(args.nodes)
     clock = _Stages()
-    aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
+    aff = clock("transcribe", _transcribe, instance, grid)
     result = clock("solve", critical_bound, instance.system, grid, instance.boundary,
                    tol_a=args.tol_a, aff=aff)
     u = result.u_c
@@ -363,7 +418,7 @@ def _cmd_min_energy(args: argparse.Namespace) -> int:
     bounds = _resolve_bounds(args, instance)
     grid = instance.system.grid(args.nodes)
     clock = _Stages()
-    aff = clock("transcribe", build_affine, instance.system, grid, instance.boundary)
+    aff = clock("transcribe", _transcribe, instance, grid)
     u, stats = clock("solve", dykstra_min_energy, aff, bounds, tol=args.tol,
                      max_iter=args.max_iter)
     states = clock("simulate", simulate, instance.system, grid, instance.boundary.x0, u)

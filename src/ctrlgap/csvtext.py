@@ -1,9 +1,12 @@
-"""Exact ``%.17g`` text of float64 blocks, with no Python call per value.
+"""Exact ``%.17g`` text of float64 values, with no Python call per value.
 
-``encode_rows(block)`` returns the bytes of
-``",".join("%.17g" % x for x in row) + "\\n"`` for each row of a 2-D float64
-array: the text of CPython's correctly rounded dtoa, at a fraction of its
-cost per value.
+Two steps make CSV text.  ``encode_slots(x)`` gives each value of a flat
+float64 array the text of ``"%.17g" % value``, CPython's correctly rounded
+dtoa, in a 32-byte slot, at a fraction of its cost per value.
+``gather(slots, index)`` lays out rows from the slots at a 2-D index, each
+value followed by ``,`` or, at a row's end, a newline.  A writer thus
+encodes each distinct value once, however many columns or files show it,
+and a constant column as one slot.
 
 Digits.  Each |x| is scaled to y = |x| 10^(16-k), k = floor(log10 |x|), in
 double-double arithmetic: 10^p is a pair hi + lo of doubles, built from
@@ -17,8 +20,9 @@ round half to even), |x| outside [``LOWEST``, ``HIGHEST``] other than 0, and
 non-finite values.
 
 Text.  Each value fills a 32-byte slot of four little-endian words whose
-bytes are text or NUL, in a bytearray whose ``translate`` then drops the
-NULs in one pass.
+bytes are text or NUL.  ``gather`` copies the slots of a block's rows into
+a bytearray, sets each slot's separator byte, and drops the NULs in one
+``translate`` pass.
 Word 0 holds the sign, the ``0.000`` head of fixed notation below 1 and the
 first digit.  Words 1 and 2 hold the other 16 digits, made by two
 multiply-shift rounds in SWAR lanes; the trailing zeros of the fraction stay
@@ -239,23 +243,34 @@ def _layout(x: np.ndarray, M: np.ndarray, X: np.ndarray, words: np.ndarray) -> N
     words[:, 1:3] = ab.T
 
 
-def encode_rows(block: np.ndarray) -> bytearray:
-    """The ``%.17g`` CSV text of the rows of a 2-D float64 array."""
-    x = np.ascontiguousarray(block, dtype=np.float64)
-    rows, cols = x.shape
+def encode_slots(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``%.17g`` text of each value of the flat float64 array ``x`` in
+    its 32-byte slot, as the rows of an (n, 4) array of little-endian words
+    (``out`` when given): text bytes and NULs, with byte 30 left NUL for the
+    separator that ``gather`` puts there."""
+    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
     n = x.size
-    x = x.reshape(n)
     M, X, fallback = _decimal(x)
-    text = bytearray(32 * n)
-    words = np.frombuffer(text, dtype="<u8").reshape(n, 4)
+    words = np.empty((n, 4), dtype="<u8") if out is None else out
     _layout(x, M, X, words)
     del M, X
-    seps = np.full(cols, ord(","), dtype=np.uint64)
-    seps[-1] = ord("\n")
-    words.reshape(rows, cols, 4)[..., 3] |= seps << _U(48)
     slots = words.view(np.uint8)
     for j in fallback:
-        s = FLOAT_FMT % x[j] + ("\n" if j % cols == cols - 1 else ",")
+        s = (FLOAT_FMT % x[j]).encode("ascii")
         slots[j] = 0
-        slots[j, :len(s)] = np.frombuffer(s.encode("ascii"), dtype=np.uint8)
+        slots[j, :len(s)] = np.frombuffer(s, dtype=np.uint8)
+    return words
+
+
+def gather(slots: np.ndarray, index: np.ndarray) -> bytearray:
+    """The CSV text of rows whose values are the ``slots`` at the 2-D
+    ``index``: each slot copied in row order, followed by ``,`` or, at a
+    row's end, a newline, and the NULs dropped."""
+    rows, cols = index.shape
+    text = bytearray(32 * index.size)
+    words = np.frombuffer(text, dtype="<u8").reshape(rows, cols, 4)
+    np.take(slots, index, axis=0, out=words, mode="clip")
+    seps = np.full(cols, ord(","), dtype=np.uint64)
+    seps[-1] = ord("\n")
+    words[..., 3] |= seps << _U(48)
     return text.translate(None, b"\0")

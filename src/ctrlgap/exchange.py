@@ -161,12 +161,13 @@ def critical_vertex(Qt: np.ndarray, b: np.ndarray, w: np.ndarray, max_pivots: in
     return Vertex(s, g, K, value, v, scale, pivots, optimal)
 
 
-def certified_ends(Qt: np.ndarray, c: np.ndarray, z: np.ndarray, w: np.ndarray,
-                   vertex: Vertex) -> tuple[float, float, np.ndarray]:
+def certified_ends(Qt: np.ndarray, c: np.ndarray, b: np.ndarray, z: np.ndarray,
+                   w: np.ndarray, vertex: Vertex) -> tuple[float, float, np.ndarray]:
     """Ends lower <= t_c <= upper certified by ``vertex`` (Qt with
-    orthonormal rows), each widened by ``ROUNDING``, and the control z + v
-    / scale projected onto the affine set, which certifies the upper one."""
-    b_s = float((c - Qt @ z) @ vertex.s)
+    orthonormal rows, b = c - Qt z as the exchange had it), each widened by
+    ``ROUNDING``, and the control z + v / scale projected onto the affine
+    set, which certifies the upper one."""
+    b_s = float(b @ vertex.s)
     u = z + vertex.v / vertex.scale
     u -= Qt.T @ (Qt @ u - c)
     lower = b_s / vertex.value * (1.0 - ROUNDING) / (1.0 + ROUNDING) if vertex.value > 0.0 else 0.0

@@ -247,7 +247,7 @@ def solve_gap(aff: AffineData, bounds: Bounds,
     else:
         vertex = _vertex(box, b, opts.max_iter)
         pivots, reach = vertex.pivots, float(b @ vertex.s) - vertex.value
-        *scale, u = certified_ends(Qt, c, box.z, box.w, vertex)
+        *scale, u = certified_ends(Qt, c, b, box.z, box.w, vertex)
         if reach <= 0.0:
             u, steps, optimal = np.minimum(np.maximum(u, box.lo), box.hi), 0, vertex.optimal
         else:

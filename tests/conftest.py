@@ -106,3 +106,20 @@ def scaled_residual(aff, u):
     """|D^{-1}(G u - xi)| / (1 + |D^{-1} xi|), D = sqrt(diag W)."""
     d = np.sqrt(np.diag(gram(aff)))
     return np.linalg.norm((aff.G @ u - aff.xi) / d) / (1.0 + np.linalg.norm(aff.xi / d))
+
+
+def counting(counts):
+    """An ndarray subclass whose views count, in ``counts``, their products
+    with a vector and, through lo, the controls u(y) that the kernel forms,
+    each of which clips once against it."""
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
+            if ufunc is np.matmul and min(np.ndim(x) for x in inputs) == 1:
+                counts["products"] += 1
+            elif ufunc is np.maximum:
+                counts["evaluations"] += 1
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    return Counting

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from ctrlgap import (BUILTIN_NAMES, ControlTrajectory, Grid,
-                     SolveOptions, build_affine, builtin_instance, cli, figures)
+                     SolveOptions, build_affine, builtin_instance, cli, csvtext, figures)
 from ctrlgap.project import ROUNDING
 from ctrlgap.oracle import MAX_COORDS
 
@@ -346,6 +347,14 @@ def reference_csv(header, rows):
     return buf.getvalue()
 
 
+def differing_line(path, expected):
+    """The first line of the file at ``path`` that differs from
+    ``expected``'s, as (number, line, expected line), or None: a short
+    report where pytest's diff of two long texts would take minutes."""
+    pairs = itertools.zip_longest(path.read_text().split("\n"), expected.split("\n"))
+    return next(((i, line, want) for i, (line, want) in enumerate(pairs) if line != want), None)
+
+
 def awkward_columns(N, m):
     """Values that stress the text format: signed zero, a subnormal, +-1e300."""
     rng = np.random.default_rng(7)
@@ -354,26 +363,85 @@ def awkward_columns(N, m):
     return cols
 
 
-def test_csv_text_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path):
-    N, m = cli.CSV_BLOCK_ROWS + 45, 2
-    grid = Grid(N=N, t0=0.0, tf=1.0)
-    uA, uB, v = awkward_columns(N, m)
-    path = tmp_path / "trajectory.csv"
-    cli._write_trajectory(path, grid, uA, uB, v)
+def write_and_check_csv_files(tmp_path, monkeypatch, grid, curves, states):
+    """Write the two CSV files, check their text against csv.writer's
+    ``%.17g`` and trajectory.csv's values read back bit for bit, and return
+    the number of values of each encoder call."""
+    encoded = []
+
+    def encode_slots(x, out=None):
+        encoded.append(x.size)
+        return csvtext.encode_slots(x, out)
+
+    monkeypatch.setattr(cli, "encode_slots", encode_slots)
+    cli._write_csv_files(tmp_path, grid, curves, states)
+    m = curves["uA"].shape[1]
     header = (["t"] + [f"uA_{i + 1}" for i in range(m)]
               + [f"uB_{i + 1}" for i in range(m)] + [f"v_{i + 1}" for i in range(m)])
-    rows = np.column_stack([grid.left_nodes, uA, uB, v])
-    assert path.read_text() == reference_csv(header, rows)
+    rows = np.column_stack([grid.left_nodes, curves["uA"], curves["uB"], curves["v"]])
+    path = tmp_path / "trajectory.csv"
+    assert differing_line(path, reference_csv(header, rows)) is None
 
     back_grid, blocks = cli.read_trajectory(path)
-    assert back_grid.N == N
-    for name, values in (("uA", uA), ("uB", uB), ("v", v)):
+    assert back_grid.N == grid.N
+    for name, values in curves.items():
         np.testing.assert_array_equal(blocks[name].view(np.int64), values.view(np.int64))
 
+    header = ["t"] + [f"x_{i + 1}" for i in range(states.shape[1])]
+    assert differing_line(tmp_path / "states.csv", reference_csv(
+        header, np.column_stack([grid.nodes, states]))) is None
+    return encoded
+
+
+def test_csv_text_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path, monkeypatch):
+    N, m = cli.CSV_BLOCK_VALUES // 4 + 45, 2
+    grid = Grid(N=N, t0=0.0, tf=1.0)
+    uA, uB, v = awkward_columns(N, m)
     states = awkward_columns(N + 1, 3)[1]
-    cli._write_states(tmp_path / "states.csv", grid, states)
-    assert (tmp_path / "states.csv").read_text() == reference_csv(
-        ["t", "x_1", "x_2", "x_3"], np.column_stack([grid.nodes, states]))
+    encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid,
+                                        {"uA": uA, "uB": uB, "v": v}, states)
+    # the times once for both files
+    assert sum(encoded) == (N + 1) * 4 + N * 3 * m
+
+
+def test_blocks_of_one_row_end_on_the_extra_states_row_alone(tmp_path, monkeypatch):
+    # every block one row: the last one holds states.csv's extra row and no
+    # trajectory row
+    monkeypatch.setattr(cli, "CSV_BLOCK_VALUES", 1)
+    N, m = 5, 2
+    grid = Grid(N=N, t0=0.0, tf=1.0)
+    uA, uB, v = awkward_columns(N, m)
+    states = awkward_columns(N + 1, 3)[1]
+    encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid,
+                                        {"uA": uA, "uB": uB, "v": v}, states)
+    assert encoded == [4 + 3 * m] * N + [4]
+
+
+@pytest.mark.parametrize("case", ["shared_uB", "negative_zero_v", "one_nonzero_v"])
+def test_a_shared_or_zero_curve_is_encoded_once(tmp_path, monkeypatch, case):
+    # uB passed as the very array uA is read from uA's slots, and an all-zero
+    # v from the one zero slot; a v of -0.0 or with one nonzero entry is not
+    # all zero by bit pattern and is encoded in full
+    N, m = cli.CSV_BLOCK_VALUES // 4 + 45, 2
+    grid = Grid(N=N, t0=0.0, tf=1.0)
+    uA, uB, _ = awkward_columns(N, m)
+    v = np.zeros((N, m))
+    if case == "shared_uB":  # as min-energy and critical pass them
+        uB = uA
+    elif case == "negative_zero_v":
+        v[:] = -0.0
+    else:
+        v[N // 2, 1] = 1e-300
+    states = awkward_columns(N + 1, 3)[1]
+    encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid,
+                                        {"uA": uA, "uB": uB, "v": v}, states)
+    first_row = (tmp_path / "trajectory.csv").read_text().split("\n")[1]
+    if case == "shared_uB":  # uA, and v's zero slot
+        assert sum(encoded) == (N + 1) * 4 + N * m + 1
+        assert first_row.endswith(",0,0")
+    else:
+        assert sum(encoded) == (N + 1) * 4 + N * 3 * m
+        assert first_row.endswith(",-0,-0") == (case == "negative_zero_v")
 
 
 @pytest.mark.parametrize("text", [
@@ -425,6 +493,23 @@ def test_stage_seconds_recorded(tmp_path, argv):
     assert set(stages) == {"transcribe", "solve", "simulate", "write"}
     assert all(t >= 0.0 for t in stages.values())
     assert summary["wall_time_seconds"] == stages["solve"]
+
+
+@pytest.mark.parametrize("argv", [
+    GAP,
+    ["critical", "--system", "double_integrator", "--nodes", "200"],
+    ["min-energy", "--system", "machine_tool", "--nodes", "1000", "--bound", "1776.6"],
+])
+def test_the_qr_is_billed_to_the_transcribe_stage(tmp_path, monkeypatch, argv):
+    # the solve stage finds the basis, and the QR of G^T behind it, formed
+    formed = []
+    for name in ("solve_gap", "critical_bound", "dykstra_min_energy"):
+        def solve(*args, _solve=getattr(cli, name), **kwargs):
+            formed.append("basis" in kwargs.get("aff", args[0]).__dict__)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(cli, name, solve)
+    assert cli.run(argv + ["--out", str(tmp_path)]) == 0
+    assert formed == [True]
 
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -533,3 +618,46 @@ def test_written_csv_files_are_percent_17g_of_their_values(tmp_path, command, sy
         header = text.split("\n", 1)[0].split(",")
         rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
         assert text == reference_csv(header, rows)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("command,distinct", [("gap", 6), ("min-energy", 4), ("critical", 4)])
+def test_cli_files_are_percent_17g_of_the_returned_arrays(tmp_path, monkeypatch, command,
+                                                          distinct, extra):
+    # double_integrator (n = 2, m = 1): per row, gap encodes t, uA, uB, v and
+    # the two states, min-energy and critical t, u and the states, as they
+    # pass u as uA and uB and an all-zero v.  N is one block's rows + extra:
+    # states.csv's one row more closes the one block, or takes a second one
+    # of two equal blocks, inside which trajectory.csv ends a row earlier.
+    N = cli.CSV_BLOCK_VALUES // distinct + extra
+    returned = {}
+
+    def record(name, fn):
+        def recorded(*args, **kwargs):
+            returned[name] = fn(*args, **kwargs)
+            return returned[name]
+        monkeypatch.setattr(cli, name, recorded)
+
+    for name in ("solve_gap", "critical_bound", "dykstra_min_energy", "simulate"):
+        record(name, getattr(cli, name))
+    calls = []
+    monkeypatch.setattr(cli, "encode_slots",
+                        lambda x, out: calls.append(x.size) or csvtext.encode_slots(x, out))
+    argv = [command, "--system", "double_integrator", "--nodes", str(N), "--out", str(tmp_path)]
+    if command != "critical":
+        argv += ["--bound", "1" if command == "gap" else "3"]
+    assert cli.run(argv) == 0
+    assert len(calls) == (1 if extra < 0 else 2)
+    if command == "gap":
+        result = returned["solve_gap"]
+        uA, uB, v = result.uA.values, result.uB.values, result.v.values
+    else:
+        u = (returned["critical_bound"].u_c if command == "critical"
+             else returned["dykstra_min_energy"][0])
+        uA = uB = u.values
+        v = np.zeros_like(u.values)
+    grid = builtin_instance("double_integrator").system.grid(N)
+    assert differing_line(tmp_path / "trajectory.csv", reference_csv(
+        ["t", "uA_1", "uB_1", "v_1"], np.column_stack([grid.left_nodes, uA, uB, v]))) is None
+    assert differing_line(tmp_path / "states.csv", reference_csv(
+        ["t", "x_1", "x_2"], np.column_stack([grid.nodes, returned["simulate"].values]))) is None

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlgap import csvtext
-from ctrlgap.csvtext import encode_rows
+
+
+def encode_rows(block):
+    """The CSV text of the rows of a 2-D float64 array, through both steps:
+    each value encoded once, the rows gathered in order."""
+    x = np.asarray(block, dtype=np.float64)
+    return csvtext.gather(csvtext.encode_slots(x), np.arange(x.size).reshape(x.shape))
 
 
 def reference_rows(block):
@@ -100,3 +106,11 @@ def test_tables_are_built_on_first_use():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.split() == ["0", "0"]
+
+
+def test_a_slot_gathered_at_several_places_takes_each_place_s_separator():
+    # 1e300 is formatted by Python into its slot; -0.0 and 1e300 are each read
+    # before a comma and before a newline
+    x = np.array([0.1, -0.0, 1e300])
+    text = csvtext.gather(csvtext.encode_slots(x), np.array([[0, 1, 1], [2, 2, 0], [1, 0, 2]]))
+    assert text == reference_rows(x[[[0, 1, 1], [2, 2, 0], [1, 0, 2]]])

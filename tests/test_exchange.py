@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from ctrlgap import (BoundarySpec, Bounds, SolveOptions, build_affine, builtin_i
                      critical_bound, exchange, gapsolve, make_lti_system, solve_gap)
 from ctrlgap.critical import TOL_A_FLOOR
 from ctrlgap.exchange import certified_ends, critical_vertex, flip
+from ctrlgap.project import ROUNDING
 
-from conftest import LP_A_C_1000, two_input_draw
+from conftest import LP_A_C_1000, counting, two_input_draw
 
 
 def vertex_bracket(aff):
@@ -15,7 +18,7 @@ def vertex_bracket(aff):
     Qt, c, _ = aff.basis
     z, w = np.zeros(Qt.shape[1]), np.ones(Qt.shape[1])
     vertex = critical_vertex(Qt, c, w, 1_000)
-    lower, upper, _ = certified_ends(Qt, c, z, w, vertex)
+    lower, upper, _ = certified_ends(Qt, c, c, z, w, vertex)
     return vertex, lower, upper
 
 
@@ -125,8 +128,9 @@ def test_the_ends_bracket_the_scaling_at_which_the_box_meets_the_set(case):
     lo, hi = Bounds(lower=lo, upper=hi).sample(grid, aff.m)
     z, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
     Qt, c, _ = aff.basis
-    vertex = critical_vertex(Qt, c - Qt @ z.reshape(-1), w.reshape(-1), 1_000)
-    lower, upper, u = certified_ends(Qt, c, z.reshape(-1), w.reshape(-1), vertex)
+    b = c - Qt @ z.reshape(-1)
+    vertex = critical_vertex(Qt, b, w.reshape(-1), 1_000)
+    lower, upper, u = certified_ends(Qt, c, b, z.reshape(-1), w.reshape(-1), vertex)
     assert vertex.optimal
     assert lower <= upper <= lower + TOL_A_FLOOR * (1.0 + upper)
     # the certifying control lies on the affine set and in the box scaled by upper
@@ -138,6 +142,26 @@ def test_the_ends_bracket_the_scaling_at_which_the_box_meets_the_set(case):
     above = solve_gap(aff, Bounds(lower=z - 1.001 * upper * w, upper=z + 1.001 * upper * w),
                       SolveOptions(tol=1e-8))
     assert above.converged and above.gap_lower == 0.0
+
+
+def test_the_ends_read_b_and_form_products_with_qt_only_to_project():
+    # b = c - Qt z comes from the caller, as the exchange had it: the two
+    # products left project the certifying control, Qt u and Qt^T of its
+    # residual, and the ends are b.s's
+    inst = builtin_instance("double_integrator")
+    aff = build_affine(inst.system, inst.system.grid(1000), inst.boundary)
+    Qt, c, _ = aff.basis
+    z, w = np.full(Qt.shape[1], 1.25), np.full(Qt.shape[1], 1.75)
+    b = c - Qt @ z
+    vertex = critical_vertex(Qt, b, w, 1_000)
+    counts = Counter()
+    lower, upper, u = certified_ends(Qt.view(counting(counts)), c, b, z, w, vertex)
+    assert counts["products"] == 2
+    assert lower == float((c - Qt @ z) @ vertex.s) / vertex.value * (1.0 - ROUNDING) / (
+        1.0 + ROUNDING)
+    plain = certified_ends(Qt, c, b, z, w, vertex)
+    assert (lower, upper) == plain[:2]
+    np.testing.assert_array_equal(u.view(np.int64), plain[2].view(np.int64))
 
 
 def test_a_kink_past_the_earliest_256_ends_its_pivot_or_step(monkeypatch):

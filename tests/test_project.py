@@ -8,8 +8,8 @@ from ctrlgap import (BoundarySpec, Bounds, InfeasibleIntersectionError,
                      l2_norm, make_lti_system, project, solve_gap)
 from ctrlgap.project import dual_newton
 
-from conftest import (LP_A_C_1000, gram_solve, ill_conditioned_affines, scaled_residual,
-                      two_input_draw)
+from conftest import (LP_A_C_1000, counting, gram_solve, ill_conditioned_affines,
+                      scaled_residual, two_input_draw)
 
 
 @pytest.fixture(scope="module")
@@ -241,23 +241,6 @@ class TestMinEnergyNearCritical:
         floor = float(str(err.value).split("at least ")[1].split()[0])
         gap = solve_gap(aff, bounds, SolveOptions(tol=1e-11)).gap_norm
         assert 0.0 < floor <= gap * (1 + 1e-9)
-
-
-def counting(counts):
-    """An ndarray subclass whose views count, in ``counts``, their products
-    with a vector and, through lo, the controls u(y) that the kernel forms,
-    each of which clips once against it."""
-
-    class Counting(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            inputs = [x.view(np.ndarray) if isinstance(x, Counting) else x for x in inputs]
-            if ufunc is np.matmul and min(np.ndim(x) for x in inputs) == 1:
-                counts["products"] += 1
-            elif ufunc is np.maximum:
-                counts["evaluations"] += 1
-            return getattr(ufunc, method)(*inputs, **kwargs)
-
-    return Counting
 
 
 def shorter_steps(Qt, c, lo, hi, iterates):
