@@ -1,8 +1,7 @@
 """Gap solutions and critical feasibility bounds for box-constrained
 linear optimal control under forward-Euler transcription."""
 
-from .analyze import (BangBangReport, SwitchingProfile, check_bang_bang,
-                      extract_switchings)
+from .analyze import SwitchingProfile, extract_switchings
 from .controllability import CtrbReport, gramian_report, kalman_rank
 from .critical import (CriticalResult, DICriticalSolution, critical_bound,
                        di_critical_analytic)
@@ -21,15 +20,14 @@ from .project import ProjectionStats, dykstra_min_energy
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineData", "AnalyticCaseError", "BangBangReport",
-    "BoundarySpec", "Bounds", "BracketError", "BUILTIN_NAMES", "ConfigError",
-    "ConsistencyError", "ControlTrajectory", "CriticalResult",
-    "CtrbReport", "CtrlGapError", "DICriticalSolution", "GapResult", "Grid",
-    "InfeasibleIntersectionError", "LinearSystem", "OracleSizeError",
+    "AffineData", "AnalyticCaseError", "BoundarySpec", "Bounds", "BracketError",
+    "BUILTIN_NAMES", "ConfigError", "ConsistencyError", "ControlTrajectory",
+    "CriticalResult", "CtrbReport", "CtrlGapError", "DICriticalSolution", "GapResult",
+    "Grid", "InfeasibleIntersectionError", "LinearSystem", "OracleSizeError",
     "ProblemInstance", "ProjectionStats", "SimulationOverflowError",
     "SolveOptions", "StateTrajectory", "SwitchingProfile",
     "UncontrollableGridError", "brute_force_gap",
-    "build_affine", "builtin_instance", "check_bang_bang", "critical_bound",
+    "build_affine", "builtin_instance", "critical_bound",
     "di_critical_analytic", "dykstra_min_energy", "extract_switchings",
     "gramian_report", "instance_from_config", "kalman_rank", "l2_norm",
     "make_lti_system", "make_ltv_system", "simulate", "solve_gap",

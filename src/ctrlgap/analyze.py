@@ -1,4 +1,4 @@
-"""Switching-structure extraction and optimality-condition checks.
+"""Switching-structure extraction from a nodal signal.
 
 The gap vector component plays the role of a switching function: its sign
 selects the active bound of the box-side control, and at a best
@@ -8,16 +8,15 @@ approximation it lies in the range of the transposed reachability map
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .discretize import ControlTrajectory
-from .model import Bounds, Grid
+from .model import Grid
 
 
-@dataclass(frozen=True)
-class ChannelSwitching:
+class ChannelSwitching(NamedTuple):
     """Switching data of one control channel."""
 
     switch_times: tuple[float, ...]
@@ -25,8 +24,7 @@ class ChannelSwitching:
     singular_intervals: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class SwitchingProfile:
+class SwitchingProfile(NamedTuple):
     """Per-channel switch times, bang polarity sequence and singular runs
     of one nodal signal, with the ``tau`` band and ``min_len`` they were
     extracted with.
@@ -45,16 +43,6 @@ class SwitchingProfile:
         """All channels' switch times merged and sorted."""
         times = [t for ch in self.channels for t in ch.switch_times]
         return sorted(times)
-
-
-@dataclass(frozen=True)
-class BangBangReport:
-    """Share of band-exempt nodes where the control sits on the bound that
-    the sign of the gap vector selects."""
-
-    agreement: float
-    tested: int
-    violations: int
 
 
 def _extract_channel(s: np.ndarray, times: np.ndarray, h: float, tau: float,
@@ -112,25 +100,3 @@ def extract_switchings(sig: ControlTrajectory, grid: Grid, tau: float | None = N
         _extract_channel(values[:, i], times, grid.h, tau, min_len)
         for i in range(sig.m))
     return SwitchingProfile(channels=channels, tau=float(tau), min_len=float(min_len))
-
-
-def check_bang_bang(uB: ControlTrajectory, v: ControlTrajectory, bounds: Bounds,
-                    tau: float | None = None) -> BangBangReport:
-    """Verify the sign rule: where the gap vector clears the tau band, uB
-    must sit on the upper bound when v >= 0 and on the lower bound when
-    v < 0.  Nodes inside the band are exempt (the rule leaves them
-    undetermined)."""
-    if uB.values.shape != v.values.shape:
-        raise ValueError("uB and v must have matching shapes")
-    lo, hi = bounds.sample(uB.grid, uB.m)
-    if tau is None:
-        peak = float(np.max(np.abs(v.values))) if v.values.size else 0.0
-        tau = 1e-7 * peak
-    tested_mask = np.abs(v.values) > tau
-    selected = np.where(v.values >= 0.0, hi, lo)
-    ok = np.abs(uB.values - selected) <= 1e-9 * (1.0 + np.abs(selected))
-    tested = int(np.sum(tested_mask))
-    violations = int(np.sum(tested_mask & ~ok))
-    agreement = 1.0 if tested == 0 else 1.0 - violations / tested
-    return BangBangReport(agreement=agreement, tested=tested, violations=violations)
-

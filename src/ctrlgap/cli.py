@@ -99,9 +99,10 @@ def _build_parser() -> _Parser:
     p_gap.add_argument("--tol", type=float, default=1e-8,
                        help="bound on the certified relative duality gap "
                             "(gap - gap_lower) / gap (default 1e-8)")
-    p_gap.add_argument("--max-iter", type=int, default=SolveOptions.max_iter,
+    max_iter = SolveOptions._field_defaults["max_iter"]
+    p_gap.add_argument("--max-iter", type=int, default=max_iter,
                        help="cap on exchange pivots and descent steps; a solve it cuts "
-                            f"exits 2 (default {SolveOptions.max_iter})")
+                            f"exits 2 (default {max_iter})")
     p_gap.add_argument("--oracle", action="store_true",
                        help=f"cross-check with exhaustive enumeration "
                             f"(at most {MAX_COORDS} control coordinates)")

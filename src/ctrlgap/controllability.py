@@ -12,8 +12,7 @@ on the transcription, as Kalman tests are unreliable (Paige, TAC 26, 1981).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -21,8 +20,7 @@ if TYPE_CHECKING:
     from .discretize import AffineData
 
 
-@dataclass(frozen=True)
-class CtrbReport:
+class CtrbReport(NamedTuple):
     """Outcome of one controllability test: the rank of the test matrix
     against the ``required`` n, and ``conditioning``, the smallest-to-largest
     singular value ratio of the (equilibrated) test matrix.  ``controllable``

@@ -15,8 +15,7 @@ the box's critical scaling, whose ends the solve certifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -35,8 +34,7 @@ from .project import ROUNDING
 TOL_A_FLOOR = 3 * ROUNDING
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(NamedTuple):
     """The gap solve of the search at bound ``a`` and the ends lower <=
     a_c <= upper that it certifies."""
 
@@ -46,8 +44,7 @@ class Probe:
     iterations: int
 
 
-@dataclass(frozen=True)
-class CriticalResult:
+class CriticalResult(NamedTuple):
     """Certified bracket on the critical bound, the vertex control u_c with
     max |u_c| <= a_c = hi on the affine set, and the one gap solve of the
     search.  ``converged`` says whether the bracket reached the relative
@@ -105,8 +102,7 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
         probes=(Probe(a=a0, lower=lo, upper=hi, iterations=res.iterations),))
 
 
-@dataclass(frozen=True)
-class DICriticalSolution:
+class DICriticalSolution(NamedTuple):
     """Closed-form critical solution of the double-integrator problem on
     [0, 1] with position endpoints (s0, sf) and velocity endpoints (v0, vf).
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,25 +34,36 @@ from .controllability import gramian_report
 from .errors import SimulationOverflowError, UncontrollableGridError
 from .model import BoundarySpec, Grid, LinearSystem
 
-@dataclass(frozen=True)
-class ControlTrajectory:
-    """N-by-m control samples; row k applies on [t_k, t_{k+1})."""
 
+class _TrajectoryFields(NamedTuple):
     values: np.ndarray
     grid: Grid
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+
+def _samples(values, rows: int, kind: str) -> np.ndarray:
+    """A read-only float copy of ``values``, checked to have ``rows`` rows
+    and finite entries."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != rows:
+        raise ValueError(f"{kind} values must have {rows} rows, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{kind} values contain non-finite entries")
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+class ControlTrajectory(_TrajectoryFields):
+    """N-by-m control samples, a read-only copy; row k applies on [t_k,
+    t_{k+1})."""
+
+    __slots__ = ()
+
+    def __new__(cls, values, grid: Grid):
+        arr = np.asarray(values, dtype=float)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
-        if arr.ndim != 2 or arr.shape[0] != self.grid.N:
-            raise ValueError(f"control values must have {self.grid.N} rows, "
-                             f"got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("control values contain non-finite entries")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        return super().__new__(cls, _samples(arr, grid.N, "control"), grid)
 
     @property
     def m(self) -> int:
@@ -71,23 +83,13 @@ class ControlTrajectory:
         return cls(values=np.zeros((grid.N, m)), grid=grid)
 
 
-@dataclass(frozen=True)
-class StateTrajectory:
-    """(N+1)-by-n state samples on all grid nodes."""
+class StateTrajectory(_TrajectoryFields):
+    """(N+1)-by-n state samples on all grid nodes, a read-only copy."""
 
-    values: np.ndarray
-    grid: Grid
+    __slots__ = ()
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != self.grid.N + 1:
-            raise ValueError(f"state values must have {self.grid.N + 1} rows, "
-                             f"got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("state values contain non-finite entries")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+    def __new__(cls, values, grid: Grid):
+        return super().__new__(cls, _samples(values, grid.N + 1, "state"), grid)
 
     @property
     def n(self) -> int:
@@ -103,7 +105,9 @@ class AffineData:
     """Discrete reachability data: { u : G u = xi } equals the transcribed
     boundary-value set, with Phi the ordered product of step matrices.
     ``controllable`` (G has full row rank) and ``basis``, the form of the set
-    that every solver runs on, both read one QR of G^T, built on first use."""
+    that every solver runs on, both read one QR of G^T, built on first use.
+    The one record that is a frozen dataclass, not a NamedTuple: the cached
+    QR and ``basis`` live in its instance ``__dict__``."""
 
     G: np.ndarray
     xi: np.ndarray

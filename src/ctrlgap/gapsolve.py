@@ -44,7 +44,7 @@ vector as its switching function, as the paper proves.  The solve:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,12 @@ from .model import Bounds
 from .project import gap_lower_bound
 
 
-@dataclass(frozen=True)
-class SolveOptions:
+class _SolveFields(NamedTuple):
+    tol: float = 1e-9
+    max_iter: int = 1_000
+
+
+class SolveOptions(_SolveFields):
     """Knobs of the gap solver.
 
     ``tol`` bounds the certified relative duality gap (gap - gap_lower) /
@@ -66,18 +70,18 @@ class SolveOptions:
     default cap ends a runaway solve long before it costs much.
     """
 
-    tol: float = 1e-9
-    max_iter: int = 1_000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        return self
 
 
-@dataclass(frozen=True)
-class GapResult:
+class GapResult(NamedTuple):
     """Best-approximation pair, gap vector and solve diagnostics.
 
     ``v`` = ``uA - uB`` with uA = uB - Qt^T s, s = Qt uB - c, so v lies in
@@ -107,8 +111,8 @@ class GapResult:
     iterations: int
     converged: bool
     solver: str
+    diagnostics: dict
     gap_lower: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
     scale: tuple[float, float] | None = None
 
 

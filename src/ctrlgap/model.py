@@ -1,13 +1,15 @@
 """Systems, grids, bounds, boundary data and the built-in benchmark instances.
 
-All types are plain immutable value objects; they can be shared freely
-across threads or processes.
+The records here, as everywhere in the package but ``AffineData``, are
+``typing.NamedTuple`` classes: immutable tuples that can be shared freely
+across threads or processes.  One that checks or normalises its fields
+does so in ``__new__`` of a subclass over the fields; ``_replace`` builds
+the tuple directly and skips those checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -45,25 +47,30 @@ def _as_vector(value, size=None, name="vector") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Grid:
+class _GridFields(NamedTuple):
+    N: int
+    t0: float
+    tf: float
+
+
+class Grid(_GridFields):
     """Uniform time grid with ``N`` forward-Euler steps on ``[t0, tf]``.
 
     Controls live on the ``N`` left nodes (value at node k applies on
     ``[t_k, t_{k+1})``); states live on all ``N + 1`` nodes.
     """
 
-    N: int
-    t0: float
-    tf: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.N < 1:
             raise ValueError(f"grid needs at least one step, got N={self.N}")
         if not (np.isfinite(self.t0) and np.isfinite(self.tf)):
             raise ValueError("grid endpoints must be finite")
         if self.tf <= self.t0:
             raise ValueError(f"tf must exceed t0, got [{self.t0}, {self.tf}]")
+        return self
 
     @property
     def h(self) -> float:
@@ -80,15 +87,7 @@ class Grid:
         return self.t0 + self.h * np.arange(self.N)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Linear time-varying dynamics ``x' = A(t) x + B(t) u`` on ``[t0, tf]``.
-
-    ``A`` and ``B`` are either constant matrices or callables returning the
-    matrix sampled at a given time; derivatives, where needed, are always
-    taken from samples, never symbolically.
-    """
-
+class _LinearSystemFields(NamedTuple):
     n: int
     m: int
     A: MatrixLike
@@ -96,7 +95,19 @@ class LinearSystem:
     t0: float
     tf: float
 
-    def __post_init__(self):
+
+class LinearSystem(_LinearSystemFields):
+    """Linear time-varying dynamics ``x' = A(t) x + B(t) u`` on ``[t0, tf]``.
+
+    ``A`` and ``B`` are either constant matrices or callables returning the
+    matrix sampled at a given time; derivatives, where needed, are always
+    taken from samples, never symbolically.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1 or self.m < 1:
             raise ValueError("state and control dimensions must be at least 1")
         if self.tf <= self.t0:
@@ -105,6 +116,7 @@ class LinearSystem:
             _as_matrix(self.A, self.n, self.n, "A")
         if isinstance(self.B, np.ndarray):
             _as_matrix(self.B, self.n, self.m, "B")
+        return self
 
     @property
     def is_lti(self) -> bool:
@@ -149,26 +161,29 @@ def make_ltv_system(A: Callable[[float], np.ndarray], B: Callable[[float], np.nd
     return sys
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Fixed endpoint data x(t0) = x0 and x(tf) = xf."""
-
+class _BoundaryFields(NamedTuple):
     x0: np.ndarray
     xf: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", _as_vector(self.x0, name="x0"))
-        object.__setattr__(self, "xf", _as_vector(self.xf, name="xf"))
-        if self.x0.size != self.xf.size:
+
+class BoundarySpec(_BoundaryFields):
+    """Fixed endpoint data x(t0) = x0 and x(tf) = xf, kept as read-only
+    copies."""
+
+    __slots__ = ()
+
+    def __new__(cls, x0, xf):
+        x0, xf = _as_vector(x0, name="x0"), _as_vector(xf, name="xf")
+        if x0.size != xf.size:
             raise ValueError("x0 and xf must have equal length")
+        return super().__new__(cls, x0, xf)
 
     @property
     def n(self) -> int:
         return self.x0.size
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """Per-channel, per-node control bounds.
 
     ``lower`` and ``upper`` may each be a scalar, a length-m sequence of
@@ -220,20 +235,25 @@ class Bounds:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    """One benchmark: a system, its endpoint data and (optionally) bounds."""
-
+class _ProblemFields(NamedTuple):
     system: LinearSystem
     boundary: BoundarySpec
     bounds: Bounds | None = None
     label: str = ""
 
-    def __post_init__(self):
+
+class ProblemInstance(_ProblemFields):
+    """One benchmark: a system, its endpoint data and (optionally) bounds."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.boundary.n != self.system.n:
             raise ValueError(
                 f"boundary dimension {self.boundary.n} does not match state "
                 f"dimension {self.system.n}")
+        return self
 
 
 def _machine_tool_matrices() -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,7 @@ the certificate ``gap_lower_bound`` but not the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,8 +32,7 @@ ROUNDING = 1e-9
 MARGIN_ERROR = 8 * float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class ProjectionStats:
+class ProjectionStats(NamedTuple):
     """Diagnostics of a minimum-energy solve: the affine residual |G u - xi|
     of the returned control, the Newton iteration count and whether the
     row-scaled residual met the tolerance."""

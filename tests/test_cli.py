@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -130,6 +129,17 @@ def test_legacy_fast_spelling_writes_the_default_runs_files(tmp_path, nodes, gap
     assert not {"restarts", "full_steps"} & set(fast)
     # certified reference (perfbench/references.json)
     assert abs(fast["gap_norm"] - gap_norm) <= 1e-10 * gap_norm
+
+
+def test_gap_help_and_parse_read_the_library_default_budget(capsys):
+    # the default comes from the SolveOptions field, not the class attribute,
+    # which on a NamedTuple is the field's descriptor
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run(["gap", "--help"])
+    assert exit_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "exits 2 (default 1000)" in help_text
+    assert cli._build_parser().parse_args(GAP).max_iter == 1000
 
 
 def test_gap_budget_defaults_to_the_library_cap_and_a_cut_exits_2(tmp_path):
@@ -585,7 +595,7 @@ def test_oracle_outside_the_certified_interval_exits_1(tmp_path, capsys, monkeyp
 
     def doctored(aff, bounds):
         reference = genuine(aff, bounds)
-        return dataclasses.replace(reference, gap_norm=reference.gap_norm * (1 + 1e-6))
+        return reference._replace(gap_norm=reference.gap_norm * (1 + 1e-6))
 
     monkeypatch.setattr(cli, "brute_force_gap", doctored)
     argv = ["gap", "--system", "double_integrator", "--nodes", "6", "--bound", "1",

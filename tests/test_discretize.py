@@ -326,10 +326,23 @@ class TestNorms:
 
 
 class TestTrajectoryTypes:
-    def test_control_row_count_enforced(self):
+    @pytest.mark.parametrize("shape", [(5, 1), (3,), (4, 1, 1)],
+                             ids=["rows", "vector", "three_dims"])
+    def test_control_row_count_enforced(self, shape):
         grid = di_system().grid(4)
-        with pytest.raises(ValueError, match="rows"):
-            ControlTrajectory(values=np.zeros((5, 1)), grid=grid)
+        with pytest.raises(ValueError, match="control values must have 4 rows"):
+            ControlTrajectory(values=np.zeros(shape), grid=grid)
+
+    def test_control_values_are_a_read_only_copy(self):
+        grid = di_system().grid(3)
+        vals = np.arange(3.0)
+        u = ControlTrajectory(values=vals, grid=grid)
+        vals[0] = 7.0
+        np.testing.assert_array_equal(u.values, [[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            u.values[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            u.values = vals
 
     def test_state_row_count_enforced(self):
         grid = di_system().grid(4)

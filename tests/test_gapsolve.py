@@ -1,16 +1,41 @@
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
                      UncontrollableGridError, build_affine, builtin_instance,
-                     brute_force_gap, check_bang_bang, extract_switchings, gapsolve,
+                     brute_force_gap, extract_switchings, gapsolve,
                      make_lti_system, make_ltv_system, solve_gap)
 
 from conftest import gram, gram_solve, random_tiny_problem, scalar_integrator
+
+
+class BangBangReport(NamedTuple):
+    """Share of band-exempt nodes where the control sits on the bound that
+    the sign of the gap vector selects."""
+
+    agreement: float
+    tested: int
+    violations: int
+
+
+def check_bang_bang(uB: ControlTrajectory, v: ControlTrajectory, bounds: Bounds,
+                    tau: float) -> BangBangReport:
+    """The sign rule: where the gap vector clears the tau band, uB must sit
+    on the upper bound when v >= 0 and on the lower bound when v < 0.  Nodes
+    inside the band are exempt (the rule leaves them undetermined)."""
+    lo, hi = bounds.sample(uB.grid, uB.m)
+    tested_mask = np.abs(v.values) > tau
+    selected = np.where(v.values >= 0.0, hi, lo)
+    ok = np.abs(uB.values - selected) <= 1e-9 * (1.0 + np.abs(selected))
+    tested = int(np.sum(tested_mask))
+    violations = int(np.sum(tested_mask & ~ok))
+    agreement = 1.0 if tested == 0 else 1.0 - violations / tested
+    return BangBangReport(agreement=agreement, tested=tested, violations=violations)
 
 
 def assert_basis_step_matches_gram_solve(aff, u):
@@ -74,6 +99,15 @@ class TestMap:
                               tau=10 * opts.tol)
         assert rep.agreement == 1.0
         assert rep.tested > 0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+        ({"tol": math.inf}, "tol must be positive and finite"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0")],
+        ids=["tol_0", "tol_inf", "max_iter_0"])
+    def test_options_are_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SolveOptions(**kwargs)
 
     def test_unconverged_result_populated(self, di):
         _, aff = di

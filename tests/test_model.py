@@ -92,11 +92,13 @@ class TestGrid:
         np.testing.assert_allclose(g.nodes, [0, 0.25, 0.5, 0.75, 1.0])
         assert len(g.left_nodes) == 4
 
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Grid(N=0, t0=0, tf=1)
-        with pytest.raises(ValueError):
-            Grid(N=5, t0=1, tf=1)
+    @pytest.mark.parametrize("N, t0, tf, message", [
+        (0, 0.0, 1.0, "at least one step"),
+        (5, 1.0, 1.0, "tf must exceed t0"),
+        (5, 0.0, np.inf, "finite")], ids=["N_0", "empty_horizon", "infinite_tf"])
+    def test_invalid(self, N, t0, tf, message):
+        with pytest.raises(ValueError, match=message):
+            Grid(N=N, t0=t0, tf=tf)
 
     @given(N=st.integers(1, 500),
            t0=st.floats(-10, 10),
@@ -135,11 +137,23 @@ class TestBounds:
         with pytest.raises(ValueError, match="lower < upper"):
             b.sample(grid, 1)  # lower == upper == 0 at t=0
 
-    def test_boundary_spec_validation(self):
-        with pytest.raises(ValueError):
-            BoundarySpec(x0=[0.0, 1.0], xf=[0.0])
-        with pytest.raises(ValueError, match="finite"):
-            BoundarySpec(x0=[np.inf, 1.0], xf=[0.0, 0.0])
+    @pytest.mark.parametrize("x0, xf, message", [
+        ([0.0, 1.0], [0.0], "equal length"),
+        ([np.inf, 1.0], [0.0, 0.0], "finite")], ids=["unequal_lengths", "infinite"])
+    def test_boundary_spec_validation(self, x0, xf, message):
+        with pytest.raises(ValueError, match=message):
+            BoundarySpec(x0=x0, xf=xf)
+
+    def test_boundary_spec_keeps_read_only_copies(self):
+        x0 = np.array([0.0, 1.0])
+        spec = BoundarySpec(x0=x0, xf=[0.0, 0.0])
+        x0[0] = 5.0
+        assert spec.x0[0] == 0.0
+        for arr in (spec.x0, spec.xf):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        with pytest.raises(AttributeError):
+            spec.x0 = x0
 
 
 class TestLtvSystem:
@@ -190,8 +204,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="system"):
             instance_from_config({"bound": 1.0})
 
-    def test_bad_matrix_reported_as_config_error(self):
-        with pytest.raises(ConfigError):
-            instance_from_config({
-                "system": {"A": [[0, 1]], "B": [[1]]},
-                "t0": 0, "tf": 1, "x0": [0], "xf": [1]})
+    @pytest.mark.parametrize("doc, message", [
+        ({"system": {"A": [[0, 1]], "B": [[1]]}, "t0": 0, "tf": 1, "x0": [0], "xf": [1]},
+         "square"),
+        ({"system": "double_integrator", "x0": [0, 0, 0], "xf": [0, 0, 0]},
+         "boundary dimension 3 does not match state dimension 2"),
+        ({"system": "double_integrator", "xf": [0]}, "equal length")],
+        ids=["bad_matrix", "boundary_dimension", "unequal_endpoints"])
+    def test_invalid_values_reported_as_config_error(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            instance_from_config(doc)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 import ctrlgap
 
 # Names that once were public and have no caller on any answer path.
-DELETED = ("project_box", "project_affine", "ltv_rank", "discrete_gramian")
+DELETED = ("project_box", "project_affine", "ltv_rank", "discrete_gramian",
+           "check_bang_bang", "BangBangReport")
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +29,16 @@ def test_public_names_resolve_and_the_wrapped_layer_names_stay_importable(monkey
         module = importlib.import_module(module_name)
         for name in names:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+
+def test_every_record_but_affine_data_is_a_named_tuple():
+    # AffineData keeps its cached QR in an instance __dict__; the other
+    # records are NamedTuples, whose classes cost far less to build at import
+    # than frozen dataclasses
+    records = [obj for obj in map(ctrlgap.__dict__.get, ctrlgap.__all__)
+               if isinstance(obj, type) and not issubclass(obj, Exception)]
+    records += [ctrlgap.analyze.ChannelSwitching, ctrlgap.critical.Probe]
+    assert len(records) == 17
+    for record in records:
+        assert dataclasses.is_dataclass(record) == (record is ctrlgap.AffineData), record
+        assert issubclass(record, tuple) != (record is ctrlgap.AffineData), record
