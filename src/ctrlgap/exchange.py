@@ -57,22 +57,34 @@ def first_kink(times: np.ndarray, jumps: np.ndarray, offset: float,
     offset + rate t, raised by ``jumps`` at ``times``, first becomes >= 0
     (-1 if never), and the sum of the jumps before it.  The 256 earliest
     kinks are sorted first, and all only if the slope stays negative through
-    them, as in 56 of 1,393 such passes on 111 builtin gap solves."""
+    them, as in 56 of 1,393 such passes on 111 builtin gap solves.  With
+    ``rate`` 0, as on every edge of the exchange, the term rate t is not
+    formed, which changes no result for finite times."""
     count = times.size
+    if not count:
+        return -1, 0.0
     for size in (256, count) if count > 256 else (count,):
-        order = np.argpartition(times, size - 1)[:size] if size < count else np.arange(count)
-        order = order[np.argsort(times[order])]
-        total = np.cumsum(jumps[order])
-        hit = offset + rate * times[order] + total >= 0.0
-        if hit.any():
-            k = int(np.argmax(hit))
-            return int(order[k]), float(total[k] - jumps[order[k]])
-    return -1, float(total[-1]) if count else 0.0
+        if size < count:
+            order = np.argpartition(times, size - 1)[:size]
+            order = order[np.argsort(times[order])]
+        else:
+            order = np.argsort(times)
+        sorted_jumps = jumps[order]
+        total = np.cumsum(sorted_jumps)
+        hit = (offset + total if rate == 0.0 else offset + rate * times[order] + total) >= 0.0
+        k = int(np.argmax(hit))
+        if hit[k]:
+            return int(order[k]), float(total[k] - sorted_jumps[k])
+    return -1, float(total[-1])
 
 
 def flip(Qt: np.ndarray, ws: np.ndarray, r: np.ndarray, nodes: np.ndarray,
          values: np.ndarray) -> None:
-    """Set ws[nodes] = values and keep r = Qt ws, in place."""
+    """Set ws[nodes] = values and keep r = Qt ws, in place; an empty
+    ``nodes``, as on most pivots' nodes at their kink, leaves ws and r as
+    they are."""
+    if not nodes.size:
+        return
     change = values - ws[nodes]
     ws[nodes] = values
     r += Qt.take(nodes, axis=1) @ change
@@ -89,14 +101,17 @@ def critical_vertex(Qt: np.ndarray, b: np.ndarray, w: np.ndarray, max_pivots: in
     ws = w * np.sign(g)
     r = Qt @ ws
     Z: list[int] = []
+    # [b, Qt_Z]: its first 1 + len(Z) columns kept in step with Z
+    B = np.empty((n, n))
+    B[:, 0] = b
     pivots, optimal = 0, False
     while pivots < max_pivots:
         pivots += 1
-        B = np.column_stack([b, Qt[:, Z]])
         leave = None
         try:
             if len(Z) < n - 1:
-                d = B @ np.linalg.lstsq(B, r, rcond=None)[0] - r
+                BZ = B[:, :1 + len(Z)]
+                d = BZ @ np.linalg.lstsq(BZ, r, rcond=None)[0] - r
             else:
                 # r = t b - Qt_Z w_Z mu
                 mu = -np.linalg.solve(B, r)[1:] / w[Z]
@@ -116,8 +131,9 @@ def critical_vertex(Qt: np.ndarray, b: np.ndarray, w: np.ndarray, max_pivots: in
         e[Z] = 0.0
         # a node on its kink off Z, the leaving one among them, moves to
         # e's side at once
-        zero = np.flatnonzero(g == 0.0)
-        zero = zero[np.isin(zero, Z, invert=True)]
+        on = g == 0.0
+        on[Z] = False
+        zero = np.flatnonzero(on)
         flip(Qt, ws, r, zero, w[zero] * np.sign(e[zero]))
         slope = float(ws @ e)
         if slope >= 0.0:  # no descent along the edge: optimal to rounding
@@ -127,17 +143,24 @@ def critical_vertex(Qt: np.ndarray, b: np.ndarray, w: np.ndarray, max_pivots: in
             optimal = node is not None
             break
         cross = np.flatnonzero(g * e < 0.0)
-        times = -g[cross] / e[cross]
-        k, _ = first_kink(times, 2.0 * np.abs(ws[cross] * e[cross]), slope, 0.0)
+        e_cross = e[cross]
+        times = -g[cross] / e_cross
+        k, _ = first_kink(times, 2.0 * np.abs(ws[cross] * e_cross), slope, 0.0)
         if k < 0:  # the slope never turns: rounding
             break
         # the nodes passed change sign, and the kink's node enters Z
-        passed = np.append(cross[times < times[k]], cross[k])
-        flip(Qt, ws, r, passed, np.append(-ws[passed[:-1]], 0.0))
+        passed = np.concatenate((cross[times < times[k]], cross[k:k + 1]))
+        values = -ws[passed]
+        values[-1] = 0.0
+        flip(Qt, ws, r, passed, values)
         s = s + times[k] * d
         g += times[k] * e
+        if node is not None:  # the leaving node's column goes
+            B[:, 1 + leave:-1] = B[:, 2 + leave:]
         Z.append(int(cross[k]))
-        g[Z] = 0.0
+        B[:, len(Z)] = Qt[:, Z[-1]]
+        # g stays 0 on the rest of Z, where e is
+        g[Z[-1]] = 0.0
     # the steps' updates drift: an optimal vertex's s afresh from b.s = 1 and
     # Qt_Z^T s = 0, and g afresh for the value and the signs that the lower
     # end and the control share
@@ -145,7 +168,8 @@ def critical_vertex(Qt: np.ndarray, b: np.ndarray, w: np.ndarray, max_pivots: in
         # with b scaled to the columns' size, so that Qt_Z^T s is 0 to the
         # rounding of Qt's entries rather than of b's
         size = float(np.linalg.norm(b))
-        s = np.linalg.solve(np.column_stack([b / size, Qt[:, Z]]).T, np.eye(n)[0] / size)
+        B[:, 0] = b / size
+        s = np.linalg.solve(B.T, np.eye(n)[0] / size)
     g = Qt.T @ s
     value = float(w @ np.abs(g))
     scale = value / float(b @ s)

@@ -148,20 +148,21 @@ def _certify(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, flo
     return uA, v, weighted_norm(v, ws.h), gap_lower_bound(ws.aff, ws.lo, ws.hi, s, g)
 
 
-def _descend(box: _Workspace, b: np.ndarray, y: np.ndarray, g: np.ndarray, Z: list[int],
+def _descend(box: _Workspace, b: np.ndarray, y: np.ndarray, g: np.ndarray, Z: np.ndarray,
              budget: int) -> tuple[np.ndarray, int, bool]:
     """The descent of the module docstring from ``y``, g = Qt^T y, 0 on the
-    kink set ``Z``, in at most ``budget`` steps: the box point of its last
-    piece, the steps and whether the optimality test passed."""
+    kink set ``Z`` (node indices), in at most ``budget`` steps: the box
+    point of its last piece, the steps and whether the optimality test
+    passed."""
     Qt, z, w = box.aff.basis[0], box.z, box.w
     # w_k sign(g_k), 0 on Z: uB = z - ws off Z, and Qt ws is the gradient
     # of the sum there
     ws = w * np.sign(g)
     r = Qt @ ws
+    QZ = Qt[:, Z]
     steps, optimal = 0, False
     while steps < budget:
         steps += 1
-        QZ = Qt[:, Z]
         v = b + r
         # the piece's minimizer y + p, with u_Z = z_Z + x there
         x = np.linalg.lstsq(QZ, v, rcond=None)[0]
@@ -170,7 +171,8 @@ def _descend(box: _Workspace, b: np.ndarray, y: np.ndarray, g: np.ndarray, Z: li
         e[Z] = 0.0
         end = g + e
         cross = np.flatnonzero(g * end < 0.0)
-        times = g[cross] / (g[cross] - end[cross])
+        g_cross = g[cross]
+        times = g_cross / (g_cross - end[cross])
         pp = float(p @ p)
         # F's slope along p is (t - 1) |p|^2 plus the jumps passed
         k, jumps = first_kink(times, 2.0 * np.abs(ws[cross] * e[cross]), -pp, pp)
@@ -184,9 +186,11 @@ def _descend(box: _Workspace, b: np.ndarray, y: np.ndarray, g: np.ndarray, Z: li
         flip(Qt, ws, r, passed, -ws[passed])
         y, g = y + t * p, end if t == 1.0 else g + t * e
         if kink:
-            Z.append(int(cross[k]))
-            g[Z[-1]] = 0.0
-            flip(Qt, ws, r, np.array(Z[-1:]), np.zeros(1))
+            node = cross[k:k + 1]
+            Z = np.concatenate((Z, node))
+            QZ = Qt[:, Z]
+            g[node] = 0.0
+            flip(Qt, ws, r, node, np.zeros(1))
         elif t == 1.0:
             ratio = np.abs(x) / w[Z]
             worst = float(np.max(ratio, initial=0.0))
@@ -196,11 +200,11 @@ def _descend(box: _Workspace, b: np.ndarray, y: np.ndarray, g: np.ndarray, Z: li
             # release the node furthest out, with those tied with it to
             # rounding: the copies of one column share its value
             out = ratio >= worst * (1.0 - LEVEL)
-            nodes = np.array(Z)[out]
-            Z = [k for k, o in zip(Z, out) if not o]
+            nodes, keep = Z[out], ~out
+            Z, QZ = Z[keep], QZ[:, keep]
             flip(Qt, ws, r, nodes, -w[nodes] * np.sign(x[out]))
     if not optimal:
-        x = np.linalg.lstsq(Qt[:, Z], b + r, rcond=None)[0]
+        x = np.linalg.lstsq(QZ, b + r, rcond=None)[0]
     # the bounds themselves, as z - w and z + w may round off them
     u = np.where(ws > 0.0, box.lo, np.where(ws < 0.0, box.hi, z))
     u[Z] = np.clip(z[Z] + x, box.lo[Z], box.hi[Z])
@@ -220,10 +224,12 @@ def _vertex(box: _Workspace, b: np.ndarray, max_pivots: int) -> Vertex:
     block-constant control; the pivots on the blocks count too."""
     Qt, c, _ = box.aff.basis
     m, N, w = box.aff.m, box.aff.grid.N, box.w
+    if box.lo.size < _BLOCK_MIN_COORDS:
+        return critical_vertex(Qt, b, w, max_pivots)
     starts = np.arange(0, N, _BLOCK)
     lo = np.maximum.reduceat(box.lo.reshape(-1, m), starts).reshape(-1)
     hi = np.minimum.reduceat(box.hi.reshape(-1, m), starts).reshape(-1)
-    if box.lo.size < _BLOCK_MIN_COORDS or np.any(lo >= hi):
+    if np.any(lo >= hi):
         return critical_vertex(Qt, b, w, max_pivots)
     Qt_B = np.add.reduceat(Qt.reshape(c.size, N, m), starts, axis=1).reshape(c.size, -1)
     blocks = critical_vertex(Qt_B, c - Qt_B @ (0.5 * (lo + hi)), 0.5 * (hi - lo), max_pivots)
@@ -257,7 +263,7 @@ def solve_gap(aff: AffineData, bounds: Bounds,
         else:
             lam = reach / float(vertex.s @ vertex.s)
             u, steps, optimal = _descend(box, b, -lam * vertex.s, -lam * vertex.g,
-                                         vertex.K.tolist(), opts.max_iter - pivots)
+                                         vertex.K, opts.max_iter - pivots)
     uA, v, gap, gap_lower = _certify(box, u)
     certified = gap - gap_lower <= opts.tol * gap or gap <= feasible_floor(aff, opts.tol)
     cut = not optimal and pivots + steps >= opts.max_iter

@@ -6,9 +6,10 @@ import pytest
 from ctrlgap import (BoundarySpec, Bounds, SolveOptions, build_affine, builtin_instance,
                      critical_bound, exchange, gapsolve, make_lti_system, solve_gap)
 from ctrlgap.critical import TOL_A_FLOOR
-from ctrlgap.exchange import certified_ends, critical_vertex, flip
+from ctrlgap.exchange import Vertex, certified_ends, critical_vertex, first_kink, flip
 from ctrlgap.project import ROUNDING
 
+import conftest
 from conftest import LP_A_C_1000, counting, two_input_draw
 
 
@@ -192,3 +193,101 @@ def test_a_kink_past_the_earliest_256_ends_its_pivot_or_step(monkeypatch):
     res = solve_gap(aff, Bounds.symmetric(1770.0))
     assert res.converged
     assert max(ranks) >= 256
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def reference_solve(aff, bounds, monkeypatch):
+    """``solve_gap`` on the kernel's verbatim copies in conftest."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gapsolve, "critical_vertex", conftest.critical_vertex)
+        patch.setattr(gapsolve, "_descend", lambda box, b, y, g, Z, budget:
+                      conftest._descend(box, b, y, g, Z.tolist(), budget))
+        return solve_gap(aff, bounds)
+
+
+def assert_kernel_matches_its_reference(aff, monkeypatch, factors=(0.5, 0.9, 0.997, 1.5)):
+    """The vertex of |u| <= a and the gap pair at bound a, for a_c and each
+    of ``factors`` times a_c, bit for bit equal to the reference kernel's."""
+    Qt, c, _ = aff.basis
+    _, a_c, _ = vertex_bracket(aff)
+    bounds = [f * a_c for f in factors]
+    for a in (1.0, *bounds):
+        w = np.full(Qt.shape[1], a)
+        new, old = critical_vertex(Qt, c, w, 1_000), conftest.critical_vertex(Qt, c, w, 1_000)
+        for field in Vertex._fields:
+            assert same_bits(getattr(new, field), getattr(old, field)), (a, field)
+    for a in bounds:
+        new, old = solve_gap(aff, Bounds.symmetric(a)), reference_solve(
+            aff, Bounds.symmetric(a), monkeypatch)
+        for field in ("uA", "uB", "v"):
+            assert same_bits(getattr(new, field).values, getattr(old, field).values), (a, field)
+        for field in ("gap_norm", "gap_lower", "iterations"):
+            assert same_bits(getattr(new, field), getattr(old, field)), (a, field)
+        assert new.diagnostics == old.diagnostics, a
+
+
+@pytest.mark.parametrize("nodes", [200, 1000, 10_000, 20_000])
+@pytest.mark.parametrize("name", sorted(LP_A_C_1000))
+def test_kernel_is_bitwise_the_reference_on_the_builtins(name, nodes, monkeypatch):
+    # at 20,000 nodes the exchange starts from the vertex on 64-node blocks
+    inst = builtin_instance(name)
+    aff = build_affine(inst.system, inst.system.grid(nodes), inst.boundary)
+    assert_kernel_matches_its_reference(aff, monkeypatch)
+
+
+@pytest.mark.parametrize("family", ["single_input", "two_input"])
+def test_kernel_is_bitwise_the_reference_on_random_systems(family, monkeypatch):
+    draws = single_input_draws() if family == "single_input" else (
+        two_input_draw(k) for k in range(1, 61))
+    for system, grid, boundary in draws:
+        assert_kernel_matches_its_reference(build_affine(system, grid, boundary), monkeypatch)
+
+
+def full_sort_kink(times, jumps, offset, rate):
+    order = np.argsort(times)
+    total = np.cumsum(jumps[order])
+    hit = offset + rate * times[order] + total >= 0.0
+    if not hit.any():
+        return -1, float(total[-1]) if times.size else 0.0
+    k = int(np.argmax(hit))
+    return int(order[k]), float(total[k] - jumps[order[k]])
+
+
+def assert_same_kink(times, jumps, offset, rate):
+    k, before = first_kink(times, jumps, offset, rate)
+    reference = full_sort_kink(times, jumps, offset, rate)
+    assert k == reference[0] and same_bits(before, reference[1])
+
+
+@pytest.mark.parametrize("rate", [0.0, 3.0])
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 2000])
+def test_first_kink_is_the_full_sort_pass(count, rate):
+    rng = np.random.default_rng(count)
+    times = rng.permutation(count) + rng.uniform(0.1, 0.9, count)
+    jumps = rng.uniform(0.0, 2.0, count)
+    order = np.argsort(times)
+    total = np.cumsum(jumps[order])
+    # the slope turns at the first kink, one within and one past the 256
+    # earliest, the last, or never
+    for rank in (0, 100, 255, 256, 1500, count - 1):
+        if 0 <= rank < count:
+            offset = 0.5 * jumps[order[rank]] - total[rank] - rate * times[order[rank]]
+            assert first_kink(times, jumps, offset, rate)[0] == order[rank]
+            assert_same_kink(times, jumps, offset, rate)
+    never = -(total[-1] + rate * times.max() if count else 0.0) - 1.0
+    k, before = first_kink(times, jumps, never, rate)
+    assert k == -1 and same_bits(before, total[-1] if count else 0.0)
+    assert_same_kink(times, jumps, never, rate)
+
+
+def test_flip_of_no_nodes_leaves_ws_and_r_as_they_are():
+    rng = np.random.default_rng(3)
+    Qt = rng.normal(size=(3, 20))
+    ws, r = rng.normal(size=20), np.array([-0.0, 1.5, -2.0])
+    ws_bits, r_bits = ws.tobytes(), r.tobytes()
+    flip(Qt, ws, r, np.array([], dtype=np.intp), np.array([]))
+    assert ws.tobytes() == ws_bits and r.tobytes() == r_bits
