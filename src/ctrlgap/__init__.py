@@ -1,35 +1,35 @@
-"""Gap solutions and critical feasibility bounds for box-constrained
-linear optimal control under forward-Euler transcription."""
-
-from .analyze import SwitchingProfile, extract_switchings
-from .controllability import CtrbReport, gramian_report, kalman_rank
-from .critical import (CriticalResult, DICriticalSolution, critical_bound,
-                       di_critical_analytic)
-from .discretize import (AffineData, ControlTrajectory, StateTrajectory,
-                         build_affine, l2_norm, simulate, weighted_norm)
-from .errors import (AnalyticCaseError, BracketError, ConfigError, ConsistencyError,
-                     CtrlGapError, InfeasibleIntersectionError, OracleSizeError,
-                     SimulationOverflowError, UncontrollableGridError)
-from .gapsolve import GapResult, SolveOptions, solve_gap
-from .model import (BUILTIN_NAMES, BoundarySpec, Bounds, Grid, LinearSystem,
-                    ProblemInstance, builtin_instance, instance_from_config,
-                    make_lti_system, make_ltv_system)
-from .oracle import brute_force_gap
-from .project import ProjectionStats, dykstra_min_energy
+"""Gap solutions and critical feasibility bounds for box-constrained linear
+optimal control under forward-Euler transcription. Each public name loads its
+submodule on first use (PEP 562); importing ``ctrlgap.cli`` loads every module."""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineData", "AnalyticCaseError", "BoundarySpec", "Bounds", "BracketError",
-    "BUILTIN_NAMES", "ConfigError", "ConsistencyError", "ControlTrajectory",
-    "CriticalResult", "CtrbReport", "CtrlGapError", "DICriticalSolution", "GapResult",
-    "Grid", "InfeasibleIntersectionError", "LinearSystem", "OracleSizeError",
-    "ProblemInstance", "ProjectionStats", "SimulationOverflowError",
-    "SolveOptions", "StateTrajectory", "SwitchingProfile",
-    "UncontrollableGridError", "brute_force_gap",
-    "build_affine", "builtin_instance", "critical_bound",
-    "di_critical_analytic", "dykstra_min_energy", "extract_switchings",
-    "gramian_report", "instance_from_config", "kalman_rank", "l2_norm",
-    "make_lti_system", "make_ltv_system", "simulate", "solve_gap",
-    "weighted_norm",
-]
+_EXPORTS = {  # each submodule and the public names it defines
+    "analyze": "SwitchingProfile extract_switchings", "cli": "", "csvtext": "",
+    "controllability": "CtrbReport gramian_report kalman_rank",
+    "critical": "CriticalResult DICriticalSolution critical_bound di_critical_analytic",
+    "discretize": "AffineData ControlTrajectory StateTrajectory build_affine l2_norm simulate "
+                  "weighted_norm",
+    "errors": "AnalyticCaseError BracketError ConfigError ConsistencyError CtrlGapError "
+              "InfeasibleIntersectionError OracleSizeError SimulationOverflowError "
+              "UncontrollableGridError",
+    "exchange": "", "figures": "", "gapsolve": "GapResult SolveOptions solve_gap",
+    "model": "BUILTIN_NAMES BoundarySpec Bounds Grid LinearSystem ProblemInstance "
+             "builtin_instance instance_from_config make_lti_system make_ltv_system",
+    "oracle": "brute_force_gap", "project": "ProjectionStats dykstra_min_energy",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    if name in _EXPORTS:
+        return __import__(f"{__name__}.{name}", fromlist=[name])  # the submodule
+    if name in _HOME:
+        return globals().setdefault(name, getattr(__getattr__(_HOME[name]), name))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
