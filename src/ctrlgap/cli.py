@@ -336,7 +336,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "a": _symmetric_bound(bounds), "gap_norm": result.gap_norm,
         "switch_times": profile.switch_times, "iterations": result.iterations,
         "converged": result.converged, "wall_time_seconds": clock.seconds["solve"],
-        "solver": result.solver, "gap_lower": result.gap_lower,
+        "gap_lower": result.gap_lower,
         "finish": result.diagnostics["finish"], "stop": result.diagnostics["stop"],
         "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
     if args.oracle:
@@ -390,10 +390,8 @@ def _cmd_critical(args: argparse.Namespace) -> int:
 def _cmd_ctrb(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     system = instance.system
-    if not system.is_lti:
-        raise ConfigError("the ctrb command handles constant-matrix systems")
     full = kalman_rank(system.A, system.B)
-    columns = [kalman_rank(system.A, np.asarray(system.B)[:, i])
+    columns = [kalman_rank(system.A, system.B[:, i])
                for i in range(system.m)]
     grid = system.grid(args.nodes)
     gram = gramian_report(build_affine(system, grid, instance.boundary))

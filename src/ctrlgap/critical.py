@@ -81,7 +81,7 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
         raise UncontrollableGridError(
             "cannot search for a critical bound: the discrete system is "
             "uncontrollable on this grid")
-    if system.is_lti and not kalman_rank(system.A, system.B).controllable:
+    if not kalman_rank(system.A, system.B).controllable:
         raise UncontrollableGridError(
             "cannot search for a critical bound: the system fails the "
             "constant-matrix rank test")

@@ -8,14 +8,14 @@ certificate runs on one representation of that set, the orthonormal basis
 (Qt, c) of range(G^T) in ``AffineData.basis``, and the same Householder QR
 of G^T decides controllability on the grid; it is built on first use.
 
-With constant matrices every Euler step is the same affine map
-x -> M x + hB u, M = I + hA, so nothing needs a per-step Python loop: G
+The matrices are constant, so every Euler step is the same affine map
+x -> M x + hB u, M = I + hA, and nothing needs a per-step Python loop: G
 is built by doubling its column blocks (the last L blocks times M^L give
 the L before them), Phi = M^N by binary powering, and ``simulate`` is a
-Hillis-Steele prefix scan over the step maps.  Time-varying systems keep
-the per-step loop, and so does any constant-matrix result with a
-non-finite entry: the loop then decides whether the rollout overflows
-and at which step.
+Hillis-Steele prefix scan over the step maps.  The per-step loops remain
+only as overflow fallbacks: a doubled G or Phi, or a scan, with a
+non-finite entry is redone one step at a time, and the loop then decides
+whether the rollout overflows and at which step.
 
 Norms on control space carry the step weight h so that they approximate
 the L2 norm of the step-function interpolant; the scalar weight cancels
@@ -103,7 +103,7 @@ class StateTrajectory(_TrajectoryFields):
 @dataclass(frozen=True)
 class AffineData:
     """Discrete reachability data: { u : G u = xi } equals the transcribed
-    boundary-value set, with Phi the ordered product of step matrices.
+    boundary-value set, with Phi = M^N the product of the N step matrices.
     ``controllable`` (G has full row rank) and ``basis``, the form of the set
     that every solver runs on, both read one QR of G^T, built on first use.
     The one record that is a frozen dataclass, not a NamedTuple: the cached
@@ -168,27 +168,16 @@ class AffineData:
         return Qt, c, Rhat
 
 
-def _sample_steps(system: LinearSystem, grid: Grid):
-    """Yield (A_k, B_k) at the N left nodes; constant systems short-circuit."""
-    if system.is_lti:
-        A = np.asarray(system.A, dtype=float)
-        B = np.asarray(system.B, dtype=float)
-        for _ in range(grid.N):
-            yield A, B
-    else:
-        for t in grid.left_nodes:
-            yield system.a_at(t), system.b_at(t)
-
-
 def _simulate_loop(system: LinearSystem, grid: Grid, x0: np.ndarray,
                    u: ControlTrajectory) -> np.ndarray:
-    """Per-step rollout; raises at the first step with a non-finite state."""
-    h = grid.h
+    """Per-step rollout, the fallback of a scan with a non-finite entry;
+    raises at the first step with a non-finite state."""
+    A, B, h = system.A, system.B, grid.h
     out = np.empty((grid.N + 1, system.n))
     out[0] = x0
     x = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (A, B) in enumerate(_sample_steps(system, grid)):
+        for k in range(grid.N):
             x = x + h * (A @ x + B @ u.values[k])
             if not np.all(np.isfinite(x)):
                 raise SimulationOverflowError(
@@ -218,12 +207,11 @@ def _simulate_scan(system: LinearSystem, grid: Grid, x0: np.ndarray,
 
 def simulate(system: LinearSystem, grid: Grid, x0: np.ndarray,
              u: ControlTrajectory) -> StateTrajectory:
-    """Forward-Euler rollout x_{k+1} = x_k + h (A_k x_k + B_k u_k).
+    """Forward-Euler rollout x_{k+1} = x_k + h (A x_k + B u_k).
 
-    Constant-matrix systems run as a log-depth scan over the affine step
-    maps; time-varying systems run the per-step loop.  The loop also
-    decides every scan with a non-finite entry, since an overflowing power
-    M^s can turn a finite rollout into NaN (0 * inf): it returns the
+    Runs as a log-depth scan over the affine step maps.  A scan with a
+    non-finite entry is decided by the per-step loop, since an overflowing
+    power M^s can turn a finite rollout into NaN (0 * inf): it returns the
     states, or raises ``SimulationOverflowError`` naming the first step
     whose state is not finite.
     """
@@ -234,21 +222,21 @@ def simulate(system: LinearSystem, grid: Grid, x0: np.ndarray,
         raise ValueError("control trajectory lives on a different grid")
     if u.m != system.m:
         raise ValueError(f"control has {u.m} channels, system expects {system.m}")
-    out = _simulate_scan(system, grid, x0, u) if system.is_lti else None
-    if out is None or not np.isfinite(out).all():
+    out = _simulate_scan(system, grid, x0, u)
+    if not np.isfinite(out).all():
         out = _simulate_loop(system, grid, x0, u)
     return StateTrajectory(values=out, grid=grid)
 
 
 def _affine_loop(system: LinearSystem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(G, Phi) by accumulating the step matrices from the last step back."""
+    """(G, Phi) by accumulating the step matrix from the last step back, one
+    step at a time: the fallback of a doubling with a non-finite entry."""
     n, m, h = system.n, system.m, grid.h
+    A, B = system.A, system.B
     G = np.empty((n, grid.N * m))
-    steps = list(_sample_steps(system, grid))
     P = np.eye(n)
     eye = np.eye(n)
     for k in range(grid.N - 1, -1, -1):
-        A, B = steps[k]
         G[:, k * m:(k + 1) * m] = P @ (h * B)
         P = P @ (eye + h * A)
     return G, P
@@ -279,18 +267,16 @@ def build_affine(system: LinearSystem, grid: Grid,
                  boundary: BoundarySpec) -> AffineData:
     """Assemble the reachability map for fixed-endpoint data.
 
-    Column block k of G is (prod_{j=N-1..k+1} (I + h A_j)) h B_k, so that
-    the Euler terminal state equals Phi x0 + G u for stacked controls u.
-    Constant-matrix systems build G by doubling and Phi = M^N by binary
-    powering; time-varying systems, and constant ones whose doubled G or
-    Phi has a non-finite entry, accumulate the step matrices one by one.
+    Column block k of G is M^(N-1-k) h B with M = I + h A, so that the
+    Euler terminal state equals Phi x0 + G u for stacked controls u, Phi =
+    M^N.  G is built by doubling and Phi by binary powering; when either
+    has a non-finite entry, the step matrix is accumulated one step at a
+    time instead.
     """
     if boundary.n != system.n:
         raise ValueError(f"boundary dimension {boundary.n} != state dimension {system.n}")
-    G = P = None
-    if system.is_lti:
-        G, P = _affine_doubling(system, grid)
-    if G is None or not (np.isfinite(G).all() and np.isfinite(P).all()):
+    G, P = _affine_doubling(system, grid)
+    if not (np.isfinite(G).all() and np.isfinite(P).all()):
         G, P = _affine_loop(system, grid)
     xi = boundary.xf - P @ boundary.x0
     for arr in (G, xi, P):

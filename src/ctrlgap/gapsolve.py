@@ -97,11 +97,10 @@ class GapResult(NamedTuple):
     ``max_iter``, or ``"rounding"`` otherwise: rounding keeps an exact
     finish's certificate from ``tol``, or ended the pivots or steps below
     the cap (dependent vertex columns, or no descent or no turn of the
-    slope along an edge).  ``solver`` is ``"newton"`` here and
-    ``"oracle"`` for ``brute_force_gap``.  ``scale`` = (lower, upper)
-    holds the certified ends of the scaling t_c at which the box scaled
-    about its centre meets the affine set, (0, 0) when the centre lies on
-    it; ``brute_force_gap`` leaves it None.
+    slope along an edge).  ``scale`` = (lower, upper) holds the certified
+    ends of the scaling t_c at which the box scaled about its centre meets
+    the affine set, (0, 0) when the centre lies on it; ``brute_force_gap``
+    leaves it None.
     """
 
     uA: ControlTrajectory
@@ -110,7 +109,6 @@ class GapResult(NamedTuple):
     gap_norm: float
     iterations: int
     converged: bool
-    solver: str
     diagnostics: dict
     gap_lower: float = 0.0
     scale: tuple[float, float] | None = None
@@ -270,7 +268,7 @@ def solve_gap(aff: AffineData, bounds: Bounds,
     stop = "certified" if certified else "max_iter" if cut else "rounding"
     uA, uB, v = (ControlTrajectory.from_flat(x, aff.grid, aff.m) for x in (uA, u, v))
     return GapResult(uA=uA, uB=uB, v=v, gap_norm=gap, iterations=pivots + steps,
-                     converged=stop == "certified", solver="newton", gap_lower=gap_lower,
+                     converged=stop == "certified", gap_lower=gap_lower,
                      scale=tuple(scale),
                      diagnostics={"stop": stop, "finish": "exact" if optimal else "cut",
                                   "pivots": pivots})

@@ -9,25 +9,24 @@ the tuple directly and skips those checks.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError
 
-MatrixLike = Union[np.ndarray, Callable[[float], np.ndarray]]
 BoundLike = Union[float, Sequence[float], np.ndarray]
 
 BUILTIN_NAMES = ("double_integrator", "damped_oscillator", "machine_tool")
 
 
-def _as_matrix(value, rows=None, cols=None, name="matrix") -> np.ndarray:
+def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(value, dtype=float))
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if rows is not None and arr.shape[0] != rows:
+    if arr.shape[0] != rows:
         raise ValueError(f"{name} must have {rows} rows, got {arr.shape[0]}")
-    if cols is not None and arr.shape[1] != cols:
+    if arr.shape[1] != cols:
         raise ValueError(f"{name} must have {cols} columns, got {arr.shape[1]}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -90,75 +89,43 @@ class Grid(_GridFields):
 class _LinearSystemFields(NamedTuple):
     n: int
     m: int
-    A: MatrixLike
-    B: MatrixLike
+    A: np.ndarray
+    B: np.ndarray
     t0: float
     tf: float
 
 
 class LinearSystem(_LinearSystemFields):
-    """Linear time-varying dynamics ``x' = A(t) x + B(t) u`` on ``[t0, tf]``.
-
-    ``A`` and ``B`` are either constant matrices or callables returning the
-    matrix sampled at a given time; derivatives, where needed, are always
-    taken from samples, never symbolically.
-    """
+    """Linear dynamics ``x' = A x + B u`` on ``[t0, tf]`` with constant
+    matrices, kept as read-only float copies."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n < 1 or self.m < 1:
+    def __new__(cls, n, m, A, B, t0, tf):
+        if n < 1 or m < 1:
             raise ValueError("state and control dimensions must be at least 1")
-        if self.tf <= self.t0:
-            raise ValueError(f"tf must exceed t0, got [{self.t0}, {self.tf}]")
-        if isinstance(self.A, np.ndarray):
-            _as_matrix(self.A, self.n, self.n, "A")
-        if isinstance(self.B, np.ndarray):
-            _as_matrix(self.B, self.n, self.m, "B")
-        return self
-
-    @property
-    def is_lti(self) -> bool:
-        return isinstance(self.A, np.ndarray) and isinstance(self.B, np.ndarray)
-
-    def a_at(self, t: float) -> np.ndarray:
-        if isinstance(self.A, np.ndarray):
-            return self.A
-        return _as_matrix(self.A(t), self.n, self.n, f"A({t})")
-
-    def b_at(self, t: float) -> np.ndarray:
-        if isinstance(self.B, np.ndarray):
-            return self.B
-        return _as_matrix(self.B(t), self.n, self.m, f"B({t})")
+        if tf <= t0:
+            raise ValueError(f"tf must exceed t0, got [{t0}, {tf}]")
+        return super().__new__(cls, n, m, _as_matrix(A, n, n, "A"),
+                               _as_matrix(B, n, m, "B"), t0, tf)
 
     def grid(self, N: int) -> Grid:
         return Grid(N=N, t0=self.t0, tf=self.tf)
 
 
 def make_lti_system(A, B, t0: float, tf: float) -> LinearSystem:
-    """Build a constant-matrix system, validating shapes and finiteness.
+    """Build a constant-matrix system with n and m read off the shapes of
+    ``A`` and ``B``; ``LinearSystem`` checks them and the entries.
 
     ``B`` given as a flat length-n sequence is treated as a single column.
     """
-    A = _as_matrix(A, name="A")
-    n = A.shape[0]
-    if A.shape[1] != n:
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be square, got {A.shape}")
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
+    if B.ndim < 2:
         B = B.reshape(-1, 1)
-    B = _as_matrix(B, rows=n, name="B")
-    return LinearSystem(n=n, m=B.shape[1], A=A, B=B, t0=float(t0), tf=float(tf))
-
-
-def make_ltv_system(A: Callable[[float], np.ndarray], B: Callable[[float], np.ndarray],
-                    n: int, m: int, t0: float, tf: float) -> LinearSystem:
-    """Build a sampled time-varying system from matrix-valued callables."""
-    sys = LinearSystem(n=n, m=m, A=A, B=B, t0=float(t0), tf=float(tf))
-    sys.a_at(t0)  # validate shape/finiteness at one sample
-    sys.b_at(t0)
-    return sys
+    return LinearSystem(n=A.shape[0], m=B.shape[1], A=A, B=B, t0=float(t0), tf=float(tf))
 
 
 class _BoundaryFields(NamedTuple):

@@ -21,8 +21,8 @@ MAX_COORDS = 8  # 3^8 = 6561 activity patterns
 
 def brute_force_gap(aff: AffineData, bounds: Bounds) -> GapResult:
     """Exhaustive solution of the tiny gap problem, packaged like a solver
-    result (solver tag ``oracle``): enumerate every lower/free/upper
-    pattern and solve its stationarity system.
+    result: enumerate every lower/free/upper pattern and solve its
+    stationarity system.
 
     A pattern fixes the bound coordinates and makes the gap vector vanish
     on the free ones; candidates must be box-feasible with correctly signed
@@ -80,4 +80,4 @@ def brute_force_gap(aff: AffineData, bounds: Bounds) -> GapResult:
                      uB=ControlTrajectory.from_flat(u, grid, m),
                      v=ControlTrajectory.from_flat(v, grid, m),
                      gap_norm=weighted_norm(v, h), iterations=0, converged=True,
-                     solver="oracle", diagnostics={"pattern": pattern, "objective": objective})
+                     diagnostics={"pattern": pattern, "objective": objective})

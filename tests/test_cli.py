@@ -17,7 +17,7 @@ from ctrlgap.oracle import MAX_COORDS
 GAP = ["gap", "--system", "double_integrator", "--nodes", "200", "--bound", "1"]
 
 GAP_SUMMARY_KEYS = {"N", "a", "command", "converged", "finish", "gap_lower",
-                    "gap_norm", "iterations", "label", "solver", "stage_seconds", "stop",
+                    "gap_norm", "iterations", "label", "stage_seconds", "stop",
                     "switch_times", "terminal_error", "wall_time_seconds"}
 
 MIN_ENERGY_SUMMARY_KEYS = {"N", "a", "affine_residual", "command", "converged",
@@ -91,7 +91,6 @@ def test_default_gap_on_machine_tool_is_certified(tmp_path):
             "--out", str(tmp_path)]
     assert cli.run(argv) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["solver"] == "newton"
     assert summary["gap_norm"] - summary["gap_lower"] <= 1e-8 * summary["gap_norm"]
     # certified reference (perfbench/references.json)
     assert summary["gap_norm"] == pytest.approx(0.8187751293169336, rel=1e-10)
@@ -103,7 +102,6 @@ def test_gap_summary_reports_the_certificate_for_every_solver(tmp_path, solver):
     assert cli.run(GAP + ["--solver", solver, "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert set(summary) == GAP_SUMMARY_KEYS
-    assert summary["solver"] == "newton"
     assert 0.0 < summary["gap_lower"] <= summary["gap_norm"] * (1 + 1e-12)
     assert summary["gap_norm"] - summary["gap_lower"] <= 1e-8 * summary["gap_norm"]
 
@@ -125,7 +123,6 @@ def test_legacy_fast_spelling_writes_the_default_runs_files(tmp_path, nodes, gap
     for key in TIMING_KEYS:
         del default[key], fast[key]
     assert fast == default
-    assert fast["solver"] == "newton"
     assert not {"restarts", "full_steps"} & set(fast)
     # certified reference (perfbench/references.json)
     assert abs(fast["gap_norm"] - gap_norm) <= 1e-10 * gap_norm

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SimulationOverflowError,
                      SolveOptions, StateTrajectory, UncontrollableGridError,
                      build_affine, builtin_instance, dykstra_min_energy, l2_norm,
-                     make_lti_system, make_ltv_system, simulate, solve_gap)
+                     make_lti_system, simulate, solve_gap)
+from ctrlgap.discretize import _affine_loop, _simulate_loop
 
 from conftest import gram, ill_conditioned_affines, scaled_residual, scalar_integrator
 
@@ -14,11 +15,9 @@ def di_system():
     return make_lti_system([[0, 1], [0, 0]], [[0], [1]], 0, 1)
 
 
-def per_step_twin(sys_):
-    """The same constant matrices behind callables, so that build_affine and
-    simulate take the per-step loop."""
-    A, B = np.asarray(sys_.A), np.asarray(sys_.B)
-    return make_ltv_system(lambda t: A, lambda t: B, sys_.n, sys_.m, sys_.t0, sys_.tf)
+def loop_states(sys_, grid, x0, u):
+    """The states of the per-step rollout that ``simulate`` falls back to."""
+    return _simulate_loop(sys_, grid, np.asarray(x0, dtype=float), u)
 
 
 def rel_diff(a, b):
@@ -115,22 +114,6 @@ class TestBuildAffine:
         aff = build_affine(sys_, grid, BoundarySpec(x0=[0, 1], xf=[0, 0]))
         np.testing.assert_allclose(aff.G, [[0.25, 0.0], [0.5, 0.5]])
 
-    def test_phi_is_ordered_product(self):
-        # time-varying system: Phi must multiply the step matrices from the
-        # last step leftward
-        from ctrlgap import make_ltv_system
-        sys_ = make_ltv_system(
-            lambda t: np.array([[0.0, 1.0], [-t, -0.5]]),
-            lambda t: np.array([[0.0], [1.0 + t]]),
-            n=2, m=1, t0=0.0, tf=1.0)
-        grid = sys_.grid(7)
-        aff = build_affine(sys_, grid, BoundarySpec(x0=[0, 1], xf=[0, 0]))
-        P = np.eye(2)
-        for t in grid.left_nodes:
-            P = (np.eye(2) + grid.h * sys_.a_at(t)) @ P
-        np.testing.assert_allclose(aff.Phi, P, rtol=1e-14)
-        assert aff.G.shape == (2, grid.N * 1)
-
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), N=st.integers(2, 25))
     def test_terminal_state_consistency(self, seed, N):
@@ -164,16 +147,15 @@ class TestBuildAffine:
     def test_constant_matrices_match_per_step_loop(self, name):
         inst = builtin_instance(name)
         grid = inst.system.grid(10_000)
-        twin = per_step_twin(inst.system)
         fast = build_affine(inst.system, grid, inst.boundary)
-        loop = build_affine(twin, grid, inst.boundary)
-        assert rel_diff(fast.G, loop.G) <= 1e-11
-        assert rel_diff(fast.Phi, loop.Phi) <= 1e-11
+        G, Phi = _affine_loop(inst.system, grid)
+        assert rel_diff(fast.G, G) <= 1e-11
+        assert rel_diff(fast.Phi, Phi) <= 1e-11
         u = ControlTrajectory(values=np.random.default_rng(3).normal(0, 1, (grid.N, 1)),
                               grid=grid)
         # start from xf: machine_tool's x0 is zero
         x = simulate(inst.system, grid, inst.boundary.xf, u).values
-        assert rel_diff(x, simulate(twin, grid, inst.boundary.xf, u).values) <= 1e-11
+        assert rel_diff(x, loop_states(inst.system, grid, inst.boundary.xf, u)) <= 1e-11
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), N=st.integers(1, 70))
@@ -183,16 +165,15 @@ class TestBuildAffine:
         m = int(rng.integers(1, 3))
         sys_ = make_lti_system(rng.normal(0, 3, (n, n)), rng.normal(0, 1, (n, m)),
                                0.0, 1.0)
-        twin = per_step_twin(sys_)
         grid = sys_.grid(N)
         boundary = BoundarySpec(x0=rng.normal(0, 1, n), xf=rng.normal(0, 1, n))
         fast = build_affine(sys_, grid, boundary)
-        loop = build_affine(twin, grid, boundary)
-        assert rel_diff(fast.G, loop.G) <= 1e-11
-        assert rel_diff(fast.Phi, loop.Phi) <= 1e-11
+        G, Phi = _affine_loop(sys_, grid)
+        assert rel_diff(fast.G, G) <= 1e-11
+        assert rel_diff(fast.Phi, Phi) <= 1e-11
         u = ControlTrajectory(values=rng.normal(0, 1, (N, m)), grid=grid)
         x = simulate(sys_, grid, boundary.x0, u).values
-        assert rel_diff(x, simulate(twin, grid, boundary.x0, u).values) <= 1e-11
+        assert rel_diff(x, loop_states(sys_, grid, boundary.x0, u)) <= 1e-11
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_transcription_is_the_per_step_loops(self):
@@ -200,10 +181,10 @@ class TestBuildAffine:
         grid = sys_.grid(200)
         boundary = BoundarySpec(x0=[0.0], xf=[0.0])
         fast = build_affine(sys_, grid, boundary)
-        loop = build_affine(per_step_twin(sys_), grid, boundary)
+        G, Phi = _affine_loop(sys_, grid)
         assert not np.isfinite(fast.G).all()
-        np.testing.assert_array_equal(fast.G, loop.G)
-        np.testing.assert_array_equal(fast.Phi, loop.Phi)
+        np.testing.assert_array_equal(fast.G, G)
+        np.testing.assert_array_equal(fast.Phi, Phi)
 
     def test_projection_residual_contract(self, di_aff_2000):
         grid, aff = di_aff_2000

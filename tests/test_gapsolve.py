@@ -9,7 +9,7 @@ import pytest
 from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
                      UncontrollableGridError, build_affine, builtin_instance,
                      brute_force_gap, extract_switchings, gapsolve,
-                     make_lti_system, make_ltv_system, solve_gap)
+                     make_lti_system, solve_gap)
 
 from conftest import gram, gram_solve, random_tiny_problem, scalar_integrator
 
@@ -411,7 +411,6 @@ class TestNewton:
         aff = build_affine(inst.system, grid, inst.boundary)
         # at tol=1e-10 the certificate alone guarantees the match
         res = solve_gap(aff, Bounds.symmetric(float(bound)), SolveOptions(tol=1e-10))
-        assert res.solver == "newton"
         assert res.converged
         expected = REFERENCES[key]["gap_norm"]
         assert abs(res.gap_norm - expected) <= 1e-10 * expected
@@ -559,11 +558,11 @@ class TestHomogeneity:
 
 
 def alternating_scalar_integrator(N):
-    """x' = b(t) u with b = +-1 alternating from node to node: controllable
-    on the grid, while every block column sum of Qt, over an even number of
-    nodes, is 0."""
-    return make_ltv_system(lambda t: np.zeros((1, 1)),
-                           lambda t: np.array([[(-1.0) ** round(t * N)]]), 1, 1, 0.0, 1.0)
+    """x' = -2N x + u on [0, 1], N a power of 2: the Euler step 1 - 2Nh is
+    -1 exactly, so the columns of G alternate between +h and -h from node to
+    node: controllable on the grid, while every block column sum of Qt, over
+    an even number of nodes, is 0."""
+    return make_lti_system([[-2.0 * N]], [[1.0]], 0.0, 1.0)
 
 
 class TestBlockStart:
@@ -604,13 +603,12 @@ class TestBlockStart:
         assert res.diagnostics["stop"] == "certified"
         assert res.gap_norm - res.gap_lower <= 1e-9 * res.gap_norm
 
-    def test_time_varying_system_on_uneven_blocks(self):
-        system = make_ltv_system(lambda t: np.array([[0.0, 1.0], [-4.0 * t, -0.5]]),
-                                 lambda t: np.array([[0.0], [1.0 + 0.5 * t]]),
-                                 2, 1, 0.0, 1.0)
-        N = 16_400  # 256 blocks of 64 nodes and one of 16
-        aff = build_affine(system, system.grid(N), BoundarySpec(x0=[0.0, 1.0], xf=[0.0, 0.0]))
-        self.assert_certified_inside_the_cold_interval(aff, Bounds.symmetric(1.0))
+    def test_per_node_bounds_on_uneven_blocks(self):
+        inst = builtin_instance("double_integrator")
+        grid = inst.system.grid(16_400)  # 256 blocks of 64 nodes and one of 16
+        aff = build_affine(inst.system, grid, inst.boundary)
+        a = 1.0 + 0.5 * grid.left_nodes
+        self.assert_certified_inside_the_cold_interval(aff, Bounds(lower=-a, upper=a))
 
     def test_two_inputs_with_per_node_bounds_on_uneven_blocks(self):
         aff, bounds = two_input_problem(8250)  # 128 blocks of 64 nodes and one of 58

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ctrlgap import (BUILTIN_NAMES, BoundarySpec, Bounds, ConfigError, Grid,
-                     builtin_instance, instance_from_config, make_lti_system,
-                     make_ltv_system)
+from ctrlgap import (BUILTIN_NAMES, BoundarySpec, Bounds, ConfigError, Grid, LinearSystem,
+                     build_affine, builtin_instance, instance_from_config, make_lti_system)
 
 
 class TestMakeLtiSystem:
@@ -20,7 +19,7 @@ class TestMakeLtiSystem:
 
     def test_scalar_integrator(self):
         sys_ = make_lti_system([[0.0]], [[1.0]], 0, 1)
-        assert sys_.n == 1 and sys_.m == 1 and sys_.is_lti
+        assert sys_.n == 1 and sys_.m == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
@@ -156,14 +155,33 @@ class TestBounds:
             spec.x0 = x0
 
 
-class TestLtvSystem:
-    def test_sampling(self):
-        sys_ = make_ltv_system(
-            lambda t: np.array([[0.0, 1.0], [0.0, -t]]),
-            lambda t: np.array([[0.0], [t]]),
-            n=2, m=1, t0=0.0, tf=1.0)
-        assert not sys_.is_lti
-        np.testing.assert_array_equal(sys_.b_at(0.5), [[0.0], [0.5]])
+class TestLinearSystem:
+    def test_keeps_read_only_float_copies(self):
+        A = np.array([[0, 1], [0, 0]], dtype=np.int64)
+        B = np.array([[0.0], [1.0]])
+        sys_ = LinearSystem(n=2, m=1, A=A, B=B, t0=0.0, tf=1.0)
+        A[1, 0] = -7
+        B[1, 0] = 5.0
+        np.testing.assert_array_equal(sys_.A, [[0.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(sys_.B, [[0.0], [1.0]])
+        assert sys_.A.dtype == sys_.B.dtype == np.float64
+        for arr in (sys_.A, sys_.B):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
+    def test_nested_lists_transcribe(self):
+        sys_ = LinearSystem(n=2, m=1, A=[[0, 1], [0, 0]], B=[[0], [1]], t0=0.0, tf=1.0)
+        aff = build_affine(sys_, sys_.grid(2), BoundarySpec(x0=[0, 1], xf=[0, 0]))
+        np.testing.assert_allclose(aff.G, [[0.25, 0.0], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("A, B, message", [
+        (np.zeros((2, 3)), np.zeros((2, 1)), "A must have 2 columns"),
+        (np.zeros((2, 2)), np.zeros((3, 1)), "B must have 2 rows"),
+        ([[np.inf, 0], [0, 0]], np.zeros((2, 1)), "A contains non-finite")],
+        ids=["wide_a", "tall_b", "infinite_a"])
+    def test_shapes_and_finiteness_checked(self, A, B, message):
+        with pytest.raises(ValueError, match=message):
+            LinearSystem(n=2, m=1, A=A, B=B, t0=0.0, tf=1.0)
 
 
 class TestConfig:

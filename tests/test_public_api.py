@@ -12,13 +12,12 @@ import ctrlgap
 
 # Names that once were public and have no caller on any answer path.
 DELETED = ("project_box", "project_affine", "ltv_rank", "discrete_gramian",
-           "check_bang_bang", "BangBangReport")
+           "check_bang_bang", "BangBangReport", "make_ltv_system")
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 PACKAGE = Path(ctrlgap.__file__).resolve().parent
 
-# The public names at the switch to exports loaded on first use, by the
-# submodule that defines each.
+# The public names, by the submodule that defines each.
 API = {
     "analyze": ("SwitchingProfile", "extract_switchings"),
     "controllability": ("CtrbReport", "gramian_report", "kalman_rank"),
@@ -32,7 +31,7 @@ API = {
     "gapsolve": ("GapResult", "SolveOptions", "solve_gap"),
     "model": ("BUILTIN_NAMES", "BoundarySpec", "Bounds", "Grid", "LinearSystem",
               "ProblemInstance", "builtin_instance", "instance_from_config",
-              "make_lti_system", "make_ltv_system"),
+              "make_lti_system"),
     "oracle": ("brute_force_gap",),
     "project": ("ProjectionStats", "dykstra_min_energy"),
 }
