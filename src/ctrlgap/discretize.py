@@ -9,13 +9,16 @@ certificate runs on one representation of that set, the orthonormal basis
 of G^T decides controllability on the grid; it is built on first use.
 
 The matrices are constant, so every Euler step is the same affine map
-x -> M x + hB u, M = I + hA, and nothing needs a per-step Python loop: G
-is built by doubling its column blocks (the last L blocks times M^L give
-the L before them), Phi = M^N by binary powering, and ``simulate`` is a
-Hillis-Steele prefix scan over the step maps.  The per-step loops remain
-only as overflow fallbacks: a doubled G or Phi, or a scan, with a
-non-finite entry is redone one step at a time, and the loop then decides
-whether the rollout overflows and at which step.
+x -> M x + hB u, M = I + hA, formed once by ``_step_map``, and nothing
+needs a per-step Python loop: G is built by doubling its column blocks
+(the last L blocks times M^L give the L before them), Phi = M^N by binary
+powering, and ``simulate`` is a Hillis-Steele prefix scan over the step
+maps.  A G or Phi with a non-finite entry is refused with
+``SimulationOverflowError``: accumulated one step at a time, the same
+blocks overflow too, and no solve can run on a non-finite G.  A scan with
+a non-finite entry is redone by the per-step loop, which keeps a zero
+state finite where a power M^s overflows and names the first step whose
+state is not finite.
 
 Norms on control space carry the step weight h so that they approximate
 the L2 norm of the step-function interpolant; the scalar weight cancels
@@ -168,34 +171,39 @@ class AffineData:
         return Qt, c, Rhat
 
 
-def _simulate_loop(system: LinearSystem, grid: Grid, x0: np.ndarray,
+def _step_map(system: LinearSystem, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(M, hB) with M = I + h A: one forward-Euler step is x -> M x + hB u."""
+    return np.eye(system.n) + h * system.A, h * system.B
+
+
+def _simulate_loop(M: np.ndarray, hB: np.ndarray, x0: np.ndarray,
                    u: ControlTrajectory) -> np.ndarray:
-    """Per-step rollout, the fallback of a scan with a non-finite entry;
-    raises at the first step with a non-finite state."""
-    A, B, h = system.A, system.B, grid.h
-    out = np.empty((grid.N + 1, system.n))
+    """Per-step rollout x -> M x + hB u_k, the fallback of a scan with a
+    non-finite entry; raises at the first step with a non-finite state."""
+    N = u.grid.N
+    out = np.empty((N + 1, x0.size))
     out[0] = x0
     x = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.N):
-            x = x + h * (A @ x + B @ u.values[k])
+        for k in range(N):
+            x = M @ x + hB @ u.values[k]
             if not np.all(np.isfinite(x)):
                 raise SimulationOverflowError(
-                    f"state overflowed at step {k + 1} of {grid.N}; the Euler "
-                    f"step h={h:g} is unstable for this system")
+                    f"state overflowed at step {k + 1} of {N}; the Euler "
+                    f"step h={u.grid.h:g} is unstable for this system")
             out[k + 1] = x
     return out
 
 
-def _simulate_scan(system: LinearSystem, grid: Grid, x0: np.ndarray,
+def _simulate_scan(M: np.ndarray, hB: np.ndarray, x0: np.ndarray,
                    u: ControlTrajectory) -> np.ndarray:
     """Hillis-Steele inclusive scan of the affine steps x -> M x + hB u_k:
     with b[0] = x0 and b[k+1] = hB u_k, the pass with stride s adds
     M^s b[k-s] to b[k], so after ceil(log2(N+1)) passes b[k] = x_k."""
-    b = np.empty((grid.N + 1, system.n))
+    b = np.empty((u.grid.N + 1, x0.size))
     b[0] = x0
-    b[1:] = u.values @ (grid.h * system.B).T
-    P, s = np.eye(system.n) + grid.h * system.A, 1
+    b[1:] = u.values @ hB.T
+    P, s = M, 1
     with np.errstate(over="ignore", invalid="ignore"):
         while s < b.shape[0]:
             b[s:] += b[:-s] @ P.T
@@ -207,7 +215,7 @@ def _simulate_scan(system: LinearSystem, grid: Grid, x0: np.ndarray,
 
 def simulate(system: LinearSystem, grid: Grid, x0: np.ndarray,
              u: ControlTrajectory) -> StateTrajectory:
-    """Forward-Euler rollout x_{k+1} = x_k + h (A x_k + B u_k).
+    """Forward-Euler rollout x_{k+1} = M x_k + hB u_k, M = I + h A.
 
     Runs as a log-depth scan over the affine step maps.  A scan with a
     non-finite entry is decided by the per-step loop, since an overflowing
@@ -222,35 +230,21 @@ def simulate(system: LinearSystem, grid: Grid, x0: np.ndarray,
         raise ValueError("control trajectory lives on a different grid")
     if u.m != system.m:
         raise ValueError(f"control has {u.m} channels, system expects {system.m}")
-    out = _simulate_scan(system, grid, x0, u)
+    M, hB = _step_map(system, grid.h)
+    out = _simulate_scan(M, hB, x0, u)
     if not np.isfinite(out).all():
-        out = _simulate_loop(system, grid, x0, u)
+        out = _simulate_loop(M, hB, x0, u)
     return StateTrajectory(values=out, grid=grid)
 
 
-def _affine_loop(system: LinearSystem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(G, Phi) by accumulating the step matrix from the last step back, one
-    step at a time: the fallback of a doubling with a non-finite entry."""
-    n, m, h = system.n, system.m, grid.h
-    A, B = system.A, system.B
-    G = np.empty((n, grid.N * m))
-    P = np.eye(n)
-    eye = np.eye(n)
-    for k in range(grid.N - 1, -1, -1):
-        G[:, k * m:(k + 1) * m] = P @ (h * B)
-        P = P @ (eye + h * A)
-    return G, P
-
-
-def _affine_doubling(system: LinearSystem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(G, Phi) of a constant-matrix system: column block k of G is
+def _affine_doubling(M: np.ndarray, hB: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G, Phi) of N steps x -> M x + hB u: column block k of G is
     M^(N-1-k) hB, so the last L blocks times M^L give the L blocks before
     them.  Doubling the n-by-m blocks, not a stack of n-by-n powers, keeps
     the work and memory at the size of G."""
-    N, m = grid.N, system.m
-    M = np.eye(system.n) + grid.h * system.A
-    G = np.empty((system.n, N * m))
-    G[:, (N - 1) * m:] = grid.h * system.B
+    m = hB.shape[1]
+    G = np.empty((M.shape[0], N * m))
+    G[:, (N - 1) * m:] = hB
     P, L = M, 1
     with np.errstate(over="ignore", invalid="ignore"):
         while L < N:
@@ -269,15 +263,18 @@ def build_affine(system: LinearSystem, grid: Grid,
 
     Column block k of G is M^(N-1-k) h B with M = I + h A, so that the
     Euler terminal state equals Phi x0 + G u for stacked controls u, Phi =
-    M^N.  G is built by doubling and Phi by binary powering; when either
-    has a non-finite entry, the step matrix is accumulated one step at a
-    time instead.
+    M^N.  G is built by doubling and Phi by binary powering.  Raises
+    ``SimulationOverflowError`` when either has a non-finite entry: the
+    Euler step h is then unstable for the system, and no solve can run on
+    the set.
     """
     if boundary.n != system.n:
         raise ValueError(f"boundary dimension {boundary.n} != state dimension {system.n}")
-    G, P = _affine_doubling(system, grid)
+    G, P = _affine_doubling(*_step_map(system, grid.h), grid.N)
     if not (np.isfinite(G).all() and np.isfinite(P).all()):
-        G, P = _affine_loop(system, grid)
+        raise SimulationOverflowError(
+            f"the reachability map overflowed at N={grid.N}; the Euler step "
+            f"h={grid.h:g} is unstable for this system")
     xi = boundary.xf - P @ boundary.x0
     for arr in (G, xi, P):
         arr.flags.writeable = False

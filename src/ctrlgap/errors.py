@@ -16,8 +16,9 @@ class UncontrollableGridError(CtrlGapError):
 
 
 class SimulationOverflowError(CtrlGapError):
-    """Non-finite values appeared during forward integration, which
-    signals instability of the explicit scheme at this step size."""
+    """Non-finite values appeared in the transcription (``build_affine``) or
+    in the forward integration (``simulate``), which signals instability of
+    the explicit scheme at this step size."""
 
 
 class InfeasibleIntersectionError(CtrlGapError):

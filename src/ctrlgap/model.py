@@ -35,10 +35,8 @@ def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
     return arr
 
 
-def _as_vector(value, size=None, name="vector") -> np.ndarray:
+def _as_vector(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float).reshape(-1)
-    if size is not None and arr.size != size:
-        raise ValueError(f"{name} must have length {size}, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     arr = arr.copy()
@@ -140,7 +138,7 @@ class BoundarySpec(_BoundaryFields):
     __slots__ = ()
 
     def __new__(cls, x0, xf):
-        x0, xf = _as_vector(x0, name="x0"), _as_vector(xf, name="xf")
+        x0, xf = _as_vector(x0, "x0"), _as_vector(xf, "xf")
         if x0.size != xf.size:
             raise ValueError("x0 and xf must have equal length")
         return super().__new__(cls, x0, xf)

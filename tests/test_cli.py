@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import warnings
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -252,6 +253,23 @@ def test_bad_instance_flags_exit_1(tmp_path, capsys, command, flags):
     assert cli.run([command, *flags, *bound, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: argument --")
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["gap", "critical", "min-energy", "ctrb"])
+def test_unstable_euler_step_exits_1_without_a_warning(tmp_path, capsys, command):
+    # x' = 1e8 x at N=200: the doubled reachability map overflows, and the
+    # refusal names the step before any factorization sees a non-finite G
+    cfg = tmp_path / "unstable.json"
+    cfg.write_text(json.dumps({"system": {"A": [[1e8]], "B": [[1]]}, "t0": 0, "tf": 1,
+                               "x0": [1], "xf": [0], "bound": 1}))
+    argv = [command, "--config", str(cfg), "--nodes", "200", "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run(argv) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "step h=0.005 is unstable" in err
+    assert not (tmp_path / "o" / "summary.json").exists()
 
 
 CTRB_SUMMARY_KEYS = {"N", "column_ranks", "command", "conditioning", "controllable",

@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +9,6 @@ from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SimulationOverflow
                      SolveOptions, StateTrajectory, UncontrollableGridError,
                      build_affine, builtin_instance, dykstra_min_energy, l2_norm,
                      make_lti_system, simulate, solve_gap)
-from ctrlgap.discretize import _affine_loop, _simulate_loop
 
 from conftest import gram, ill_conditioned_affines, scaled_residual, scalar_integrator
 
@@ -16,8 +18,28 @@ def di_system():
 
 
 def loop_states(sys_, grid, x0, u):
-    """The states of the per-step rollout that ``simulate`` falls back to."""
-    return _simulate_loop(sys_, grid, np.asarray(x0, dtype=float), u)
+    """Reference rollout x_{k+1} = x_k + h (A x_k + B u_k), one step at a
+    time; a state that overflows stays in the result."""
+    A, B, h = sys_.A, sys_.B, grid.h
+    out = np.empty((grid.N + 1, sys_.n))
+    out[0] = x = np.asarray(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.N):
+            out[k + 1] = x = x + h * (A @ x + B @ u.values[k])
+    return out
+
+
+def affine_loop(sys_, grid):
+    """Reference (G, Phi): the step matrix accumulated from the last step
+    back, one step at a time; an overflow stays in the result."""
+    n, m, h = sys_.n, sys_.m, grid.h
+    G = np.empty((n, grid.N * m))
+    P = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.N - 1, -1, -1):
+            G[:, k * m:(k + 1) * m] = P @ (h * sys_.B)
+            P = P @ (np.eye(n) + h * sys_.A)
+    return G, P
 
 
 def rel_diff(a, b):
@@ -75,8 +97,21 @@ class TestSimulate:
         sys_ = make_lti_system([[1e8]], [[1.0]], 0, 1)
         grid = sys_.grid(200)
         u = ControlTrajectory(values=np.ones((200, 1)), grid=grid)
-        with pytest.raises(SimulationOverflowError, match="step 54 of 200"):
+        with pytest.raises(SimulationOverflowError, match="step 55 of 200"):
             simulate(sys_, grid, [1.0], u)
+
+    def test_overflow_step_is_the_first_state_above_the_largest_float(self):
+        # in exact arithmetic on the float step map x -> M x + hB, x_54 is
+        # finite and x_55 is not; the intermediate h (A x_53) of the form
+        # x + h (A x + B u) already overflows at step 54
+        sys_ = make_lti_system([[1e8]], [[1.0]], 0, 1)
+        h = sys_.grid(200).h
+        M, hB = Fraction(1.0 + h * 1e8), Fraction(h * 1.0)
+        x = [Fraction(1)]
+        for _ in range(55):
+            x.append(M * x[-1] + hB)
+        assert x[54] < Fraction(sys.float_info.max) < x[55]
+        assert not np.isfinite(h * (1e8 * float(x[53])))
 
     def test_zero_state_with_overflowing_powers_stays_finite(self):
         # M^64 overflows, and 0 * inf = NaN would be a false overflow
@@ -148,7 +183,7 @@ class TestBuildAffine:
         inst = builtin_instance(name)
         grid = inst.system.grid(10_000)
         fast = build_affine(inst.system, grid, inst.boundary)
-        G, Phi = _affine_loop(inst.system, grid)
+        G, Phi = affine_loop(inst.system, grid)
         assert rel_diff(fast.G, G) <= 1e-11
         assert rel_diff(fast.Phi, Phi) <= 1e-11
         u = ControlTrajectory(values=np.random.default_rng(3).normal(0, 1, (grid.N, 1)),
@@ -168,23 +203,41 @@ class TestBuildAffine:
         grid = sys_.grid(N)
         boundary = BoundarySpec(x0=rng.normal(0, 1, n), xf=rng.normal(0, 1, n))
         fast = build_affine(sys_, grid, boundary)
-        G, Phi = _affine_loop(sys_, grid)
+        G, Phi = affine_loop(sys_, grid)
         assert rel_diff(fast.G, G) <= 1e-11
         assert rel_diff(fast.Phi, Phi) <= 1e-11
         u = ControlTrajectory(values=rng.normal(0, 1, (N, m)), grid=grid)
         x = simulate(sys_, grid, boundary.x0, u).values
         assert rel_diff(x, loop_states(sys_, grid, boundary.x0, u)) <= 1e-11
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_transcription_is_the_per_step_loops(self):
-        sys_ = make_lti_system([[1e8]], [[1.0]], 0, 1)
-        grid = sys_.grid(200)
-        boundary = BoundarySpec(x0=[0.0], xf=[0.0])
-        fast = build_affine(sys_, grid, boundary)
-        G, Phi = _affine_loop(sys_, grid)
-        assert not np.isfinite(fast.G).all()
-        np.testing.assert_array_equal(fast.G, G)
-        np.testing.assert_array_equal(fast.Phi, Phi)
+    def test_refused_exactly_where_the_per_step_loop_overflows(self):
+        # random systems with |A| up to 1e9, some with a zeroed B row or a
+        # diagonal A: the doubling is refused exactly when the reference
+        # (G, Phi) has a non-finite entry, and otherwise matches it
+        rng = np.random.default_rng(35)
+        counts = {"overflowing": 0, "finite": 0}
+        for _ in range(300):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+            A = rng.normal(0, 1, (n, n)) * 10.0 ** rng.uniform(0, 9)
+            B = rng.normal(0, 1, (n, m))
+            if rng.random() < 0.25:
+                A = np.diag(np.diag(A))
+            if n > 1 and rng.random() < 0.25:
+                B[rng.integers(n)] = 0.0
+            sys_ = make_lti_system(A, B, 0.0, 1.0)
+            grid = sys_.grid(int(rng.integers(1, 400)))
+            G, Phi = affine_loop(sys_, grid)
+            boundary = BoundarySpec(x0=np.zeros(n), xf=np.zeros(n))
+            if not (np.isfinite(G).all() and np.isfinite(Phi).all()):
+                counts["overflowing"] += 1
+                with pytest.raises(SimulationOverflowError, match=f"h={grid.h:g} is unstable"):
+                    build_affine(sys_, grid, boundary)
+                continue
+            counts["finite"] += 1
+            fast = build_affine(sys_, grid, boundary)
+            assert rel_diff(fast.G, G) <= 1e-11
+            assert rel_diff(fast.Phi, Phi) <= 1e-11
+        assert min(counts.values()) >= 100, counts
 
     def test_projection_residual_contract(self, di_aff_2000):
         grid, aff = di_aff_2000
