@@ -3,21 +3,25 @@ reports, feasible minimum-energy solves, trajectory analysis.
 
 Every run writes a ``summary.json`` record.  ``gap``, ``critical`` and
 ``min-energy`` also write ``trajectory.csv`` (control curves at left node
-times) and ``states.csv`` (simulated states on all nodes), and with
-``--svg`` ``figure.svg``.  The CSV files hold every value as its
-``%.17g`` text, so ``read_trajectory`` gets the same doubles back; the
+times), ``run.npz`` (the states) and with ``--svg`` ``figure.svg``.
+``run.npz`` is an uncompressed ``np.savez`` of ``t``, the N + 1 node
+times, and ``x``, the simulated states, so that after
+``run = np.load("out/run.npz")`` row k of ``run["x"]`` is the state at
+``run["t"][k]``, bit for bit as computed; it replaces the ``states.csv``
+text file of earlier versions.  ``trajectory.csv`` holds every value as
+its ``%.17g`` text, so ``read_trajectory`` gets the same doubles back; the
 vectorised encoder in ``csvtext`` writes exactly the bytes that Python's
-``%`` formatting gives.  Both files are written in one pass over blocks of
-rows: ``csvtext.encode_slots`` gives each distinct value array of a block
-its text once (the times serve both files, uB passed as the same array as
-uA reuses uA's slots, and an all-zero v is one slot for the run), and
-``csvtext.gather`` lays out each file's rows from those slots.  Each
-command takes the argparse namespace as parsed and builds its summary as a
-plain dict; ``_emit`` leaves out None entries and rejects a non-finite
-number.  Exit codes: 0 converged (for ``critical``: the certified bracket
-reached ``--tol-a``), 2 unconverged, 1 usage or configuration error, a
-file that cannot be read or written, or a ``gap --oracle`` enumeration
-whose gap lies outside the certified interval.
+``%`` formatting gives.  It is written over blocks of rows:
+``csvtext.encode_slots`` gives each distinct value array of a block its
+text once (uB passed as the same array as uA reuses uA's slots, and an
+all-zero v is one slot for the run), and ``csvtext.gather`` lays out the
+block's rows from those slots.  Each command takes the argparse namespace
+as parsed and builds its summary as a plain dict; ``_emit`` leaves out
+None entries and rejects a non-finite number before writing any file.
+Exit codes: 0 converged (for ``critical``: the certified bracket reached
+``--tol-a``), 2 unconverged, 1 usage or configuration error, a file that
+cannot be read or written, or a ``gap --oracle`` enumeration whose gap
+lies outside the certified interval.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ from .model import (BUILTIN_NAMES, Bounds, Grid, ProblemInstance,
 from .oracle import MAX_COORDS, brute_force_gap
 from .project import dykstra_min_energy
 
-# At most this many values are encoded per call when writing the CSV
-# files.  A few thousand keep the encoder's fixed cost per call, that of
-# about a thousand values, small and its scratch arrays near 1 MB, and the
-# whole file's text is never in memory.
+# At most this many values are encoded per call when writing trajectory.csv.
+# A few thousand keep the encoder's fixed cost per call, that of about a
+# thousand values, small and its scratch arrays near 1 MB, and the whole
+# file's text is never in memory.
 CSV_BLOCK_VALUES = 8192
 # Share of a step that a time read back may be off the uniform grid rebuilt
 # from the first two times, more than rounding leaves in a written file.
@@ -89,7 +93,10 @@ def _build_parser() -> _Parser:
                        help="Euler steps, at least 2 (default 2000)")
         if with_bound:
             p.add_argument("--bound", type=float, help="symmetric control bound a")
-        p.add_argument("--out", default="out", help="output directory (default ./out)")
+        p.add_argument("--out", default="out",
+                       help="output directory (default ./out): summary.json, and "
+                            "from gap, critical and min-energy trajectory.csv "
+                            "and run.npz")
 
     p_gap = sub.add_parser("gap", help="best-approximation pair and gap vector")
     add_instance_flags(p_gap)
@@ -188,21 +195,18 @@ def _symmetric_bound(bounds: Bounds) -> Optional[float]:
     return float(hi) if np.isscalar(lo) and np.isscalar(hi) and lo == -hi else None
 
 
-def _write_csv_files(out_dir: Path, grid: Grid, curves: dict, states: np.ndarray) -> None:
+def _write_trajectory(out_dir: Path, grid: Grid, curves: dict) -> None:
     """Write ``trajectory.csv``, the times and ``curves`` at the N left
-    nodes, and ``states.csv``, the times and ``states`` at all N + 1 nodes,
-    in one pass over blocks of rows, byte for byte what ``"%.17g" %`` gives
-    for each value.
+    nodes, over blocks of rows, byte for byte what ``"%.17g" %`` gives for
+    each value.
 
     The rows are split into the fewest equal blocks of at most
     ``CSV_BLOCK_VALUES`` values each, so no short last block costs an
-    encoder call of its own.  Each block makes one ``csvtext.encode_slots`` call over its distinct
-    values only: the times serve both files, a curve passed as the same
-    array as an earlier one reuses its slots, and an all-zero array, tested
-    by bit pattern so that -0.0 is not one, reads one slot encoded once
-    for the whole run.  ``csvtext.gather`` then lays out each file's rows
-    of the block."""
-    nodes = grid.nodes.reshape(-1, 1)
+    encoder call of its own.  Each block makes one ``csvtext.encode_slots``
+    call over its distinct values only: a curve passed as the same array as
+    an earlier one reuses its slots, and an all-zero array, tested by bit
+    pattern so that -0.0 is not one, reads one slot encoded once for the
+    whole run.  ``csvtext.gather`` then lays out the block's rows."""
     sources: list[np.ndarray] = []  # the distinct arrays that vary by row
     known: dict[int, int] = {}
     ZERO = -1  # the source of a column that reads the zero slot, kept last
@@ -216,29 +220,20 @@ def _write_csv_files(out_dir: Path, grid: Grid, curves: dict, states: np.ndarray
             sources.append(arr)
         return [(known[id(arr)], j) for j in range(arr.shape[1])]
 
-    m, n = curves["uA"].shape[1], states.shape[1]
-    files = [
-        ("trajectory.csv", grid.N,
-         ["t"] + [f"{name}_{i + 1}" for name in ("uA", "uB", "v") for i in range(m)],
-         refs(nodes) + refs(curves["uA"]) + refs(curves["uB"]) + refs(curves["v"])),
-        ("states.csv", grid.N + 1, ["t"] + [f"x_{i + 1}" for i in range(n)],
-         refs(nodes) + refs(states))]
+    m = curves["uA"].shape[1]
+    header = ["t"] + [f"{name}_{i + 1}" for name in ("uA", "uB", "v") for i in range(m)]
+    source, col = np.array(refs(grid.left_nodes.reshape(-1, 1)) + refs(curves["uA"])
+                           + refs(curves["uB"]) + refs(curves["v"])).T
     widths = [arr.shape[1] for arr in sources]
-    blocks = math.ceil((grid.N + 1) * sum(widths) / CSV_BLOCK_VALUES)
-    rows = -(-(grid.N + 1) // blocks)
+    blocks = math.ceil(grid.N * sum(widths) / CSV_BLOCK_VALUES)
+    rows = -(-grid.N // blocks)
     slots = np.empty((rows * sum(widths) + 1, 4), dtype="<u8")  # zero slot last
-    steps = np.append(widths, 0)
+    step = np.append(widths, 0)[source]
     # the zero slot is encoded with the first block, in no call of its own
-    zero = [np.zeros(1)] if any(
-        source == ZERO for *_, columns in files for source, _ in columns) else []
-    with contextlib.ExitStack() as stack:
-        layouts = []
-        for name, total, header, columns in files:
-            fh = stack.enter_context(open(out_dir / name, "wb"))
-            fh.write((",".join(header) + "\n").encode("ascii"))
-            source, col = np.array(columns).T
-            layouts.append((fh, total, source, col, steps[source]))
-        for r0 in range(0, grid.N + 1, rows):
+    zero = [np.zeros(1)] if np.any(source == ZERO) else []
+    with open(out_dir / "trajectory.csv", "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        for r0 in range(0, grid.N, rows):
             parts = [arr[r0:r0 + rows].reshape(-1) for arr in sources]
             starts = np.cumsum([0] + [part.size for part in parts])
             encode_slots(np.concatenate(parts + zero), out=slots[:starts[-1] + len(zero)])
@@ -246,11 +241,8 @@ def _write_csv_files(out_dir: Path, grid: Grid, curves: dict, states: np.ndarray
                 slots[ZERO] = slots[starts[-1]]
                 zero = []
             starts[ZERO] = len(slots) - 1
-            for fh, total, source, col, step in layouts:
-                if r0 < total:
-                    first = starts[source] + col
-                    block = np.arange(min(rows, total - r0))
-                    fh.write(gather(slots, first + block[:, None] * step))
+            block = np.arange(min(rows, grid.N - r0))
+            fh.write(gather(slots, starts[source] + col + block[:, None] * step))
 
 
 def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
@@ -300,23 +292,27 @@ def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
 def _emit(out_dir: Path, summary: dict, grid: Grid = None,
           curves: dict = None, states=None, svg: bool = False,
           title: str = "", stages: dict = None) -> None:
-    """Write the run's files and ``summary`` without its None entries;
-    a non-finite number in it raises ``ValueError``.  ``stages``, when
-    given, gains the time spent writing the CSV and SVG files and goes
-    into summary.json as ``stage_seconds``."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
-    if curves is not None:
-        _write_csv_files(out_dir, grid, curves, states)
-    if svg and curves is not None:
-        figures.write_svg(out_dir / "figure.svg", grid.left_nodes, curves, title)
-    if stages is not None:
-        stages["write"] = time.perf_counter() - t_start
-        summary["stage_seconds"] = stages
+    """Write the run's files and ``summary`` without its None entries.  A
+    non-finite number in ``summary`` raises ``ValueError`` before any file
+    is written.  With ``curves``, the run files are ``trajectory.csv`` and
+    ``run.npz``, ``np.savez`` of ``t`` (the N + 1 node times) and ``x``
+    (``states`` at them), and with ``svg`` ``figure.svg``.  ``stages``,
+    when given, gains the time spent writing them and goes into
+    summary.json as ``stage_seconds``."""
     doc = {key: value for key, value in summary.items() if value is not None}
     for key, value in doc.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"summary field {key} is not finite: {value}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    t_start = time.perf_counter()
+    if curves is not None:
+        _write_trajectory(out_dir, grid, curves)
+        np.savez(out_dir / "run.npz", t=grid.nodes, x=states)
+        if svg:
+            figures.write_svg(out_dir / "figure.svg", grid.left_nodes, curves, title)
+    if stages is not None:
+        stages["write"] = time.perf_counter() - t_start
+        doc["stage_seconds"] = stages
     (out_dir / "summary.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

@@ -110,7 +110,7 @@ class AffineData:
     ``controllable`` (G has full row rank) and ``basis``, the form of the set
     that every solver runs on, both read one QR of G^T, built on first use.
     The one record that is a frozen dataclass, not a NamedTuple: the cached
-    QR and ``basis`` live in its instance ``__dict__``."""
+    QR, verdict and ``basis`` live in its instance ``__dict__``."""
 
     G: np.ndarray
     xi: np.ndarray
@@ -139,9 +139,9 @@ class AffineData:
         d[d == 0.0] = 1.0
         return np.ascontiguousarray(Q.T), R / d, d
 
-    @property
+    @cached_property
     def controllable(self) -> bool:
-        """The verdict of ``gramian_report`` on this grid."""
+        """The verdict of ``gramian_report`` on this grid, formed once."""
         return gramian_report(self).controllable
 
     @cached_property

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ctrlgap import (BUILTIN_NAMES, ControlTrajectory, Grid,
-                     SolveOptions, build_affine, builtin_instance, cli, csvtext, figures)
+from ctrlgap import (BUILTIN_NAMES, ControlTrajectory, Grid, SolveOptions, build_affine,
+                     builtin_instance, cli, csvtext, discretize, figures)
 from ctrlgap.project import ROUNDING
 from ctrlgap.oracle import MAX_COORDS
 
@@ -37,7 +37,8 @@ def test_gap_converges_and_writes_summary(tmp_path):
     assert set(summary) == GAP_SUMMARY_KEYS
     assert summary["converged"] is True
     assert (tmp_path / "trajectory.csv").is_file()
-    assert (tmp_path / "states.csv").is_file()
+    assert (tmp_path / "run.npz").is_file()
+    assert not (tmp_path / "states.csv").exists()
 
 
 def test_bound_from_config_is_recorded(tmp_path):
@@ -117,8 +118,15 @@ def test_legacy_fast_spelling_writes_the_default_runs_files(tmp_path, nodes, gap
     argv = ["gap", "--system", "machine_tool", "--nodes", str(nodes), "--bound", "1770"]
     assert cli.run(argv + ["--out", str(tmp_path / "default")]) == 0
     assert cli.run(argv + ["--solver", "fast", "--out", str(tmp_path / "fast")]) == 0
-    for name in ("trajectory.csv", "states.csv"):
-        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+    assert ((tmp_path / "fast" / "trajectory.csv").read_bytes()
+            == (tmp_path / "default" / "trajectory.csv").read_bytes())
+    # by its arrays: a zip entry's bytes carry the time it was written
+    with (np.load(tmp_path / "fast" / "run.npz", allow_pickle=False) as fast,
+          np.load(tmp_path / "default" / "run.npz", allow_pickle=False) as default):
+        assert fast.files == default.files == ["t", "x"]
+        for name in fast.files:
+            np.testing.assert_array_equal(fast[name].view(np.int64),
+                                          default[name].view(np.int64))
     default, fast = (json.loads((tmp_path / run / "summary.json").read_text())
                      for run in ("default", "fast"))
     for key in TIMING_KEYS:
@@ -200,6 +208,19 @@ def test_critical_writes_the_vertex_control_at_the_upper_end(tmp_path):
     assert np.max(np.abs(blocks["uB"])) <= summary["a_c"]
 
 
+def test_critical_forms_the_gramian_verdict_once(tmp_path, monkeypatch):
+    # the transcription's basis and the search's check both read
+    # AffineData.controllable, which keeps its one SVD
+    calls = []
+    genuine = discretize.gramian_report
+    monkeypatch.setattr(discretize, "gramian_report",
+                        lambda aff: calls.append(aff) or genuine(aff))
+    argv = ["critical", "--system", "machine_tool", "--nodes", "1000",
+            "--out", str(tmp_path)]
+    assert cli.run(argv) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("tol_a", ["1e-10", "inf"])
 def test_critical_tol_a_below_the_rounding_floor_exits_1(tmp_path, capsys, tol_a):
     # an infinite tol_a would accept the bracket of the zero control
@@ -209,6 +230,17 @@ def test_critical_tol_a_below_the_rounding_floor_exits_1(tmp_path, capsys, tol_a
     err = capsys.readouterr().err
     assert err.startswith("error:") and "tol_a" in err
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_non_finite_summary_exits_1_before_writing_run_files(tmp_path, capsys,
+                                                             monkeypatch):
+    genuine = cli.solve_gap
+    monkeypatch.setattr(cli, "solve_gap", lambda *args, **kwargs:
+                        genuine(*args, **kwargs)._replace(gap_norm=float("nan")))
+    out = tmp_path / "out"
+    assert cli.run(GAP + ["--out", str(out)]) == 1
+    assert "summary field gap_norm is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_infeasible_min_energy_exits_1(tmp_path, capsys):
@@ -381,17 +413,28 @@ def differing_line(path, expected):
 
 
 def awkward_columns(N, m):
-    """Values that stress the text format: signed zero, a subnormal, +-1e300."""
+    """Values that stress the text format and the binary file: signed zero,
+    a subnormal and +-1e300 at the head of the first of the three."""
     rng = np.random.default_rng(7)
     cols = rng.normal(0, 1, (3, N, m)) * 10.0 ** rng.integers(-300, 300, (3, N, m))
     cols[0, :4, 0] = [-0.0, 5e-324, 1e300, -1e300]
     return cols
 
 
+def check_run_npz(path, times, states):
+    """run.npz holds exactly ``t`` and ``x``, equal to ``times`` and
+    ``states`` bit for bit, -0.0 and subnormals included."""
+    with np.load(path, allow_pickle=False) as run:
+        assert run.files == ["t", "x"]
+        for name, want in (("t", times), ("x", states)):
+            assert run[name].dtype == np.float64 and run[name].shape == want.shape
+            np.testing.assert_array_equal(run[name].view(np.int64), want.view(np.int64))
+
+
 def write_and_check_csv_files(tmp_path, monkeypatch, grid, curves, states):
-    """Write the two CSV files, check their text against csv.writer's
-    ``%.17g`` and trajectory.csv's values read back bit for bit, and return
-    the number of values of each encoder call."""
+    """Write the run files, check trajectory.csv's text against csv.writer's
+    ``%.17g`` and its values read back bit for bit, and run.npz's arrays
+    bit for bit, and return the number of values of each encoder call."""
     encoded = []
 
     def encode_slots(x, out=None):
@@ -399,7 +442,7 @@ def write_and_check_csv_files(tmp_path, monkeypatch, grid, curves, states):
         return csvtext.encode_slots(x, out)
 
     monkeypatch.setattr(cli, "encode_slots", encode_slots)
-    cli._write_csv_files(tmp_path, grid, curves, states)
+    cli._emit(tmp_path, {}, grid, curves, states)
     m = curves["uA"].shape[1]
     header = (["t"] + [f"uA_{i + 1}" for i in range(m)]
               + [f"uB_{i + 1}" for i in range(m)] + [f"v_{i + 1}" for i in range(m)])
@@ -412,9 +455,8 @@ def write_and_check_csv_files(tmp_path, monkeypatch, grid, curves, states):
     for name, values in curves.items():
         np.testing.assert_array_equal(blocks[name].view(np.int64), values.view(np.int64))
 
-    header = ["t"] + [f"x_{i + 1}" for i in range(states.shape[1])]
-    assert differing_line(tmp_path / "states.csv", reference_csv(
-        header, np.column_stack([grid.nodes, states]))) is None
+    check_run_npz(tmp_path / "run.npz", grid.nodes, states)
+    assert not (tmp_path / "states.csv").exists()
     return encoded
 
 
@@ -422,24 +464,23 @@ def test_csv_text_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path, monkey
     N, m = cli.CSV_BLOCK_VALUES // 4 + 45, 2
     grid = Grid(N=N, t0=0.0, tf=1.0)
     uA, uB, v = awkward_columns(N, m)
-    states = awkward_columns(N + 1, 3)[1]
+    states = awkward_columns(N + 1, 3)[0]
     encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid,
                                         {"uA": uA, "uB": uB, "v": v}, states)
-    # the times once for both files
-    assert sum(encoded) == (N + 1) * 4 + N * 3 * m
+    # each value once: the times and the three curves
+    assert sum(encoded) == N * (1 + 3 * m)
 
 
-def test_blocks_of_one_row_end_on_the_extra_states_row_alone(tmp_path, monkeypatch):
-    # every block one row: the last one holds states.csv's extra row and no
-    # trajectory row
+def test_blocks_of_one_row_encode_each_row_alone(tmp_path, monkeypatch):
+    # every block one row: one encoder call per row of trajectory.csv
     monkeypatch.setattr(cli, "CSV_BLOCK_VALUES", 1)
     N, m = 5, 2
     grid = Grid(N=N, t0=0.0, tf=1.0)
     uA, uB, v = awkward_columns(N, m)
-    states = awkward_columns(N + 1, 3)[1]
+    states = awkward_columns(N + 1, 3)[0]
     encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid,
                                         {"uA": uA, "uB": uB, "v": v}, states)
-    assert encoded == [4 + 3 * m] * N + [4]
+    assert encoded == [1 + 3 * m] * N
 
 
 @pytest.mark.parametrize("case", ["shared_uB", "negative_zero_v", "one_nonzero_v"])
@@ -457,15 +498,15 @@ def test_a_shared_or_zero_curve_is_encoded_once(tmp_path, monkeypatch, case):
         v[:] = -0.0
     else:
         v[N // 2, 1] = 1e-300
-    states = awkward_columns(N + 1, 3)[1]
+    states = awkward_columns(N + 1, 3)[0]
     encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid,
                                         {"uA": uA, "uB": uB, "v": v}, states)
     first_row = (tmp_path / "trajectory.csv").read_text().split("\n")[1]
-    if case == "shared_uB":  # uA, and v's zero slot
-        assert sum(encoded) == (N + 1) * 4 + N * m + 1
+    if case == "shared_uB":  # the times, uA, and v's zero slot
+        assert sum(encoded) == N * (1 + m) + 1
         assert first_row.endswith(",0,0")
     else:
-        assert sum(encoded) == (N + 1) * 4 + N * 3 * m
+        assert sum(encoded) == N * (1 + 3 * m)
         assert first_row.endswith(",-0,-0") == (case == "negative_zero_v")
 
 
@@ -638,22 +679,29 @@ def test_written_csv_files_are_percent_17g_of_their_values(tmp_path, command, sy
     if command != "critical":
         argv += ["--bound", f"{bound / 2 if command == 'gap' else bound:g}"]
     assert cli.run(argv) == 0
-    for name in ("trajectory.csv", "states.csv"):
-        text = (tmp_path / name).read_text()
-        header = text.split("\n", 1)[0].split(",")
-        rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
-        assert text == reference_csv(header, rows)
+    text = (tmp_path / "trajectory.csv").read_text()
+    header = text.split("\n", 1)[0].split(",")
+    rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+    assert text == reference_csv(header, rows)
+    # the states on every node, starting from x0
+    inst = builtin_instance(system)
+    with np.load(tmp_path / "run.npz", allow_pickle=False) as run:
+        assert run["x"].shape == (301, inst.system.n)
+        np.testing.assert_array_equal(run["t"], inst.system.grid(300).nodes)
+        np.testing.assert_array_equal(run["x"][0], inst.boundary.x0)
+        assert np.isfinite(run["x"]).all()
+    assert not (tmp_path / "states.csv").exists()
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-@pytest.mark.parametrize("command,distinct", [("gap", 6), ("min-energy", 4), ("critical", 4)])
+@pytest.mark.parametrize("command,distinct", [("gap", 4), ("min-energy", 2), ("critical", 2)])
 def test_cli_files_are_percent_17g_of_the_returned_arrays(tmp_path, monkeypatch, command,
                                                           distinct, extra):
-    # double_integrator (n = 2, m = 1): per row, gap encodes t, uA, uB, v and
-    # the two states, min-energy and critical t, u and the states, as they
-    # pass u as uA and uB and an all-zero v.  N is one block's rows + extra:
-    # states.csv's one row more closes the one block, or takes a second one
-    # of two equal blocks, inside which trajectory.csv ends a row earlier.
+    # double_integrator (n = 2, m = 1): per row, gap encodes t, uA, uB and v,
+    # min-energy and critical t and u, as they pass u as uA and uB and an
+    # all-zero v.  N is one block's rows + extra: up to one full block the
+    # rows take one encoder call, and one row more takes a second one of
+    # two equal blocks.
     N = cli.CSV_BLOCK_VALUES // distinct + extra
     returned = {}
 
@@ -672,7 +720,7 @@ def test_cli_files_are_percent_17g_of_the_returned_arrays(tmp_path, monkeypatch,
     if command != "critical":
         argv += ["--bound", "1" if command == "gap" else "3"]
     assert cli.run(argv) == 0
-    assert len(calls) == (1 if extra < 0 else 2)
+    assert len(calls) == (1 if extra <= 0 else 2)
     if command == "gap":
         result = returned["solve_gap"]
         uA, uB, v = result.uA.values, result.uB.values, result.v.values
@@ -684,5 +732,4 @@ def test_cli_files_are_percent_17g_of_the_returned_arrays(tmp_path, monkeypatch,
     grid = builtin_instance("double_integrator").system.grid(N)
     assert differing_line(tmp_path / "trajectory.csv", reference_csv(
         ["t", "uA_1", "uB_1", "v_1"], np.column_stack([grid.left_nodes, uA, uB, v]))) is None
-    assert differing_line(tmp_path / "states.csv", reference_csv(
-        ["t", "x_1", "x_2"], np.column_stack([grid.nodes, returned["simulate"].values]))) is None
+    check_run_npz(tmp_path / "run.npz", grid.nodes, returned["simulate"].values)
