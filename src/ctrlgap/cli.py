@@ -20,8 +20,12 @@ as parsed and builds its summary as a plain dict; ``_emit`` leaves out
 None entries and rejects a non-finite number before writing any file.
 Exit codes: 0 converged (for ``critical``: the certified bracket reached
 ``--tol-a``), 2 unconverged, 1 usage or configuration error, a file that
-cannot be read or written, or a ``gap --oracle`` enumeration whose gap
-lies outside the certified interval.
+cannot be read or written, a ``gap --oracle`` enumeration whose gap lies
+outside the certified interval, or any other ``CtrlGapError``: a box
+certified disjoint from the boundary-value set in ``min-energy``
+(``min-energy --system machine_tool --nodes 1000 --bound 1700``), a grid
+on which the system is uncontrollable, an unstable Euler step, or a_c = 0
+in ``critical``.
 """
 
 from __future__ import annotations
@@ -128,7 +132,9 @@ def _build_parser() -> _Parser:
     add_instance_flags(p_min)
     p_min.add_argument("--tol", type=float, default=1e-10,
                        help="bound on the row-scaled affine residual (default 1e-10)")
-    p_min.add_argument("--max-iter", type=int, default=200, help="Newton iterations")
+    p_min.add_argument("--max-iter", type=int, default=200,
+                       help="cap on Newton iterates, the start iterate included; a "
+                            "solve it cuts exits 2 (default 200)")
     for p in (p_gap, p_crit, p_min):
         p.add_argument("--svg", action="store_true", help="also write figure.svg")
 

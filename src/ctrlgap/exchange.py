@@ -18,19 +18,26 @@ sorted pass over those breakpoints, and that breakpoint's node enters Z.
 From s = b / |b|^2, n - 1 such searches along steepest-descent directions
 within {b.d = 0, Qt_Z^T d = 0} build the first vertex.  The ends of t_c are
 certified apart from the pivots, so a wrong pivot can only widen them.
+
+The module imports nothing else from the package.  It is the home of the
+rounding levels, ``LEVEL`` and the certificates' ``ROUNDING``, and of
+``first_kink``, the one sorted pass over the breakpoints of a piecewise
+linear slope, which the descent and ``project.dual_newton`` use too.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .project import ROUNDING
-
 # Relative rounding level: a multiplier within it of 1, a value within it of
 # its bound, or a |g_k| or kink time within it of 0 counts as on it.
 LEVEL = 1e-12
+# Relative allowance for rounding in a certificate: a margin or a bound
+# within this share of the size of its terms is not trusted.
+ROUNDING = 1e-9
 
 
 class Vertex(NamedTuple):
@@ -51,18 +58,19 @@ class Vertex(NamedTuple):
     optimal: bool
 
 
-def first_kink(times: np.ndarray, jumps: np.ndarray, offset: float,
-               rate: float) -> tuple[int, float]:
+def first_kink(times: np.ndarray, jumps: np.ndarray, offset: float, rate: float,
+               rate_jumps: np.ndarray | None = None) -> tuple[int, float, float]:
     """The index into ``times`` of the kink, in time order, at which a slope
-    offset + rate t, raised by ``jumps`` at ``times``, first becomes >= 0
-    (-1 if never), and the sum of the jumps before it.  The 256 earliest
-    kinks are sorted first, and all only if the slope stays negative through
-    them, as in 56 of 1,393 such passes on 111 builtin gap solves.  With
-    ``rate`` 0, as on every edge of the exchange, the term rate t is not
-    formed, which changes no result for finite times."""
+    offset + rate t, raised by ``jumps`` and its rate by ``rate_jumps`` at
+    ``times``, first becomes >= 0 (-1 if never), the jumps' sum and the rate
+    just before it (or after all).  The 256 earliest kinks are sorted first,
+    and all only if the slope stays negative through them, as in 56 of 1,393
+    such passes on 111 builtin gap solves.  Without ``rate_jumps`` and with
+    ``rate`` 0, as on every edge of the exchange, rate t is not formed, which
+    changes no result for finite times."""
     count = times.size
     if not count:
-        return -1, 0.0
+        return -1, 0.0, rate
     for size in (256, count) if count > 256 else (count,):
         if size < count:
             order = np.argpartition(times, size - 1)[:size]
@@ -71,11 +79,17 @@ def first_kink(times: np.ndarray, jumps: np.ndarray, offset: float,
             order = np.argsort(times)
         sorted_jumps = jumps[order]
         total = np.cumsum(sorted_jumps)
-        hit = (offset + total if rate == 0.0 else offset + rate * times[order] + total) >= 0.0
+        if rate_jumps is None:
+            hit = (offset + total if rate == 0.0 else offset + rate * times[order] + total) >= 0.0
+        else:
+            rises = rate_jumps[order]
+            rates = rate + np.cumsum(rises)
+            hit = offset + rates * times[order] + total >= 0.0
         k = int(np.argmax(hit))
         if hit[k]:
-            return int(order[k]), float(total[k] - sorted_jumps[k])
-    return -1, float(total[-1])
+            return (int(order[k]), float(total[k] - sorted_jumps[k]),
+                    rate if rate_jumps is None else float(rates[k] - rises[k]))
+    return -1, float(total[-1]), rate if rate_jumps is None else float(rates[-1])
 
 
 def flip(Qt: np.ndarray, ws: np.ndarray, r: np.ndarray, nodes: np.ndarray,
@@ -93,7 +107,12 @@ def flip(Qt: np.ndarray, ws: np.ndarray, r: np.ndarray, nodes: np.ndarray,
 def critical_vertex(Qt: np.ndarray, b: np.ndarray, w: np.ndarray, max_pivots: int,
                     s: np.ndarray | None = None) -> Vertex:
     """The exchange of the module docstring in at most ``max_pivots``
-    pivots, from ``s`` (b.s = 1) or else b / |b|^2; b must not be 0."""
+    pivots, from ``s`` (b.s = 1) or else b / |b|^2; b must not be 0.  It
+    runs on w / 2^power, max w / 2^power in [1/2, 1), which is exact, so
+    that no product overflows or underflows at any bound; value, scale and
+    v are scaled back."""
+    power = math.frexp(float(np.max(w)))[1]
+    w = np.ldexp(w, -power)
     n = b.size
     s = b / (b @ b) if s is None else s
     g = Qt.T @ s
@@ -145,7 +164,7 @@ def critical_vertex(Qt: np.ndarray, b: np.ndarray, w: np.ndarray, max_pivots: in
         cross = np.flatnonzero(g * e < 0.0)
         e_cross = e[cross]
         times = -g[cross] / e_cross
-        k, _ = first_kink(times, 2.0 * np.abs(ws[cross] * e_cross), slope, 0.0)
+        k, _, _ = first_kink(times, 2.0 * np.abs(ws[cross] * e_cross), slope, 0.0)
         if k < 0:  # the slope never turns: rounding
             break
         # the nodes passed change sign, and the kink's node enters Z
@@ -182,7 +201,8 @@ def critical_vertex(Qt: np.ndarray, b: np.ndarray, w: np.ndarray, max_pivots: in
     v = w * np.sign(g)
     v[K] = np.linalg.lstsq(Qt[:, K], scale * b - Qt @ v, rcond=None)[0]
     optimal = optimal and bool(np.all(np.abs(v[K]) <= w[K] * (1.0 + LEVEL)))
-    return Vertex(s, g, K, value, v, scale, pivots, optimal)
+    return Vertex(s, g, K, math.ldexp(value, power), np.ldexp(v, power),
+                  math.ldexp(scale, power), pivots, optimal)
 
 
 def certified_ends(Qt: np.ndarray, c: np.ndarray, b: np.ndarray, z: np.ndarray,

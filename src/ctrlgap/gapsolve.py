@@ -173,7 +173,7 @@ def _descend(box: _Workspace, b: np.ndarray, y: np.ndarray, g: np.ndarray, Z: np
         times = g_cross / (g_cross - end[cross])
         pp = float(p @ p)
         # F's slope along p is (t - 1) |p|^2 plus the jumps passed
-        k, jumps = first_kink(times, 2.0 * np.abs(ws[cross] * e[cross]), -pp, pp)
+        k, jumps, _ = first_kink(times, 2.0 * np.abs(ws[cross] * e[cross]), -pp, pp)
         t = 1.0 - jumps / pp if pp > 0.0 else 1.0
         kink = k >= 0 and t >= times[k]
         if kink:

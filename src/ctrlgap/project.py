@@ -8,8 +8,10 @@ u is s = Qt u - c, and Qt^T s = G^T W^{-1} r, r = G u - xi, with no solve
 through the rounded W.  n is at most 7 in every benchmark while N*m can
 reach 2e5, so the kernel solves n-by-n systems.  The dual is concave and
 piecewise quadratic, kinked where a node of u meets a bound, so each step
-goes to its maximum along the Newton direction, found in one sorted pass
-over the kinks, with no sufficient-decrease test.  The gap solver shares
+goes to its maximum along the Newton direction, with no
+sufficient-decrease test.  The slope's root there comes from
+``exchange.first_kink``, the sorted pass over the kinks that the exchange
+and the gap solver's descent use too, in two tiers.  The gap solver shares
 the certificate ``gap_lower_bound`` but not the kernel.
 """
 
@@ -21,11 +23,9 @@ import numpy as np
 
 from .discretize import AffineData, ControlTrajectory
 from .errors import InfeasibleIntersectionError
+from .exchange import ROUNDING, first_kink
 from .model import Bounds
 
-# Relative allowance for rounding in a certificate: a margin or a bound
-# within this share of the size of its terms is not trusted.
-ROUNDING = 1e-9
 # Allowance for the floating-point error of a margin, relative to the size
 # of its terms: 8 units in the last place, ten times the largest error of
 # the margins of 111 builtin gap answers against extended precision.
@@ -75,15 +75,17 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     node k comes free and slower by as much once it meets a bound, e =
     Qt^T p.  A step takes t = 1 when the full step keeps the clip pattern
     or the slope there is not negative, else the slope's root in (0, 1),
-    read off the sorted kinks of the nodes whose clip status differs at t =
-    0 and t = 1.  The iteration ends when the root leaves y where it is.
-    An ``exact`` step, a full one that keeps the clip pattern, ends the
-    iteration if M is regular; else the next step goes to the slope's root
-    along the gradient's part off M's range, and if the slope never reaches
-    0 that ray separates the box from {u : Qt u = c}: it is yielded once
-    more in place of y, with Qt^T ray in place of g, and the iteration
-    ends.  A full step forms two products with Qt, Qt^T (y + p) and Qt u,
-    and a shorter one a third, Qt u at the root."""
+    which ``first_kink`` reads off the kinks of the nodes whose clip status
+    differs at t = 0 and t = 1: the 256 earliest sorted first, and all only
+    if the slope stays positive through them.  The iteration ends when the
+    root leaves y where it is.  An ``exact`` step, a full one that keeps
+    the clip pattern, ends the iteration if M is regular; else the next
+    step goes to the slope's root along the gradient's part off M's range,
+    and if the slope never reaches 0 that ray separates the box from
+    {u : Qt u = c}: it is yielded once more in place of y, with Qt^T ray in
+    place of g, and the iteration ends.  A full step forms two products
+    with Qt, Qt^T (y + p) and Qt u, and a shorter one a third, Qt u at the
+    root."""
 
     def control(g):
         # 0 - g, not -g, so that a zero of g gives +0.0 in the written files
@@ -95,7 +97,7 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         """The least t > 0 at which the dual's slope along p from y, e =
         Qt^T p, reaches 0, or inf if it never does, from the kinks of
         ``nodes``, where -(g + t e) meets a bound."""
-        slope, rate = float(grad @ p), -float(p @ M @ p)
+        slope = float(grad @ p)
         if slope <= 0.0:
             return 0.0
         e, z = e[nodes], -g[nodes]
@@ -104,18 +106,11 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         # a node free at 0+ is in the rate already, and one that meets its
         # bound by t = 0 never comes free
         came, left = enter >= 0.0, leave > 0.0
-        times = np.concatenate(([0.0], enter[came], leave[left]))
         square = e * e
-        jumps = np.concatenate(([rate], -square[came], square[left]))
-        order = np.argsort(times)
-        # from the k-th kink on, the slope is offsets[k] + rates[k] t
-        kinks, jump = times[order], jumps[order]
-        rates, offsets = np.cumsum(jump), slope - np.cumsum(jump * kinks)
-        below = offsets + rates * kinks <= 0.0
-        # the segment where the slope reaches 0, -1 (the last) if none does;
-        # the kink before the first slope <= 0 is the last at its time
-        k = int(np.argmax(below)) - 1
-        return offsets[k] / -rates[k] if rates[k] < 0.0 else np.inf
+        times, rises = np.hstack(([enter[came], square[came]], [leave[left], -square[left]]))
+        # -slope, rising at the rate p.M p at 0+, is continuous at the kinks
+        _, before, rate = first_kink(times, -rises * times, -slope, float(p @ M @ p), rises)
+        return (slope - before) / rate if rate > 0.0 else np.inf
 
     g = Qt.T @ y
     u = control(g)

@@ -86,6 +86,23 @@ def test_an_optimal_vertex_ends_on_its_multipliers(name, monkeypatch):
     assert len(flips) == 2 * (vertex.pivots - 1)
 
 
+@pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+def test_the_vertex_does_not_depend_on_the_scale_of_the_box(power):
+    # at w 2^1000 the products ws.e would overflow, and at w 2^-1000 the
+    # exchange once stopped after 2 of its pivots
+    inst = builtin_instance("machine_tool")
+    aff = build_affine(inst.system, inst.system.grid(1000), inst.boundary)
+    Qt, c, _ = aff.basis
+    w = np.full(Qt.shape[1], 1770.0)
+    plain = critical_vertex(Qt, c, w, 1_000)
+    scaled = critical_vertex(Qt, c, np.ldexp(w, power), 1_000)
+    assert plain.optimal and plain.pivots > 2
+    for field in ("s", "g", "K", "pivots", "optimal"):
+        assert same_bits(getattr(scaled, field), getattr(plain, field)), field
+    for field in ("value", "scale", "v"):
+        assert same_bits(getattr(scaled, field), np.ldexp(getattr(plain, field), power)), field
+
+
 def test_one_state_vertex_has_no_vertex_nodes():
     # x' = u from 0 to 1 on [0, 1]: a_c = 1, and with n = 1 the start s is
     # the vertex
@@ -174,7 +191,8 @@ def test_a_kink_past_the_earliest_256_ends_its_pivot_or_step(monkeypatch):
     first_kink, ranks = exchange.first_kink, []
 
     def checked(times, jumps, offset, rate):
-        k, before = first_kink(times, jumps, offset, rate)
+        k, before, rate_before = first_kink(times, jumps, offset, rate)
+        assert rate_before == rate
         # the same pass over one full sort
         order = np.argsort(times)
         total = np.cumsum(jumps[order])
@@ -186,7 +204,7 @@ def test_a_kink_past_the_earliest_256_ends_its_pivot_or_step(monkeypatch):
             ranks.append(j)
         else:
             assert k == -1
-        return k, before
+        return k, before, rate_before
 
     monkeypatch.setattr(exchange, "first_kink", checked)
     monkeypatch.setattr(gapsolve, "first_kink", checked)
@@ -247,20 +265,25 @@ def test_kernel_is_bitwise_the_reference_on_random_systems(family, monkeypatch):
         assert_kernel_matches_its_reference(build_affine(system, grid, boundary), monkeypatch)
 
 
-def full_sort_kink(times, jumps, offset, rate):
+def full_sort_kink(times, jumps, offset, rate, rate_jumps=None):
     order = np.argsort(times)
     total = np.cumsum(jumps[order])
-    hit = offset + rate * times[order] + total >= 0.0
+    rates = rate + np.cumsum(np.zeros(times.size) if rate_jumps is None else rate_jumps[order])
+    hit = offset + rates * times[order] + total >= 0.0
     if not hit.any():
-        return -1, float(total[-1]) if times.size else 0.0
+        return -1, float(total[-1]) if times.size else 0.0, float(rates[-1]) if times.size else rate
     k = int(np.argmax(hit))
-    return int(order[k]), float(total[k] - jumps[order[k]])
+    return int(order[k]), float(total[k] - jumps[order[k]]), float(rates[k - 1]) if k else rate
 
 
-def assert_same_kink(times, jumps, offset, rate):
-    k, before = first_kink(times, jumps, offset, rate)
-    reference = full_sort_kink(times, jumps, offset, rate)
+def assert_same_kink(times, jumps, offset, rate, rate_jumps=None):
+    k, before, rate_before = first_kink(times, jumps, offset, rate, rate_jumps)
+    reference = full_sort_kink(times, jumps, offset, rate, rate_jumps)
     assert k == reference[0] and same_bits(before, reference[1])
+    if rate_jumps is None:
+        assert rate_before == rate
+    else:
+        assert rate_before == pytest.approx(reference[2], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("rate", [0.0, 3.0])
@@ -269,19 +292,28 @@ def test_first_kink_is_the_full_sort_pass(count, rate):
     rng = np.random.default_rng(count)
     times = rng.permutation(count) + rng.uniform(0.1, 0.9, count)
     jumps = rng.uniform(0.0, 2.0, count)
+    rises = rng.uniform(0.0, 2.0, count)
     order = np.argsort(times)
-    total = np.cumsum(jumps[order])
-    # the slope turns at the first kink, one within and one past the 256
-    # earliest, the last, or never
-    for rank in (0, 100, 255, 256, 1500, count - 1):
-        if 0 <= rank < count:
-            offset = 0.5 * jumps[order[rank]] - total[rank] - rate * times[order[rank]]
-            assert first_kink(times, jumps, offset, rate)[0] == order[rank]
-            assert_same_kink(times, jumps, offset, rate)
-    never = -(total[-1] + rate * times.max() if count else 0.0) - 1.0
-    k, before = first_kink(times, jumps, never, rate)
-    assert k == -1 and same_bits(before, total[-1] if count else 0.0)
-    assert_same_kink(times, jumps, never, rate)
+    # jumps in value alone, as in the exchange and the descent, and rises in
+    # the rate too, with the value jumps that keep the slope continuous at
+    # them, as in dual_newton's line search
+    for value_jumps, rate_jumps in ((jumps, None), (jumps - rises * times, rises)):
+        total = np.cumsum(value_jumps[order])
+        rates = rate + (0.0 if rate_jumps is None else np.cumsum(rate_jumps[order]))
+        # the slope at each kink from offset 0, increasing in time order
+        slopes = rates * times[order] + total
+        # the slope turns at the first kink, one within and one past the 256
+        # earliest, the last, or never
+        for rank in (0, 100, 255, 256, 1500, count - 1):
+            if 0 <= rank < count:
+                offset = -0.5 * (slopes[rank] + (slopes[rank - 1] if rank else 0.0))
+                assert first_kink(times, value_jumps, offset, rate, rate_jumps)[0] == order[rank]
+                assert_same_kink(times, value_jumps, offset, rate, rate_jumps)
+        never = -(slopes[-1] if count else 0.0) - 1.0
+        k, before, rate_after = first_kink(times, value_jumps, never, rate, rate_jumps)
+        assert k == -1 and same_bits(before, total[-1] if count else 0.0)
+        assert rate_after == (rates[-1] if count and rate_jumps is not None else rate)
+        assert_same_kink(times, value_jumps, never, rate, rate_jumps)
 
 
 def test_flip_of_no_nodes_leaves_ws_and_r_as_they_are():
