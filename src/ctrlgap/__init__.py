@@ -15,7 +15,7 @@ _EXPORTS = {  # each submodule and the public names it defines
               "UncontrollableGridError",
     "exchange": "", "figures": "", "gapsolve": "GapResult SolveOptions solve_gap",
     "model": "BUILTIN_NAMES BoundarySpec Bounds Grid LinearSystem ProblemInstance "
-             "builtin_instance instance_from_config make_lti_system",
+             "builtin_instance instance_from_config",
     "oracle": "brute_force_gap", "project": "ProjectionStats dykstra_min_energy",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -13,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .discretize import ControlTrajectory
-from .model import Grid
 
 
 class ChannelSwitching(NamedTuple):
@@ -73,10 +72,10 @@ def _extract_channel(s: np.ndarray, times: np.ndarray, h: float, tau: float,
                             singular_intervals=tuple(singular))
 
 
-def extract_switchings(sig: ControlTrajectory, grid: Grid, tau: float | None = None,
+def extract_switchings(sig: ControlTrajectory, tau: float | None = None,
                        min_len: float | None = None) -> SwitchingProfile:
-    """Locate sign switches and singular runs of a nodal signal: a control,
-    or a gap vector read as a switching function.
+    """Locate sign switches and singular runs of a nodal signal on its
+    grid: a control, or a gap vector read as a switching function.
 
     ``tau`` defaults to 1e-7 times the largest magnitude of the signal
     (a switch of a bang-bang control is unambiguous at that scale), and
@@ -84,12 +83,10 @@ def extract_switchings(sig: ControlTrajectory, grid: Grid, tau: float | None = N
     nearest a crossing is never flagged as a singular arc.  Both must be
     nonnegative and finite.
     """
-    if sig.grid != grid:
-        raise ValueError("signal lives on a different grid")
     for name, value in (("tau", tau), ("min_len", min_len)):
         if value is not None and not 0 <= value < np.inf:
             raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-    values = sig.values
+    values, grid = sig
     if tau is None:
         peak = float(np.max(np.abs(values))) if values.size else 0.0
         tau = 1e-7 * peak

@@ -330,9 +330,8 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     aff = clock("transcribe", _transcribe, instance, grid)
     result = clock("solve", solve_gap, aff, bounds,
                    SolveOptions(tol=args.tol, max_iter=args.max_iter))
-    profile = extract_switchings(result.uB, grid)
-    states = clock("simulate", simulate, instance.system, grid,
-                   instance.boundary.x0, result.uA)
+    profile = extract_switchings(result.uB)
+    states = clock("simulate", simulate, instance.system, instance.boundary.x0, result.uA)
     summary = {
         "command": "gap", "label": instance.label, "N": args.nodes,
         "a": _symmetric_bound(bounds), "gap_norm": result.gap_norm,
@@ -370,10 +369,11 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     result = clock("solve", critical_bound, instance.system, grid, instance.boundary,
                    tol_a=args.tol_a, aff=aff)
     u = result.u_c
-    states = clock("simulate", simulate, instance.system, grid, instance.boundary.x0, u)
+    profile = extract_switchings(u)
+    states = clock("simulate", simulate, instance.system, instance.boundary.x0, u)
     summary = {
         "command": "critical", "label": instance.label, "N": args.nodes,
-        "a_c": result.a_c, "switch_times": result.switch_times,
+        "a_c": result.a_c, "switch_times": profile.switch_times,
         "iterations": result.probes[0].iterations,
         "converged": result.converged, "wall_time_seconds": clock.seconds["solve"],
         "bracket_lo": result.bracket[0], "bracket_hi": result.bracket[1],
@@ -385,7 +385,7 @@ def _cmd_critical(args: argparse.Namespace) -> int:
           title=f"{instance.label}: critical bound, N={args.nodes}", stages=clock.seconds)
     print(f"a_c={result.a_c:.9g} bracket=({result.bracket[0]:.9g}, "
           f"{result.bracket[1]:.9g}) converged={result.converged} "
-          f"switch_times={result.switch_times}")
+          f"switch_times={profile.switch_times}")
     return 0 if result.converged else 2
 
 
@@ -422,13 +422,13 @@ def _cmd_min_energy(args: argparse.Namespace) -> int:
     aff = clock("transcribe", _transcribe, instance, grid)
     u, stats = clock("solve", dykstra_min_energy, aff, bounds, tol=args.tol,
                      max_iter=args.max_iter)
-    states = clock("simulate", simulate, instance.system, grid, instance.boundary.x0, u)
+    states = clock("simulate", simulate, instance.system, instance.boundary.x0, u)
     summary = {
         "command": "min-energy", "label": instance.label, "N": args.nodes,
         "a": _symmetric_bound(bounds), "gap_norm": 0.0, "iterations": stats.iterations,
         "converged": stats.converged, "wall_time_seconds": clock.seconds["solve"],
         "norm": l2_norm(u), "energy": 0.5 * l2_norm(u) ** 2,
-        "affine_residual": stats.residual,
+        "affine_residual": aff.residual(u.flat),
         "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
     _emit(Path(args.out), summary, grid,
           {"uA": u.values, "uB": u.values, "v": np.zeros_like(u.values)},
@@ -445,7 +445,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.signal not in blocks:
         raise ConfigError(f"trajectory has no {args.signal} columns")
     sig = ControlTrajectory(values=blocks[args.signal], grid=grid)
-    profile = extract_switchings(sig, grid, tau=args.tau, min_len=args.min_len)
+    profile = extract_switchings(sig, tau=args.tau, min_len=args.min_len)
     for i, ch in enumerate(profile.channels):
         print(f"channel {i + 1}: {len(ch.switch_times)} switchings "
               f"{[round(t, 6) for t in ch.switch_times]} signs={list(ch.signs)} "

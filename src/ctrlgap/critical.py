@@ -19,7 +19,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import analyze
 from .controllability import kalman_rank
 from .discretize import AffineData, ControlTrajectory, build_affine
 from .errors import AnalyticCaseError, BracketError, UncontrollableGridError
@@ -48,11 +47,10 @@ class CriticalResult(NamedTuple):
     """Certified bracket on the critical bound, the vertex control u_c with
     max |u_c| <= a_c = hi on the affine set, and the one gap solve of the
     search.  ``converged`` says whether the bracket reached the relative
-    width ``tol_a``."""
+    width ``tol_a``; ``extract_switchings(u_c)`` gives the switch times."""
 
     a_c: float
     u_c: ControlTrajectory
-    switch_times: list[float]
     bracket: tuple[float, float]
     converged: bool
     probes: tuple[Probe, ...]
@@ -70,17 +68,15 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
     pivots went, so a cut exchange only widens them; the search is
     converged once hi - lo <= ``tol_a`` (1 + hi).  ``tol_a`` must be finite
     and at least ``TOL_A_FLOOR``.  ``aff``, when given, is the transcription
-    of (system, grid, boundary), used instead of building it again.
+    of (system, grid, boundary), used instead of building it again.  Raises
+    ``UncontrollableGridError`` when the system fails the Kalman rank test
+    or, from ``aff.basis``, the grid, and ``BracketError`` when a_c = 0.
     """
     if not TOL_A_FLOOR <= tol_a < math.inf:
         raise ValueError(f"tol_a must be finite and at least {TOL_A_FLOOR:g}, the "
                          f"narrowest bracket the rounding allowance leaves, got {tol_a}")
     if aff is None:
         aff = build_affine(system, grid, boundary)
-    if not aff.controllable:
-        raise UncontrollableGridError(
-            "cannot search for a critical bound: the discrete system is "
-            "uncontrollable on this grid")
     if not kalman_rank(system.A, system.B).controllable:
         raise UncontrollableGridError(
             "cannot search for a critical bound: the system fails the "
@@ -96,7 +92,6 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
     return CriticalResult(
         a_c=hi,
         u_c=res.uB,
-        switch_times=analyze.extract_switchings(res.uB, grid).switch_times,
         bracket=(lo, hi),
         converged=hi - lo <= tol_a * (1.0 + hi),
         probes=(Probe(a=a0, lower=lo, upper=hi, iterations=res.iterations),))

@@ -27,7 +27,6 @@ inside the affine projection formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -35,7 +34,7 @@ import numpy as np
 
 from .controllability import gramian_report
 from .errors import SimulationOverflowError, UncontrollableGridError
-from .model import BoundarySpec, Grid, LinearSystem
+from .model import BoundarySpec, Grid, LinearSystem, frozen_floats
 
 
 class _TrajectoryFields(NamedTuple):
@@ -44,15 +43,10 @@ class _TrajectoryFields(NamedTuple):
 
 
 def _samples(values, rows: int, kind: str) -> np.ndarray:
-    """A read-only float copy of ``values``, checked to have ``rows`` rows
-    and finite entries."""
-    arr = np.asarray(values, dtype=float)
+    """A read-only float copy of ``values``, checked to have ``rows`` rows."""
+    arr = frozen_floats(values, f"{kind} trajectory")
     if arr.ndim != 2 or arr.shape[0] != rows:
         raise ValueError(f"{kind} values must have {rows} rows, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{kind} values contain non-finite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
     return arr
 
 
@@ -63,10 +57,9 @@ class ControlTrajectory(_TrajectoryFields):
     __slots__ = ()
 
     def __new__(cls, values, grid: Grid):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        return super().__new__(cls, _samples(arr, grid.N, "control"), grid)
+        if np.ndim(values) == 1:
+            values = np.reshape(values, (-1, 1))
+        return super().__new__(cls, _samples(values, grid.N, "control"), grid)
 
     @property
     def m(self) -> int:
@@ -103,20 +96,21 @@ class StateTrajectory(_TrajectoryFields):
         return self.values[-1]
 
 
-@dataclass(frozen=True)
-class AffineData:
-    """Discrete reachability data: { u : G u = xi } equals the transcribed
-    boundary-value set, with Phi = M^N the product of the N step matrices.
-    ``controllable`` (G has full row rank) and ``basis``, the form of the set
-    that every solver runs on, both read one QR of G^T, built on first use.
-    The one record that is a frozen dataclass, not a NamedTuple: the cached
-    QR, verdict and ``basis`` live in its instance ``__dict__``."""
-
+class _AffineFields(NamedTuple):
     G: np.ndarray
     xi: np.ndarray
     Phi: np.ndarray
     grid: Grid
     m: int
+
+
+class AffineData(_AffineFields):
+    """Discrete reachability data: { u : G u = xi } equals the transcribed
+    boundary-value set, with Phi = M^N the product of the N step matrices.
+    ``controllable`` (G has full row rank) and ``basis``, the form of the set
+    that every solver runs on, both read one QR of G^T, built on first use.
+    The subclass has no ``__slots__``, so the cached QR, verdict and
+    ``basis`` live in its instance ``__dict__``."""
 
     @property
     def n(self) -> int:
@@ -213,9 +207,8 @@ def _simulate_scan(M: np.ndarray, hB: np.ndarray, x0: np.ndarray,
     return b
 
 
-def simulate(system: LinearSystem, grid: Grid, x0: np.ndarray,
-             u: ControlTrajectory) -> StateTrajectory:
-    """Forward-Euler rollout x_{k+1} = M x_k + hB u_k, M = I + h A.
+def simulate(system: LinearSystem, x0: np.ndarray, u: ControlTrajectory) -> StateTrajectory:
+    """Forward-Euler rollout x_{k+1} = M x_k + hB u_k, M = I + h A, on u's grid.
 
     Runs as a log-depth scan over the affine step maps.  A scan with a
     non-finite entry is decided by the per-step loop, since an overflowing
@@ -226,15 +219,13 @@ def simulate(system: LinearSystem, grid: Grid, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != system.n:
         raise ValueError(f"x0 must have length {system.n}, got {x0.size}")
-    if u.grid != grid:
-        raise ValueError("control trajectory lives on a different grid")
     if u.m != system.m:
         raise ValueError(f"control has {u.m} channels, system expects {system.m}")
-    M, hB = _step_map(system, grid.h)
+    M, hB = _step_map(system, u.grid.h)
     out = _simulate_scan(M, hB, x0, u)
     if not np.isfinite(out).all():
         out = _simulate_loop(M, hB, x0, u)
-    return StateTrajectory(values=out, grid=grid)
+    return StateTrajectory(values=out, grid=u.grid)
 
 
 def _affine_doubling(M: np.ndarray, hB: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
 """Systems, grids, bounds, boundary data and the built-in benchmark instances.
 
-The records here, as everywhere in the package but ``AffineData``, are
-``typing.NamedTuple`` classes: immutable tuples that can be shared freely
-across threads or processes.  One that checks or normalises its fields
-does so in ``__new__`` of a subclass over the fields; ``_replace`` builds
-the tuple directly and skips those checks.
+The records here, as everywhere in the package, are ``typing.NamedTuple``
+classes: immutable tuples that can be shared freely across threads or
+processes.  One that checks or normalises its fields does so in
+``__new__`` of a subclass over the fields; ``_replace`` builds the tuple
+directly and skips those checks.
 """
 
 from __future__ import annotations
@@ -20,26 +20,12 @@ BoundLike = Union[float, Sequence[float], np.ndarray]
 BUILTIN_NAMES = ("double_integrator", "damped_oscillator", "machine_tool")
 
 
-def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if arr.shape[0] != rows:
-        raise ValueError(f"{name} must have {rows} rows, got {arr.shape[0]}")
-    if arr.shape[1] != cols:
-        raise ValueError(f"{name} must have {cols} columns, got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
+def frozen_floats(value, name: str) -> np.ndarray:
+    """A read-only, C-ordered float copy of ``value``; raises ``ValueError``
+    if an entry is not finite."""
+    arr = np.array(value, dtype=float, order="C")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
-def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -85,8 +71,6 @@ class Grid(_GridFields):
 
 
 class _LinearSystemFields(NamedTuple):
-    n: int
-    m: int
     A: np.ndarray
     B: np.ndarray
     t0: float
@@ -95,35 +79,39 @@ class _LinearSystemFields(NamedTuple):
 
 class LinearSystem(_LinearSystemFields):
     """Linear dynamics ``x' = A x + B u`` on ``[t0, tf]`` with constant
-    matrices, kept as read-only float copies."""
+    matrices, kept as read-only float copies; n and m are read off their
+    shapes, and a flat ``B`` (a scalar when n = 1) is one column."""
 
     __slots__ = ()
 
-    def __new__(cls, n, m, A, B, t0, tf):
-        if n < 1 or m < 1:
+    def __new__(cls, A, B, t0, tf):
+        A = np.atleast_2d(frozen_floats(A, "A"))
+        B = frozen_floats(B, "B")
+        if B.ndim < 2:
+            B = B.reshape(-1, 1)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"A must be square, got {A.shape}")
+        if B.ndim != 2:
+            raise ValueError(f"B must be two-dimensional, got shape {B.shape}")
+        if B.shape[0] != A.shape[0]:
+            raise ValueError(f"B must have {A.shape[0]} rows, got {B.shape[0]}")
+        if B.size == 0:
             raise ValueError("state and control dimensions must be at least 1")
+        t0, tf = float(t0), float(tf)
         if tf <= t0:
             raise ValueError(f"tf must exceed t0, got [{t0}, {tf}]")
-        return super().__new__(cls, n, m, _as_matrix(A, n, n, "A"),
-                               _as_matrix(B, n, m, "B"), t0, tf)
+        return super().__new__(cls, A, B, t0, tf)
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.B.shape[1]
 
     def grid(self, N: int) -> Grid:
         return Grid(N=N, t0=self.t0, tf=self.tf)
-
-
-def make_lti_system(A, B, t0: float, tf: float) -> LinearSystem:
-    """Build a constant-matrix system with n and m read off the shapes of
-    ``A`` and ``B``; ``LinearSystem`` checks them and the entries.
-
-    ``B`` given as a flat length-n sequence is treated as a single column.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got {A.shape}")
-    B = np.asarray(B, dtype=float)
-    if B.ndim < 2:
-        B = B.reshape(-1, 1)
-    return LinearSystem(n=A.shape[0], m=B.shape[1], A=A, B=B, t0=float(t0), tf=float(tf))
 
 
 class _BoundaryFields(NamedTuple):
@@ -138,7 +126,7 @@ class BoundarySpec(_BoundaryFields):
     __slots__ = ()
 
     def __new__(cls, x0, xf):
-        x0, xf = _as_vector(x0, "x0"), _as_vector(xf, "xf")
+        x0, xf = frozen_floats(x0, "x0").reshape(-1), frozen_floats(xf, "xf").reshape(-1)
         if x0.size != xf.size:
             raise ValueError("x0 and xf must have equal length")
         return super().__new__(cls, x0, xf)
@@ -251,16 +239,16 @@ def builtin_instance(name: str) -> ProblemInstance:
     scalar) when posing a particular feasibility or gap question.
     """
     if name == "double_integrator":
-        system = make_lti_system([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 0.0, 1.0)
+        system = LinearSystem([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], 0.0, 1.0)
         boundary = BoundarySpec(x0=np.array([0.0, 1.0]), xf=np.array([0.0, 0.0]))
     elif name == "damped_oscillator":
         omega, zeta = 20.0, 0.1
-        system = make_lti_system(
+        system = LinearSystem(
             [[0.0, 1.0], [-omega ** 2, -2.0 * zeta * omega]], [[0.0], [1.0]], 0.0, 1.0)
         boundary = BoundarySpec(x0=np.array([0.0, 1.0]), xf=np.array([0.0, 0.0]))
     elif name == "machine_tool":
         A, b = _machine_tool_matrices()
-        system = make_lti_system(A, b, 0.0, 0.0522)
+        system = LinearSystem(A, b, 0.0, 0.0522)
         boundary = BoundarySpec(
             x0=np.zeros(7),
             xf=np.array([0.0, 0.0027, 0.0, 0.0, 0.1, 0.0, 0.0]))
@@ -286,23 +274,18 @@ def instance_from_config(doc: Mapping) -> ProblemInstance:
     spec = doc["system"]
     try:
         if isinstance(spec, str):
-            base = builtin_instance(spec)
-            system, boundary, label = base.system, base.boundary, base.label
-            t0 = float(doc.get("t0", system.t0))
-            tf = float(doc.get("tf", system.tf))
-            if (t0, tf) != (system.t0, system.tf):
-                system = make_lti_system(system.A, system.B, t0, tf)
-            x0 = np.asarray(doc.get("x0", boundary.x0), dtype=float)
-            xf = np.asarray(doc.get("xf", boundary.xf), dtype=float)
+            system, boundary, _, label = builtin_instance(spec)
+            system = LinearSystem(system.A, system.B, doc.get("t0", system.t0),
+                                  doc.get("tf", system.tf))
+            x0, xf = doc.get("x0", boundary.x0), doc.get("xf", boundary.xf)
         elif isinstance(spec, Mapping):
             if "A" not in spec or "B" not in spec:
                 raise ConfigError("inline system needs 'A' and 'B' matrices")
             for key in ("t0", "tf", "x0", "xf"):
                 if key not in doc:
                     raise ConfigError(f"inline system requires the '{key}' key")
-            system = make_lti_system(spec["A"], spec["B"], float(doc["t0"]), float(doc["tf"]))
-            x0 = np.asarray(doc["x0"], dtype=float)
-            xf = np.asarray(doc["xf"], dtype=float)
+            system = LinearSystem(spec["A"], spec["B"], doc["t0"], doc["tf"])
+            x0, xf = doc["x0"], doc["xf"]
             label = str(doc.get("label", "custom"))
         else:
             raise ConfigError("'system' must be a builtin name or an inline matrix mapping")

@@ -33,11 +33,10 @@ MARGIN_ERROR = 8 * float(np.finfo(float).eps)
 
 
 class ProjectionStats(NamedTuple):
-    """Diagnostics of a minimum-energy solve: the affine residual |G u - xi|
-    of the returned control, the Newton iteration count and whether the
-    row-scaled residual met the tolerance."""
+    """Diagnostics of a minimum-energy solve: the Newton iteration count and
+    whether the row-scaled residual met the tolerance.  The affine residual
+    |G u - xi| of the returned control u is ``aff.residual(u.flat)``."""
 
-    residual: float
     iterations: int
     converged: bool
 
@@ -186,4 +185,4 @@ def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
             error.multiplier = y
             raise error
     return (ControlTrajectory.from_flat(u, aff.grid, aff.m),
-            ProjectionStats(aff.residual(u), iterations, converged))
+            ProjectionStats(iterations, converged))

@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ctrlgap import (BoundarySpec, Bounds, builtin_instance, build_affine,
-                     make_lti_system)
+from ctrlgap import (BoundarySpec, Bounds, LinearSystem, builtin_instance, build_affine)
 from ctrlgap.exchange import LEVEL, Vertex
 
 # Exact discrete a_c at N=1000 from a bounded-variable LP (HiGHS), each
@@ -32,7 +31,7 @@ def rng():
 
 def scalar_integrator(t0=0.0, tf=1.0):
     """1-state system x' = u."""
-    return make_lti_system([[0.0]], [[1.0]], t0, tf)
+    return LinearSystem([[0.0]], [[1.0]], t0, tf)
 
 
 def tiny_affine(system, N, x0, xf):
@@ -50,7 +49,7 @@ def random_tiny_problem(rng, max_coords=8):
     A = rng.normal(0, 1, (n, n))
     B = rng.normal(0, 1, (n, m))
     # reject near-singular reachability before building
-    system = make_lti_system(A, B, 0.0, 1.0)
+    system = LinearSystem(A, B, 0.0, 1.0)
     grid = system.grid(N)
     x0 = rng.normal(0, 1, n)
     xf = rng.normal(0, 1, n)
@@ -71,7 +70,7 @@ def ill_conditioned_affines():
             A, B = rng.normal(0, 2, (4, 4)), rng.normal(0, 1, (4, 1))
             N = int(rng.integers(20, 300))
             x0, xf = rng.normal(0, 1, 4), rng.normal(0, 1, 4)
-            system = make_lti_system(A, B, 0.0, 1.0)
+            system = LinearSystem(A, B, 0.0, 1.0)
             aff = build_affine(system, system.grid(N), BoundarySpec(x0=x0, xf=xf))
             if aff.controllable:
                 yield aff
@@ -86,7 +85,7 @@ def two_input_draw(k):
         A = rng.normal(0, float(rng.choice([2.0, 4.0])), (n, n))
         B = rng.normal(0, 1, (n, 2))
         x0, xf = rng.normal(0, 1, n), rng.normal(0, 1, n)
-    system = make_lti_system(A, B, 0.0, 1.0)
+    system = LinearSystem(A, B, 0.0, 1.0)
     return system, system.grid(N), BoundarySpec(x0=x0, xf=xf)
 
 

@@ -97,6 +97,6 @@ def test_random_signals_match_the_reference_bitwise():
 def test_profile_of_a_bang_bang_control():
     grid = Grid(N=1000, t0=0.0, tf=1.0)
     u = np.where(grid.left_nodes < 0.4, 1.0, -1.0)[:, None]
-    profile = extract_switchings(ControlTrajectory(values=u, grid=grid), grid)
+    profile = extract_switchings(ControlTrajectory(values=u, grid=grid))
     assert profile.switch_times == pytest.approx([0.3995])
     assert profile.channels[0].signs == (1, -1)

@@ -209,7 +209,7 @@ def test_critical_writes_the_vertex_control_at_the_upper_end(tmp_path):
 
 
 def test_critical_forms_the_gramian_verdict_once(tmp_path, monkeypatch):
-    # the transcription's basis and the search's check both read
+    # the transcription's basis, which the search reads again, forms
     # AffineData.controllable, which keeps its one SVD
     calls = []
     genuine = discretize.gramian_report
@@ -392,6 +392,18 @@ def test_critical_with_zero_control_reaching_the_endpoint_exits_1(tmp_path, caps
     argv = ["critical", "--config", str(cfg), "--nodes", "200", "--out", str(tmp_path)]
     assert cli.run(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_critical_on_a_grid_where_the_system_is_uncontrollable_exits_1(tmp_path, capsys):
+    # Kalman-controllable, but at h = 1e-301 the columns M^k hB of G coincide
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": {"A": [[0, 1], [0, 0]], "B": [[0], [1]]},
+                               "t0": 0, "tf": 1e-300, "x0": [0, 1], "xf": [0, 0]}))
+    argv = ["critical", "--config", str(cfg), "--nodes", "10", "--out", str(tmp_path / "o")]
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "uncontrollable on this grid" in err
+    assert not (tmp_path / "o" / "summary.json").exists()
 
 
 def reference_csv(header, rows):

@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ctrlgap import (BoundarySpec, UncontrollableGridError, build_affine,
-                     builtin_instance, critical_bound, dykstra_min_energy,
-                     gramian_report, instance_from_config, kalman_rank,
-                     make_lti_system, solve_gap)
+from ctrlgap import (BoundarySpec, LinearSystem, UncontrollableGridError, build_affine,
+                     builtin_instance, critical_bound, dykstra_min_energy, gramian_report,
+                     instance_from_config, kalman_rank, solve_gap)
 from ctrlgap import cli
 
 BUILTIN_NODES = (1, 2, 5, 7, 8, 50, 1000)
@@ -88,7 +87,7 @@ class TestDiscreteGramian:
         assert np.linalg.det(M) == pytest.approx(1.0 / 12.0, abs=1e-3)
 
     def test_zero_input_matrix_is_singular(self):
-        sys_ = make_lti_system([[0.0, 1.0], [0.0, 0.0]], [[0.0], [0.0]], 0, 1)
+        sys_ = LinearSystem([[0.0, 1.0], [0.0, 0.0]], [[0.0], [0.0]], 0, 1)
         grid = sys_.grid(8)
         aff = build_affine(sys_, grid, BoundarySpec(x0=[0, 0], xf=[0, 0]))
         M = step_scaled_gramian(aff)
@@ -153,7 +152,7 @@ class TestDiscreteGramian:
             T = rng.normal(0, 1, (n, n))
             A = T @ np.diag(rng.uniform(-4, 1, n)) @ np.linalg.inv(T)
             B = T @ np.vstack([rng.normal(0, 1, (r, m)), np.zeros((n - r, m))])
-            system = make_lti_system(A, B, 0.0, 1.0)
+            system = LinearSystem(A, B, 0.0, 1.0)
             N = int(rng.integers(n, 1001))
             aff = build_affine(system, system.grid(N), BoundarySpec(x0=np.zeros(n),
                                                                    xf=np.ones(n)))

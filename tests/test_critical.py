@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ctrlgap import (BoundarySpec, Bounds, build_affine, builtin_instance, critical_bound,
-                     di_critical_analytic, make_lti_system, solve_gap)
+from ctrlgap import (BoundarySpec, Bounds, LinearSystem, build_affine, builtin_instance,
+                     critical_bound, di_critical_analytic, extract_switchings, solve_gap)
 
 from conftest import LP_A_C_1000, gram, two_input_draw
 
@@ -72,7 +72,7 @@ def test_default_tol_a_converges_on_random_systems():
         B = rng.normal(0, 1, (n, 1))
         N = int(rng.integers(50, 300))
         x0, xf = rng.normal(0, 1, n), rng.normal(0, 1, n)
-        system = make_lti_system(A, B, 0.0, 1.0)
+        system = LinearSystem(A, B, 0.0, 1.0)
         res = critical_bound(system, system.grid(N), BoundarySpec(x0=x0, xf=xf))
         lo, hi = res.bracket
         if not (res.converged and hi - lo <= 1e-8 * (1.0 + hi)):
@@ -111,8 +111,9 @@ def test_first_order_convergence_to_analytic_bound():
         assert coarse / fine == pytest.approx(2.0, abs=0.01)
     # the switch of u_c converges to the analytic switching time as well
     for N, res in zip(nodes, results):
-        assert len(res.switch_times) == 1
-        assert abs(res.switch_times[0] - analytic.t_c) <= 1.0 / N
+        switch_times = extract_switchings(res.u_c).switch_times
+        assert len(switch_times) == 1
+        assert abs(switch_times[0] - analytic.t_c) <= 1.0 / N
 
 
 def test_analytic_symmetric_switch():

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SimulationOverflowError,
-                     SolveOptions, StateTrajectory, UncontrollableGridError,
-                     build_affine, builtin_instance, dykstra_min_energy, l2_norm,
-                     make_lti_system, simulate, solve_gap)
+from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, LinearSystem,
+                     SimulationOverflowError, SolveOptions, StateTrajectory,
+                     UncontrollableGridError, build_affine, builtin_instance,
+                     dykstra_min_energy, l2_norm, simulate, solve_gap)
 
 from conftest import gram, ill_conditioned_affines, scaled_residual, scalar_integrator
 
 
 def di_system():
-    return make_lti_system([[0, 1], [0, 0]], [[0], [1]], 0, 1)
+    return LinearSystem([[0, 1], [0, 0]], [[0], [1]], 0, 1)
 
 
 def loop_states(sys_, grid, x0, u):
@@ -57,7 +57,7 @@ class TestSimulate:
         sys_ = di_system()
         grid = sys_.grid(10)
         u = ControlTrajectory.zeros(grid, 1)
-        x = simulate(sys_, grid, [0.0, 1.0], u)
+        x = simulate(sys_, [0.0, 1.0], u)
         # velocity stays 1, position accumulates k*h exactly under Euler
         np.testing.assert_array_equal(x.values[:, 1], np.ones(11))
         np.testing.assert_allclose(x.values[:, 0], grid.nodes, atol=1e-15)
@@ -66,7 +66,7 @@ class TestSimulate:
         sys_ = scalar_integrator()
         grid = sys_.grid(4)
         u = ControlTrajectory(values=np.ones((4, 1)), grid=grid)
-        x = simulate(sys_, grid, [0.0], u)
+        x = simulate(sys_, [0.0], u)
         assert x.last[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_min_energy_control_reaches_origin(self):
@@ -74,7 +74,7 @@ class TestSimulate:
         # inherits a first-order bias
         sys_ = di_system()
         grid = sys_.grid(2000)
-        x = simulate(sys_, grid, [0.0, 1.0], sampled_linear_control(grid))
+        x = simulate(sys_, [0.0, 1.0], sampled_linear_control(grid))
         assert np.linalg.norm(x.last) <= 10 * grid.h
 
     def test_dimension_mismatch(self):
@@ -82,29 +82,29 @@ class TestSimulate:
         grid = sys_.grid(4)
         u = ControlTrajectory.zeros(grid, 1)
         with pytest.raises(ValueError, match="x0"):
-            simulate(sys_, grid, [0.0], u)
+            simulate(sys_, [0.0], u)
 
     def test_overflow_reported(self):
-        sys_ = make_lti_system([[1e8]], [[1.0]], 0, 1)
+        sys_ = LinearSystem([[1e8]], [[1.0]], 0, 1)
         grid = sys_.grid(200)
         u = ControlTrajectory(values=np.ones((200, 1)), grid=grid)
         with pytest.raises(SimulationOverflowError, match="unstable"):
-            simulate(sys_, grid, [1.0], u)
+            simulate(sys_, [1.0], u)
 
     def test_overflow_step_is_the_per_step_loops(self):
         # the scan's powers overflow earlier than the states do; the loop
         # names the first non-finite step
-        sys_ = make_lti_system([[1e8]], [[1.0]], 0, 1)
+        sys_ = LinearSystem([[1e8]], [[1.0]], 0, 1)
         grid = sys_.grid(200)
         u = ControlTrajectory(values=np.ones((200, 1)), grid=grid)
         with pytest.raises(SimulationOverflowError, match="step 55 of 200"):
-            simulate(sys_, grid, [1.0], u)
+            simulate(sys_, [1.0], u)
 
     def test_overflow_step_is_the_first_state_above_the_largest_float(self):
         # in exact arithmetic on the float step map x -> M x + hB, x_54 is
         # finite and x_55 is not; the intermediate h (A x_53) of the form
         # x + h (A x + B u) already overflows at step 54
-        sys_ = make_lti_system([[1e8]], [[1.0]], 0, 1)
+        sys_ = LinearSystem([[1e8]], [[1.0]], 0, 1)
         h = sys_.grid(200).h
         M, hB = Fraction(1.0 + h * 1e8), Fraction(h * 1.0)
         x = [Fraction(1)]
@@ -115,9 +115,9 @@ class TestSimulate:
 
     def test_zero_state_with_overflowing_powers_stays_finite(self):
         # M^64 overflows, and 0 * inf = NaN would be a false overflow
-        sys_ = make_lti_system([[1e8]], [[1.0]], 0, 1)
+        sys_ = LinearSystem([[1e8]], [[1.0]], 0, 1)
         grid = sys_.grid(200)
-        x = simulate(sys_, grid, [0.0], ControlTrajectory.zeros(grid, 1))
+        x = simulate(sys_, [0.0], ControlTrajectory.zeros(grid, 1))
         np.testing.assert_array_equal(x.values, np.zeros((201, 1)))
 
     def test_refinement_first_order(self):
@@ -126,7 +126,7 @@ class TestSimulate:
         errs = []
         for N in (250, 500, 1000, 2000):
             grid = sys_.grid(N)
-            x = simulate(sys_, grid, [0.0, 1.0], sampled_linear_control(grid))
+            x = simulate(sys_, [0.0, 1.0], sampled_linear_control(grid))
             errs.append(np.linalg.norm(x.last))
         ratios = [errs[i] / errs[i + 1] for i in range(3)]
         for r in ratios:
@@ -156,14 +156,13 @@ class TestBuildAffine:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 3))
-        sys_ = make_lti_system(rng.normal(0, 1, (n, n)), rng.normal(0, 1, (n, m)),
-                               0.0, 1.0)
+        sys_ = LinearSystem(rng.normal(0, 1, (n, n)), rng.normal(0, 1, (n, m)), 0.0, 1.0)
         grid = sys_.grid(N)
         x0 = rng.normal(0, 1, n)
         xf = rng.normal(0, 1, n)
         aff = build_affine(sys_, grid, BoundarySpec(x0=x0, xf=xf))
         u = ControlTrajectory(values=rng.normal(0, 1, (N, m)), grid=grid)
-        end = simulate(sys_, grid, x0, u).last
+        end = simulate(sys_, x0, u).last
         predicted = aff.Phi @ x0 + aff.G @ u.flat
         assert np.linalg.norm(end - predicted) <= 1e-12 * (1 + np.linalg.norm(end))
 
@@ -189,7 +188,7 @@ class TestBuildAffine:
         u = ControlTrajectory(values=np.random.default_rng(3).normal(0, 1, (grid.N, 1)),
                               grid=grid)
         # start from xf: machine_tool's x0 is zero
-        x = simulate(inst.system, grid, inst.boundary.xf, u).values
+        x = simulate(inst.system, inst.boundary.xf, u).values
         assert rel_diff(x, loop_states(inst.system, grid, inst.boundary.xf, u)) <= 1e-11
 
     @settings(deadline=None, max_examples=25)
@@ -198,8 +197,7 @@ class TestBuildAffine:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 3))
-        sys_ = make_lti_system(rng.normal(0, 3, (n, n)), rng.normal(0, 1, (n, m)),
-                               0.0, 1.0)
+        sys_ = LinearSystem(rng.normal(0, 3, (n, n)), rng.normal(0, 1, (n, m)), 0.0, 1.0)
         grid = sys_.grid(N)
         boundary = BoundarySpec(x0=rng.normal(0, 1, n), xf=rng.normal(0, 1, n))
         fast = build_affine(sys_, grid, boundary)
@@ -207,7 +205,7 @@ class TestBuildAffine:
         assert rel_diff(fast.G, G) <= 1e-11
         assert rel_diff(fast.Phi, Phi) <= 1e-11
         u = ControlTrajectory(values=rng.normal(0, 1, (N, m)), grid=grid)
-        x = simulate(sys_, grid, boundary.x0, u).values
+        x = simulate(sys_, boundary.x0, u).values
         assert rel_diff(x, loop_states(sys_, grid, boundary.x0, u)) <= 1e-11
 
     def test_refused_exactly_where_the_per_step_loop_overflows(self):
@@ -224,7 +222,7 @@ class TestBuildAffine:
                 A = np.diag(np.diag(A))
             if n > 1 and rng.random() < 0.25:
                 B[rng.integers(n)] = 0.0
-            sys_ = make_lti_system(A, B, 0.0, 1.0)
+            sys_ = LinearSystem(A, B, 0.0, 1.0)
             grid = sys_.grid(int(rng.integers(1, 400)))
             G, Phi = affine_loop(sys_, grid)
             boundary = BoundarySpec(x0=np.zeros(n), xf=np.zeros(n))

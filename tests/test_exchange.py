@@ -3,8 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ctrlgap import (BoundarySpec, Bounds, SolveOptions, build_affine, builtin_instance,
-                     critical_bound, exchange, gapsolve, make_lti_system, solve_gap)
+from ctrlgap import (BoundarySpec, Bounds, LinearSystem, SolveOptions, build_affine,
+                     builtin_instance, critical_bound, exchange, gapsolve, solve_gap)
 from ctrlgap.critical import TOL_A_FLOOR
 from ctrlgap.exchange import Vertex, certified_ends, critical_vertex, first_kink, flip
 from ctrlgap.project import ROUNDING
@@ -33,7 +33,7 @@ def single_input_draws():
         B = rng.normal(0, 1, (n, 1))
         N = int(rng.integers(50, 300))
         x0, xf = rng.normal(0, 1, n), rng.normal(0, 1, n)
-        system = make_lti_system(A, B, 0.0, 1.0)
+        system = LinearSystem(A, B, 0.0, 1.0)
         yield system, system.grid(N), BoundarySpec(x0=x0, xf=xf)
 
 
@@ -106,7 +106,7 @@ def test_the_vertex_does_not_depend_on_the_scale_of_the_box(power):
 def test_one_state_vertex_has_no_vertex_nodes():
     # x' = u from 0 to 1 on [0, 1]: a_c = 1, and with n = 1 the start s is
     # the vertex
-    system = make_lti_system([[0.0]], [[1.0]], 0.0, 1.0)
+    system = LinearSystem([[0.0]], [[1.0]], 0.0, 1.0)
     aff = build_affine(system, system.grid(50), BoundarySpec(x0=[0.0], xf=[1.0]))
     vertex, lower, upper = vertex_bracket(aff)
     assert vertex.optimal and vertex.pivots == 1 and vertex.K.size == 0
@@ -117,7 +117,7 @@ def test_copies_of_one_column_share_the_vertex_value():
     # x' = u1 + y, y' = u2: every node of u1 has the same column, and the
     # vertex puts a value 148 times the box on one of them unless its copies
     # share it; a_c = 1 (u2 = -1 brings y from 1 to 0, u1 = -1/2 returns x)
-    system = make_lti_system([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], 0.0, 1.0)
+    system = LinearSystem([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], 0.0, 1.0)
     aff = build_affine(system, system.grid(300), BoundarySpec(x0=[0.0, 1.0], xf=[0.0, 0.0]))
     vertex, lower, upper = vertex_bracket(aff)
     assert vertex.optimal
@@ -127,7 +127,7 @@ def test_copies_of_one_column_share_the_vertex_value():
 
 
 def two_input_system():
-    return make_lti_system([[0.0, 1.0], [-2.0, -0.3]], [[0.0, 0.4], [1.0, 0.3]], 0.0, 1.0)
+    return LinearSystem([[0.0, 1.0], [-2.0, -0.3]], [[0.0, 0.4], [1.0, 0.3]], 0.0, 1.0)
 
 
 @pytest.mark.parametrize("case", ["asymmetric", "per_channel"])

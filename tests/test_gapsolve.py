@@ -6,10 +6,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, SolveOptions,
+from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, LinearSystem, SolveOptions,
                      UncontrollableGridError, build_affine, builtin_instance,
-                     brute_force_gap, extract_switchings, gapsolve,
-                     make_lti_system, solve_gap)
+                     brute_force_gap, extract_switchings, gapsolve, solve_gap)
 
 from conftest import gram, gram_solve, random_tiny_problem, scalar_integrator
 
@@ -255,7 +254,7 @@ def exact_finish(aff, bounds, u):
 def two_input_problem(N):
     """A double integrator driven through two inputs, with bounds that vary
     from node to node and channel to channel; infeasible, bang-bang uB."""
-    system = make_lti_system([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.4], [1.0, 0.3]], 0.0, 1.0)
+    system = LinearSystem([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.4], [1.0, 0.3]], 0.0, 1.0)
     grid = system.grid(N)
     aff = build_affine(system, grid, BoundarySpec(x0=[0.0, 0.0], xf=[1.0, 0.0]))
     t = grid.left_nodes
@@ -324,7 +323,7 @@ class TestExactAnswer:
         u, _, _ = replay_projection_steps(aff, bounds, 2000, True, np.zeros(grid.N))
         replayed = exact_finish(aff, bounds, u)
         assert replayed is not None
-        times = [extract_switchings(x, grid).switch_times
+        times = [extract_switchings(x).switch_times
                  for x in (res.uB, ControlTrajectory.from_flat(replayed, grid, aff.m))]
         assert times[0] and len(times[1]) == len(times[0])
         assert np.max(np.abs(np.subtract(times[1], times[0]))) <= 1e-10
@@ -367,7 +366,7 @@ class TestExactAnswer:
         # same column, so at a vertex the nodes off the bound are all of
         # them or none; a descent that kinks one copy at a time took 1,000
         # steps here
-        system = make_lti_system([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], 0.0, 1.0)
+        system = LinearSystem([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], 0.0, 1.0)
         aff = build_affine(system, system.grid(300), BoundarySpec(x0=[0.0, 1.0], xf=[0.0, 0.0]))
         res = solve_gap(aff, Bounds.symmetric(0.5), SolveOptions(tol=1e-8))
         assert res.converged and res.diagnostics["finish"] == "exact"
@@ -529,7 +528,7 @@ class TestNewton:
                 A, B = rng.normal(0, 2, (4, 4)), rng.normal(0, 1, (4, 1))
                 N = int(rng.integers(20, 300))
                 x0, xf = rng.normal(0, 1, 4), rng.normal(0, 1, 4)
-                system = make_lti_system(A, B, 0.0, 1.0)
+                system = LinearSystem(A, B, 0.0, 1.0)
                 aff = build_affine(system, system.grid(N), BoundarySpec(x0=x0, xf=xf))
                 if not aff.controllable:
                     continue
@@ -562,7 +561,7 @@ def alternating_scalar_integrator(N):
     -1 exactly, so the columns of G alternate between +h and -h from node to
     node: controllable on the grid, while every block column sum of Qt, over
     an even number of nodes, is 0."""
-    return make_lti_system([[-2.0 * N]], [[1.0]], 0.0, 1.0)
+    return LinearSystem([[-2.0 * N]], [[1.0]], 0.0, 1.0)
 
 
 class TestBlockStart:

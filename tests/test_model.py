@@ -3,39 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctrlgap import (BUILTIN_NAMES, BoundarySpec, Bounds, ConfigError, Grid, LinearSystem,
-                     build_affine, builtin_instance, instance_from_config, make_lti_system)
-
-
-class TestMakeLtiSystem:
-    def test_double_integrator_matrices(self):
-        sys_ = make_lti_system([[0, 1], [0, 0]], [[0], [1]], 0, 1)
-        assert sys_.n == 2 and sys_.m == 1
-        np.testing.assert_array_equal(sys_.A, [[0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_array_equal(sys_.B, [[0.0], [1.0]])
-
-    def test_column_vector_b_promoted(self):
-        sys_ = make_lti_system([[0, 1], [0, 0]], [0, 1], 0, 1)
-        assert np.asarray(sys_.B).shape == (2, 1)
-
-    def test_scalar_integrator(self):
-        sys_ = make_lti_system([[0.0]], [[1.0]], 0, 1)
-        assert sys_.n == 1 and sys_.m == 1
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="rows"):
-            make_lti_system(np.zeros((2, 2)), np.zeros((3, 1)), 0, 1)
-
-    def test_nonsquare_a(self):
-        with pytest.raises(ValueError):
-            make_lti_system(np.zeros((2, 3)), np.zeros((2, 1)), 0, 1)
-
-    def test_nonfinite_entry(self):
-        with pytest.raises(ValueError, match="finite"):
-            make_lti_system([[np.nan, 0], [0, 0]], [[0], [1]], 0, 1)
-
-    def test_bad_horizon(self):
-        with pytest.raises(ValueError, match="t0"):
-            make_lti_system([[0.0]], [[1.0]], 1.0, 1.0)
+                     build_affine, builtin_instance, instance_from_config)
 
 
 class TestBuiltins:
@@ -156,12 +124,29 @@ class TestBounds:
 
 
 class TestLinearSystem:
+    @pytest.mark.parametrize("A, B, want_B", [
+        ([[0, 1], [0, 0]], [[0], [1]], [[0.0], [1.0]]),
+        ([[0, 1], [0, 0]], [0, 1], [[0.0], [1.0]]),
+        ([[0, 1], [0, 0]], np.array([0.0, 1.0]), [[0.0], [1.0]]),
+        ([[0.0]], 2.0, [[2.0]]),
+        (3.0, [[2.0]], [[2.0]]),
+        ([[0, 1], [0, 0]], [[0, 0.4], [1, 0.3]], [[0.0, 0.4], [1.0, 0.3]])],
+        ids=["column_b", "flat_b", "flat_array_b", "scalar_b", "scalar_a", "two_inputs"])
+    def test_dimensions_read_off_the_matrices(self, A, B, want_B):
+        sys_ = LinearSystem(A, B, 0, 1)
+        np.testing.assert_array_equal(sys_.A, np.atleast_2d(A))
+        np.testing.assert_array_equal(sys_.B, want_B)
+        assert (sys_.n, sys_.m) == np.shape(want_B)
+        assert (sys_.t0, sys_.tf) == (0.0, 1.0)
+        assert type(sys_.t0) is type(sys_.tf) is float
+        assert LinearSystem._fields == ("A", "B", "t0", "tf")
+
     def test_keeps_read_only_float_copies(self):
         A = np.array([[0, 1], [0, 0]], dtype=np.int64)
-        B = np.array([[0.0], [1.0]])
-        sys_ = LinearSystem(n=2, m=1, A=A, B=B, t0=0.0, tf=1.0)
+        B = np.array([0.0, 1.0])
+        sys_ = LinearSystem(A=A, B=B, t0=0.0, tf=1.0)
         A[1, 0] = -7
-        B[1, 0] = 5.0
+        B[1] = 5.0
         np.testing.assert_array_equal(sys_.A, [[0.0, 1.0], [0.0, 0.0]])
         np.testing.assert_array_equal(sys_.B, [[0.0], [1.0]])
         assert sys_.A.dtype == sys_.B.dtype == np.float64
@@ -170,18 +155,33 @@ class TestLinearSystem:
                 arr[0, 0] = 1.0
 
     def test_nested_lists_transcribe(self):
-        sys_ = LinearSystem(n=2, m=1, A=[[0, 1], [0, 0]], B=[[0], [1]], t0=0.0, tf=1.0)
+        sys_ = LinearSystem([[0, 1], [0, 0]], [[0], [1]], 0.0, 1.0)
         aff = build_affine(sys_, sys_.grid(2), BoundarySpec(x0=[0, 1], xf=[0, 0]))
         np.testing.assert_allclose(aff.G, [[0.25, 0.0], [0.5, 0.5]])
 
-    @pytest.mark.parametrize("A, B, message", [
-        (np.zeros((2, 3)), np.zeros((2, 1)), "A must have 2 columns"),
-        (np.zeros((2, 2)), np.zeros((3, 1)), "B must have 2 rows"),
-        ([[np.inf, 0], [0, 0]], np.zeros((2, 1)), "A contains non-finite")],
-        ids=["wide_a", "tall_b", "infinite_a"])
-    def test_shapes_and_finiteness_checked(self, A, B, message):
+    @pytest.mark.parametrize("A, B, t0, tf, message", [
+        (np.zeros((2, 3)), np.zeros((2, 1)), 0, 1, r"A must be square, got \(2, 3\)"),
+        ([1.0, 2.0], [[1.0]], 0, 1, r"A must be square, got \(1, 2\)"),
+        (np.zeros((2, 2, 2)), np.zeros((2, 1)), 0, 1, r"A must be square, got \(2, 2, 2\)"),
+        (np.zeros((2, 2)), np.zeros((3, 1)), 0, 1, "B must have 2 rows, got 3"),
+        (np.zeros((2, 2)), np.zeros(3), 0, 1, "B must have 2 rows, got 3"),
+        (np.zeros((2, 2)), 1.0, 0, 1, "B must have 2 rows, got 1"),
+        (np.zeros((2, 2)), np.zeros((2, 1, 1)), 0, 1,
+         r"B must be two-dimensional, got shape \(2, 1, 1\)"),
+        (np.zeros((2, 2)), np.zeros((2, 0)), 0, 1,
+         "state and control dimensions must be at least 1"),
+        (np.zeros((0, 0)), np.zeros((0, 1)), 0, 1,
+         "state and control dimensions must be at least 1"),
+        ([[np.nan, 0], [0, 0]], [[0], [1]], 0, 1, "A contains non-finite entries"),
+        ([[0, 1], [0, 0]], [np.inf, 1], 0, 1, "B contains non-finite entries"),
+        ([[0.0]], [[1.0]], 1.0, 1.0, r"tf must exceed t0, got \[1.0, 1.0\]"),
+        ([[0.0]], [[1.0]], 1, 0.5, r"tf must exceed t0, got \[1.0, 0.5\]")],
+        ids=["wide_a", "flat_a", "three_dim_a", "tall_b", "long_flat_b", "scalar_b_for_n_2",
+             "three_dim_b", "no_column", "empty_a", "nan_a", "infinite_b", "empty_horizon",
+             "reversed_horizon"])
+    def test_shapes_entries_and_horizon_checked(self, A, B, t0, tf, message):
         with pytest.raises(ValueError, match=message):
-            LinearSystem(n=2, m=1, A=A, B=B, t0=0.0, tf=1.0)
+            LinearSystem(A, B, t0, tf)
 
 
 class TestConfig:

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import importlib.util
 import os
@@ -12,7 +11,7 @@ import ctrlgap
 
 # Names that once were public and have no caller on any answer path.
 DELETED = ("project_box", "project_affine", "ltv_rank", "discrete_gramian",
-           "check_bang_bang", "BangBangReport", "make_ltv_system")
+           "check_bang_bang", "BangBangReport", "make_ltv_system", "make_lti_system")
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 PACKAGE = Path(ctrlgap.__file__).resolve().parent
@@ -30,8 +29,7 @@ API = {
                "SimulationOverflowError", "UncontrollableGridError"),
     "gapsolve": ("GapResult", "SolveOptions", "solve_gap"),
     "model": ("BUILTIN_NAMES", "BoundarySpec", "Bounds", "Grid", "LinearSystem",
-              "ProblemInstance", "builtin_instance", "instance_from_config",
-              "make_lti_system"),
+              "ProblemInstance", "builtin_instance", "instance_from_config"),
     "oracle": ("brute_force_gap",),
     "project": ("ProjectionStats", "dykstra_min_energy"),
 }
@@ -65,18 +63,26 @@ def test_public_names_resolve_and_the_wrapped_layer_names_stay_importable(monkey
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
-def test_every_record_but_affine_data_is_a_named_tuple():
-    # AffineData keeps its cached QR in an instance __dict__; the other
-    # records are NamedTuples, whose classes cost far less to build at import
-    # than frozen dataclasses
+def test_all_17_records_are_named_tuples():
+    # NamedTuple classes cost far less to build at import than frozen
+    # dataclasses; AffineData, a subclass without __slots__, keeps its cached
+    # QR in an instance __dict__
     from ctrlgap import analyze, critical
     records = [obj for obj in (getattr(ctrlgap, name) for name in ctrlgap.__all__)
                if isinstance(obj, type) and not issubclass(obj, Exception)]
     records += [analyze.ChannelSwitching, critical.Probe]
     assert len(records) == 17
     for record in records:
-        assert dataclasses.is_dataclass(record) == (record is ctrlgap.AffineData), record
-        assert issubclass(record, tuple) != (record is ctrlgap.AffineData), record
+        assert issubclass(record, tuple) and hasattr(record, "_fields"), record
+        assert not hasattr(record, "__dataclass_fields__"), record
+
+
+def test_the_set_up_imports_do_not_load_dataclasses():
+    out = run_fresh("import sys, numpy; before = 'dataclasses' in sys.modules; "
+                    "from ctrlgap import build_affine, builtin_instance; "
+                    "print(before, 'dataclasses' in sys.modules)")
+    before, after = out.split()
+    assert after == before
 
 
 @pytest.mark.parametrize("statement, loaded", [
