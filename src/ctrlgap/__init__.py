@@ -8,12 +8,11 @@ _EXPORTS = {  # each submodule and the public names it defines
     "analyze": "SwitchingProfile extract_switchings", "cli": "", "csvtext": "",
     "controllability": "CtrbReport gramian_report kalman_rank",
     "critical": "CriticalResult DICriticalSolution critical_bound di_critical_analytic",
-    "discretize": "AffineData ControlTrajectory StateTrajectory build_affine l2_norm simulate "
-                  "weighted_norm",
+    "discretize": "AffineData ControlTrajectory build_affine l2_norm simulate weighted_norm",
     "errors": "AnalyticCaseError BracketError ConfigError ConsistencyError CtrlGapError "
               "InfeasibleIntersectionError OracleSizeError SimulationOverflowError "
               "UncontrollableGridError",
-    "exchange": "", "figures": "", "gapsolve": "GapResult SolveOptions solve_gap",
+    "exchange": "", "figures": "", "gapsolve": "GapResult solve_gap",
     "model": "BUILTIN_NAMES BoundarySpec Bounds Grid LinearSystem ProblemInstance "
              "builtin_instance instance_from_config",
     "oracle": "brute_force_gap", "project": "ProjectionStats dykstra_min_energy",

@@ -50,11 +50,11 @@ from .critical import TOL_A_FLOOR, critical_bound
 from .csvtext import encode_slots, gather
 from .discretize import AffineData, ControlTrajectory, build_affine, l2_norm, simulate
 from .errors import ConfigError, ConsistencyError, CtrlGapError, UncontrollableGridError
-from .gapsolve import SolveOptions, feasible_floor, solve_gap
+from .gapsolve import MAX_ITER, feasible_floor, solve_gap
 from .model import (BUILTIN_NAMES, Bounds, Grid, ProblemInstance,
                     builtin_instance, instance_from_config)
 from .oracle import MAX_COORDS, brute_force_gap
-from .project import dykstra_min_energy
+from .project import NEWTON_MAX_ITER, dykstra_min_energy
 
 # At most this many values are encoded per call when writing trajectory.csv.
 # A few thousand keep the encoder's fixed cost per call, that of about a
@@ -110,10 +110,9 @@ def _build_parser() -> _Parser:
     p_gap.add_argument("--tol", type=float, default=1e-8,
                        help="bound on the certified relative duality gap "
                             "(gap - gap_lower) / gap (default 1e-8)")
-    max_iter = SolveOptions._field_defaults["max_iter"]
-    p_gap.add_argument("--max-iter", type=int, default=max_iter,
+    p_gap.add_argument("--max-iter", type=int, default=MAX_ITER,
                        help="cap on exchange pivots and descent steps; a solve it cuts "
-                            f"exits 2 (default {max_iter})")
+                            "exits 2 (default %(default)s)")
     p_gap.add_argument("--oracle", action="store_true",
                        help=f"cross-check with exhaustive enumeration "
                             f"(at most {MAX_COORDS} control coordinates)")
@@ -132,9 +131,9 @@ def _build_parser() -> _Parser:
     add_instance_flags(p_min)
     p_min.add_argument("--tol", type=float, default=1e-10,
                        help="bound on the row-scaled affine residual (default 1e-10)")
-    p_min.add_argument("--max-iter", type=int, default=200,
+    p_min.add_argument("--max-iter", type=int, default=NEWTON_MAX_ITER,
                        help="cap on Newton iterates, the start iterate included; a "
-                            "solve it cuts exits 2 (default 200)")
+                            "solve it cuts exits 2 (default %(default)s)")
     for p in (p_gap, p_crit, p_min):
         p.add_argument("--svg", action="store_true", help="also write figure.svg")
 
@@ -328,8 +327,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     grid = instance.system.grid(args.nodes)
     clock = _Stages()
     aff = clock("transcribe", _transcribe, instance, grid)
-    result = clock("solve", solve_gap, aff, bounds,
-                   SolveOptions(tol=args.tol, max_iter=args.max_iter))
+    result = clock("solve", solve_gap, aff, bounds, tol=args.tol, max_iter=args.max_iter)
     profile = extract_switchings(result.uB)
     states = clock("simulate", simulate, instance.system, instance.boundary.x0, result.uA)
     summary = {
@@ -339,7 +337,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "converged": result.converged, "wall_time_seconds": clock.seconds["solve"],
         "gap_lower": result.gap_lower,
         "finish": result.diagnostics["finish"], "stop": result.diagnostics["stop"],
-        "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
+        "terminal_error": float(np.linalg.norm(states[-1] - instance.boundary.xf))}
     if args.oracle:
         reference = brute_force_gap(aff, bounds)
         summary["oracle_objective"] = reference.diagnostics["objective"]
@@ -353,7 +351,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
                 f"interval [{result.gap_lower!r}, {result.gap_norm!r}] widened by {slack:.3g}")
     _emit(Path(args.out), summary, grid,
           {"uA": result.uA.values, "uB": result.uB.values, "v": result.v.values},
-          states.values, args.svg,
+          states, args.svg,
           title=f"{instance.label}: gap solve, N={args.nodes}", stages=clock.seconds)
     print(f"gap_norm={result.gap_norm:.9g} gap_lower={result.gap_lower:.9g} "
           f"iterations={result.iterations} converged={result.converged} "
@@ -366,8 +364,7 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     grid = instance.system.grid(args.nodes)
     clock = _Stages()
     aff = clock("transcribe", _transcribe, instance, grid)
-    result = clock("solve", critical_bound, instance.system, grid, instance.boundary,
-                   tol_a=args.tol_a, aff=aff)
+    result = clock("solve", critical_bound, aff, tol_a=args.tol_a)
     u = result.u_c
     profile = extract_switchings(u)
     states = clock("simulate", simulate, instance.system, instance.boundary.x0, u)
@@ -378,10 +375,10 @@ def _cmd_critical(args: argparse.Namespace) -> int:
         "converged": result.converged, "wall_time_seconds": clock.seconds["solve"],
         "bracket_lo": result.bracket[0], "bracket_hi": result.bracket[1],
         "affine_residual": aff.residual(u.flat),
-        "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
+        "terminal_error": float(np.linalg.norm(states[-1] - instance.boundary.xf))}
     _emit(Path(args.out), summary, grid,
           {"uA": u.values, "uB": u.values, "v": np.zeros_like(u.values)},
-          states.values, args.svg,
+          states, args.svg,
           title=f"{instance.label}: critical bound, N={args.nodes}", stages=clock.seconds)
     print(f"a_c={result.a_c:.9g} bracket=({result.bracket[0]:.9g}, "
           f"{result.bracket[1]:.9g}) converged={result.converged} "
@@ -429,10 +426,10 @@ def _cmd_min_energy(args: argparse.Namespace) -> int:
         "converged": stats.converged, "wall_time_seconds": clock.seconds["solve"],
         "norm": l2_norm(u), "energy": 0.5 * l2_norm(u) ** 2,
         "affine_residual": aff.residual(u.flat),
-        "terminal_error": float(np.linalg.norm(states.last - instance.boundary.xf))}
+        "terminal_error": float(np.linalg.norm(states[-1] - instance.boundary.xf))}
     _emit(Path(args.out), summary, grid,
           {"uA": u.values, "uB": u.values, "v": np.zeros_like(u.values)},
-          states.values, args.svg,
+          states, args.svg,
           title=f"{instance.label}: minimum-energy control, N={args.nodes}",
           stages=clock.seconds)
     print(f"norm={l2_norm(u):.9g} iterations={stats.iterations} "

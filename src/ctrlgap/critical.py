@@ -2,8 +2,9 @@
 boundary-value set meets the box, reported as a certified bracket, plus
 the closed-form double-integrator solution used as an oracle.
 
-a_c is the minimum-effort value min |u|_inf subject to G u = xi.  In the
-orthonormal form {u : Qt u = c} of the affine set (``AffineData.basis``)
+a_c is the minimum-effort value min |u|_inf on the transcription's affine
+set G u = xi, which ``critical_bound`` takes alone, as every solver does.
+In the orthonormal form {u : Qt u = c} of the set (``AffineData.basis``)
 it is the value of a linear program in n <= 7 dual unknowns, 1 / a_c = min
 |Qt^T s|_1 subject to c.s = 1 (Neustadt, J. SIAM Control 1, 1962), whose
 vertex is the paper's bang-bang critical control.  The search is one
@@ -20,10 +21,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .controllability import kalman_rank
-from .discretize import AffineData, ControlTrajectory, build_affine
+# build_affine is unused here: perfbench/tracing.py wraps it by name (ROADMAP item 10)
+from .discretize import AffineData, ControlTrajectory, build_affine  # noqa: F401
 from .errors import AnalyticCaseError, BracketError, UncontrollableGridError
 from .gapsolve import solve_gap
-from .model import BoundarySpec, Bounds, Grid, LinearSystem
+from .model import Bounds
 from .project import ROUNDING
 
 
@@ -56,9 +58,9 @@ class CriticalResult(NamedTuple):
     probes: tuple[Probe, ...]
 
 
-def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
-                   tol_a: float = 1e-8, aff: AffineData | None = None) -> CriticalResult:
-    """Certified bracket [lo, hi] on the critical symmetric bound.
+def critical_bound(aff: AffineData, tol_a: float = 1e-8) -> CriticalResult:
+    """Certified bracket [lo, hi] on the critical symmetric bound of the
+    transcription ``aff``.
 
     One ``Probe``, the default gap solve at a0 = max |Qt^T c| (1 +
     ``ROUNDING``), the zero control's certified upper end, whose box is
@@ -67,17 +69,14 @@ def critical_bound(system: LinearSystem, grid: Grid, boundary: BoundarySpec,
     projected onto the affine set.  The ends are certified however the
     pivots went, so a cut exchange only widens them; the search is
     converged once hi - lo <= ``tol_a`` (1 + hi).  ``tol_a`` must be finite
-    and at least ``TOL_A_FLOOR``.  ``aff``, when given, is the transcription
-    of (system, grid, boundary), used instead of building it again.  Raises
-    ``UncontrollableGridError`` when the system fails the Kalman rank test
-    or, from ``aff.basis``, the grid, and ``BracketError`` when a_c = 0.
+    and at least ``TOL_A_FLOOR``.  Raises ``UncontrollableGridError`` when
+    ``aff.system`` fails the Kalman rank test or, from ``aff.basis``, the
+    grid, and ``BracketError`` when a_c = 0.
     """
     if not TOL_A_FLOOR <= tol_a < math.inf:
         raise ValueError(f"tol_a must be finite and at least {TOL_A_FLOOR:g}, the "
                          f"narrowest bracket the rounding allowance leaves, got {tol_a}")
-    if aff is None:
-        aff = build_affine(system, grid, boundary)
-    if not kalman_rank(system.A, system.B).controllable:
+    if not kalman_rank(aff.system.A, aff.system.B).controllable:
         raise UncontrollableGridError(
             "cannot search for a critical bound: the system fails the "
             "constant-matrix rank test")

@@ -2,18 +2,19 @@
 
 The continuous set of admissible controls (those steering x0 to xf) is
 replaced by the affine set { u : G u = xi } acting on stacked piecewise-
-constant control values.  The map G and the step-matrix product Phi are
-assembled once per (system, grid, boundary).  Every solver and
-certificate runs on one representation of that set, the orthonormal basis
-(Qt, c) of range(G^T) in ``AffineData.basis``, and the same Householder QR
-of G^T decides controllability on the grid; it is built on first use.
+constant control values, and ``AffineData`` holds it with its system and
+grid; ``build_affine`` and ``simulate``, the only places where a grid
+meets a system, refuse a grid off the system's horizon.  Every solver and
+certificate takes the ``AffineData`` alone and runs on the orthonormal
+basis (Qt, c) of range(G^T) in ``AffineData.basis``, whose Householder QR
+of G^T also decides controllability on the grid; it is built on first use.
 
 The matrices are constant, so every Euler step is the same affine map
 x -> M x + hB u, M = I + hA, formed once by ``_step_map``, and nothing
 needs a per-step Python loop: G is built by doubling its column blocks
-(the last L blocks times M^L give the L before them), Phi = M^N by binary
-powering, and ``simulate`` is a Hillis-Steele prefix scan over the step
-maps.  A G or Phi with a non-finite entry is refused with
+(the last L blocks times M^L give the L before them), M^N, which forms
+xi, by binary powering, and ``simulate`` is a Hillis-Steele prefix scan
+over the step maps.  A G or M^N with a non-finite entry is refused with
 ``SimulationOverflowError``: accumulated one step at a time, the same
 blocks overflow too, and no solve can run on a non-finite G.  A scan with
 a non-finite entry is redone by the per-step loop, which keeps a zero
@@ -37,20 +38,12 @@ from .errors import SimulationOverflowError, UncontrollableGridError
 from .model import BoundarySpec, Grid, LinearSystem, frozen_floats
 
 
-class _TrajectoryFields(NamedTuple):
+class _ControlFields(NamedTuple):
     values: np.ndarray
     grid: Grid
 
 
-def _samples(values, rows: int, kind: str) -> np.ndarray:
-    """A read-only float copy of ``values``, checked to have ``rows`` rows."""
-    arr = frozen_floats(values, f"{kind} trajectory")
-    if arr.ndim != 2 or arr.shape[0] != rows:
-        raise ValueError(f"{kind} values must have {rows} rows, got shape {arr.shape}")
-    return arr
-
-
-class ControlTrajectory(_TrajectoryFields):
+class ControlTrajectory(_ControlFields):
     """N-by-m control samples, a read-only copy; row k applies on [t_k,
     t_{k+1})."""
 
@@ -59,7 +52,10 @@ class ControlTrajectory(_TrajectoryFields):
     def __new__(cls, values, grid: Grid):
         if np.ndim(values) == 1:
             values = np.reshape(values, (-1, 1))
-        return super().__new__(cls, _samples(values, grid.N, "control"), grid)
+        arr = frozen_floats(values, "control trajectory")
+        if arr.ndim != 2 or arr.shape[0] != grid.N:
+            raise ValueError(f"control values must have {grid.N} rows, got shape {arr.shape}")
+        return super().__new__(cls, arr, grid)
 
     @property
     def m(self) -> int:
@@ -79,34 +75,16 @@ class ControlTrajectory(_TrajectoryFields):
         return cls(values=np.zeros((grid.N, m)), grid=grid)
 
 
-class StateTrajectory(_TrajectoryFields):
-    """(N+1)-by-n state samples on all grid nodes, a read-only copy."""
-
-    __slots__ = ()
-
-    def __new__(cls, values, grid: Grid):
-        return super().__new__(cls, _samples(values, grid.N + 1, "state"), grid)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def last(self) -> np.ndarray:
-        return self.values[-1]
-
-
 class _AffineFields(NamedTuple):
     G: np.ndarray
     xi: np.ndarray
-    Phi: np.ndarray
     grid: Grid
-    m: int
+    system: LinearSystem
 
 
 class AffineData(_AffineFields):
     """Discrete reachability data: { u : G u = xi } equals the transcribed
-    boundary-value set, with Phi = M^N the product of the N step matrices.
+    boundary-value set of ``system`` on ``grid``, whose horizons agree.
     ``controllable`` (G has full row rank) and ``basis``, the form of the set
     that every solver runs on, both read one QR of G^T, built on first use.
     The subclass has no ``__slots__``, so the cached QR, verdict and
@@ -115,6 +93,10 @@ class AffineData(_AffineFields):
     @property
     def n(self) -> int:
         return self.G.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.system.m
 
     @property
     def h(self) -> float:
@@ -207,8 +189,17 @@ def _simulate_scan(M: np.ndarray, hB: np.ndarray, x0: np.ndarray,
     return b
 
 
-def simulate(system: LinearSystem, x0: np.ndarray, u: ControlTrajectory) -> StateTrajectory:
-    """Forward-Euler rollout x_{k+1} = M x_k + hB u_k, M = I + h A, on u's grid.
+def _check_horizon(system: LinearSystem, grid: Grid) -> None:
+    """Raise ``ValueError`` unless ``grid`` spans the system's horizon."""
+    if (grid.t0, grid.tf) != (system.t0, system.tf):
+        raise ValueError(f"grid horizon [{grid.t0}, {grid.tf}] is not the system's "
+                         f"[{system.t0}, {system.tf}]")
+
+
+def simulate(system: LinearSystem, x0: np.ndarray, u: ControlTrajectory) -> np.ndarray:
+    """Forward-Euler rollout x_{k+1} = M x_k + hB u_k, M = I + h A, on u's
+    grid, which must span the system's horizon: the read-only (N+1)-by-n
+    states at its nodes.
 
     Runs as a log-depth scan over the affine step maps.  A scan with a
     non-finite entry is decided by the per-step loop, since an overflowing
@@ -221,15 +212,17 @@ def simulate(system: LinearSystem, x0: np.ndarray, u: ControlTrajectory) -> Stat
         raise ValueError(f"x0 must have length {system.n}, got {x0.size}")
     if u.m != system.m:
         raise ValueError(f"control has {u.m} channels, system expects {system.m}")
+    _check_horizon(system, u.grid)
     M, hB = _step_map(system, u.grid.h)
     out = _simulate_scan(M, hB, x0, u)
     if not np.isfinite(out).all():
         out = _simulate_loop(M, hB, x0, u)
-    return StateTrajectory(values=out, grid=u.grid)
+    out.flags.writeable = False
+    return out
 
 
 def _affine_doubling(M: np.ndarray, hB: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(G, Phi) of N steps x -> M x + hB u: column block k of G is
+    """(G, M^N) of N steps x -> M x + hB u: column block k of G is
     M^(N-1-k) hB, so the last L blocks times M^L give the L blocks before
     them.  Doubling the n-by-m blocks, not a stack of n-by-n powers, keeps
     the work and memory at the size of G."""
@@ -244,32 +237,34 @@ def _affine_doubling(M: np.ndarray, hB: np.ndarray, N: int) -> tuple[np.ndarray,
             L += k
             if L < N:
                 P = P @ P
-        Phi = np.linalg.matrix_power(M, N)
-    return G, Phi
+        MN = np.linalg.matrix_power(M, N)
+    return G, MN
 
 
 def build_affine(system: LinearSystem, grid: Grid,
                  boundary: BoundarySpec) -> AffineData:
-    """Assemble the reachability map for fixed-endpoint data.
+    """Assemble the reachability map for fixed-endpoint data on ``grid``,
+    which must span the system's horizon.
 
     Column block k of G is M^(N-1-k) h B with M = I + h A, so that the
-    Euler terminal state equals Phi x0 + G u for stacked controls u, Phi =
-    M^N.  G is built by doubling and Phi by binary powering.  Raises
-    ``SimulationOverflowError`` when either has a non-finite entry: the
-    Euler step h is then unstable for the system, and no solve can run on
-    the set.
+    Euler terminal state equals M^N x0 + G u for stacked controls u, and xi
+    = xf - M^N x0.  G is built by doubling and M^N by binary powering.
+    Raises ``SimulationOverflowError`` when either has a non-finite entry:
+    the Euler step h is then unstable for the system, and no solve can run
+    on the set.
     """
     if boundary.n != system.n:
         raise ValueError(f"boundary dimension {boundary.n} != state dimension {system.n}")
+    _check_horizon(system, grid)
     G, P = _affine_doubling(*_step_map(system, grid.h), grid.N)
     if not (np.isfinite(G).all() and np.isfinite(P).all()):
         raise SimulationOverflowError(
             f"the reachability map overflowed at N={grid.N}; the Euler step "
             f"h={grid.h:g} is unstable for this system")
     xi = boundary.xf - P @ boundary.x0
-    for arr in (G, xi, P):
+    for arr in (G, xi):
         arr.flags.writeable = False
-    return AffineData(G=G, xi=xi, Phi=P, grid=grid, m=system.m)
+    return AffineData(G=G, xi=xi, grid=grid, system=system)
 
 
 def weighted_norm(values: np.ndarray, h: float) -> float:

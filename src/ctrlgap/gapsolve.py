@@ -1,7 +1,8 @@
 """Best-approximation (gap) solver for the infeasible box/affine pair.
 
-``solve_gap`` computes the pair (uA, uB) minimizing the step-weighted
-distance between the boundary-value affine set and the box, on the
+``solve_gap(aff, bounds, tol, max_iter)`` computes the pair (uA, uB)
+minimizing the step-weighted distance between the boundary-value affine
+set of the transcription ``aff`` and the box ``bounds``, on the
 orthonormal basis ``AffineData.basis`` = (Qt, c) of range(G^T): P_affine(u)
 = u - Qt^T s with s = Qt u - c, so a box point's gap is sqrt(h) |Qt u - c|.
 The paper's alternating projections, Douglas-Rachford splitting and the
@@ -43,7 +44,6 @@ vector as its switching function, as the paper proves.  The solve:
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -51,34 +51,11 @@ import numpy as np
 from .discretize import AffineData, ControlTrajectory, weighted_norm
 from .exchange import LEVEL, Vertex, certified_ends, critical_vertex, first_kink, flip
 from .model import Bounds
-from .project import gap_lower_bound
+from .project import check_stopping, gap_lower_bound
 
 
-class _SolveFields(NamedTuple):
-    tol: float = 1e-9
-    max_iter: int = 1_000
-
-
-class SolveOptions(_SolveFields):
-    """Knobs of the gap solver.
-
-    ``tol`` bounds the certified relative duality gap (gap - gap_lower) /
-    gap of the answer, with the absolute floor for feasible boxes given in
-    the module docstring; it must be positive and finite.  ``max_iter``
-    caps the pivots of the exchange and the steps of the descent together.
-    The builtin solves at N = 1e3 to 2e5 take at most a few dozen, so the
-    default cap ends a runaway solve long before it costs much.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        return self
+# Default cap on pivots and descent steps; the builtins take a few dozen.
+MAX_ITER = 1_000
 
 
 class GapResult(NamedTuple):
@@ -237,23 +214,26 @@ def _vertex(box: _Workspace, b: np.ndarray, max_pivots: int) -> Vertex:
     return vertex._replace(pivots=vertex.pivots + blocks.pivots)
 
 
-def solve_gap(aff: AffineData, bounds: Bounds,
-              opts: SolveOptions | None = None) -> GapResult:
-    """Run the stages of the module docstring within ``opts.max_iter``
-    pivots and steps.
+def solve_gap(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
+              max_iter: int = MAX_ITER) -> GapResult:
+    """Run the stages of the module docstring on the transcription ``aff``
+    and the box ``bounds`` within ``max_iter`` pivots and steps.
 
-    The returned pair is the certified box point uB and its projection uA
-    onto the affine set, so uB is box-feasible exactly and uA satisfies the
-    affine constraint to rounding.
+    ``tol``, positive and finite, bounds the certified relative duality gap
+    (gap - gap_lower) / gap of the answer, with the absolute floor for
+    feasible boxes given in the module docstring; ``max_iter`` is at least
+    1.  The returned pair is the certified box point uB and its projection
+    uA onto the affine set, so uB is box-feasible exactly and uA satisfies
+    the affine constraint to rounding.
     """
-    opts = opts or SolveOptions()
+    check_stopping(tol, max_iter)
     box = _Workspace(aff, *bounds.sample(aff.grid, aff.m))
     Qt, c, _ = aff.basis
     b = c - Qt @ box.z
     if not b.any():  # the box's centre lies on the affine set
         u, pivots, steps, optimal, scale = box.z, 0, 0, True, (0.0, 0.0)
     else:
-        vertex = _vertex(box, b, opts.max_iter)
+        vertex = _vertex(box, b, max_iter)
         pivots, reach = vertex.pivots, float(b @ vertex.s) - vertex.value
         *scale, u = certified_ends(Qt, c, b, box.z, box.w, vertex)
         if reach <= 0.0:
@@ -261,10 +241,10 @@ def solve_gap(aff: AffineData, bounds: Bounds,
         else:
             lam = reach / float(vertex.s @ vertex.s)
             u, steps, optimal = _descend(box, b, -lam * vertex.s, -lam * vertex.g,
-                                         vertex.K, opts.max_iter - pivots)
+                                         vertex.K, max_iter - pivots)
     uA, v, gap, gap_lower = _certify(box, u)
-    certified = gap - gap_lower <= opts.tol * gap or gap <= feasible_floor(aff, opts.tol)
-    cut = not optimal and pivots + steps >= opts.max_iter
+    certified = gap - gap_lower <= tol * gap or gap <= feasible_floor(aff, tol)
+    cut = not optimal and pivots + steps >= max_iter
     stop = "certified" if certified else "max_iter" if cut else "rounding"
     uA, uB, v = (ControlTrajectory.from_flat(x, aff.grid, aff.m) for x in (uA, u, v))
     return GapResult(uA=uA, uB=uB, v=v, gap_norm=gap, iterations=pivots + steps,

@@ -30,6 +30,8 @@ from .model import Bounds
 # of its terms: 8 units in the last place, ten times the largest error of
 # the margins of 111 builtin gap answers against extended precision.
 MARGIN_ERROR = 8 * float(np.finfo(float).eps)
+# Default cap on the Newton iterates of a minimum-energy solve.
+NEWTON_MAX_ITER = 200
 
 
 class ProjectionStats(NamedTuple):
@@ -39,6 +41,15 @@ class ProjectionStats(NamedTuple):
 
     iterations: int
     converged: bool
+
+
+def check_stopping(tol: float, max_iter: int) -> None:
+    """Raise ``ValueError`` unless ``tol`` is positive and finite and
+    ``max_iter`` at least 1: the stopping rules of both solvers."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def gap_lower_bound(aff: AffineData, lo: np.ndarray, hi: np.ndarray, y: np.ndarray,
@@ -152,7 +163,8 @@ def dual_newton(Qt: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
-                       max_iter: int = 200) -> tuple[ControlTrajectory, ProjectionStats]:
+                       max_iter: int = NEWTON_MAX_ITER
+                       ) -> tuple[ControlTrajectory, ProjectionStats]:
     """Minimum-norm control in the box and the affine set: ``dual_newton``
     from y = -c, whose u(y) clips the minimum-norm control Qt^T c = G^T
     W^{-1} xi.  The name predates the method and stays until the benchmark
@@ -165,10 +177,7 @@ def dykstra_min_energy(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
     the ray that the kernel yields in its place, with the Qt^T y that the
     kernel yields; returns ``converged=False`` once the kernel ends
     uncertified, or after ``max_iter``."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    check_stopping(tol, max_iter)
     lo, hi = (b.reshape(-1) for b in bounds.sample(aff.grid, aff.m))
     Qt, c, Rhat = aff.basis
     stop = tol * (1.0 + float(np.linalg.norm(Rhat.T @ c)))

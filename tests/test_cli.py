@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ctrlgap import (BUILTIN_NAMES, ControlTrajectory, Grid, SolveOptions, build_affine,
-                     builtin_instance, cli, csvtext, discretize, figures)
+from ctrlgap import (BUILTIN_NAMES, ControlTrajectory, Grid, build_affine,
+                     builtin_instance, cli, csvtext, discretize, figures, gapsolve, project)
 from ctrlgap.project import ROUNDING
 from ctrlgap.oracle import MAX_COORDS
 
@@ -137,19 +137,25 @@ def test_legacy_fast_spelling_writes_the_default_runs_files(tmp_path, nodes, gap
     assert abs(fast["gap_norm"] - gap_norm) <= 1e-10 * gap_norm
 
 
-def test_gap_help_and_parse_read_the_library_default_budget(capsys):
-    # the default comes from the SolveOptions field, not the class attribute,
-    # which on a NamedTuple is the field's descriptor
+@pytest.mark.parametrize("argv, default", [
+    (GAP, 1_000), (["min-energy", "--system", "double_integrator", "--bound", "1"], 200)],
+    ids=["gap", "min_energy"])
+def test_help_and_parse_read_the_library_default_budget(capsys, argv, default):
+    # each budget is written once, as the library's constant, which is also
+    # the solver's default
+    assert default == {"gap": gapsolve.MAX_ITER, "min-energy": project.NEWTON_MAX_ITER}[argv[0]]
     with pytest.raises(SystemExit) as exit_info:
-        cli.run(["gap", "--help"])
+        cli.run([argv[0], "--help"])
     assert exit_info.value.code == 0
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "exits 2 (default 1000)" in help_text
-    assert cli._build_parser().parse_args(GAP).max_iter == 1000
+    assert f"exits 2 (default {default})" in help_text
+    assert cli._build_parser().parse_args(argv).max_iter == default
+    solver = {"gap": cli.solve_gap, "min-energy": cli.dykstra_min_energy}[argv[0]]
+    assert solver.__defaults__[-1] == default
 
 
 def test_gap_budget_defaults_to_the_library_cap_and_a_cut_exits_2(tmp_path):
-    assert cli._build_parser().parse_args(GAP).max_iter == SolveOptions().max_iter == 1_000
+    assert cli._build_parser().parse_args(GAP).max_iter == gapsolve.MAX_ITER == 1_000
     # machine_tool takes 13 pivots and 3 descent steps here; one pivot is a
     # cut short of a certificate
     argv = ["gap", "--system", "machine_tool", "--nodes", "1000", "--bound", "1770",
@@ -583,7 +589,7 @@ def test_the_qr_is_billed_to_the_transcribe_stage(tmp_path, monkeypatch, argv):
     formed = []
     for name in ("solve_gap", "critical_bound", "dykstra_min_energy"):
         def solve(*args, _solve=getattr(cli, name), **kwargs):
-            formed.append("basis" in kwargs.get("aff", args[0]).__dict__)
+            formed.append("basis" in args[0].__dict__)
             return _solve(*args, **kwargs)
         monkeypatch.setattr(cli, name, solve)
     assert cli.run(argv + ["--out", str(tmp_path)]) == 0
@@ -744,4 +750,4 @@ def test_cli_files_are_percent_17g_of_the_returned_arrays(tmp_path, monkeypatch,
     grid = builtin_instance("double_integrator").system.grid(N)
     assert differing_line(tmp_path / "trajectory.csv", reference_csv(
         ["t", "uA_1", "uB_1", "v_1"], np.column_stack([grid.left_nodes, uA, uB, v]))) is None
-    check_run_npz(tmp_path / "run.npz", grid.nodes, returned["simulate"].values)
+    check_run_npz(tmp_path / "run.npz", grid.nodes, returned["simulate"])

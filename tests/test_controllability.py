@@ -138,7 +138,7 @@ class TestDiscreteGramian:
             with pytest.raises(UncontrollableGridError):
                 dykstra_min_energy(aff, inst.bounds)
             with pytest.raises(UncontrollableGridError):
-                critical_bound(inst.system, grid, inst.boundary)
+                critical_bound(aff)
             assert cli.run(["gap", "--config", str(cfg), "--nodes", str(N),
                             "--out", str(tmp_path / str(N))]) == 1
 

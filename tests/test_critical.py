@@ -11,7 +11,8 @@ from conftest import LP_A_C_1000, gram, two_input_draw
 
 def _critical(name, nodes, **kwargs):
     inst = builtin_instance(name)
-    return critical_bound(inst.system, inst.system.grid(nodes), inst.boundary, **kwargs)
+    return critical_bound(build_affine(inst.system, inst.system.grid(nodes), inst.boundary),
+                          **kwargs)
 
 
 @pytest.mark.parametrize("name", sorted(LP_A_C_1000))
@@ -19,7 +20,7 @@ def test_bracket_contains_exact_critical_bound(name):
     inst = builtin_instance(name)
     grid = inst.system.grid(1000)
     aff = build_affine(inst.system, grid, inst.boundary)
-    res = critical_bound(inst.system, grid, inst.boundary, aff=aff)
+    res = critical_bound(aff)
     lo, hi = res.bracket
     assert res.converged
     assert lo <= LP_A_C_1000[name] <= hi
@@ -51,7 +52,7 @@ def test_probes_replay_as_cold_default_solves(name):
     inst = builtin_instance(name)
     grid = inst.system.grid(1000)
     aff = build_affine(inst.system, grid, inst.boundary)
-    res = critical_bound(inst.system, grid, inst.boundary, aff=aff)
+    res = critical_bound(aff)
     (probe,) = res.probes
     replay = solve_gap(aff, Bounds.symmetric(probe.a))
     assert replay.iterations == probe.iterations
@@ -73,7 +74,7 @@ def test_default_tol_a_converges_on_random_systems():
         N = int(rng.integers(50, 300))
         x0, xf = rng.normal(0, 1, n), rng.normal(0, 1, n)
         system = LinearSystem(A, B, 0.0, 1.0)
-        res = critical_bound(system, system.grid(N), BoundarySpec(x0=x0, xf=xf))
+        res = critical_bound(build_affine(system, system.grid(N), BoundarySpec(x0=x0, xf=xf)))
         lo, hi = res.bracket
         if not (res.converged and hi - lo <= 1e-8 * (1.0 + hi)):
             unconverged.append((case, n, N))
@@ -84,7 +85,7 @@ def test_default_tol_a_converges_on_the_23rd_two_input_draw():
     # n=3, N=601: every minimum-energy step near a_c once ended neither
     # converged nor certified, when the kernel found no step that passed an
     # Armijo test, and the search ended unconverged
-    res = critical_bound(*two_input_draw(23))
+    res = critical_bound(build_affine(*two_input_draw(23)))
     lo, hi = res.bracket
     assert res.converged and hi - lo <= 1e-8 * (1.0 + hi)
 

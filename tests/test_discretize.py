@@ -1,3 +1,4 @@
+import re
 import sys
 from fractions import Fraction
 
@@ -5,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, LinearSystem,
-                     SimulationOverflowError, SolveOptions, StateTrajectory,
-                     UncontrollableGridError, build_affine, builtin_instance,
-                     dykstra_min_energy, l2_norm, simulate, solve_gap)
+from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, Grid, LinearSystem,
+                     SimulationOverflowError, UncontrollableGridError, build_affine,
+                     builtin_instance, dykstra_min_energy, l2_norm, simulate, solve_gap)
 
 from conftest import gram, ill_conditioned_affines, scaled_residual, scalar_integrator
 
@@ -30,8 +30,8 @@ def loop_states(sys_, grid, x0, u):
 
 
 def affine_loop(sys_, grid):
-    """Reference (G, Phi): the step matrix accumulated from the last step
-    back, one step at a time; an overflow stays in the result."""
+    """Reference (G, Phi), Phi = M^N: the step matrix accumulated from the
+    last step back, one step at a time; an overflow stays in the result."""
     n, m, h = sys_.n, sys_.m, grid.h
     G = np.empty((n, grid.N * m))
     P = np.eye(n)
@@ -44,6 +44,13 @@ def affine_loop(sys_, grid):
 
 def rel_diff(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
+
+
+def xi_error(aff, Phi, boundary):
+    """|xi - (xf - Phi x0)|_max relative to the size of its terms."""
+    x0, xf = boundary
+    size = np.abs(xf).max() + np.abs(Phi).max() * np.abs(x0).sum()
+    return np.abs(aff.xi - (xf - Phi @ x0)).max() / size
 
 
 def sampled_linear_control(grid, coeffs=(-4.0, 6.0)):
@@ -59,15 +66,15 @@ class TestSimulate:
         u = ControlTrajectory.zeros(grid, 1)
         x = simulate(sys_, [0.0, 1.0], u)
         # velocity stays 1, position accumulates k*h exactly under Euler
-        np.testing.assert_array_equal(x.values[:, 1], np.ones(11))
-        np.testing.assert_allclose(x.values[:, 0], grid.nodes, atol=1e-15)
+        np.testing.assert_array_equal(x[:, 1], np.ones(11))
+        np.testing.assert_allclose(x[:, 0], grid.nodes, atol=1e-15)
 
     def test_constant_control_riemann_sum(self):
         sys_ = scalar_integrator()
         grid = sys_.grid(4)
         u = ControlTrajectory(values=np.ones((4, 1)), grid=grid)
         x = simulate(sys_, [0.0], u)
-        assert x.last[0] == pytest.approx(1.0, abs=1e-15)
+        assert x[-1][0] == pytest.approx(1.0, abs=1e-15)
 
     def test_min_energy_control_reaches_origin(self):
         # closed-form two-moment control 6t-4 steers (0,1) to (0,0); Euler
@@ -75,7 +82,7 @@ class TestSimulate:
         sys_ = di_system()
         grid = sys_.grid(2000)
         x = simulate(sys_, [0.0, 1.0], sampled_linear_control(grid))
-        assert np.linalg.norm(x.last) <= 10 * grid.h
+        assert np.linalg.norm(x[-1]) <= 10 * grid.h
 
     def test_dimension_mismatch(self):
         sys_ = di_system()
@@ -83,6 +90,21 @@ class TestSimulate:
         u = ControlTrajectory.zeros(grid, 1)
         with pytest.raises(ValueError, match="x0"):
             simulate(sys_, [0.0], u)
+
+    @pytest.mark.parametrize("grid, horizon", [
+        (Grid(N=100, t0=0, tf=2), "[0, 2]"), (Grid(N=100, t0=1.0, tf=2.0), "[1.0, 2.0]")],
+        ids=["longer", "shifted"])
+    @pytest.mark.parametrize("call", ["build_affine", "simulate"])
+    def test_a_grid_off_the_system_horizon_is_refused(self, call, grid, horizon):
+        # a tf=2 grid once halved the double integrator's a_c and simulated
+        # a zero control to x_N = [2, 1]
+        inst = builtin_instance("double_integrator")
+        message = f"grid horizon {horizon} is not the system's [0.0, 1.0]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            if call == "build_affine":
+                build_affine(inst.system, grid, inst.boundary)
+            else:
+                simulate(inst.system, inst.boundary.x0, ControlTrajectory.zeros(grid, 1))
 
     def test_overflow_reported(self):
         sys_ = LinearSystem([[1e8]], [[1.0]], 0, 1)
@@ -118,7 +140,7 @@ class TestSimulate:
         sys_ = LinearSystem([[1e8]], [[1.0]], 0, 1)
         grid = sys_.grid(200)
         x = simulate(sys_, [0.0], ControlTrajectory.zeros(grid, 1))
-        np.testing.assert_array_equal(x.values, np.zeros((201, 1)))
+        np.testing.assert_array_equal(x, np.zeros((201, 1)))
 
     def test_refinement_first_order(self):
         # |x_N(N) - x_N(2N)| shrinks linearly in h for a smooth control
@@ -127,7 +149,7 @@ class TestSimulate:
         for N in (250, 500, 1000, 2000):
             grid = sys_.grid(N)
             x = simulate(sys_, [0.0, 1.0], sampled_linear_control(grid))
-            errs.append(np.linalg.norm(x.last))
+            errs.append(np.linalg.norm(x[-1]))
         ratios = [errs[i] / errs[i + 1] for i in range(3)]
         for r in ratios:
             assert 1.5 <= r <= 2.5
@@ -138,8 +160,8 @@ class TestBuildAffine:
         sys_ = di_system()
         grid = sys_.grid(1)
         aff = build_affine(sys_, grid, BoundarySpec(x0=[0, 1], xf=[0, 0]))
-        np.testing.assert_array_equal(aff.Phi, [[1, 1], [0, 1]])
         np.testing.assert_array_equal(aff.G, [[0], [1]])
+        # xi = xf - M x0 with M = [[1, 1], [0, 1]]
         np.testing.assert_array_equal(aff.xi, [-1, -1])
         assert not aff.controllable  # one step cannot steer two states
 
@@ -152,7 +174,8 @@ class TestBuildAffine:
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), N=st.integers(2, 25))
     def test_terminal_state_consistency(self, seed, N):
-        # simulate(...).last == Phi x0 + G u for random systems and controls
+        # simulate(...)[-1] == Phi x0 + G u = xf - xi + G u for random systems
+        # and controls
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 3))
@@ -162,8 +185,8 @@ class TestBuildAffine:
         xf = rng.normal(0, 1, n)
         aff = build_affine(sys_, grid, BoundarySpec(x0=x0, xf=xf))
         u = ControlTrajectory(values=rng.normal(0, 1, (N, m)), grid=grid)
-        end = simulate(sys_, x0, u).last
-        predicted = aff.Phi @ x0 + aff.G @ u.flat
+        end = simulate(sys_, x0, u)[-1]
+        predicted = xf - aff.xi + aff.G @ u.flat
         assert np.linalg.norm(end - predicted) <= 1e-12 * (1 + np.linalg.norm(end))
 
     def test_double_integrator_matches_closed_form(self):
@@ -184,11 +207,11 @@ class TestBuildAffine:
         fast = build_affine(inst.system, grid, inst.boundary)
         G, Phi = affine_loop(inst.system, grid)
         assert rel_diff(fast.G, G) <= 1e-11
-        assert rel_diff(fast.Phi, Phi) <= 1e-11
+        assert xi_error(fast, Phi, inst.boundary) <= 1e-11
         u = ControlTrajectory(values=np.random.default_rng(3).normal(0, 1, (grid.N, 1)),
                               grid=grid)
         # start from xf: machine_tool's x0 is zero
-        x = simulate(inst.system, inst.boundary.xf, u).values
+        x = simulate(inst.system, inst.boundary.xf, u)
         assert rel_diff(x, loop_states(inst.system, grid, inst.boundary.xf, u)) <= 1e-11
 
     @settings(deadline=None, max_examples=25)
@@ -203,15 +226,16 @@ class TestBuildAffine:
         fast = build_affine(sys_, grid, boundary)
         G, Phi = affine_loop(sys_, grid)
         assert rel_diff(fast.G, G) <= 1e-11
-        assert rel_diff(fast.Phi, Phi) <= 1e-11
+        assert xi_error(fast, Phi, boundary) <= 1e-11
         u = ControlTrajectory(values=rng.normal(0, 1, (N, m)), grid=grid)
-        x = simulate(sys_, boundary.x0, u).values
+        x = simulate(sys_, boundary.x0, u)
         assert rel_diff(x, loop_states(sys_, grid, boundary.x0, u)) <= 1e-11
 
     def test_refused_exactly_where_the_per_step_loop_overflows(self):
         # random systems with |A| up to 1e9, some with a zeroed B row or a
         # diagonal A: the doubling is refused exactly when the reference
-        # (G, Phi) has a non-finite entry, and otherwise matches it
+        # (G, Phi) has a non-finite entry, and otherwise matches it; x0 = e_1
+        # makes xi = -Phi e_1 exactly
         rng = np.random.default_rng(35)
         counts = {"overflowing": 0, "finite": 0}
         for _ in range(300):
@@ -225,7 +249,7 @@ class TestBuildAffine:
             sys_ = LinearSystem(A, B, 0.0, 1.0)
             grid = sys_.grid(int(rng.integers(1, 400)))
             G, Phi = affine_loop(sys_, grid)
-            boundary = BoundarySpec(x0=np.zeros(n), xf=np.zeros(n))
+            boundary = BoundarySpec(x0=np.eye(n)[0], xf=np.zeros(n))
             if not (np.isfinite(G).all() and np.isfinite(Phi).all()):
                 counts["overflowing"] += 1
                 with pytest.raises(SimulationOverflowError, match=f"h={grid.h:g} is unstable"):
@@ -234,7 +258,7 @@ class TestBuildAffine:
             counts["finite"] += 1
             fast = build_affine(sys_, grid, boundary)
             assert rel_diff(fast.G, G) <= 1e-11
-            assert rel_diff(fast.Phi, Phi) <= 1e-11
+            assert xi_error(fast, Phi, boundary) <= 1e-11
         assert min(counts.values()) >= 100, counts
 
     def test_projection_residual_contract(self, di_aff_2000):
@@ -320,7 +344,7 @@ class TestAffineBasis:
         solve_gap(aff, Bounds.symmetric(1770.0))
         basis = vars(aff)["basis"]
         dykstra_min_energy(aff, Bounds.symmetric(1800.0))
-        solve_gap(aff, Bounds.symmetric(1770.0), SolveOptions(max_iter=5))
+        solve_gap(aff, Bounds.symmetric(1770.0), max_iter=5)
         assert all(again is kept for again, kept in zip(aff.basis, basis))
         assert not any(arr.flags.writeable for arr in basis)
         with pytest.raises(ValueError):
@@ -376,10 +400,12 @@ class TestTrajectoryTypes:
         with pytest.raises(AttributeError):
             u.values = vals
 
-    def test_state_row_count_enforced(self):
+    def test_states_are_a_read_only_array_on_all_nodes(self):
         grid = di_system().grid(4)
-        with pytest.raises(ValueError, match="rows"):
-            StateTrajectory(values=np.zeros((4, 2)), grid=grid)
+        x = simulate(di_system(), [0.0, 1.0], ControlTrajectory.zeros(grid, 1))
+        assert isinstance(x, np.ndarray) and x.shape == (5, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 1.0
 
     def test_finite_enforced(self):
         grid = di_system().grid(2)

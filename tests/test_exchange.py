@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ctrlgap import (BoundarySpec, Bounds, LinearSystem, SolveOptions, build_affine,
+from ctrlgap import (BoundarySpec, Bounds, LinearSystem, build_affine,
                      builtin_instance, critical_bound, exchange, gapsolve, solve_gap)
 from ctrlgap.critical import TOL_A_FLOOR
 from ctrlgap.exchange import Vertex, certified_ends, critical_vertex, first_kink, flip
@@ -45,7 +45,7 @@ def assert_brackets_agree(draws):
         assert lower <= upper <= lower + TOL_A_FLOOR * (1.0 + upper), k
         # at the vertex, n - 1 nodes leave the bound
         assert vertex.K.size == aff.n - 1, k
-        res = critical_bound(system, grid, boundary, aff=aff)
+        res = critical_bound(aff)
         assert res.converged, k
         lo, hi = res.bracket
         assert max(lo, lower) <= min(hi, upper), k
@@ -122,7 +122,7 @@ def test_copies_of_one_column_share_the_vertex_value():
     vertex, lower, upper = vertex_bracket(aff)
     assert vertex.optimal
     assert lower <= 1.0 <= upper <= lower + TOL_A_FLOOR * (1.0 + upper)
-    res = solve_gap(aff, Bounds.symmetric(2.0), SolveOptions(tol=1e-8))
+    res = solve_gap(aff, Bounds.symmetric(2.0), tol=1e-8)
     assert res.converged and res.gap_lower == 0.0
 
 
@@ -155,10 +155,10 @@ def test_the_ends_bracket_the_scaling_at_which_the_box_meets_the_set(case):
     assert np.linalg.norm(aff.G @ u - aff.xi) <= 1e-9 * (1.0 + np.linalg.norm(aff.xi))
     assert np.all(np.abs(u - z.reshape(-1)) <= upper * w.reshape(-1))
     below = solve_gap(aff, Bounds(lower=z - 0.999 * lower * w, upper=z + 0.999 * lower * w),
-                      SolveOptions(tol=1e-8))
+                      tol=1e-8)
     assert below.converged and below.gap_lower > 0.0
     above = solve_gap(aff, Bounds(lower=z - 1.001 * upper * w, upper=z + 1.001 * upper * w),
-                      SolveOptions(tol=1e-8))
+                      tol=1e-8)
     assert above.converged and above.gap_lower == 0.0
 
 

@@ -6,9 +6,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, LinearSystem, SolveOptions,
+from ctrlgap import (BoundarySpec, Bounds, ControlTrajectory, LinearSystem,
                      UncontrollableGridError, build_affine, builtin_instance,
-                     brute_force_gap, extract_switchings, gapsolve, solve_gap)
+                     brute_force_gap, dykstra_min_energy, extract_switchings, gapsolve,
+                     solve_gap)
 
 from conftest import gram, gram_solve, random_tiny_problem, scalar_integrator
 
@@ -92,10 +93,9 @@ class TestMap:
 
     def test_complementarity_at_optimum(self, di):
         _, aff = di
-        opts = SolveOptions(tol=1e-10)
-        res = solve_gap(aff, Bounds.symmetric(1.0), opts)
-        rep = check_bang_bang(res.uB, res.v, Bounds.symmetric(1.0),
-                              tau=10 * opts.tol)
+        tol = 1e-10
+        res = solve_gap(aff, Bounds.symmetric(1.0), tol=tol)
+        rep = check_bang_bang(res.uB, res.v, Bounds.symmetric(1.0), tau=10 * tol)
         assert rep.agreement == 1.0
         assert rep.tested > 0
 
@@ -104,13 +104,16 @@ class TestMap:
         ({"tol": math.inf}, "tol must be positive and finite"),
         ({"max_iter": 0}, "max_iter must be at least 1, got 0")],
         ids=["tol_0", "tol_inf", "max_iter_0"])
-    def test_options_are_checked(self, kwargs, message):
+    @pytest.mark.parametrize("solver", [solve_gap, dykstra_min_energy],
+                             ids=["gap", "min_energy"])
+    def test_options_are_checked(self, di, solver, kwargs, message):
+        # both solvers run the one check, before any work
         with pytest.raises(ValueError, match=message):
-            SolveOptions(**kwargs)
+            solver(di[1], Bounds.symmetric(1.0), **kwargs)
 
     def test_unconverged_result_populated(self, di):
         _, aff = di
-        res = solve_gap(aff, Bounds.symmetric(1.0), SolveOptions(max_iter=3))
+        res = solve_gap(aff, Bounds.symmetric(1.0), max_iter=3)
         assert not res.converged
         assert res.iterations == 3
         assert np.isfinite(res.gap_norm)
@@ -128,7 +131,7 @@ class TestMap:
         grid = sys_.grid(3)
         aff = build_affine(sys_, grid, BoundarySpec(x0=[0.0], xf=[1.0]))
         bounds = Bounds.symmetric(0.1)  # mean control must be 1: infeasible
-        res = solve_gap(aff, bounds, SolveOptions(tol=1e-12))
+        res = solve_gap(aff, bounds, tol=1e-12)
         ref = brute_force_gap(aff, bounds)
         assert res.gap_norm == pytest.approx(ref.gap_norm, abs=1e-9)
         obj = 0.5 * res.gap_norm ** 2
@@ -268,8 +271,8 @@ class TestBuffers:
     def test_results_share_no_memory(self, nodes):
         inst = builtin_instance("machine_tool")
         aff = build_affine(inst.system, inst.system.grid(nodes), inst.boundary)
-        bounds, opts = Bounds.symmetric(1770.0), SolveOptions(max_iter=50)
-        first, second = solve_gap(aff, bounds, opts), solve_gap(aff, bounds, opts)
+        bounds = Bounds.symmetric(1770.0)
+        first, second = (solve_gap(aff, bounds, max_iter=50) for _ in range(2))
         arrays = [t.values for res in (first, second) for t in (res.uA, res.uB, res.v)]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
@@ -290,7 +293,7 @@ class TestCrossSolver:
         grid = inst.system.grid(2000)
         aff = build_affine(inst.system, grid, inst.boundary)
         bounds = Bounds.symmetric(a)
-        res = solve_gap(aff, bounds, SolveOptions(tol=tol))
+        res = solve_gap(aff, bounds, tol=tol)
         assert res.converged
         assert res.gap_norm - res.gap_lower <= tol * res.gap_norm
         ws = workspace(aff, bounds)
@@ -318,7 +321,7 @@ class TestExactAnswer:
         grid = inst.system.grid(2000)
         aff = build_affine(inst.system, grid, inst.boundary)
         bounds = Bounds.symmetric(a)
-        res = solve_gap(aff, bounds, SolveOptions(tol=1e-9))
+        res = solve_gap(aff, bounds, tol=1e-9)
         assert res.diagnostics["finish"] == "exact"
         u, _, _ = replay_projection_steps(aff, bounds, 2000, True, np.zeros(grid.N))
         replayed = exact_finish(aff, bounds, u)
@@ -349,7 +352,7 @@ class TestExactAnswer:
         assert res.diagnostics["finish"] == "exact"
         assert res.iterations == res.diagnostics["pivots"]
         assert np.max(np.abs(res.uB.values)) <= 3.0
-        assert res.gap_norm <= _feasible_floor(aff, SolveOptions().tol)
+        assert res.gap_norm <= _feasible_floor(aff, 1e-9)
 
     def test_box_centred_on_the_affine_set(self):
         # x' = u from 0 to 0: the centre u = 0 of a symmetric box steers the
@@ -368,7 +371,7 @@ class TestExactAnswer:
         # steps here
         system = LinearSystem([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], 0.0, 1.0)
         aff = build_affine(system, system.grid(300), BoundarySpec(x0=[0.0, 1.0], xf=[0.0, 0.0]))
-        res = solve_gap(aff, Bounds.symmetric(0.5), SolveOptions(tol=1e-8))
+        res = solve_gap(aff, Bounds.symmetric(0.5), tol=1e-8)
         assert res.converged and res.diagnostics["finish"] == "exact"
         assert res.iterations <= 10
 
@@ -381,7 +384,7 @@ class TestExactAnswer:
             grid, aff, bounds = problem
             ref = brute_force_gap(aff, bounds)
             lo, hi = bounds.sample(grid, aff.m)
-            res = solve_gap(aff, bounds, SolveOptions(tol=1e-9))
+            res = solve_gap(aff, bounds, tol=1e-9)
             assert res.converged and res.diagnostics["finish"] == "exact"
             assert res.gap_lower * (1 - 1e-12) <= ref.gap_norm
             assert ref.gap_norm <= res.gap_norm * (1 + 1e-12) + 1e-14
@@ -409,7 +412,7 @@ class TestNewton:
         grid = inst.system.grid(int(nodes))
         aff = build_affine(inst.system, grid, inst.boundary)
         # at tol=1e-10 the certificate alone guarantees the match
-        res = solve_gap(aff, Bounds.symmetric(float(bound)), SolveOptions(tol=1e-10))
+        res = solve_gap(aff, Bounds.symmetric(float(bound)), tol=1e-10)
         assert res.converged
         expected = REFERENCES[key]["gap_norm"]
         assert abs(res.gap_norm - expected) <= 1e-10 * expected
@@ -417,7 +420,7 @@ class TestNewton:
     def test_feasible_box_ends_on_the_floor(self, di):
         _, aff = di
         tol = 1e-9
-        res = solve_gap(aff, Bounds.symmetric(3.0), SolveOptions(tol=tol))
+        res = solve_gap(aff, Bounds.symmetric(3.0), tol=tol)
         assert res.converged
         assert res.diagnostics["stop"] == "certified"
         assert res.gap_lower == 0.0
@@ -429,7 +432,7 @@ class TestNewton:
         aff = build_affine(inst.system, grid, inst.boundary)
         bounds = Bounds.symmetric(1770.0)
         for tol in (1e-12, 1e-16):
-            res = solve_gap(aff, bounds, SolveOptions(tol=tol))
+            res = solve_gap(aff, bounds, tol=tol)
             assert res.iterations <= 200
             excess = res.gap_norm - res.gap_lower
             if res.converged:
@@ -446,7 +449,7 @@ class TestNewton:
         bounds = Bounds.symmetric(1.0)
         full = solve_gap(aff, bounds)
         assert full.converged and full.iterations > 3
-        res = solve_gap(aff, bounds, SolveOptions(max_iter=3))
+        res = solve_gap(aff, bounds, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
         assert res.diagnostics["stop"] == "max_iter"
@@ -455,7 +458,7 @@ class TestNewton:
         assert np.all(res.uB.values >= lo) and np.all(res.uB.values <= hi)
         assert res.gap_lower <= full.gap_norm * (1 + 1e-12) <= res.gap_norm * (1 + 2e-12)
         # a cap that falls on the last step still reports it
-        capped = solve_gap(aff, bounds, SolveOptions(max_iter=full.iterations))
+        capped = solve_gap(aff, bounds, max_iter=full.iterations)
         assert capped.converged
         assert capped.gap_norm == full.gap_norm
 
@@ -463,7 +466,7 @@ class TestNewton:
         inst = builtin_instance("machine_tool")
         aff = build_affine(inst.system, inst.system.grid(16_384), inst.boundary)
         bounds = Bounds.symmetric(1770.0)
-        res = solve_gap(aff, bounds, SolveOptions(max_iter=3))
+        res = solve_gap(aff, bounds, max_iter=3)
         assert (res.iterations, res.diagnostics["pivots"]) == (3, 3)
         assert res.diagnostics["stop"] == "max_iter"
         lo, hi = bounds.sample(aff.grid, 1)
@@ -514,7 +517,7 @@ class TestNewton:
         # double integrator just below a_c
         inst = builtin_instance(name)
         aff = build_affine(inst.system, inst.system.grid(nodes), inst.boundary)
-        res = solve_gap(aff, Bounds.symmetric(a), SolveOptions(tol=1e-9))
+        res = solve_gap(aff, Bounds.symmetric(a), tol=1e-9)
         assert res.diagnostics["stop"] == "certified"
         assert res.gap_norm - res.gap_lower <= 1e-9 * res.gap_norm
 
@@ -533,7 +536,7 @@ class TestNewton:
                 if not aff.controllable:
                     continue
                 a = 0.3 * np.max(np.abs(aff.G.T @ gram_solve(aff, aff.xi)))
-                res = solve_gap(aff, Bounds.symmetric(a), SolveOptions(tol=1e-8))
+                res = solve_gap(aff, Bounds.symmetric(a), tol=1e-8)
                 assert res.converged
                 assert res.gap_lower <= res.gap_norm * (1 + 1e-12), (seed, N)
 
@@ -544,12 +547,12 @@ class TestHomogeneity:
         system = inst.system
         grid = system.grid(400)
         base_aff = build_affine(system, grid, inst.boundary)
-        base = solve_gap(base_aff, Bounds.symmetric(1.0), SolveOptions(tol=1e-11))
+        base = solve_gap(base_aff, Bounds.symmetric(1.0), tol=1e-11)
         tau = 1e-6 * np.max(np.abs(base.v.values))
         for s in rng.uniform(0.2, 5.0, 5):
             boundary = BoundarySpec(x0=s * inst.boundary.x0, xf=s * inst.boundary.xf)
             aff = build_affine(system, grid, boundary)
-            scaled = solve_gap(aff, Bounds.symmetric(s * 1.0), SolveOptions(tol=1e-11))
+            scaled = solve_gap(aff, Bounds.symmetric(s * 1.0), tol=1e-11)
             assert scaled.gap_norm == pytest.approx(s * base.gap_norm, rel=1e-6)
             mask = np.abs(base.v.values) > tau
             assert np.array_equal(np.sign(scaled.v.values[mask]),
@@ -573,10 +576,10 @@ class TestBlockStart:
     def cold(aff, bounds, tol=1e-8):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gapsolve, "_BLOCK_MIN_COORDS", math.inf)
-            return solve_gap(aff, bounds, SolveOptions(tol=tol))
+            return solve_gap(aff, bounds, tol=tol)
 
     def assert_certified_inside_the_cold_interval(self, aff, bounds, tol=1e-8):
-        res = solve_gap(aff, bounds, SolveOptions(tol=tol))
+        res = solve_gap(aff, bounds, tol=tol)
         assert res.converged
         cold = self.cold(aff, bounds, tol)
         assert cold.converged
@@ -598,7 +601,7 @@ class TestBlockStart:
         # from the block start, just below a_c
         inst = builtin_instance("machine_tool")
         aff = build_affine(inst.system, inst.system.grid(200_000), inst.boundary)
-        res = solve_gap(aff, Bounds.symmetric(1774.7), SolveOptions(tol=1e-9))
+        res = solve_gap(aff, Bounds.symmetric(1774.7), tol=1e-9)
         assert res.diagnostics["stop"] == "certified"
         assert res.gap_norm - res.gap_lower <= 1e-9 * res.gap_norm
 
@@ -629,7 +632,7 @@ class TestBlockStart:
         # constant on a block
         odd = np.arange(N) % 2 == 1
         bounds = Bounds(lower=np.where(odd, 0.5, -1.0), upper=np.where(odd, 1.0, -0.5))
-        res = solve_gap(aff, bounds, SolveOptions(tol=1e-8))
+        res = solve_gap(aff, bounds, tol=1e-8)
         cold = self.cold(aff, bounds)
         assert res.diagnostics == cold.diagnostics
         np.testing.assert_array_equal(res.uB.values, cold.uB.values)

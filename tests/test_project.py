@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctrlgap import (BoundarySpec, Bounds, InfeasibleIntersectionError, LinearSystem,
-                     SolveOptions, build_affine, builtin_instance, dykstra_min_energy,
+                     build_affine, builtin_instance, dykstra_min_energy,
                      l2_norm, project, solve_gap)
 from ctrlgap.project import dual_newton
 
@@ -74,7 +74,7 @@ class TestDykstra:
         u, stats = dykstra_min_energy(aff, bounds)
         lo, hi = bounds.sample(grid, 1)
         assert np.all(u.values >= lo) and np.all(u.values <= hi)
-        res = solve_gap(aff, bounds, SolveOptions(tol=1e-10))
+        res = solve_gap(aff, bounds, tol=1e-10)
         assert res.converged and res.gap_norm <= 1e-6  # feasible instance
         assert l2_norm(u) <= l2_norm(res.uB) + 1e-9
 
@@ -239,7 +239,7 @@ class TestMinEnergyNearCritical:
         with pytest.raises(InfeasibleIntersectionError) as err:
             dykstra_min_energy(aff, bounds)
         floor = float(str(err.value).split("at least ")[1].split()[0])
-        gap = solve_gap(aff, bounds, SolveOptions(tol=1e-11)).gap_norm
+        gap = solve_gap(aff, bounds, tol=1e-11).gap_norm
         assert 0.0 < floor <= gap * (1 + 1e-9)
 
 

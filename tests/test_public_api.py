@@ -11,7 +11,8 @@ import ctrlgap
 
 # Names that once were public and have no caller on any answer path.
 DELETED = ("project_box", "project_affine", "ltv_rank", "discrete_gramian",
-           "check_bang_bang", "BangBangReport", "make_ltv_system", "make_lti_system")
+           "check_bang_bang", "BangBangReport", "make_ltv_system", "make_lti_system",
+           "SolveOptions", "StateTrajectory")
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 PACKAGE = Path(ctrlgap.__file__).resolve().parent
@@ -22,12 +23,12 @@ API = {
     "controllability": ("CtrbReport", "gramian_report", "kalman_rank"),
     "critical": ("CriticalResult", "DICriticalSolution", "critical_bound",
                  "di_critical_analytic"),
-    "discretize": ("AffineData", "ControlTrajectory", "StateTrajectory", "build_affine",
-                   "l2_norm", "simulate", "weighted_norm"),
+    "discretize": ("AffineData", "ControlTrajectory", "build_affine", "l2_norm", "simulate",
+                   "weighted_norm"),
     "errors": ("AnalyticCaseError", "BracketError", "ConfigError", "ConsistencyError",
                "CtrlGapError", "InfeasibleIntersectionError", "OracleSizeError",
                "SimulationOverflowError", "UncontrollableGridError"),
-    "gapsolve": ("GapResult", "SolveOptions", "solve_gap"),
+    "gapsolve": ("GapResult", "solve_gap"),
     "model": ("BUILTIN_NAMES", "BoundarySpec", "Bounds", "Grid", "LinearSystem",
               "ProblemInstance", "builtin_instance", "instance_from_config"),
     "oracle": ("brute_force_gap",),
@@ -63,7 +64,7 @@ def test_public_names_resolve_and_the_wrapped_layer_names_stay_importable(monkey
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
 
 
-def test_all_17_records_are_named_tuples():
+def test_all_15_records_are_named_tuples():
     # NamedTuple classes cost far less to build at import than frozen
     # dataclasses; AffineData, a subclass without __slots__, keeps its cached
     # QR in an instance __dict__
@@ -71,7 +72,7 @@ def test_all_17_records_are_named_tuples():
     records = [obj for obj in (getattr(ctrlgap, name) for name in ctrlgap.__all__)
                if isinstance(obj, type) and not issubclass(obj, Exception)]
     records += [analyze.ChannelSwitching, critical.Probe]
-    assert len(records) == 17
+    assert len(records) == 15
     for record in records:
         assert issubclass(record, tuple) and hasattr(record, "_fields"), record
         assert not hasattr(record, "__dataclass_fields__"), record
