@@ -2,8 +2,9 @@
 reports, feasible minimum-energy solves, trajectory analysis.
 
 Every run writes a ``summary.json`` record.  ``gap``, ``critical`` and
-``min-energy`` also write ``trajectory.csv`` (control curves at left node
-times), ``run.npz`` (the states) and with ``--svg`` ``figure.svg``.
+``min-energy`` also write, through ``_write_run``, ``trajectory.csv`` (uA
+and uB at the left node times; ``read_trajectory`` forms the gap vector v =
+uA - uB), ``run.npz`` (the states) and with ``--svg`` ``figure.svg``.
 ``run.npz`` is an uncompressed ``np.savez`` of ``t``, the N + 1 node
 times, and ``x``, the simulated states, so that after
 ``run = np.load("out/run.npz")`` row k of ``run["x"]`` is the state at
@@ -12,12 +13,12 @@ text file of earlier versions.  ``trajectory.csv`` holds every value as
 its ``%.17g`` text, so ``read_trajectory`` gets the same doubles back; the
 vectorised encoder in ``csvtext`` writes exactly the bytes that Python's
 ``%`` formatting gives.  It is written over blocks of rows:
-``csvtext.encode_slots`` gives each distinct value array of a block its
-text once (uB passed as the same array as uA reuses uA's slots, and an
-all-zero v is one slot for the run), and ``csvtext.gather`` lays out the
-block's rows from those slots.  Each command takes the argparse namespace
-as parsed and builds its summary as a plain dict; ``_emit`` leaves out
-None entries and rejects a non-finite number before writing any file.
+``csvtext.encode_slots`` gives the times, uA and uB of a block their text
+once (uB passed as the same array as uA reuses uA's slots), and
+``csvtext.gather`` lays out the block's rows from those slots.  Each
+command takes the argparse namespace as parsed and builds its summary as a
+plain dict; ``_emit`` leaves out None entries and a non-finite number
+stops the run before any file is written.
 Exit codes: 0 converged (for ``critical``: the certified bracket reached
 ``--tol-a``), 2 unconverged, 1 usage or configuration error, a file that
 cannot be read or written, a ``gap --oracle`` enumeration whose gap lies
@@ -100,7 +101,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default="out",
                        help="output directory (default ./out): summary.json, and "
                             "from gap, critical and min-energy trajectory.csv "
-                            "and run.npz")
+                            "(t, uA and uB) and run.npz (t and the states x)")
 
     p_gap = sub.add_parser("gap", help="best-approximation pair and gap vector")
     add_instance_flags(p_gap)
@@ -138,7 +139,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--svg", action="store_true", help="also write figure.svg")
 
     p_an = sub.add_parser("analyze", help="switching structure of a saved trajectory")
-    p_an.add_argument("--traj", required=True, help="trajectory.csv from a previous run")
+    p_an.add_argument("--traj", required=True,
+                      help="trajectory.csv from a previous run; --signal v reads "
+                           "the gap vector as uA - uB")
     p_an.add_argument("--signal", choices=("v", "uA", "uB"), default="v")
     p_an.add_argument("--tau", type=float, help="dead band (default 1e-7 max |signal|)")
     p_an.add_argument("--min-len", type=float,
@@ -200,65 +203,46 @@ def _symmetric_bound(bounds: Bounds) -> Optional[float]:
     return float(hi) if np.isscalar(lo) and np.isscalar(hi) and lo == -hi else None
 
 
-def _write_trajectory(out_dir: Path, grid: Grid, curves: dict) -> None:
-    """Write ``trajectory.csv``, the times and ``curves`` at the N left
-    nodes, over blocks of rows, byte for byte what ``"%.17g" %`` gives for
-    each value.
+def _write_trajectory(out_dir: Path, grid: Grid, uA: np.ndarray, uB: np.ndarray) -> None:
+    """Write ``trajectory.csv``, the times and the uA and uB columns at the
+    N left nodes, over blocks of rows, byte for byte what ``"%.17g" %``
+    gives for each value.
 
     The rows are split into the fewest equal blocks of at most
     ``CSV_BLOCK_VALUES`` values each, so no short last block costs an
     encoder call of its own.  Each block makes one ``csvtext.encode_slots``
-    call over its distinct values only: a curve passed as the same array as
-    an earlier one reuses its slots, and an all-zero array, tested by bit
-    pattern so that -0.0 is not one, reads one slot encoded once for the
-    whole run.  ``csvtext.gather`` then lays out the block's rows."""
-    sources: list[np.ndarray] = []  # the distinct arrays that vary by row
-    known: dict[int, int] = {}
-    ZERO = -1  # the source of a column that reads the zero slot, kept last
-
-    def refs(arr: np.ndarray) -> list[tuple[int, int]]:
-        """(source, column) of each column of ``arr``."""
-        if not arr.view(np.uint64).any():
-            return [(ZERO, 0)] * arr.shape[1]
-        if id(arr) not in known:
-            known[id(arr)] = len(sources)
-            sources.append(arr)
-        return [(known[id(arr)], j) for j in range(arr.shape[1])]
-
-    m = curves["uA"].shape[1]
-    header = ["t"] + [f"{name}_{i + 1}" for name in ("uA", "uB", "v") for i in range(m)]
-    source, col = np.array(refs(grid.left_nodes.reshape(-1, 1)) + refs(curves["uA"])
-                           + refs(curves["uB"]) + refs(curves["v"])).T
-    widths = [arr.shape[1] for arr in sources]
-    blocks = math.ceil(grid.N * sum(widths) / CSV_BLOCK_VALUES)
+    call over the times, uA and, unless ``uB is uA``, uB, so each distinct
+    value is encoded once; ``csvtext.gather`` then lays out the block's
+    rows."""
+    m = uA.shape[1]
+    sources = [grid.left_nodes.reshape(-1, 1), uA] + ([] if uB is uA else [uB])
+    header = ["t"] + [f"{name}_{i + 1}" for name in ("uA", "uB") for i in range(m)]
+    source = np.repeat([0, 1, len(sources) - 1], [1, m, m])  # of each column
+    col = np.concatenate(([0], np.arange(m), np.arange(m)))
+    widths = np.array([arr.shape[1] for arr in sources])
+    blocks = math.ceil(grid.N * widths.sum() / CSV_BLOCK_VALUES)
     rows = -(-grid.N // blocks)
-    slots = np.empty((rows * sum(widths) + 1, 4), dtype="<u8")  # zero slot last
-    step = np.append(widths, 0)[source]
-    # the zero slot is encoded with the first block, in no call of its own
-    zero = [np.zeros(1)] if np.any(source == ZERO) else []
+    slots = np.empty((rows * widths.sum(), 4), dtype="<u8")
     with open(out_dir / "trajectory.csv", "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
         for r0 in range(0, grid.N, rows):
             parts = [arr[r0:r0 + rows].reshape(-1) for arr in sources]
             starts = np.cumsum([0] + [part.size for part in parts])
-            encode_slots(np.concatenate(parts + zero), out=slots[:starts[-1] + len(zero)])
-            if zero:
-                slots[ZERO] = slots[starts[-1]]
-                zero = []
-            starts[ZERO] = len(slots) - 1
+            encode_slots(np.concatenate(parts), out=slots[:starts[-1]])
             block = np.arange(min(rows, grid.N - r0))
-            fh.write(gather(slots, starts[source] + col + block[:, None] * step))
+            fh.write(gather(slots, starts[source] + col + block[:, None] * widths[source]))
 
 
 def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
-    """Read a trajectory.csv back into a grid and named column blocks.
+    """Read a trajectory.csv back into a grid and named column blocks: uA
+    and uB as written, and v = uA - uB when both are there.
 
     The header line names the columns; ``np.loadtxt`` parses the numeric
-    rows.  The grid is rebuilt from the first two times.  A missing file or
+    rows.  The grid is rebuilt from the first two times.  The ``v_``
+    columns of earlier versions' files are not read.  A missing file or
     header, fewer than two rows, a row that does not parse or does not match
-    the header, times off that grid by more than ``GRID_SLACK`` of a step
-    (a non-finite time is off it), or no uA/uB/v column raise
-    ``ConfigError``.
+    the header, times off that grid by more than ``GRID_SLACK`` of a step (a
+    non-finite time is off it), or no uA/uB column raise ``ConfigError``.
     """
     if not Path(path).is_file():
         raise ConfigError(f"trajectory file not found: {path}")
@@ -285,59 +269,74 @@ def read_trajectory(path) -> tuple[Grid, dict[str, np.ndarray]]:
         raise ConfigError(f"{path} has unevenly spaced times; the controls "
                           f"must sit on a uniform grid")
     blocks: dict[str, np.ndarray] = {}
-    for name in ("uA", "uB", "v"):
+    for name in ("uA", "uB"):
         cols = [j for j, col in enumerate(header) if col.startswith(name + "_")]
         if cols:
             blocks[name] = data[:, cols]
     if not blocks:
-        raise ConfigError(f"{path} has no uA/uB/v columns")
+        raise ConfigError(f"{path} has no uA/uB columns")
+    if len(blocks) == 2:
+        blocks["v"] = blocks["uA"] - blocks["uB"]
     return grid, blocks
 
 
-def _emit(out_dir: Path, summary: dict, grid: Grid = None,
-          curves: dict = None, states=None, svg: bool = False,
-          title: str = "", stages: dict = None) -> None:
-    """Write the run's files and ``summary`` without its None entries.  A
-    non-finite number in ``summary`` raises ``ValueError`` before any file
-    is written.  With ``curves``, the run files are ``trajectory.csv`` and
-    ``run.npz``, ``np.savez`` of ``t`` (the N + 1 node times) and ``x``
-    (``states`` at them), and with ``svg`` ``figure.svg``.  ``stages``,
-    when given, gains the time spent writing them and goes into
-    summary.json as ``stage_seconds``."""
+def _document(summary: dict) -> dict:
+    """``summary`` without its None entries; a non-finite number in it
+    raises ``ValueError``."""
     doc = {key: value for key, value in summary.items() if value is not None}
     for key, value in doc.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"summary field {key} is not finite: {value}")
+    return doc
+
+
+def _emit(out_dir: Path, summary: dict) -> None:
+    """Write ``_document(summary)`` as ``summary.json``."""
+    doc = _document(summary)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "summary.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_run(args: argparse.Namespace, instance: ProblemInstance, clock: _Stages,
+               uA: ControlTrajectory, uB: ControlTrajectory, summary: dict,
+               title: str) -> None:
+    """Simulate ``uA`` and complete ``summary`` with the fields every run
+    shares, the ``terminal_error`` |x_N - xf| among them; then, unless a
+    non-finite number in it raises ``ValueError``, write ``trajectory.csv``,
+    ``run.npz`` (``t``, the N + 1 node times, and ``x``, the states at
+    them), with ``--svg`` ``figure.svg`` of uA, uB and v = uA - uB, and
+    last ``summary.json`` with the stage times, writing included."""
+    states = clock("simulate", simulate, instance.system, instance.boundary.x0, uA)
+    summary.update(command=args.command, label=instance.label, N=args.nodes,
+                   wall_time_seconds=clock.seconds["solve"],
+                   terminal_error=float(np.linalg.norm(states[-1] - instance.boundary.xf)))
+    _document(summary)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
-    if curves is not None:
-        _write_trajectory(out_dir, grid, curves)
-        np.savez(out_dir / "run.npz", t=grid.nodes, x=states)
-        if svg:
-            figures.write_svg(out_dir / "figure.svg", grid.left_nodes, curves, title)
-    if stages is not None:
-        stages["write"] = time.perf_counter() - t_start
-        doc["stage_seconds"] = stages
-    (out_dir / "summary.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    grid = uA.grid
+    _write_trajectory(out_dir, grid, uA.values, uB.values)
+    np.savez(out_dir / "run.npz", t=grid.nodes, x=states)
+    if args.svg:
+        figures.write_svg(out_dir / "figure.svg", grid.left_nodes,
+                          {"uA": uA.values, "uB": uB.values, "v": uA.values - uB.values},
+                          f"{instance.label}: {title}, N={args.nodes}")
+    clock.seconds["write"] = time.perf_counter() - t_start
+    _emit(out_dir, {**summary, "stage_seconds": clock.seconds})
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     bounds = _resolve_bounds(args, instance)
-    grid = instance.system.grid(args.nodes)
     clock = _Stages()
-    aff = clock("transcribe", _transcribe, instance, grid)
+    aff = clock("transcribe", _transcribe, instance, instance.system.grid(args.nodes))
     result = clock("solve", solve_gap, aff, bounds, tol=args.tol, max_iter=args.max_iter)
     profile = extract_switchings(result.uB)
-    states = clock("simulate", simulate, instance.system, instance.boundary.x0, result.uA)
     summary = {
-        "command": "gap", "label": instance.label, "N": args.nodes,
         "a": _symmetric_bound(bounds), "gap_norm": result.gap_norm,
         "switch_times": profile.switch_times, "iterations": result.iterations,
-        "converged": result.converged, "wall_time_seconds": clock.seconds["solve"],
-        "gap_lower": result.gap_lower,
-        "finish": result.diagnostics["finish"], "stop": result.diagnostics["stop"],
-        "terminal_error": float(np.linalg.norm(states[-1] - instance.boundary.xf))}
+        "converged": result.converged, "gap_lower": result.gap_lower,
+        "finish": result.diagnostics["finish"], "stop": result.diagnostics["stop"]}
     if args.oracle:
         reference = brute_force_gap(aff, bounds)
         summary["oracle_objective"] = reference.diagnostics["objective"]
@@ -349,10 +348,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
             raise ConsistencyError(
                 f"the enumerated gap {reference.gap_norm!r} lies outside the certified "
                 f"interval [{result.gap_lower!r}, {result.gap_norm!r}] widened by {slack:.3g}")
-    _emit(Path(args.out), summary, grid,
-          {"uA": result.uA.values, "uB": result.uB.values, "v": result.v.values},
-          states, args.svg,
-          title=f"{instance.label}: gap solve, N={args.nodes}", stages=clock.seconds)
+    _write_run(args, instance, clock, result.uA, result.uB, summary, "gap solve")
     print(f"gap_norm={result.gap_norm:.9g} gap_lower={result.gap_lower:.9g} "
           f"iterations={result.iterations} converged={result.converged} "
           f"switch_times={profile.switch_times}")
@@ -361,25 +357,17 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 
 def _cmd_critical(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
-    grid = instance.system.grid(args.nodes)
     clock = _Stages()
-    aff = clock("transcribe", _transcribe, instance, grid)
+    aff = clock("transcribe", _transcribe, instance, instance.system.grid(args.nodes))
     result = clock("solve", critical_bound, aff, tol_a=args.tol_a)
     u = result.u_c
     profile = extract_switchings(u)
-    states = clock("simulate", simulate, instance.system, instance.boundary.x0, u)
     summary = {
-        "command": "critical", "label": instance.label, "N": args.nodes,
         "a_c": result.a_c, "switch_times": profile.switch_times,
-        "iterations": result.probes[0].iterations,
-        "converged": result.converged, "wall_time_seconds": clock.seconds["solve"],
+        "iterations": result.probes[0].iterations, "converged": result.converged,
         "bracket_lo": result.bracket[0], "bracket_hi": result.bracket[1],
-        "affine_residual": aff.residual(u.flat),
-        "terminal_error": float(np.linalg.norm(states[-1] - instance.boundary.xf))}
-    _emit(Path(args.out), summary, grid,
-          {"uA": u.values, "uB": u.values, "v": np.zeros_like(u.values)},
-          states, args.svg,
-          title=f"{instance.label}: critical bound, N={args.nodes}", stages=clock.seconds)
+        "affine_residual": aff.residual(u.flat)}
+    _write_run(args, instance, clock, u, u, summary, "critical bound")
     print(f"a_c={result.a_c:.9g} bracket=({result.bracket[0]:.9g}, "
           f"{result.bracket[1]:.9g}) converged={result.converged} "
           f"switch_times={profile.switch_times}")
@@ -414,24 +402,15 @@ def _cmd_ctrb(args: argparse.Namespace) -> int:
 def _cmd_min_energy(args: argparse.Namespace) -> int:
     instance = _load_instance(args)
     bounds = _resolve_bounds(args, instance)
-    grid = instance.system.grid(args.nodes)
     clock = _Stages()
-    aff = clock("transcribe", _transcribe, instance, grid)
+    aff = clock("transcribe", _transcribe, instance, instance.system.grid(args.nodes))
     u, stats = clock("solve", dykstra_min_energy, aff, bounds, tol=args.tol,
                      max_iter=args.max_iter)
-    states = clock("simulate", simulate, instance.system, instance.boundary.x0, u)
     summary = {
-        "command": "min-energy", "label": instance.label, "N": args.nodes,
         "a": _symmetric_bound(bounds), "gap_norm": 0.0, "iterations": stats.iterations,
-        "converged": stats.converged, "wall_time_seconds": clock.seconds["solve"],
-        "norm": l2_norm(u), "energy": 0.5 * l2_norm(u) ** 2,
-        "affine_residual": aff.residual(u.flat),
-        "terminal_error": float(np.linalg.norm(states[-1] - instance.boundary.xf))}
-    _emit(Path(args.out), summary, grid,
-          {"uA": u.values, "uB": u.values, "v": np.zeros_like(u.values)},
-          states, args.svg,
-          title=f"{instance.label}: minimum-energy control, N={args.nodes}",
-          stages=clock.seconds)
+        "converged": stats.converged, "norm": l2_norm(u), "energy": 0.5 * l2_norm(u) ** 2,
+        "affine_residual": aff.residual(u.flat)}
+    _write_run(args, instance, clock, u, u, summary, "minimum-energy control")
     print(f"norm={l2_norm(u):.9g} iterations={stats.iterations} "
           f"converged={stats.converged}")
     return 0 if stats.converged else 2

@@ -51,11 +51,15 @@ class CriticalResult(NamedTuple):
     search.  ``converged`` says whether the bracket reached the relative
     width ``tol_a``; ``extract_switchings(u_c)`` gives the switch times."""
 
-    a_c: float
     u_c: ControlTrajectory
     bracket: tuple[float, float]
     converged: bool
     probes: tuple[Probe, ...]
+
+    @property
+    def a_c(self) -> float:
+        """The bracket's upper end."""
+        return self.bracket[1]
 
 
 def critical_bound(aff: AffineData, tol_a: float = 1e-8) -> CriticalResult:
@@ -89,7 +93,6 @@ def critical_bound(aff: AffineData, tol_a: float = 1e-8) -> CriticalResult:
     res = solve_gap(aff, Bounds.symmetric(a0))
     lo, hi = (a0 * t for t in res.scale)
     return CriticalResult(
-        a_c=hi,
         u_c=res.uB,
         bracket=(lo, hi),
         converged=hi - lo <= tol_a * (1.0 + hi),

@@ -59,11 +59,12 @@ MAX_ITER = 1_000
 
 
 class GapResult(NamedTuple):
-    """Best-approximation pair, gap vector and solve diagnostics.
+    """Best-approximation pair and solve diagnostics.
 
-    ``v`` = ``uA - uB`` with uA = uB - Qt^T s, s = Qt uB - c, so v lies in
-    the range of G^T; ``uB`` is inside the box exactly and ``uA`` on the
-    affine set to rounding.  The true gap lies in [``gap_lower``,
+    uA = uB - Qt^T s with s = Qt uB - c; ``uB`` is inside the box exactly
+    and ``uA`` on the affine set to rounding.  The gap vector ``v`` is not
+    stored: the property forms ``uA - uB``, which lies in the range of G^T
+    and whose step-weighted norm is ``gap_norm``.  The true gap lies in [``gap_lower``,
     ``gap_norm``], gap_lower from ``gap_lower_bound``.  ``iterations``
     counts pivots and descent steps, ``diagnostics["pivots"]`` the pivots.
     ``diagnostics["finish"]`` is ``"exact"`` when the pair passed the
@@ -82,13 +83,17 @@ class GapResult(NamedTuple):
 
     uA: ControlTrajectory
     uB: ControlTrajectory
-    v: ControlTrajectory
     gap_norm: float
     iterations: int
     converged: bool
     diagnostics: dict
     gap_lower: float = 0.0
     scale: tuple[float, float] | None = None
+
+    @property
+    def v(self) -> ControlTrajectory:
+        """The gap vector ``uA - uB``, formed on each access."""
+        return ControlTrajectory(values=self.uA.values - self.uB.values, grid=self.uA.grid)
 
 
 class _Workspace:
@@ -110,17 +115,16 @@ def feasible_floor(aff: AffineData, tol: float) -> float:
     return tol * np.sqrt(aff.h) * (1.0 + float(np.linalg.norm(Rhat.T @ c)))
 
 
-def _certify(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The pair through the box point ``u``: uA = P_affine(u), v = uA - u,
-    the gap |v| (an upper bound on the true gap) and the dual floor
+def _certify(ws: _Workspace, u: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The projection uA = P_affine(u) of the box point ``u``, the gap |uA -
+    u| (an upper bound on the true gap) and the dual floor
     ``gap_lower_bound`` of the multiplier s = Qt u - c (a lower one)."""
     Qt, c, _ = ws.aff.basis
     s = Qt @ u - c
     g = Qt.T @ s
     uA = u - g
-    # subtract so the reported identity v == uA - uB holds bitwise
-    v = uA - u
-    return uA, v, weighted_norm(v, ws.h), gap_lower_bound(ws.aff, ws.lo, ws.hi, s, g)
+    # the norm of the difference that GapResult.v forms, not of g
+    return uA, weighted_norm(uA - u, ws.h), gap_lower_bound(ws.aff, ws.lo, ws.hi, s, g)
 
 
 def _descend(box: _Workspace, b: np.ndarray, y: np.ndarray, g: np.ndarray, Z: np.ndarray,
@@ -242,12 +246,12 @@ def solve_gap(aff: AffineData, bounds: Bounds, tol: float = 1e-9,
             lam = reach / float(vertex.s @ vertex.s)
             u, steps, optimal = _descend(box, b, -lam * vertex.s, -lam * vertex.g,
                                          vertex.K, max_iter - pivots)
-    uA, v, gap, gap_lower = _certify(box, u)
+    uA, gap, gap_lower = _certify(box, u)
     certified = gap - gap_lower <= tol * gap or gap <= feasible_floor(aff, tol)
     cut = not optimal and pivots + steps >= max_iter
     stop = "certified" if certified else "max_iter" if cut else "rounding"
-    uA, uB, v = (ControlTrajectory.from_flat(x, aff.grid, aff.m) for x in (uA, u, v))
-    return GapResult(uA=uA, uB=uB, v=v, gap_norm=gap, iterations=pivots + steps,
+    uA, uB = (ControlTrajectory.from_flat(x, aff.grid, aff.m) for x in (uA, u))
+    return GapResult(uA=uA, uB=uB, gap_norm=gap, iterations=pivots + steps,
                      converged=stop == "certified", gap_lower=gap_lower,
                      scale=tuple(scale),
                      diagnostics={"stop": stop, "finish": "exact" if optimal else "cut",

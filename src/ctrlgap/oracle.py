@@ -78,6 +78,5 @@ def brute_force_gap(aff: AffineData, bounds: Bounds) -> GapResult:
     grid, m = aff.grid, aff.m
     return GapResult(uA=ControlTrajectory.from_flat(u + v, grid, m),
                      uB=ControlTrajectory.from_flat(u, grid, m),
-                     v=ControlTrajectory.from_flat(v, grid, m),
                      gap_norm=weighted_norm(v, h), iterations=0, converged=True,
                      diagnostics={"pattern": pattern, "objective": objective})

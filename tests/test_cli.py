@@ -360,6 +360,38 @@ def test_analyze_of_a_gap_trajectory_reproduces_its_switch_times(tmp_path, capsy
     assert f"channel 1: {len(gap['switch_times'])} switchings" in capsys.readouterr().out
 
 
+def test_an_old_file_with_v_columns_analyzes_as_a_new_one(tmp_path, capsys):
+    # files of earlier versions carry v = uA - uB as v_ columns after uB's;
+    # the reader forms v from uA and uB, so both files give the same output
+    gap_dir = tmp_path / "gap"
+    argv = ["gap", "--system", "machine_tool", "--nodes", "1000", "--bound", "1770",
+            "--out", str(gap_dir)]
+    assert cli.run(argv) == 0
+    new = gap_dir / "trajectory.csv"
+    header, *rows = new.read_text().splitlines()
+    assert header == "t,uA_1,uB_1"
+    _, blocks = cli.read_trajectory(new)
+    old = tmp_path / "old.csv"
+    old.write_text("t,uA_1,uB_1,v_1\n" + "".join(
+        f"{row},{'%.17g' % v}\n" for row, v in zip(rows, blocks["v"][:, 0])))
+    capsys.readouterr()
+    for signal in ("v", "uB"):
+        outputs = []
+        for traj in (new, old):
+            out = tmp_path / f"{traj.stem}_{signal}"
+            assert cli.run(["analyze", "--traj", str(traj), "--signal", signal,
+                            "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            del summary["label"]
+            outputs.append((capsys.readouterr().out, summary))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1]["switch_times"]
+    # the v_ column is never read: another value there leaves v as uA - uB
+    doctored = tmp_path / "doctored.csv"
+    doctored.write_text("t,uA_1,uB_1,v_1\n" + "".join(f"{row},7\n" for row in rows))
+    np.testing.assert_array_equal(cli.read_trajectory(doctored)[1]["v"], blocks["v"])
+
+
 def test_systems_lists_every_builtin(capsys):
     assert cli.run(["systems"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -449,10 +481,12 @@ def check_run_npz(path, times, states):
             np.testing.assert_array_equal(run[name].view(np.int64), want.view(np.int64))
 
 
-def write_and_check_csv_files(tmp_path, monkeypatch, grid, curves, states):
-    """Write the run files, check trajectory.csv's text against csv.writer's
-    ``%.17g`` and its values read back bit for bit, and run.npz's arrays
-    bit for bit, and return the number of values of each encoder call."""
+def write_and_check_csv_files(tmp_path, monkeypatch, grid, uA, uB, states):
+    """Write the run files of the controls ``uA`` and ``uB`` (passed as the
+    same array for a shared one) and the ``states``, check trajectory.csv's
+    text against csv.writer's ``%.17g`` and its values read back bit for
+    bit, v as uA - uB, and run.npz's arrays bit for bit, and return the
+    number of values of each encoder call."""
     encoded = []
 
     def encode_slots(x, out=None):
@@ -460,33 +494,41 @@ def write_and_check_csv_files(tmp_path, monkeypatch, grid, curves, states):
         return csvtext.encode_slots(x, out)
 
     monkeypatch.setattr(cli, "encode_slots", encode_slots)
-    cli._emit(tmp_path, {}, grid, curves, states)
-    m = curves["uA"].shape[1]
-    header = (["t"] + [f"uA_{i + 1}" for i in range(m)]
-              + [f"uB_{i + 1}" for i in range(m)] + [f"v_{i + 1}" for i in range(m)])
-    rows = np.column_stack([grid.left_nodes, curves["uA"], curves["uB"], curves["v"]])
+    monkeypatch.setattr(cli, "simulate", lambda system, x0, u: states)
+    args = SimpleNamespace(command="gap", nodes=grid.N, out=str(tmp_path), svg=False)
+    # xf is the last state, so the terminal error is 0 however large the states
+    instance = SimpleNamespace(system=None, label="awkward", boundary=SimpleNamespace(
+        x0=states[0], xf=states[-1]))
+    clock = cli._Stages()
+    clock.seconds["solve"] = 0.0
+    trajA = ControlTrajectory(uA, grid)
+    trajB = trajA if uB is uA else ControlTrajectory(uB, grid)
+    cli._write_run(args, instance, clock, trajA, trajB, {}, "")
+    m = uA.shape[1]
+    header = ["t"] + [f"uA_{i + 1}" for i in range(m)] + [f"uB_{i + 1}" for i in range(m)]
+    rows = np.column_stack([grid.left_nodes, uA, uB])
     path = tmp_path / "trajectory.csv"
     assert differing_line(path, reference_csv(header, rows)) is None
 
     back_grid, blocks = cli.read_trajectory(path)
     assert back_grid.N == grid.N
-    for name, values in curves.items():
+    for name, values in (("uA", uA), ("uB", uB), ("v", uA - uB)):
         np.testing.assert_array_equal(blocks[name].view(np.int64), values.view(np.int64))
 
     check_run_npz(tmp_path / "run.npz", grid.nodes, states)
     assert not (tmp_path / "states.csv").exists()
+    assert json.loads((tmp_path / "summary.json").read_text())["terminal_error"] == 0.0
     return encoded
 
 
 def test_csv_text_matches_csv_writer_and_reads_back_bit_for_bit(tmp_path, monkeypatch):
     N, m = cli.CSV_BLOCK_VALUES // 4 + 45, 2
     grid = Grid(N=N, t0=0.0, tf=1.0)
-    uA, uB, v = awkward_columns(N, m)
+    uA, uB, _ = awkward_columns(N, m)
     states = awkward_columns(N + 1, 3)[0]
-    encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid,
-                                        {"uA": uA, "uB": uB, "v": v}, states)
-    # each value once: the times and the three curves
-    assert sum(encoded) == N * (1 + 3 * m)
+    encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid, uA, uB, states)
+    # each value once: the times and the two curves
+    assert sum(encoded) == N * (1 + 2 * m)
 
 
 def test_blocks_of_one_row_encode_each_row_alone(tmp_path, monkeypatch):
@@ -494,38 +536,21 @@ def test_blocks_of_one_row_encode_each_row_alone(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "CSV_BLOCK_VALUES", 1)
     N, m = 5, 2
     grid = Grid(N=N, t0=0.0, tf=1.0)
-    uA, uB, v = awkward_columns(N, m)
+    uA, uB, _ = awkward_columns(N, m)
     states = awkward_columns(N + 1, 3)[0]
-    encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid,
-                                        {"uA": uA, "uB": uB, "v": v}, states)
-    assert encoded == [1 + 3 * m] * N
+    encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid, uA, uB, states)
+    assert encoded == [1 + 2 * m] * N
 
 
-@pytest.mark.parametrize("case", ["shared_uB", "negative_zero_v", "one_nonzero_v"])
-def test_a_shared_or_zero_curve_is_encoded_once(tmp_path, monkeypatch, case):
-    # uB passed as the very array uA is read from uA's slots, and an all-zero
-    # v from the one zero slot; a v of -0.0 or with one nonzero entry is not
-    # all zero by bit pattern and is encoded in full
+def test_a_shared_uB_is_encoded_once(tmp_path, monkeypatch):
+    # uB passed as the very array uA, as min-energy and critical pass it, is
+    # read from uA's slots
     N, m = cli.CSV_BLOCK_VALUES // 4 + 45, 2
     grid = Grid(N=N, t0=0.0, tf=1.0)
-    uA, uB, _ = awkward_columns(N, m)
-    v = np.zeros((N, m))
-    if case == "shared_uB":  # as min-energy and critical pass them
-        uB = uA
-    elif case == "negative_zero_v":
-        v[:] = -0.0
-    else:
-        v[N // 2, 1] = 1e-300
+    uA = awkward_columns(N, m)[0]
     states = awkward_columns(N + 1, 3)[0]
-    encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid,
-                                        {"uA": uA, "uB": uB, "v": v}, states)
-    first_row = (tmp_path / "trajectory.csv").read_text().split("\n")[1]
-    if case == "shared_uB":  # the times, uA, and v's zero slot
-        assert sum(encoded) == N * (1 + m) + 1
-        assert first_row.endswith(",0,0")
-    else:
-        assert sum(encoded) == N * (1 + 3 * m)
-        assert first_row.endswith(",-0,-0") == (case == "negative_zero_v")
+    encoded = write_and_check_csv_files(tmp_path, monkeypatch, grid, uA, uA, states)
+    assert sum(encoded) == N * (1 + m)
 
 
 @pytest.mark.parametrize("text", [
@@ -533,7 +558,8 @@ def test_a_shared_or_zero_curve_is_encoded_once(tmp_path, monkeypatch, case):
     "",
     "0,1,1,0\n0.5,1,1,0\n",  # missing header
     "t,uA_1,uB_1,v_1\n0,1,1,0\n",  # one row
-    "t,x_1\n0,1\n0.5,1\n",  # no uA/uB/v columns
+    "t,x_1\n0,1\n0.5,1\n",  # no uA/uB columns
+    "t,v_1\n0,1\n0.5,1\n",  # a v column, which is never read, alone
     "t,uA_1,uB_1,v_1\n0,1,1,0\n0.5,1,oops,0\n",  # malformed number
     "t,uA_1,uB_1,v_1\n0,1,1,0\n0.5,1,1\n",  # short row
     "t,uA_1,uB_1,v_1\n0,1,1,1\n0.5,1,1,1\n0.6,-1,-1,-1\n0.61,-1,-1,-1\n",  # uneven times
@@ -712,14 +738,13 @@ def test_written_csv_files_are_percent_17g_of_their_values(tmp_path, command, sy
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-@pytest.mark.parametrize("command,distinct", [("gap", 4), ("min-energy", 2), ("critical", 2)])
+@pytest.mark.parametrize("command,distinct", [("gap", 3), ("min-energy", 2), ("critical", 2)])
 def test_cli_files_are_percent_17g_of_the_returned_arrays(tmp_path, monkeypatch, command,
                                                           distinct, extra):
-    # double_integrator (n = 2, m = 1): per row, gap encodes t, uA, uB and v,
-    # min-energy and critical t and u, as they pass u as uA and uB and an
-    # all-zero v.  N is one block's rows + extra: up to one full block the
-    # rows take one encoder call, and one row more takes a second one of
-    # two equal blocks.
+    # double_integrator (n = 2, m = 1): per row, gap encodes t, uA and uB,
+    # min-energy and critical t and u, as they pass u as uA and uB.  N is
+    # one block's rows + extra: up to one full block the rows take one
+    # encoder call, and one row more takes a second one of two equal blocks.
     N = cli.CSV_BLOCK_VALUES // distinct + extra
     returned = {}
 
@@ -741,13 +766,12 @@ def test_cli_files_are_percent_17g_of_the_returned_arrays(tmp_path, monkeypatch,
     assert len(calls) == (1 if extra <= 0 else 2)
     if command == "gap":
         result = returned["solve_gap"]
-        uA, uB, v = result.uA.values, result.uB.values, result.v.values
+        uA, uB = result.uA.values, result.uB.values
     else:
         u = (returned["critical_bound"].u_c if command == "critical"
              else returned["dykstra_min_energy"][0])
         uA = uB = u.values
-        v = np.zeros_like(u.values)
     grid = builtin_instance("double_integrator").system.grid(N)
     assert differing_line(tmp_path / "trajectory.csv", reference_csv(
-        ["t", "uA_1", "uB_1", "v_1"], np.column_stack([grid.left_nodes, uA, uB, v]))) is None
+        ["t", "uA_1", "uB_1"], np.column_stack([grid.left_nodes, uA, uB]))) is None
     check_run_npz(tmp_path / "run.npz", grid.nodes, returned["simulate"])

@@ -87,6 +87,7 @@ class TestMap:
         lo, hi = Bounds.symmetric(1.0).sample(grid, 1)
         res = solve_gap(aff, Bounds.symmetric(1.0))
         np.testing.assert_array_equal(res.v.values, res.uA.values - res.uB.values)
+        assert "v" not in res._fields  # formed from the pair, not stored
         assert np.all(res.uB.values >= lo) and np.all(res.uB.values <= hi)
         feas = np.linalg.norm(aff.G @ res.uA.flat - aff.xi)
         assert feas <= 1e-10 * (1 + np.linalg.norm(aff.xi))
@@ -301,7 +302,7 @@ class TestCrossSolver:
         finished = exact_finish(aff, bounds, u)
         gaps, lowers = [res.gap_norm], [res.gap_lower]
         for point in (u, u if finished is None else finished):
-            _, _, gap, lower = gapsolve._certify(ws, point)
+            _, gap, lower = gapsolve._certify(ws, point)
             gaps.append(gap)
             lowers.append(lower)
         for g1 in gaps:
