@@ -109,9 +109,11 @@ class AffineData(_AffineFields):
     @cached_property
     def _factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Q^T, Rhat, d) of the Householder QR G^T = Q R: Rhat = R D^{-1}, D =
-        diag(d) the row norms of G, with d = 1 on a zero row of G."""
+        diag(d) the row norms of G, with d = 1 on a zero row of G.  Q has
+        orthonormal columns, so row j of G has the norm of column j of R,
+        taken by ``hypot``, which does not overflow where |G_j|^2 would."""
         Q, R = np.linalg.qr(self.G.T)
-        d = np.sqrt(np.diag(self.G @ self.G.T))
+        d = np.hypot.reduce(R, axis=0)
         d[d == 0.0] = 1.0
         return np.ascontiguousarray(Q.T), R / d, d
 

@@ -329,6 +329,21 @@ def test_ctrb_prints_one_row_per_test_and_writes_its_summary(tmp_path, capsys):
     assert summary["controllable"] is True and summary["N"] == 200
 
 
+def test_ctrb_reads_the_grid_rank_where_the_squared_row_norms_overflow(tmp_path, capsys):
+    # x' = 700 x + u at N = 1000: G's one row has entries near 1e227, so the
+    # sum of their squares overflows, but its norm does not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": {"A": [[700]], "B": [[1]]}, "t0": 0, "tf": 1,
+                               "x0": [1], "xf": [0], "bound": 1}))
+    argv = ["ctrb", "--config", str(cfg), "--nodes", "1000", "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[-1].startswith("gramian (grid)") and "rank 1/1" in rows[-1]
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["gramian_rank"] == 1
+
+
 def test_ctrb_reports_an_uncontrollable_input_column(tmp_path, capsys):
     # B = (1, 0) with A B = 0: every test matrix has rank 1 of 2
     cfg = tmp_path / "cfg.json"
