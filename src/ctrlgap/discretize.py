@@ -14,7 +14,7 @@ x -> M x + hB u, M = I + hA, formed once by ``_step_map``, and nothing
 needs a per-step Python loop: G is built by doubling its column blocks
 (the last L blocks times M^L give the L before them), M^N, which forms
 xi, by binary powering, and ``simulate`` is a Hillis-Steele prefix scan
-over the step maps.  A G or M^N with a non-finite entry is refused with
+over the step maps.  A G, M^N or xi with a non-finite entry is refused with
 ``SimulationOverflowError``: accumulated one step at a time, the same
 blocks overflow too, and no solve can run on a non-finite G.  A scan with
 a non-finite entry is redone by the per-step loop, which keeps a zero
@@ -251,9 +251,9 @@ def build_affine(system: LinearSystem, grid: Grid,
     Column block k of G is M^(N-1-k) h B with M = I + h A, so that the
     Euler terminal state equals M^N x0 + G u for stacked controls u, and xi
     = xf - M^N x0.  G is built by doubling and M^N by binary powering.
-    Raises ``SimulationOverflowError`` when either has a non-finite entry:
-    the Euler step h is then unstable for the system, and no solve can run
-    on the set.
+    Raises ``SimulationOverflowError`` when either, or xi, has a non-finite
+    entry: the Euler step h is then unstable for the system or x0 too large
+    for it, and no solve can run on the set.
     """
     if boundary.n != system.n:
         raise ValueError(f"boundary dimension {boundary.n} != state dimension {system.n}")
@@ -263,7 +263,12 @@ def build_affine(system: LinearSystem, grid: Grid,
         raise SimulationOverflowError(
             f"the reachability map overflowed at N={grid.N}; the Euler step "
             f"h={grid.h:g} is unstable for this system")
-    xi = boundary.xf - P @ boundary.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = boundary.xf - P @ boundary.x0
+    if not np.isfinite(xi).all():
+        raise SimulationOverflowError(
+            f"xf - M^N x0 overflowed at N={grid.N}: the free Euler rollout from x0 "
+            f"leaves the floating-point range")
     for arr in (G, xi):
         arr.flags.writeable = False
     return AffineData(G=G, xi=xi, grid=grid, system=system)

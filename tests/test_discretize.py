@@ -1,5 +1,6 @@
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,15 @@ class TestSimulate:
         u = ControlTrajectory(values=np.ones((200, 1)), grid=grid)
         with pytest.raises(SimulationOverflowError, match="unstable"):
             simulate(sys_, [1.0], u)
+
+    def test_overflowing_xi_is_refused(self):
+        # G and M^N, near 1e230, are finite; M^N x0 with x0 = 1e300 is not
+        sys_ = LinearSystem([[700.0]], [[1.0]], 0, 1)
+        boundary = BoundarySpec(x0=[1e300], xf=[0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationOverflowError, match="xf - M.N x0 overflowed"):
+                build_affine(sys_, sys_.grid(1000), boundary)
 
     def test_overflow_step_is_the_per_step_loops(self):
         # the scan's powers overflow earlier than the states do; the loop
