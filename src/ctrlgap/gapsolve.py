@@ -64,10 +64,10 @@ class GapResult(NamedTuple):
     uA = uB - Qt^T s with s = Qt uB - c; ``uB`` is inside the box exactly
     and ``uA`` on the affine set to rounding.  The gap vector ``v`` is not
     stored: the property forms ``uA - uB``, which lies in the range of G^T
-    and whose step-weighted norm is ``gap_norm``.  The true gap lies in [``gap_lower``,
-    ``gap_norm``], gap_lower from ``gap_lower_bound``.  ``iterations``
-    counts pivots and descent steps, ``diagnostics["pivots"]`` the pivots.
-    ``diagnostics["finish"]`` is ``"exact"`` when the pair passed the
+    and whose step-weighted norm is ``gap_norm``.  The true gap lies in
+    [``gap_lower``, ``gap_norm``], gap_lower from ``gap_lower_bound``.
+    ``iterations`` counts pivots and descent steps, ``diagnostics["pivots"]``
+    the pivots.  ``diagnostics["finish"]`` is ``"exact"`` when the pair passed the
     optimality test (the exchange's for a feasible box, else the
     descent's), so it is the exact discrete optimum up to rounding, and
     ``"cut"`` when it did not.  ``diagnostics["stop"]`` is ``"certified"``
